@@ -502,6 +502,22 @@ def synth_generate(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
 # ---------------------------------------------------------------------------
 # on-disk dataset format
 
+JSON_NUMBER = (int, float)
+
+
+def check_fields(path, record, spec: dict, what: str) -> None:
+    """Raise ParseError unless `record` is a JSON object holding every key of
+    `spec` with a value of the listed type; a bool never passes as a number.
+    """
+    if not isinstance(record, dict):
+        raise ParseError(path, 1, f"{what} must be a JSON object")
+    for key, kind in spec.items():
+        if key not in record:
+            raise ParseError(path, 1, f"{what} missing {key!r}")
+        value = record[key]
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ParseError(path, 1, f"{what} has a bad {key!r}: {value!r}")
+
 
 def write_feature_file(path, instances: np.ndarray) -> None:
     arr = np.ascontiguousarray(np.asarray(instances), dtype="<f4")
@@ -554,6 +570,15 @@ def save_dataset(dataset: Dataset, directory) -> Path:
     return index_path
 
 
+_INDEX_RECORD = {
+    "video_id": str,
+    "subject_id": str,
+    "label": JSON_NUMBER,
+    "feature_kind": str,
+    "path": str,
+}
+
+
 def load_dataset(index_path) -> Dataset:
     index_path = Path(index_path)
     if index_path.is_dir():
@@ -570,9 +595,11 @@ def load_dataset(index_path) -> Dataset:
     bags = []
     kinds = set()
     for record in index:
-        for key in ("video_id", "subject_id", "label", "feature_kind", "path"):
-            if key not in record:
-                raise ParseError(index_path, 1, f"index record missing {key!r}")
+        check_fields(index_path, record, _INDEX_RECORD, "index record")
+        if record["label"] not in LABELS:
+            raise ParseError(
+                index_path, 1, f"label must be one of {LABELS}, got {record['label']!r}"
+            )
         kinds.add(record["feature_kind"])
         instances = read_feature_file(index_path.parent / record["path"])
         bags.append(

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .audit import note_read
-from .bags import Dataset, InstanceLabeling
+from .bags import JSON_NUMBER, Dataset, InstanceLabeling, check_fields
 from .errors import ConvergenceError, ParseError, TrainingDivergedError
 
 SVR_MAGIC = b"EMSV"
@@ -175,11 +175,22 @@ def svr_train(instances, labels, config: SvrConfig, max_iter: int = 200_000) -> 
     the two-variable subproblem exactly and clips to the box, so the dual
     objective never worsens; iteration stops once the worst KKT violation
     drops below config.tol.
+
+    The violations -s*g are kept in two persistent vectors: up_v holds them
+    where s_k*a_k can still grow (the up set) and -inf elsewhere, low_v
+    where it can still shrink (the low set) and +inf elsewhere, so the pair
+    is up_v.argmax() and low_v.argmin().  A step moves both halves of -s*g
+    by the same vector t = s_i*d*(k_i - k_j), applied in place to g, up_v
+    and low_v; only entries i and j can change set and are refreshed.
+    Negation is exact, so this picks the same pairs and the same iterates,
+    bit for bit, as recomputing -s*g and both masks every step.
     """
     x, y = _check_training_inputs(instances, labels)
     l = x.shape[0]
     if l < 2:
         raise ValueError("need at least 2 training instances")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     c, eps = config.c, config.epsilon
     kernel = _KernelRows(x, config.kernel.sigma)
 
@@ -187,19 +198,19 @@ def svr_train(instances, labels, config: SvrConfig, max_iter: int = 200_000) -> 
     s = np.concatenate([np.ones(l), -np.ones(l)])
     p = np.concatenate([eps - y, eps + y])
     g = p.copy()  # gradient of 1/2 a'Qa + p'a at a = 0
+    # at a = 0 the up set is the alpha half and the low set the alpha* half
+    up_v = np.concatenate([-g[:l], np.full(l, -np.inf)])
+    low_v = np.concatenate([np.full(l, np.inf), g[l:]])
+    g_a, g_b = g[:l], g[l:]
+    violation_halves = (up_v[:l], up_v[l:], low_v[:l], low_v[l:])
+    t = np.empty(l)
     trace = []
 
-    converged = False
-    m_val = big = float("inf")
     for _ in range(max_iter):
-        viol = -s * g
-        up = ((s > 0) & (a < c)) | ((s < 0) & (a > 0))
-        low = ((s > 0) & (a > 0)) | ((s < 0) & (a < c))
-        i = int(np.where(up, viol, -big).argmax())
-        j = int(np.where(low, viol, big).argmin())
-        m_val, big_m = viol[i], viol[j]
+        i = int(up_v.argmax())
+        j = int(low_v.argmin())
+        m_val, big_m = up_v[i], low_v[j]
         if m_val - big_m < config.tol:
-            converged = True
             break
 
         bi, bj = i % l, j % l
@@ -213,11 +224,20 @@ def svr_train(instances, labels, config: SvrConfig, max_iter: int = 200_000) -> 
 
         a[i] += d
         a[j] -= ss * d
-        k_delta = np.concatenate([ki - kj, ki - kj])
-        g += s * (s[i] * d) * k_delta
+        np.subtract(ki, kj, out=t)
+        t *= s[i] * d
+        g_a += t
+        g_b -= t
+        for half in violation_halves:
+            half -= t
+        for k in (i, j):
+            viol = -s[k] * g[k]
+            can_rise, can_fall = (a[k] < c, a[k] > 0) if k < l else (a[k] > 0, a[k] < c)
+            up_v[k] = viol if can_rise else -np.inf
+            low_v[k] = viol if can_fall else np.inf
         # dual (maximization) objective: -(1/2 a'Qa + p'a) = -(a.g + a.p)/2
         trace.append(float(-0.5 * (a @ g + a @ p)))
-    if not converged:
+    else:
         raise ConvergenceError(
             f"KKT violation {m_val - big_m:.3e} after {max_iter} steps"
         )
@@ -464,6 +484,17 @@ def save_svr(model: SvrModel, path, meta: dict | None = None) -> None:
     _sidecar(path).write_text(json.dumps(meta or {}, indent=2, sort_keys=True) + "\n")
 
 
+_SVR_HEADER = {
+    "n_sv": int,
+    "dim": int,
+    "bias": JSON_NUMBER,
+    "c": JSON_NUMBER,
+    "epsilon": JSON_NUMBER,
+    "sigma": JSON_NUMBER,
+    "tol": JSON_NUMBER,
+}
+
+
 def load_svr(path) -> tuple[SvrModel, dict]:
     note_read(path)
     data = Path(path).read_bytes()
@@ -475,9 +506,21 @@ def load_svr(path) -> tuple[SvrModel, dict]:
         raise ParseError(path, 1, f"not a supported model file: {magic!r} v{version}")
     try:
         descriptor = json.loads(data[head.size : head.size + blob_len])
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, 1, exc.msg) from None
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ParseError(path, 1, str(exc)) from None
+    check_fields(path, descriptor, _SVR_HEADER, "model header")
     n_sv, dim = descriptor["n_sv"], descriptor["dim"]
+    if n_sv < 0 or dim < 0:
+        raise ParseError(path, 1, f"negative model size {n_sv} x {dim}")
+    try:
+        config = SvrConfig(
+            c=descriptor["c"],
+            epsilon=descriptor["epsilon"],
+            kernel=KernelSpec("gaussian", descriptor["sigma"]),
+            tol=descriptor["tol"],
+        )
+    except ValueError as exc:
+        raise ParseError(path, 1, str(exc)) from None
     offset = head.size + blob_len
     sv_bytes = n_sv * dim * 4
     if len(data) != offset + sv_bytes + n_sv * 8:
@@ -488,12 +531,6 @@ def load_svr(path) -> tuple[SvrModel, dict]:
         .astype(np.float64)
     )
     coef = np.frombuffer(data[offset + sv_bytes :], dtype="<f8").copy()
-    config = SvrConfig(
-        c=descriptor["c"],
-        epsilon=descriptor["epsilon"],
-        kernel=KernelSpec("gaussian", descriptor["sigma"]),
-        tol=descriptor["tol"],
-    )
     model = SvrModel(
         support_vectors=sv, coef=coef, bias=descriptor["bias"], config=config
     )

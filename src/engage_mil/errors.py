@@ -54,7 +54,8 @@ class DegenerateMarginalsError(DataError):
 
 
 class UndefinedCorrelationError(DataError):
-    """Pearson correlation requested for a constant or non-finite input."""
+    """Pearson correlation requested for a constant input, or one whose
+    correlation still comes out non-finite."""
 
 
 class IncompatibleArtifactsError(DataError):

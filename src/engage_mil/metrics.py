@@ -21,6 +21,7 @@ from .audit import note_read
 from .errors import (
     DegenerateMarginalsError,
     NoReliableRatersError,
+    NumericError,
     ParseError,
     UndefinedCorrelationError,
 )
@@ -222,6 +223,10 @@ def _paired(pred, truth):
         raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
     if pred.size < 1:
         raise ValueError("need at least one sample")
+    for side, values in (("pred", pred), ("truth", truth)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise NumericError(f"non-finite {side} value {values[bad[0]]} at index {bad[0]}")
     return pred, truth
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .audit import note_read
-from .bags import Bag, Dataset
+from .bags import Bag, Dataset, check_fields
 from .errors import ParseError, TrainingDivergedError
 
 NET_MAGIC = b"EMNN"
@@ -662,6 +662,29 @@ def _empty_net(descriptor) -> "MilNet | SeqNet":
     )
 
 
+_NET_HEADER = {"kind": str, "label_scaling": bool, "layers": list}
+_NET_KIND_HEADER = {
+    "mil": {"pooling": str, "k": int},
+    "seq": {"m": int, "hidden": int, "in_dim": int},
+}
+_LAYER_HEADER = {"in": int, "out": int, "activation": str}
+
+
+def _net_from_header(path, descriptor) -> "MilNet | SeqNet":
+    """The zero-filled network a file header describes, or ParseError."""
+    check_fields(path, descriptor, _NET_HEADER, "network header")
+    kind_spec = _NET_KIND_HEADER.get(descriptor["kind"])
+    if kind_spec is None:
+        raise ParseError(path, 1, f"unknown network kind {descriptor['kind']!r}")
+    check_fields(path, descriptor, kind_spec, "network header")
+    for spec in descriptor["layers"]:
+        check_fields(path, spec, _LAYER_HEADER, "network layer")
+    try:
+        return _empty_net(descriptor)
+    except ValueError as exc:  # negative or mismatched sizes, unknown names
+        raise ParseError(path, 1, str(exc)) from None
+
+
 def load_net(path):
     note_read(path)
     data = Path(path).read_bytes()
@@ -673,9 +696,9 @@ def load_net(path):
         raise ParseError(path, 1, f"not a supported network file: {magic!r} v{version}")
     try:
         descriptor = json.loads(data[head.size : head.size + blob_len])
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, 1, exc.msg) from None
-    net = _empty_net(descriptor)
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ParseError(path, 1, str(exc)) from None
+    net = _net_from_header(path, descriptor)
     params = net.parameters()
     expected = head.size + blob_len + sum(p.size for p in params) * 8
     if len(data) != expected:

@@ -210,6 +210,62 @@ def qp_reference_svr(kernel_matrix, y, c, epsilon, max_iter=400_000):
     return a[:l] - a[l:], float(bias), float(objective)
 
 
+def reference_smo_svr(x, y, c, epsilon, sigma, tol, max_iter=200_000):
+    """Maximal-violating-pair SMO that rebuilds -s*g and both masks per step.
+
+    The plain vectorised form of the trainer's step loop: same pair choice
+    (first index on ties), same two-variable solve and clip, same update
+    and objective expressions, so the trainer must match it bit for bit.
+    Kernel rows use the trainer's per-row expression; caching them changes
+    no value.  Returns (support_vectors, coef, bias, objective_trace).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    l = x.shape[0]
+    sq = (x**2).sum(axis=1)
+    rows = {}
+
+    def kernel_row(i):
+        if i not in rows:
+            d2 = np.maximum(sq[i] + sq - 2.0 * x @ x[i], 0.0)
+            rows[i] = np.exp(-d2 / (2.0 * sigma**2))
+        return rows[i]
+
+    a = np.zeros(2 * l)
+    s = np.concatenate([np.ones(l), -np.ones(l)])
+    p = np.concatenate([epsilon - y, epsilon + y])
+    g = p.copy()
+    trace = []
+    for _ in range(max_iter):
+        viol = -s * g
+        up = ((s > 0) & (a < c)) | ((s < 0) & (a > 0))
+        low = ((s > 0) & (a > 0)) | ((s < 0) & (a < c))
+        i = int(np.where(up, viol, -np.inf).argmax())
+        j = int(np.where(low, viol, np.inf).argmin())
+        m_val, big_m = viol[i], viol[j]
+        if m_val - big_m < tol:
+            break
+        bi, bj = i % l, j % l
+        ki, kj = kernel_row(bi), kernel_row(bj)
+        quad = max(ki[bi] + kj[bj] - 2.0 * ki[bj], 1e-12)
+        ss = s[i] * s[j]
+        d = -(g[i] - ss * g[j]) / quad
+        d_lo = max(-a[i], (a[j] - c) if ss > 0 else -a[j])
+        d_hi = min(c - a[i], a[j] if ss > 0 else c - a[j])
+        d = min(max(d, d_lo), d_hi)
+        a[i] += d
+        a[j] -= ss * d
+        g += s * (s[i] * d) * np.concatenate([ki - kj, ki - kj])
+        trace.append(float(-0.5 * (a @ g + a @ p)))
+    else:
+        raise RuntimeError(f"reference SMO did not converge in {max_iter} steps")
+    theta = a[:l] - a[l:]
+    keep = theta != 0.0
+    if not keep.any():
+        keep[:1] = True
+    return x[keep].copy(), theta[keep], float((m_val + big_m) / 2.0), trace
+
+
 def closed_form_ridge(x, y, penalty):
     """Exact minimizer of mean squared error + penalty*||w||^2 (free bias)."""
     x = np.asarray(x, dtype=float)

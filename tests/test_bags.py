@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -489,6 +491,43 @@ def test_load_dataset_accepts_directory(tmp_path):
 def test_load_dataset_missing_index(tmp_path):
     with pytest.raises(ParseError):
         load_dataset(tmp_path / "nowhere")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"label": 2.5},
+        {"label": "2"},
+        {"label": False},
+        {"label": 4},
+        {"label": None},
+        {"subject_id": 3},
+        {"path": None},
+    ],
+)
+def test_load_dataset_rejects_a_bad_index_record(tmp_path, change):
+    dataset, _ = synth_generate(SyntheticSpec(subjects=2, videos=4, m=3, dim=2, seed=1))
+    index_path = save_dataset(dataset, tmp_path / "d")
+    index = json.loads(index_path.read_text())
+    index[1].update(change)
+    index[1] = {key: value for key, value in index[1].items() if value is not None}
+    index_path.write_text(json.dumps(index))
+    with pytest.raises(ParseError, match=str(index_path)):
+        load_dataset(index_path)
+    index_path.write_text(json.dumps([index[0], "not a record"]))
+    with pytest.raises(ParseError, match="JSON object"):
+        load_dataset(index_path)
+
+
+def test_load_dataset_accepts_an_integral_float_label(tmp_path):
+    dataset, _ = synth_generate(SyntheticSpec(subjects=2, videos=4, m=3, dim=2, seed=1))
+    index_path = save_dataset(dataset, tmp_path / "d")
+    index = json.loads(index_path.read_text())
+    index[0]["label"] = float(index[0]["label"])
+    index_path.write_text(json.dumps(index))
+    loaded = load_dataset(index_path)
+    assert loaded.bags[0].label == dataset.bags[0].label
+    assert type(loaded.bags[0].label) is int
 
 
 def test_planted_csv_round_trip(tmp_path):

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -30,13 +32,14 @@ from engage_mil.baselines import (
     svr_predict_many,
     svr_train,
 )
-from engage_mil.errors import ParseError
+from engage_mil.errors import ConvergenceError, ParseError
 
 from oracles import (
     _box_hyperplane_root,
     _project_box_hyperplane,
     closed_form_ridge,
     qp_reference_svr,
+    reference_smo_svr,
     ridge_mean_at,
 )
 
@@ -173,6 +176,53 @@ def test_svr_invariants_on_random_problems(seed):
         assert (np.diff(trace) >= -1e-9).all()
 
 
+def _reference_svr_train(x, y, config):
+    sv, coef, bias, trace = reference_smo_svr(
+        x, y, config.c, config.epsilon, config.kernel.sigma, config.tol
+    )
+    return baselines.SvrModel(sv, coef, bias, config, trace)
+
+
+# (n, dim, c, epsilon, sigma); each case stresses one part of the step loop
+SMO_CASES = {
+    "small_c_many_at_bound": (40, 3, 0.01, 0.1, 1.0),
+    "large_epsilon": (40, 3, 1.0, 1.2, 1.0),
+    "kernel_cache_evicts": (600, 4, 5.0, 0.02, 0.7),  # touches > 512 rows
+    "duplicate_rows_tie": (12, 2, 1.0, 0.1, 1.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SMO_CASES))
+def test_svr_matches_reference_smo_bit_for_bit(case):
+    n, dim, c, epsilon, sigma = SMO_CASES[case]
+    x, y = _random_problem(sorted(SMO_CASES).index(case) + 50, n=n, dim=dim)
+    if case == "duplicate_rows_tie":  # identical rows and labels tie in argmax
+        x, y = np.tile(x, (3, 1)), np.tile(np.round(y), 3)
+    config = SvrConfig(c=c, epsilon=epsilon, kernel=KernelSpec(sigma=sigma), tol=1e-4)
+    model = svr_train(x, y, config)
+    reference = _reference_svr_train(x, y, config)
+    assert len(model.objective_trace) > 0
+    assert np.array_equal(model.coef, reference.coef)
+    assert model.bias == reference.bias
+    assert np.array_equal(model.support_vectors, reference.support_vectors)
+    assert model.objective_trace == reference.objective_trace
+
+
+def test_svr_rejects_a_step_cap_below_one():
+    x, y = _random_problem(3, n=10, dim=2)
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="max_iter"):
+            svr_train(x, y, SvrConfig(), max_iter=cap)
+
+
+def test_svr_raises_convergence_error_at_its_step_cap():
+    x, y = _random_problem(3, n=30, dim=2)
+    config = SvrConfig(tol=1e-6)
+    assert len(svr_train(x, y, config).objective_trace) > 5
+    with pytest.raises(ConvergenceError, match="after 5 steps"):
+        svr_train(x, y, config, max_iter=5)
+
+
 def test_svr_round_trip_preserves_predictions(tmp_path):
     x, y = _random_problem(21, n=14, dim=3)
     model = svr_train(x, y, SvrConfig(c=1.5, epsilon=0.05, kernel=KernelSpec(sigma=1.3)))
@@ -191,6 +241,37 @@ def test_svr_round_trip_preserves_predictions(tmp_path):
 def test_svr_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "model.svr"
     path.write_bytes(b"NOPE" + bytes(20))
+    with pytest.raises(ParseError):
+        load_svr(path)
+
+
+def _svr_file(path, header, payload=b""):
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(struct.pack("<4sII", b"EMSV", 1, len(blob)) + blob + payload)
+    return path
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        "not-an-object",
+        {"n_sv": None},  # key removed
+        {"n_sv": "1"},
+        {"dim": 1.5},
+        {"bias": True},
+        {"sigma": "wide"},
+        {"n_sv": -1},
+        {"c": -1.0},
+    ],
+)
+def test_svr_load_rejects_a_bad_header(tmp_path, change):
+    header = {"bias": 0.5, "c": 1.0, "epsilon": 0.1, "sigma": 1.0, "tol": 1e-3, "n_sv": 1, "dim": 1}
+    if change == "not-an-object":
+        header = [header]
+    else:
+        header.update(change)
+        header = {key: value for key, value in header.items() if value is not None}
+    path = _svr_file(tmp_path / "model.svr", header, bytes(4 + 8))
     with pytest.raises(ParseError):
         load_svr(path)
 
@@ -461,6 +542,17 @@ def test_grid_search_keeps_each_subject_in_exactly_one_validation_fold(monkeypat
     total = sum(bag.m for bag in dataset.bags)
     for fold, (kind, rows) in zip(folds, [c for c in calls if c[0] == "train"]):
         assert rows == total - sum(bag.m for bag in fold)
+
+
+def test_grid_search_table_matches_reference_smo_exactly(monkeypatch):
+    dataset = _toy_dataset(n_subjects=4, bags_per_subject=3, m=5, seed=4)
+    labeling = _broadcast_labeling(dataset)
+    args = (dataset, labeling, [0.1, 1.0, 10.0], [0.5, 2.0])
+    result = grid_search_svr(*args, folds=2, seed=1)
+    monkeypatch.setattr(baselines, "svr_train", _reference_svr_train)
+    reference = grid_search_svr(*args, folds=2, seed=1)
+    assert np.array_equal(result.table, reference.table)
+    assert (result.c, result.sigma) == (reference.c, reference.sigma)
 
 
 def test_grid_search_is_deterministic():

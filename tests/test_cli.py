@@ -2,8 +2,11 @@
 byte-level determinism, and the audit guarantee that training never
 touches test features."""
 
+import functools
 import json
 import os
+import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from engage_mil import cli
 from engage_mil.bags import load_dataset, save_dataset, split_subject_independent
+from engage_mil.baselines import svr_train
 from engage_mil.cli import (
     LocalizationRecord,
     RunConfig,
@@ -766,6 +771,57 @@ class TestProcess:
                 "train", "--config", str(config), "--out", str(tmp_path / "t.csv")
             )
         assert code == 4
+
+    def test_svr_step_cap_exits_4(self, split_root, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "svr_train", functools.partial(svr_train, max_iter=5))
+        config = write_config(
+            tmp_path / "c.json",
+            seed=0,
+            model="svr",
+            dataset=str(split_root / "train"),
+            model_path=str(tmp_path / "m.bin"),
+        )
+        code = run_cli("train", "--config", str(config), "--out", str(tmp_path / "t.csv"))
+        assert code == 4
+        assert "after 5 steps" in capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize("magic", [b"EMSV", b"EMNN"])
+    @pytest.mark.parametrize(
+        "header", [[1, 2], {"kind": "mil"}, {"n_sv": "2", "dim": 5, "kind": 3}]
+    )
+    def test_model_with_a_bad_header_exits_3(
+        self, split_root, tmp_path, capsys, magic, header
+    ):
+        blob = json.dumps(header).encode("utf-8")
+        model = tmp_path / "model.bin"
+        model.write_bytes(struct.pack("<4sII", magic, 1, len(blob)) + blob + bytes(64))
+        config = write_config(
+            tmp_path / "c.json",
+            dataset=str(split_root / "test"),
+            train_dataset=str(split_root / "train"),
+            model_path=str(model),
+        )
+        code = run_cli("eval", "--config", str(config), "--out", str(tmp_path / "r.json"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and str(model) in err
+
+    @pytest.mark.parametrize("label", [2.5, "2", True, 7, -1])
+    def test_bad_index_label_exits_3(self, split_root, tmp_path, capsys, label):
+        dataset = shutil.copytree(split_root / "train", tmp_path / "ds")
+        index = json.loads((dataset / "index.json").read_text())
+        index[0]["label"] = label
+        (dataset / "index.json").write_text(json.dumps(index))
+        config = write_config(
+            tmp_path / "c.json",
+            model="ridge",
+            dataset=str(dataset),
+            model_path=str(tmp_path / "m.json"),
+        )
+        code = run_cli("train", "--config", str(config), "--out", str(tmp_path / "t.csv"))
+        assert code == 3
+        assert str(dataset / "index.json") in capsys.readouterr().err
 
     def test_missing_model_file_exits_3(self, split_root, tmp_path):
         config = write_config(

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from engage_mil.errors import (
     NoReliableRatersError,
+    NumericError,
     ParseError,
     UndefinedCorrelationError,
 )
@@ -235,6 +236,16 @@ def test_classwise_reaggregates_to_overall():
 def test_mse_length_mismatch():
     with pytest.raises(ValueError):
         mse([1.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("metric", [mse, classwise_mse, pcc, compute_report])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_regression_metrics_refuse_nonfinite_values(metric, bad):
+    good = [0.0, 1.0, 2.0, 3.0]
+    with pytest.raises(NumericError, match="pred .* at index 2"):
+        metric([0.5, 1.0, bad, bad], good)
+    with pytest.raises(NumericError, match="truth .* at index 1"):
+        metric(good, [0.0, bad, 2.0, 3.0])
 
 
 def test_pcc_affine_invariance():

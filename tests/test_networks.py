@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -468,6 +470,44 @@ def test_load_net_rejects_garbage(tmp_path):
     short.write_bytes(short.read_bytes()[:-8])
     with pytest.raises(ParseError):
         load_net(short)
+
+
+def _rewrite_header(path, edit):
+    data = path.read_bytes()
+    (blob_len,) = struct.unpack_from("<I", data, 8)
+    header = edit(json.loads(data[12 : 12 + blob_len]))
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + blob_len :])
+
+
+def _set(key, value):
+    def edit(header):
+        header[key] = value
+        return header
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda header: [header],
+        lambda header: {k: v for k, v in header.items() if k != "pooling"},
+        _set("kind", "gru"),
+        _set("k", 2.5),
+        _set("label_scaling", 1),
+        _set("layers", {"in": 3}),
+        _set("layers", [{"in": 3, "out": 4}]),
+        _set("layers", [{"in": 3, "out": -4, "activation": "relu"}]),
+        _set("layers", [{"in": 3, "out": 1, "activation": "tanh"}]),
+    ],
+)
+def test_load_net_rejects_a_bad_header(tmp_path, edit):
+    path = tmp_path / "net.emnn"
+    save_net(build_mil_net(3, hidden=(4,), seed=0), path)
+    _rewrite_header(path, edit)
+    with pytest.raises(ParseError):
+        load_net(path)
 
 
 def test_net_construction_validation():
