@@ -519,6 +519,23 @@ def check_fields(path, record, spec: dict, what: str) -> None:
             raise ParseError(path, 1, f"{what} has a bad {key!r}: {value!r}")
 
 
+def read_sidecar(path, key: str | None = None) -> dict:
+    """The JSON object in the `.json` sidecar next to model file `path` ({} if
+    there is none), or its `key` member; ParseError unless it is an object."""
+    sidecar = Path(str(path) + ".json")
+    if not sidecar.exists():
+        return {}
+    try:
+        raw = json.loads(sidecar.read_text())
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ParseError(sidecar, 1, str(exc)) from None
+    check_fields(sidecar, raw, {}, "model sidecar")
+    if key is not None:
+        raw = raw.get(key, {})
+        check_fields(sidecar, raw, {}, f"model sidecar {key!r}")
+    return raw
+
+
 def write_feature_file(path, instances: np.ndarray) -> None:
     arr = np.ascontiguousarray(np.asarray(instances), dtype="<f4")
     if arr.ndim != 2:

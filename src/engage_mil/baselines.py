@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .audit import note_read
-from .bags import JSON_NUMBER, Dataset, InstanceLabeling, check_fields
+from .bags import JSON_NUMBER, Dataset, InstanceLabeling, check_fields, read_sidecar
 from .errors import ConvergenceError, ParseError, TrainingDivergedError
 
 SVR_MAGIC = b"EMSV"
@@ -534,8 +534,7 @@ def load_svr(path) -> tuple[SvrModel, dict]:
     model = SvrModel(
         support_vectors=sv, coef=coef, bias=descriptor["bias"], config=config
     )
-    meta = json.loads(_sidecar(path).read_text()) if _sidecar(path).exists() else {}
-    return model, meta
+    return model, read_sidecar(path)
 
 
 def save_linear(model: LinearModel, path, meta: dict | None = None) -> None:
@@ -548,12 +547,30 @@ def save_linear(model: LinearModel, path, meta: dict | None = None) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def load_linear(path) -> tuple[LinearModel, dict]:
+def _read_json_model(path, kind: str, spec: dict, vector: str) -> dict:
+    """A JSON model file's fields, checked against `spec`; `vector` must be a
+    list of numbers and `meta`, if present, an object."""
     note_read(path)
-    raw = json.loads(Path(path).read_text())
-    if raw.get("kind") != "linear":
-        raise ParseError(path, 1, "not a linear model file")
-    return LinearModel(np.asarray(raw["weights"]), float(raw["bias"])), raw.get("meta", {})
+    try:
+        raw = json.loads(Path(path).read_text())
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ParseError(path, 1, str(exc)) from None
+    check_fields(path, raw, {"kind": str, vector: list, **spec}, "model file")
+    if raw["kind"] != kind:
+        raise ParseError(path, 1, f"not a {kind} model file")
+    if not all(isinstance(v, JSON_NUMBER) and not isinstance(v, bool) for v in raw[vector]):
+        raise ParseError(path, 1, f"model file {vector!r} must be a list of numbers")
+    check_fields(path, raw.setdefault("meta", {}), {}, "model file 'meta'")
+    return raw
+
+
+def load_linear(path) -> tuple[LinearModel, dict]:
+    raw = _read_json_model(path, "linear", {"bias": JSON_NUMBER}, "weights")
+    try:
+        model = LinearModel(np.asarray(raw["weights"], dtype=np.float64), float(raw["bias"]))
+    except ValueError as exc:  # non-finite parameters
+        raise ParseError(path, 1, str(exc)) from None
+    return model, raw["meta"]
 
 
 def save_ridge(posterior: RidgePosterior, path, meta: dict | None = None) -> None:
@@ -568,15 +585,18 @@ def save_ridge(posterior: RidgePosterior, path, meta: dict | None = None) -> Non
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+_RIDGE_FILE = {"alpha": JSON_NUMBER, "beta": JSON_NUMBER, "intercept": JSON_NUMBER}
+
+
 def load_ridge(path) -> tuple[RidgePosterior, dict]:
-    note_read(path)
-    raw = json.loads(Path(path).read_text())
-    if raw.get("kind") != "ridge":
-        raise ParseError(path, 1, "not a ridge model file")
-    posterior = RidgePosterior(
-        mean=np.asarray(raw["mean"]),
-        alpha=float(raw["alpha"]),
-        beta=float(raw["beta"]),
-        intercept=float(raw["intercept"]),
-    )
-    return posterior, raw.get("meta", {})
+    raw = _read_json_model(path, "ridge", _RIDGE_FILE, "mean")
+    try:
+        posterior = RidgePosterior(
+            mean=np.asarray(raw["mean"], dtype=np.float64),
+            alpha=float(raw["alpha"]),
+            beta=float(raw["beta"]),
+            intercept=float(raw["intercept"]),
+        )
+    except ValueError as exc:  # nonpositive precisions, non-finite mean
+        raise ParseError(path, 1, str(exc)) from None
+    return posterior, raw["meta"]

@@ -23,6 +23,7 @@ from .audit import note_read
 from .bags import (
     Dataset,
     SyntheticSpec,
+    check_fields,
     kmeans,
     load_dataset,
     load_planted_csv,
@@ -66,8 +67,8 @@ from .networks import (
     build_mil_net,
     build_seq_net,
     load_net,
-    localize,
-    predict_score,
+    localize_dataset,
+    predict_dataset,
     save_net,
     train,
 )
@@ -481,6 +482,7 @@ def _load_model(path):
         raw = json.loads(target.read_text())
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise ParseError(target, 1, "unrecognized model file") from None
+    check_fields(target, raw, {}, "model file")
     kind = raw.get("kind")
     if kind == "linear":
         return load_linear(target)
@@ -524,10 +526,17 @@ def _instance_scores(model, instances: np.ndarray) -> np.ndarray:
 
 def _predict_bags(model, dataset: Dataset) -> np.ndarray:
     if isinstance(model, (MilNet, SeqNet)):
-        return np.array([predict_score(model, bag) for bag in dataset.bags])
+        return predict_dataset(model, dataset)
     return np.array(
         [aggregate_video(_instance_scores(model, bag.instances)) for bag in dataset.bags]
     )
+
+
+def _localize_bags(model, dataset: Dataset):
+    """Per-segment intensities of every bag, in dataset order."""
+    if isinstance(model, (MilNet, SeqNet)):
+        return localize_dataset(model, dataset)
+    return [_instance_scores(model, bag.instances) for bag in dataset.bags]
 
 
 def cmd_predict(config: RunConfig) -> None:
@@ -565,12 +574,10 @@ def cmd_localize(config: RunConfig) -> None:
     _check_compat(model, meta, dataset)
     planted = load_planted_csv(config.planted) if config.planted else None
 
+    intensities = _localize_bags(model, dataset)
     records: list[LocalizationRecord] = []
-    for bag in sorted(dataset.bags, key=lambda b: b.video_id):
-        if isinstance(model, (MilNet, SeqNet)):
-            values = localize(model, bag).values
-        else:
-            values = _instance_scores(model, bag.instances)
+    for i in sorted(range(len(dataset)), key=lambda i: dataset.bags[i].video_id):
+        bag, values = dataset.bags[i], intensities[i]
         truth = None
         if planted is not None:
             if bag.video_id not in planted:

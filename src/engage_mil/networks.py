@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import struct
 from collections import deque
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .audit import note_read
-from .bags import Bag, Dataset, check_fields
+from .bags import Bag, Dataset, check_fields, read_sidecar
 from .errors import ParseError, TrainingDivergedError
 
 NET_MAGIC = b"EMNN"
@@ -29,29 +30,30 @@ _ACTIVATIONS = ("relu", "sigmoid", "linear")
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # e = exp(-|z|) never overflows, and each branch is the stable form for
+    # its sign.  min(z, -z) is -|z| but passes a NaN on with its sign bit, so
+    # the result equals the masked two-branch form bit for bit.
+    e = np.exp(np.minimum(z, -z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def _activate(z, activation):
+    """The activation of z; ReLU overwrites z."""
     if activation == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if activation == "sigmoid":
         return _sigmoid(z)
     return z
 
 
-def _activation_grad(z, a, activation):
-    """d(activation)/dz expressed with the already-computed output a."""
+def _activation_grad(a, activation):
+    """d(activation)/dz expressed with the output a (ReLU: a > 0 iff z > 0)."""
     if activation == "relu":
-        return (z > 0.0).astype(np.float64)
+        return (a > 0.0).astype(np.float64)
     if activation == "sigmoid":
         return a * (1.0 - a)
-    return np.ones_like(z)
+    return np.ones_like(a)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +128,13 @@ class LstmLayer:
     @property
     def in_dim(self):
         return self.w_input.shape[1] - self.hidden
+
+    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """The gates as one (4H, in_dim + H) weight and (4H,) bias, in _GATES order."""
+        return (
+            np.concatenate([getattr(self, f"w_{gate}") for gate in _GATES]),
+            np.concatenate([getattr(self, f"b_{gate}") for gate in _GATES]),
+        )
 
 
 @dataclass
@@ -340,19 +349,22 @@ def _bag_matrix(net, bag) -> np.ndarray:
 
 
 def _dense_stack_forward(layers, h):
+    """The stack's output and each layer's (input, output) for backprop."""
     caches = []
     for layer in layers:
-        z = h @ layer.weights.T + layer.bias
+        z = h @ layer.weights.T
+        z += layer.bias  # in place: fresh large temporaries cost page faults
         a = _activate(z, layer.activation)
-        caches.append((h, z, a))
+        caches.append((h, a))
         h = a
     return h, caches
+
 
 def _dense_stack_backward(layers, caches, d_out, grads_out):
     """Backprop d_out through the stack; writes (dW, db) pairs into grads_out."""
     dh = d_out
-    for layer, (h_in, z, a) in zip(reversed(layers), reversed(caches)):
-        dz = dh * _activation_grad(z, a, layer.activation)
+    for layer, (h_in, a) in zip(reversed(layers), reversed(caches)):
+        dz = dh * _activation_grad(a, layer.activation)
         grads_out.appendleft((dz.T @ h_in, dz.sum(axis=0)))
         dh = dz @ layer.weights
     return dh
@@ -372,46 +384,80 @@ def _pool_matrix(net: MilNet, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return scores, mask
 
 
-def forward_mil(net: MilNet, bag) -> tuple[float, InstanceIntensities]:
-    x = _bag_matrix(net, bag)
-    out, _ = _dense_stack_forward(net.layers, x)
-    r = out[:, 0]
-    score = topk_pool(r, net.k) if net.pooling == "topk" else mean_pool(r)
-    return score, InstanceIntensities(values=r)
-
-
 def _seq_forward(net: SeqNet, x: np.ndarray):
-    """LSTM recurrence + dense head for a (B, M, D) batch."""
-    b, m, _ = x.shape
+    """LSTM recurrence + dense head for a (B, M, D) batch.
+
+    The four gates act as one stacked (4H, D+H) weight: its input part maps
+    every timestep before the loop, its recurrent part is one matmul per
+    step.  The recurrence runs feature-major, (features, B), so each gate is
+    a contiguous row block.  The cache holds, time-major, zcat (M+1, D+H, B)
+    with zcat[t] = [x_t; h_{t-1}] (h_{-1} = 0, and zcat[M] holds h_{M-1}),
+    the gate activations (M, 4H, B), the cell states (M+1, H, B) after a
+    zero initial state, and tanh(c_t) (M, H, B).
+    """
+    b, m, d = x.shape
+    if m != net.m:
+        raise ValueError(f"expected {net.m} segments, got {m}")
     h_dim = net.lstm.hidden
-    h = np.zeros((b, h_dim))
-    c = np.zeros((b, h_dim))
-    states = []
-    hs = np.empty((b, m, h_dim))
-    lstm = net.lstm
+    w, bias = net.lstm.stacked()
+    zcat = np.zeros((m + 1, d + h_dim, b))
+    zcat[:m, :d] = x.transpose(1, 2, 0)
+    zx = np.matmul(w[:, :d], zcat[:m, :d]) + bias[:, None]
+    w_h = np.ascontiguousarray(w[:, d:])
+    gates = np.empty((m, 4 * h_dim, b))
+    cs = np.zeros((m + 1, h_dim, b))
+    tanh_cs = np.empty((m, h_dim, b))
+    sig = 3 * h_dim  # input, forget and output gates are sigmoids
     for t in range(m):
-        zcat = np.concatenate([x[:, t, :], h], axis=1)
-        gi = _sigmoid(zcat @ lstm.w_input.T + lstm.b_input)
-        gf = _sigmoid(zcat @ lstm.w_forget.T + lstm.b_forget)
-        go = _sigmoid(zcat @ lstm.w_output.T + lstm.b_output)
-        gc = np.tanh(zcat @ lstm.w_candidate.T + lstm.b_candidate)
-        c_prev = c
-        c = gf * c_prev + gi * gc
-        tanh_c = np.tanh(c)
-        h = go * tanh_c
-        states.append((zcat, gi, gf, go, gc, c_prev, tanh_c))
-        hs[:, t, :] = h
-    flat = hs.reshape(b, m * h_dim)
-    out, dense_caches = _dense_stack_forward(net.dense, flat)
-    scores = out.mean(axis=1)
-    return scores, hs, states, dense_caches, out
+        z = zx[t] + w_h @ zcat[t, d:]
+        g = gates[t]
+        g[:sig] = _sigmoid(z[:sig])
+        np.tanh(z[sig:], out=g[sig:])
+        cs[t + 1] = g[h_dim : 2 * h_dim] * cs[t] + g[:h_dim] * g[sig:]
+        np.tanh(cs[t + 1], out=tanh_cs[t])
+        np.multiply(g[2 * h_dim : sig], tanh_cs[t], out=zcat[t + 1, d:])
+    states = zcat[1:, d:].transpose(2, 0, 1)  # (B, M, H)
+    out, dense_caches = _dense_stack_forward(net.dense, states.reshape(b, m * h_dim))
+    return out.mean(axis=1), states, (zcat, gates, cs, tanh_cs), dense_caches
+
+
+def _seq_intensities(net: SeqNet, hs: np.ndarray) -> np.ndarray:
+    """(B, M) head responses to each segment's state with all others zeroed.
+
+    Only block j of segment j's isolated input is nonzero, so the first head
+    layer reads just columns [jH, (j+1)H) of its weight; the zero-padded
+    (B*M, M*H) input is never built.
+    """
+    b, m, h_dim = hs.shape
+    first = net.dense[0]
+    blocks = first.weights.reshape(-1, m, h_dim).transpose(1, 2, 0)  # (M, H, out)
+    z = np.matmul(hs.transpose(1, 0, 2), blocks) + first.bias  # (M, B, out)
+    a = _activate(z, first.activation).reshape(m * b, -1)
+    out, _ = _dense_stack_forward(net.dense[1:], a)
+    return out.mean(axis=1).reshape(m, b).T
+
+
+def _forward(net, x: np.ndarray, intensities: bool = False):
+    """Bag scores (B,) and, if asked, per-segment intensities (B, M) of a
+    (B, M, D) batch, both in the label space the net trains in."""
+    b, m, d = x.shape
+    if d != net.in_dim:
+        raise ValueError(f"expected {net.in_dim}-dimensional instances, got {d}")
+    if isinstance(net, MilNet):
+        out, _ = _dense_stack_forward(net.layers, x.reshape(b * m, d))
+        r = out[:, 0].reshape(b, m)
+        return _pool_matrix(net, r)[0], r
+    scores, hs, _, _ = _seq_forward(net, x)
+    return scores, _seq_intensities(net, hs) if intensities else None
+
+
+def forward_mil(net: MilNet, bag) -> tuple[float, InstanceIntensities]:
+    scores, r = _forward(net, _bag_matrix(net, bag)[None])
+    return float(scores[0]), InstanceIntensities(values=r[0])
 
 
 def forward_seq(net: SeqNet, bag) -> tuple[float, np.ndarray]:
-    x = _bag_matrix(net, bag)
-    if x.shape[0] != net.m:
-        raise ValueError(f"expected {net.m} segments, got {x.shape[0]}")
-    scores, hs, _, _, _ = _seq_forward(net, x[None, :, :])
+    scores, hs, _, _ = _seq_forward(net, _bag_matrix(net, bag)[None])
     return float(scores[0]), hs[0]
 
 
@@ -435,58 +481,52 @@ def _mil_batch_grads(net: MilNet, x: np.ndarray, y: np.ndarray):
 
 
 def _seq_batch_grads(net: SeqNet, x: np.ndarray, y: np.ndarray):
-    b, m, _ = x.shape
+    """Loss and gradients as _mil_batch_grads, by backprop through time over
+    the fused gates; the gate weight gradient is one matmul over all steps."""
+    b, m, d = x.shape
     h_dim = net.lstm.hidden
-    scores, hs, states, dense_caches, _ = _seq_forward(net, x)
+    scores, _, (zcat, gates, cs, tanh_cs), dense_caches = _seq_forward(net, x)
     losses = (scores - y) ** 2
     d_scores = 2.0 * (scores - y) / b
     d_out = np.repeat(d_scores[:, None], net.dense[-1].out_dim, axis=1) / net.dense[-1].out_dim
 
     head_grads = deque()
     d_flat = _dense_stack_backward(net.dense, dense_caches, d_out, head_grads)
-    d_hs = d_flat.reshape(b, m, h_dim)
+    d_hs = np.ascontiguousarray(d_flat.reshape(b, m, h_dim).transpose(1, 2, 0))
 
-    lstm = net.lstm
-    gw = {gate: np.zeros_like(getattr(lstm, f"w_{gate}")) for gate in _GATES}
-    gb = {gate: np.zeros_like(getattr(lstm, f"b_{gate}")) for gate in _GATES}
-    dh_next = np.zeros((b, h_dim))
-    dc_next = np.zeros((b, h_dim))
+    w_h_t = net.lstm.stacked()[0][:, d:].T.copy()
+    sig = 3 * h_dim
+    dz = np.empty((m, 4 * h_dim, b))  # d(loss)/d(gate pre-activation)
+    dh_next = np.zeros((h_dim, b))
+    dc_next = np.zeros((h_dim, b))
     for t in range(m - 1, -1, -1):
-        zcat, gi, gf, go, gc, c_prev, tanh_c = states[t]
-        dh = d_hs[:, t, :] + dh_next
-        d_go = dh * tanh_c
+        g = gates[t]
+        gi, gf, go, gc = (g[k * h_dim : (k + 1) * h_dim] for k in range(4))
+        tanh_c = tanh_cs[t]
+        dh = d_hs[t] + dh_next
         dc = dh * go * (1.0 - tanh_c**2) + dc_next
-        d_gi = dc * gc
-        d_gc = dc * gi
-        d_gf = dc * c_prev
-        dz = {
-            "input": d_gi * gi * (1.0 - gi),
-            "forget": d_gf * gf * (1.0 - gf),
-            "output": d_go * go * (1.0 - go),
-            "candidate": d_gc * (1.0 - gc**2),
-        }
-        d_zcat = np.zeros_like(zcat)
-        for gate in _GATES:
-            gw[gate] += dz[gate].T @ zcat
-            gb[gate] += dz[gate].sum(axis=0)
-            d_zcat += dz[gate] @ getattr(lstm, f"w_{gate}")
-        dh_next = d_zcat[:, -h_dim:]
+        dzt = dz[t]
+        np.multiply(dc, gc, out=dzt[:h_dim])
+        np.multiply(dc, cs[t], out=dzt[h_dim : 2 * h_dim])
+        np.multiply(dh, tanh_c, out=dzt[2 * h_dim : sig])
+        dzt[:sig] *= g[:sig] * (1.0 - g[:sig])
+        dzt[sig:] = dc * gi * (1.0 - gc**2)
+        dh_next = w_h_t @ dzt
         dc_next = dc * gf
+    inputs = zcat[:m].transpose(0, 2, 1).reshape(m * b, d + h_dim)
+    gw = dz.transpose(1, 0, 2).reshape(4 * h_dim, m * b) @ inputs
+    gb = dz.sum(axis=(0, 2))
     grads = []
-    for gate in _GATES:
-        grads.extend((gw[gate], gb[gate]))
+    for k in range(4):  # row slices in _GATES order, as parameters() lists them
+        rows = slice(k * h_dim, (k + 1) * h_dim)
+        grads.extend((gw[rows], gb[rows]))
     grads.extend(g for pair in head_grads for g in pair)
     return float(losses.mean()), grads, scores
 
 
 def backward(net, bag, label: float) -> list[np.ndarray]:
     """Gradients of (score - label)^2, aligned with net.parameters()."""
-    x = _bag_matrix(net, bag)[None, :, :]
-    y = np.array([float(label)])
-    if isinstance(net, MilNet):
-        _, grads, _ = _mil_batch_grads(net, x, y)
-    else:
-        _, grads, _ = _seq_batch_grads(net, x, y)
+    _, grads, _ = _batch_grads(net, _bag_matrix(net, bag)[None], np.array([float(label)]))
     return grads
 
 
@@ -545,40 +585,37 @@ def train(net, dataset: Dataset, config: TrainConfig):
 # prediction and localization
 
 
-def predict_score(net, bag) -> float:
-    """Bag score in the 0-3 label range (rescaled if the net trains on [0,1])."""
-    if isinstance(net, MilNet):
-        score, _ = forward_mil(net, bag)
-    else:
-        score, _ = forward_seq(net, bag)
-    return score * 3.0 if net.label_scaling else score
+def _label_scale(net) -> float:
+    return 3.0 if net.label_scaling else 1.0
 
 
 def predict_dataset(net, dataset: Dataset) -> np.ndarray:
-    return np.array([predict_score(net, bag) for bag in dataset.bags])
+    """Every bag's score in the 0-3 label range, from one batched pass."""
+    scores, _ = _forward(net, dataset.tensor())
+    return scores * _label_scale(net)
 
 
-def localize(net, bag) -> InstanceIntensities:
-    """Per-segment intensity estimates in the 0-3 label range.
+def localize_dataset(net, dataset: Dataset) -> np.ndarray:
+    """(n_bags, M) per-segment intensities in the 0-3 label range.
 
     MilNet exposes its ranking-layer outputs directly.  For SeqNet each
     segment is attributed the head's response to the flattened state vector
     with every other segment's activations zeroed.
     """
-    scale = 3.0 if net.label_scaling else 1.0
-    if isinstance(net, MilNet):
-        _, intensities = forward_mil(net, bag)
-        return InstanceIntensities(values=intensities.values * scale)
-    x = _bag_matrix(net, bag)
-    if x.shape[0] != net.m:
-        raise ValueError(f"expected {net.m} segments, got {x.shape[0]}")
-    _, hs = forward_seq(net, bag)
-    h_dim = net.lstm.hidden
-    isolated = np.zeros((net.m, net.m * h_dim))
-    for j in range(net.m):
-        isolated[j, j * h_dim : (j + 1) * h_dim] = hs[j]
-    out, _ = _dense_stack_forward(net.dense, isolated)
-    return InstanceIntensities(values=out.mean(axis=1) * scale)
+    _, r = _forward(net, dataset.tensor(), intensities=True)
+    return r * _label_scale(net)
+
+
+def predict_score(net, bag) -> float:
+    """Bag score in the 0-3 label range (rescaled if the net trains on [0,1])."""
+    scores, _ = _forward(net, _bag_matrix(net, bag)[None])
+    return float(scores[0]) * _label_scale(net)
+
+
+def localize(net, bag) -> InstanceIntensities:
+    """One bag's per-segment intensities; see localize_dataset."""
+    _, r = _forward(net, _bag_matrix(net, bag)[None], intensities=True)
+    return InstanceIntensities(values=r[0] * _label_scale(net))
 
 
 # ---------------------------------------------------------------------------
@@ -625,43 +662,6 @@ def save_net(net, path, meta: dict | None = None) -> None:
     )
 
 
-def _empty_net(descriptor) -> "MilNet | SeqNet":
-    if descriptor["kind"] == "mil":
-        layers = [
-            DenseLayer(
-                weights=np.zeros((spec["out"], spec["in"])),
-                bias=np.zeros(spec["out"]),
-                activation=spec["activation"],
-            )
-            for spec in descriptor["layers"]
-        ]
-        return MilNet(
-            layers=layers,
-            pooling=descriptor["pooling"],
-            k=descriptor["k"],
-            label_scaling=descriptor["label_scaling"],
-        )
-    h, d = descriptor["hidden"], descriptor["in_dim"]
-    gates = {}
-    for gate in _GATES:
-        gates[f"w_{gate}"] = np.zeros((h, d + h))
-        gates[f"b_{gate}"] = np.zeros(h)
-    dense = [
-        DenseLayer(
-            weights=np.zeros((spec["out"], spec["in"])),
-            bias=np.zeros(spec["out"]),
-            activation=spec["activation"],
-        )
-        for spec in descriptor["layers"]
-    ]
-    return SeqNet(
-        lstm=LstmLayer(**gates),
-        dense=dense,
-        m=descriptor["m"],
-        label_scaling=descriptor["label_scaling"],
-    )
-
-
 _NET_HEADER = {"kind": str, "label_scaling": bool, "layers": list}
 _NET_KIND_HEADER = {
     "mil": {"pooling": str, "k": int},
@@ -670,18 +670,51 @@ _NET_KIND_HEADER = {
 _LAYER_HEADER = {"in": int, "out": int, "activation": str}
 
 
-def _net_from_header(path, descriptor) -> "MilNet | SeqNet":
-    """The zero-filled network a file header describes, or ParseError."""
+def _net_from_header(path, descriptor, data: bytes, offset: int) -> "MilNet | SeqNet":
+    """The network a file header describes, its parameters read from
+    data[offset:], or ParseError.  The payload size is checked against the
+    header's sizes before any parameter array is allocated."""
     check_fields(path, descriptor, _NET_HEADER, "network header")
-    kind_spec = _NET_KIND_HEADER.get(descriptor["kind"])
-    if kind_spec is None:
-        raise ParseError(path, 1, f"unknown network kind {descriptor['kind']!r}")
-    check_fields(path, descriptor, kind_spec, "network header")
-    for spec in descriptor["layers"]:
+    kind = descriptor["kind"]
+    if kind not in _NET_KIND_HEADER:
+        raise ParseError(path, 1, f"unknown network kind {kind!r}")
+    check_fields(path, descriptor, _NET_KIND_HEADER[kind], "network header")
+    layers = descriptor["layers"]
+    for spec in layers:
         check_fields(path, spec, _LAYER_HEADER, "network layer")
+    sizes = [spec[key] for spec in layers for key in ("in", "out")]
+    shapes = [shape for spec in layers for shape in ((spec["out"], spec["in"]), (spec["out"],))]
+    if kind == "seq":
+        h, d = descriptor["hidden"], descriptor["in_dim"]
+        sizes += [h, d]
+        shapes = [(h, d + h), (h,)] * len(_GATES) + shapes
+    if min(sizes, default=0) < 0:
+        raise ParseError(path, 1, "negative layer size in network header")
+    counts = [math.prod(shape) for shape in shapes]
+    if len(data) != offset + 8 * sum(counts):
+        raise ParseError(path, 1, "payload size mismatch")
+    params = []
+    for shape, count in zip(shapes, counts):
+        block = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
+        params.append(block.reshape(shape).astype(np.float64))
+        offset += 8 * count
+    it = iter(params)  # file order is parameters() order
     try:
-        return _empty_net(descriptor)
-    except ValueError as exc:  # negative or mismatched sizes, unknown names
+        if kind == "mil":
+            return MilNet(
+                layers=[DenseLayer(next(it), next(it), spec["activation"]) for spec in layers],
+                pooling=descriptor["pooling"],
+                k=descriptor["k"],
+                label_scaling=descriptor["label_scaling"],
+            )
+        lstm = LstmLayer(**{f"{p}_{gate}": next(it) for gate in _GATES for p in "wb"})
+        return SeqNet(
+            lstm=lstm,
+            dense=[DenseLayer(next(it), next(it), spec["activation"]) for spec in layers],
+            m=descriptor["m"],
+            label_scaling=descriptor["label_scaling"],
+        )
+    except ValueError as exc:  # mismatched sizes, unknown names, non-finite values
         raise ParseError(path, 1, str(exc)) from None
 
 
@@ -698,18 +731,5 @@ def load_net(path):
         descriptor = json.loads(data[head.size : head.size + blob_len])
     except ValueError as exc:  # bad JSON or bad UTF-8
         raise ParseError(path, 1, str(exc)) from None
-    net = _net_from_header(path, descriptor)
-    params = net.parameters()
-    expected = head.size + blob_len + sum(p.size for p in params) * 8
-    if len(data) != expected:
-        raise ParseError(path, 1, "payload size mismatch")
-    offset = head.size + blob_len
-    for p in params:
-        block = np.frombuffer(data[offset : offset + p.size * 8], dtype="<f8")
-        p[...] = block.reshape(p.shape)
-        offset += p.size * 8
-    sidecar_path = Path(str(path) + ".json")
-    meta = {}
-    if sidecar_path.exists():
-        meta = json.loads(sidecar_path.read_text()).get("meta", {})
-    return net, meta
+    net = _net_from_header(path, descriptor, data, head.size + blob_len)
+    return net, read_sidecar(path, "meta")

@@ -292,6 +292,138 @@ def ridge_mean_at(x, y, alpha, beta, fit_intercept=True):
 
 
 # ---------------------------------------------------------------------------
+# networks: per-gate LSTM and per-bag scoring
+
+_GATES = ("input", "forget", "output", "candidate")
+
+
+def masked_sigmoid(z):
+    """Logistic function by boolean masks: 1/(1+e^-z) where z >= 0, else e^z/(1+e^z)."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _reference_head(layers, h):
+    """Sigmoid dense stack; returns the output and each layer's (input, output)."""
+    caches = []
+    for layer in layers:
+        a = masked_sigmoid(h @ layer.weights.T + layer.bias)
+        caches.append((h, a))
+        h = a
+    return h, caches
+
+
+def reference_seq_forward(net, x):
+    """SeqNet forward for a (B, M, D) batch, one matmul per gate per step.
+
+    Each gate maps the concatenated [x_t, h_{t-1}] with its own weight.
+    Returns (scores, hs, states, head_caches) with hs of shape (B, M, H).
+    """
+    b, m, _ = x.shape
+    lstm = net.lstm
+    h_dim = lstm.hidden
+    h = np.zeros((b, h_dim))
+    c = np.zeros((b, h_dim))
+    states = []
+    hs = np.empty((b, m, h_dim))
+    for t in range(m):
+        zcat = np.concatenate([x[:, t, :], h], axis=1)
+        gi = masked_sigmoid(zcat @ lstm.w_input.T + lstm.b_input)
+        gf = masked_sigmoid(zcat @ lstm.w_forget.T + lstm.b_forget)
+        go = masked_sigmoid(zcat @ lstm.w_output.T + lstm.b_output)
+        gc = np.tanh(zcat @ lstm.w_candidate.T + lstm.b_candidate)
+        c_prev = c
+        c = gf * c_prev + gi * gc
+        tanh_c = np.tanh(c)
+        h = go * tanh_c
+        states.append((zcat, gi, gf, go, gc, c_prev, tanh_c))
+        hs[:, t, :] = h
+    out, head_caches = _reference_head(net.dense, hs.reshape(b, m * h_dim))
+    return out.mean(axis=1), hs, states, head_caches
+
+
+def reference_seq_grads(net, x, y):
+    """Mean squared-error loss over a (B, M, D) batch and its gradients in
+    net.parameters() order, by per-gate backprop through time."""
+    b, m, _ = x.shape
+    lstm = net.lstm
+    h_dim = lstm.hidden
+    scores, _, states, head_caches = reference_seq_forward(net, x)
+    d_scores = 2.0 * (scores - y) / b
+    m_out = net.dense[-1].out_dim
+    dh = np.repeat(d_scores[:, None], m_out, axis=1) / m_out
+    head_grads = []
+    for layer, (h_in, a) in zip(reversed(net.dense), reversed(head_caches)):
+        dz = dh * (a * (1.0 - a))
+        head_grads[:0] = [dz.T @ h_in, dz.sum(axis=0)]
+        dh = dz @ layer.weights
+    d_hs = dh.reshape(b, m, h_dim)
+
+    gw = {gate: np.zeros_like(getattr(lstm, f"w_{gate}")) for gate in _GATES}
+    gb = {gate: np.zeros_like(getattr(lstm, f"b_{gate}")) for gate in _GATES}
+    dh_next = np.zeros((b, h_dim))
+    dc_next = np.zeros((b, h_dim))
+    for t in range(m - 1, -1, -1):
+        zcat, gi, gf, go, gc, c_prev, tanh_c = states[t]
+        dh = d_hs[:, t, :] + dh_next
+        d_go = dh * tanh_c
+        dc = dh * go * (1.0 - tanh_c**2) + dc_next
+        d_gi = dc * gc
+        d_gc = dc * gi
+        d_gf = dc * c_prev
+        dz = {
+            "input": d_gi * gi * (1.0 - gi),
+            "forget": d_gf * gf * (1.0 - gf),
+            "output": d_go * go * (1.0 - go),
+            "candidate": d_gc * (1.0 - gc**2),
+        }
+        d_zcat = np.zeros_like(zcat)
+        for gate in _GATES:
+            gw[gate] += dz[gate].T @ zcat
+            gb[gate] += dz[gate].sum(axis=0)
+            d_zcat += dz[gate] @ getattr(lstm, f"w_{gate}")
+        dh_next = d_zcat[:, -h_dim:]
+        dc_next = dc * gf
+    grads = []
+    for gate in _GATES:
+        grads.extend((gw[gate], gb[gate]))
+    return float(((scores - y) ** 2).mean()), grads + head_grads
+
+
+def reference_bag_scores(net, instances):
+    """(score, per-segment intensities) of one (M, D) bag in the 0-3 range.
+
+    MilNet: each instance through the dense stack on its own, then the mean
+    of the k largest by a full sort (or the mean).  SeqNet: the per-gate
+    forward, and each segment's head response to the flattened state vector
+    with every other segment's block zeroed.
+    """
+    scale = 3.0 if net.label_scaling else 1.0
+    if hasattr(net, "layers"):
+        r = []
+        for row in instances:
+            h = row
+            for layer in net.layers:
+                z = layer.weights @ h + layer.bias
+                h = np.maximum(z, 0.0) if layer.activation == "relu" else z
+            r.append(h[0])
+        r = np.array(r)
+        top = np.sort(r)[::-1][: net.k] if net.pooling == "topk" else r
+        return float(top.mean()) * scale, r * scale
+    scores, hs, _, _ = reference_seq_forward(net, instances[None])
+    m, h_dim = hs.shape[1:]
+    isolated = np.zeros((m, m * h_dim))
+    for j in range(m):
+        isolated[j, j * h_dim : (j + 1) * h_dim] = hs[0, j]
+    out, _ = _reference_head(net.dense, isolated)
+    return float(scores[0]) * scale, out.mean(axis=1) * scale
+
+
+# ---------------------------------------------------------------------------
 # gradient checking
 
 

@@ -336,7 +336,7 @@ def test_criterion_6_corpus_scale_dataset_mechanics():
 @pytest.fixture(scope="module")
 def planted_runs():
     runs = []
-    mil_elapsed = 0.0
+    mil_elapsed = seq_elapsed = 0.0
     for seed in range(5):
         spec = SyntheticSpec(
             subjects=24,
@@ -366,22 +366,25 @@ def planted_runs():
         )
         mil_elapsed += time.perf_counter() - t0
 
+        t0 = time.perf_counter()
         seq = build_seq_net(8, m=20, hidden=16, dense=(64, 32), seed=seed)
         seq, _ = train(
             seq,
             train_ds,
             TrainConfig(step_size=2.0, epochs=500, batch_size=16, seed=seed),
         )
+        seq_preds = predict_dataset(seq, test_ds)
+        seq_elapsed += time.perf_counter() - t0
         runs.append(
             {
                 "labels": labels,
                 "train_mean": float(train_ds.labels().mean()),
                 "mil": mil_preds,
-                "seq": predict_dataset(seq, test_ds),
+                "seq": seq_preds,
                 "loc_pcc": pcc(loc_pred, loc_true),
             }
         )
-    return {"runs": runs, "mil_elapsed": mil_elapsed}
+    return {"runs": runs, "mil_elapsed": mil_elapsed, "seq_elapsed": seq_elapsed}
 
 
 def test_criterion_7_planted_learning_and_localization(planted_runs):
@@ -397,7 +400,8 @@ def test_criterion_7_planted_learning_and_localization(planted_runs):
         7,
         max(ratios) < 0.6 and mean_loc >= 0.6 and elapsed < 600,
         f"MSE ratio vs constant predictor max {max(ratios):.2f} (<0.6), "
-        f"mean localization PCC {mean_loc:.2f} (>=0.6), {elapsed:.0f}s",
+        f"mean localization PCC {mean_loc:.2f} (>=0.6), MIL {elapsed:.0f}s (<600s), "
+        f"SeqNet {planted_runs['seq_elapsed']:.0f}s",
     )
 
 

@@ -414,6 +414,50 @@ def test_linear_and_ridge_round_trips(tmp_path):
         load_linear(tmp_path / "ridge.json")
 
 
+_LINEAR = {"kind": "linear", "weights": [0.25, -1.5], "bias": 3.0, "meta": {}}
+_RIDGE = {"kind": "ridge", "mean": [1.0], "alpha": 0.5, "beta": 9.0, "intercept": 0.0}
+
+
+@pytest.mark.parametrize(
+    "loader,base,change",
+    [
+        (load_linear, _LINEAR, "not-an-object"),
+        (load_linear, _LINEAR, {"weights": None}),  # key removed
+        (load_linear, _LINEAR, {"bias": None}),
+        (load_linear, _LINEAR, {"weights": [1.0, "2"]}),
+        (load_linear, _LINEAR, {"weights": [[1.0]]}),
+        (load_linear, _LINEAR, {"weights": [True]}),
+        (load_linear, _LINEAR, {"bias": "3"}),
+        (load_linear, _LINEAR, {"bias": float("nan")}),
+        (load_linear, _LINEAR, {"meta": [1]}),
+        (load_ridge, _RIDGE, "not-an-object"),
+        (load_ridge, _RIDGE, {"alpha": None}),
+        (load_ridge, _RIDGE, {"alpha": 0.0}),
+        (load_ridge, _RIDGE, {"mean": 1.0}),
+        (load_ridge, _RIDGE, {"mean": [float("inf")]}),
+        (load_ridge, _RIDGE, {"kind": "linear"}),
+    ],
+)
+def test_json_model_load_rejects_bad_fields(tmp_path, loader, base, change):
+    raw = [1, 2] if change == "not-an-object" else {**base, **change}
+    if isinstance(raw, dict):
+        raw = {key: value for key, value in raw.items() if value is not None}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ParseError):
+        loader(path)
+
+
+def test_svr_load_rejects_a_sidecar_that_is_not_a_json_object(tmp_path):
+    path = tmp_path / "model.svr"
+    save_svr(svr_train(np.eye(3), np.array([0.0, 1.0, 2.0]), SvrConfig()), path, meta={"dim": 3})
+    assert load_svr(path)[1] == {"dim": 3}
+    for text in ("{bad", "[1]"):
+        (tmp_path / "model.svr.json").write_text(text)
+        with pytest.raises(ParseError, match="model.svr.json"):
+            load_svr(path)
+
+
 # ---------------------------------------------------------------------------
 # aggregation
 

@@ -30,6 +30,7 @@ from engage_mil.features import (
     save_frame_archive,
     save_pose_gaze_csv,
 )
+from engage_mil.networks import build_mil_net, save_net
 
 
 def run_cli(*argv) -> int:
@@ -522,7 +523,7 @@ class TestLocalizeCsv:
 
     def test_group_average_matches_per_video_mean(self, artifacts, synth_dir):
         """Averaging the CSV per video reproduces the per-bag mean curve."""
-        from engage_mil.networks import load_net, localize
+        from engage_mil.networks import load_net, localize_dataset
 
         net, _ = load_net(artifacts / "model.bin")
         dataset = load_dataset(synth_dir / "data")
@@ -530,8 +531,7 @@ class TestLocalizeCsv:
         for row in (artifacts / "l.csv").read_text().splitlines()[1:]:
             video_id, _, value, _ = row.split(",")
             per_video.setdefault(video_id, []).append(float(value))
-        for bag in dataset.bags:
-            expected = localize(net, bag).values
+        for bag, expected in zip(dataset.bags, localize_dataset(net, dataset)):
             got = per_video[bag.video_id]
             assert np.allclose(got, expected, rtol=0, atol=0)
             assert np.isclose(np.mean(got), expected.mean())
@@ -539,10 +539,11 @@ class TestLocalizeCsv:
     def test_label_group_curve_is_mean_of_video_curves(self, artifacts, synth_dir):
         """Per-label average curves from the CSV equal the mean of the
         per-video localization curves computed directly."""
-        from engage_mil.networks import load_net, localize
+        from engage_mil.networks import load_net, localize_dataset
 
         net, _ = load_net(artifacts / "model.bin")
         dataset = load_dataset(synth_dir / "data")
+        curves = localize_dataset(net, dataset)
         label_of = {bag.video_id: bag.label for bag in dataset.bags}
         csv_curves = {}
         for row in (artifacts / "l.csv").read_text().splitlines()[1:]:
@@ -553,8 +554,8 @@ class TestLocalizeCsv:
             from_csv = np.mean([csv_curves[v] for v in videos], axis=0)
             direct = np.mean(
                 [
-                    localize(net, bag).values
-                    for bag in dataset.bags
+                    curve
+                    for bag, curve in zip(dataset.bags, curves)
                     if bag.label == level
                 ],
                 axis=0,
@@ -806,6 +807,32 @@ class TestProcess:
         assert code == 3
         err = capsys.readouterr().err
         assert "Traceback" not in err and str(model) in err
+
+    @pytest.mark.parametrize("case", ["json-list", "linear-no-weights", "bad-sidecar", "huge-net"])
+    def test_malformed_model_file_exits_3(self, split_root, tmp_path, capsys, case):
+        model = tmp_path / "model.bin"
+        if case == "json-list":
+            model.write_text("[1, 2]")
+        elif case == "linear-no-weights":
+            model.write_text('{"kind": "linear"}')
+        else:
+            save_net(build_mil_net(5, hidden=(4,), seed=0), model)
+            if case == "bad-sidecar":
+                (tmp_path / "model.bin.json").write_text("{bad")
+            else:
+                layers = [{"in": 10**7, "out": 10**7, "activation": "relu"}]
+                blob = json.dumps(
+                    {"kind": "mil", "pooling": "mean", "k": 1, "label_scaling": False,
+                     "layers": layers + [{"in": 10**7, "out": 1, "activation": "linear"}]}
+                ).encode("utf-8")
+                model.write_bytes(struct.pack("<4sII", b"EMNN", 1, len(blob)) + blob)
+        config = write_config(
+            tmp_path / "c.json", dataset=str(split_root / "test"), model_path=str(model)
+        )
+        code = run_cli("predict", "--config", str(config), "--out", str(tmp_path / "p.csv"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "model.bin" in err
 
     @pytest.mark.parametrize("label", [2.5, "2", True, 7, -1])
     def test_bad_index_label_exits_3(self, split_root, tmp_path, capsys, label):

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from engage_mil.bags import Bag, SyntheticSpec, synth_generate
+from engage_mil.bags import Bag, Dataset, SyntheticSpec, synth_generate
 from engage_mil.errors import ParseError, TrainingDivergedError
 from engage_mil.networks import (
     DenseLayer,
@@ -24,15 +25,25 @@ from engage_mil.networks import (
     forward_seq,
     load_net,
     localize,
+    localize_dataset,
     mean_pool,
     mil_loss,
+    predict_dataset,
     predict_score,
     save_net,
     topk_pool,
     train,
 )
+from engage_mil.networks import _seq_batch_grads, _seq_forward, _sigmoid
 
-from oracles import finite_difference_gradients, max_relative_gradient_error
+from oracles import (
+    finite_difference_gradients,
+    masked_sigmoid,
+    max_relative_gradient_error,
+    reference_bag_scores,
+    reference_seq_forward,
+    reference_seq_grads,
+)
 
 
 def _random_bag(rng, m, dim, label=1):
@@ -292,6 +303,114 @@ def test_topk_gradient_reaches_only_the_selected_instances():
 
 
 # ---------------------------------------------------------------------------
+# fused LSTM and batched serving against the per-gate, per-bag references
+
+
+def _relative_error(got, want):
+    return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
+
+
+@pytest.mark.parametrize(
+    "in_dim,m,hidden,batch",
+    [(4, 5, 4, 7), (3, 6, 1, 4), (5, 1, 3, 6), (1, 1, 1, 1), (8, 20, 16, 16)],
+)
+def test_fused_seq_pass_matches_the_per_gate_reference(in_dim, m, hidden, batch):
+    for seed in range(3):
+        rng = np.random.default_rng(300 + seed)
+        net = build_seq_net(in_dim, m=m, hidden=hidden, dense=(6, 5), seed=seed)
+        x = rng.normal(size=(batch, m, in_dim)) * 2.0
+        y = rng.uniform(0.0, 1.0, size=batch)
+        scores, hs, _, _ = _seq_forward(net, x)
+        ref_scores, ref_hs, _, _ = reference_seq_forward(net, x)
+        assert _relative_error(scores, ref_scores) < 1e-12
+        assert _relative_error(hs, ref_hs) < 1e-12
+        loss, grads, _ = _seq_batch_grads(net, x, y)
+        ref_loss, ref_grads = reference_seq_grads(net, x, y)
+        assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+        assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
+        for got, want in zip(grads, ref_grads):
+            assert _relative_error(got, want) < 1e-12
+
+
+def _serving_dataset(rng, m, dim, bags=9):
+    out = []
+    for i in range(bags):
+        x = rng.normal(size=(m, dim))
+        if i % 3 == 0:  # repeated instances tie in the top-k selection
+            x[1::2] = x[0]
+        out.append(Bag(f"v{i}", f"s{i % 3}", x, label=i % 4))
+    return Dataset(out, "synthetic", m)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_mil_net(5, hidden=(7, 4), pooling="topk", k=3, seed=1),
+        lambda: build_mil_net(5, hidden=(6,), pooling="topk", k=8, seed=2),
+        lambda: build_mil_net(5, hidden=(6,), pooling="mean", seed=3, label_scaling=True),
+        lambda: build_seq_net(5, m=8, hidden=3, dense=(6, 5), seed=4),
+        lambda: build_seq_net(5, m=8, hidden=1, dense=(4, 3), seed=5, label_scaling=False),
+    ],
+)
+def test_batched_serving_matches_per_bag_reference(make):
+    net = make()
+    dataset = _serving_dataset(np.random.default_rng(17), m=8, dim=5)
+    want = [reference_bag_scores(net, bag.instances) for bag in dataset.bags]
+    scores = predict_dataset(net, dataset)
+    curves = localize_dataset(net, dataset)
+    assert curves.shape == (len(dataset), 8)
+    for bag, score, curve, (ref_score, ref_curve) in zip(dataset.bags, scores, curves, want):
+        assert abs(score - ref_score) <= 1e-12 * max(1.0, abs(ref_score))
+        assert _relative_error(curve, ref_curve) < 1e-12
+        assert abs(predict_score(net, bag) - ref_score) <= 1e-12 * max(1.0, abs(ref_score))
+        assert _relative_error(localize(net, bag).values, ref_curve) < 1e-12
+
+
+def test_sigmoid_is_bit_identical_to_the_masked_form():
+    specials = [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan]
+    z = np.concatenate([specials, np.random.default_rng(18).normal(scale=40.0, size=4000)])
+    for shape in ((z.size,), (z.size // 2, 2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _sigmoid(z.reshape(shape))
+        want = masked_sigmoid(z.reshape(shape))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_seq_net_file_in_the_per_gate_layout_loads_to_identical_arrays(tmp_path):
+    """EMNN v1 stores each gate's weight and bias in turn, then the head."""
+    rng = np.random.default_rng(19)
+    h, d, m = 3, 2, 4
+    header = {
+        "kind": "seq", "m": m, "hidden": h, "in_dim": d, "label_scaling": True,
+        "layers": [
+            {"in": m * h, "out": 5, "activation": "sigmoid"},
+            {"in": 5, "out": 6, "activation": "sigmoid"},
+            {"in": 6, "out": m, "activation": "sigmoid"},
+        ],
+    }
+    shapes = [(h, d + h), (h,)] * 4 + [(5, m * h), (5,), (6, 5), (6,), (m, 6), (m,)]
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    blob = json.dumps(header).encode("utf-8")
+    path = tmp_path / "net.emnn"
+    path.write_bytes(
+        struct.pack("<4sII", b"EMNN", 1, len(blob))
+        + blob
+        + b"".join(a.astype("<f8").tobytes() for a in arrays)
+    )
+    net, meta = load_net(path)
+    assert meta == {}
+    for gate, k in zip(("input", "forget", "output", "candidate"), range(0, 8, 2)):
+        assert np.array_equal(getattr(net.lstm, f"w_{gate}"), arrays[k])
+        assert np.array_equal(getattr(net.lstm, f"b_{gate}"), arrays[k + 1])
+    for got, want in zip(net.parameters(), arrays):
+        assert np.array_equal(got, want)
+    w, b = net.lstm.stacked()
+    assert np.array_equal(w, np.concatenate(arrays[0:8:2]))
+    assert np.array_equal(b, np.concatenate(arrays[1:8:2]))
+
+
+# ---------------------------------------------------------------------------
 # training
 
 
@@ -507,6 +626,37 @@ def test_load_net_rejects_a_bad_header(tmp_path, edit):
     save_net(build_mil_net(3, hidden=(4,), seed=0), path)
     _rewrite_header(path, edit)
     with pytest.raises(ParseError):
+        load_net(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set("layers", [
+            {"in": 10**7, "out": 10**7, "activation": "relu"},
+            {"in": 10**7, "out": 1, "activation": "linear"},
+        ]),
+        lambda header: {
+            "kind": "seq", "m": 1, "hidden": 10**7, "in_dim": 10**7,
+            "label_scaling": True, "layers": [],
+        },
+    ],
+)
+def test_load_net_checks_the_payload_size_before_allocating(tmp_path, edit):
+    path = tmp_path / "net.emnn"
+    save_net(build_mil_net(3, hidden=(4,), seed=0), path)
+    _rewrite_header(path, edit)
+    with pytest.raises(ParseError, match="payload size"):
+        load_net(path)
+
+
+@pytest.mark.parametrize("text", ["{bad", "[1]", '{"meta": [1]}'])
+def test_load_net_rejects_a_bad_sidecar(tmp_path, text):
+    path = tmp_path / "net.emnn"
+    save_net(build_mil_net(3, hidden=(4,), seed=0), path, meta={"dim": 3})
+    assert load_net(path)[1] == {"dim": 3}
+    (tmp_path / "net.emnn.json").write_text(text)
+    with pytest.raises(ParseError, match="net.emnn.json"):
         load_net(path)
 
 
