@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -519,21 +520,103 @@ def check_fields(path, record, spec: dict, what: str) -> None:
             raise ParseError(path, 1, f"{what} has a bad {key!r}: {value!r}")
 
 
-def read_sidecar(path, key: str | None = None) -> dict:
-    """The JSON object in the `.json` sidecar next to model file `path` ({} if
-    there is none), or its `key` member; ParseError unless it is an object."""
-    sidecar = Path(str(path) + ".json")
-    if not sidecar.exists():
-        return {}
+MODEL_MAGIC = b"EMMF"
+MODEL_VERSION = 1
+_MODEL_PREFIX = struct.Struct("<4sII")  # magic, version, header length
+_MODEL_HEADER = {"kind": str, "fields": dict, "meta": dict, "shapes": list}
+
+
+def write_model(path, kind: str, fields: dict, arrays, meta: dict | None = None) -> None:
+    """Write one model file: magic | version | header length | JSON header
+    {kind, fields, meta, shapes} | each array as little-endian float64.
+
+    The bytes go to a temporary file beside `path` that then replaces it,
+    so a reader never sees a partly written model."""
+    arrays = [np.ascontiguousarray(a, dtype="<f8") for a in arrays]
+    header = {"kind": kind, "fields": fields, "meta": meta or {}}
+    header["shapes"] = [list(a.shape) for a in arrays]
+    blob = json.dumps(header, sort_keys=True, allow_nan=False).encode("utf-8")
+    tmp = Path(f"{path}.tmp")
     try:
-        raw = json.loads(sidecar.read_text())
-    except ValueError as exc:  # bad JSON or bad UTF-8
-        raise ParseError(sidecar, 1, str(exc)) from None
-    check_fields(sidecar, raw, {}, "model sidecar")
-    if key is not None:
-        raw = raw.get(key, {})
-        check_fields(sidecar, raw, {}, f"model sidecar {key!r}")
-    return raw
+        with open(tmp, "wb") as fh:
+            fh.write(_MODEL_PREFIX.pack(MODEL_MAGIC, MODEL_VERSION, len(blob)))
+            fh.write(blob)
+            fh.writelines(a.tobytes() for a in arrays)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text[:24]}")
+    return value
+
+
+def _model_header(path, data: bytes) -> tuple[dict, int]:
+    """A model file's checked header and the offset of its payload."""
+    if not data.startswith(MODEL_MAGIC):
+        raise ParseError(path, 1, f"not a supported model file: magic {data[:4]!r}")
+    if len(data) < _MODEL_PREFIX.size:
+        raise ParseError(path, 1, "truncated model file")
+    _, version, size = _MODEL_PREFIX.unpack_from(data)
+    if version != MODEL_VERSION:
+        raise ParseError(path, 1, f"unsupported model file version {version}")
+    offset = _MODEL_PREFIX.size + size
+    if len(data) < offset:
+        raise ParseError(path, 1, "truncated model header")
+    try:
+        blob = data[_MODEL_PREFIX.size : offset]
+        header = json.loads(blob, parse_float=_finite_float, parse_constant=_finite_float)
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or number
+        raise ParseError(path, 1, f"bad model header: {exc}") from None
+    check_fields(path, header, _MODEL_HEADER, "model header")
+    for shape in header["shapes"]:
+        if not (
+            isinstance(shape, list)
+            and len(shape) <= 2
+            and all(type(n) is int and 0 <= n < 2**32 for n in shape)
+        ):
+            raise ParseError(path, 1, f"model header has a bad shape: {shape!r}")
+    return header, offset
+
+
+def model_kind(path) -> str:
+    """The kind a model file's header names; ParseError if it has no valid header."""
+    note_read(path)
+    return _model_header(path, Path(path).read_bytes())[0]["kind"]
+
+
+def read_model(path, kinds: dict, build):
+    """Load a model file written by write_model as (model, meta).
+
+    `kinds` maps each kind the caller accepts to the types of its fields
+    (see check_fields); `build(kind, fields, arrays)` makes the model, and
+    what its constructors refuse becomes ParseError.  The payload size is
+    checked against the header's shapes before any array is allocated."""
+    note_read(path)
+    data = Path(path).read_bytes()
+    header, offset = _model_header(path, data)
+    kind, fields = header["kind"], header["fields"]
+    if kind not in kinds:
+        raise ParseError(path, 1, f"not a {'/'.join(kinds)} model file: kind {kind!r}")
+    check_fields(path, fields, kinds[kind], f"{kind} model fields")
+    counts = [math.prod(shape) for shape in header["shapes"]]
+    size = 8 * sum(counts)
+    if len(data) - offset != size:
+        raise ParseError(path, 1, f"payload size mismatch: {len(data) - offset} != {size} bytes")
+    arrays = []
+    for shape, count in zip(header["shapes"], counts):
+        block = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
+        arrays.append(block.reshape(shape).astype(np.float64))
+        offset += 8 * count
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ParseError(path, 1, "model arrays must be finite")
+    try:
+        return build(kind, fields, arrays), header["meta"]
+    except (ValueError, OverflowError) as exc:  # bad sizes or values; huge ints
+        raise ParseError(path, 1, str(exc)) from None
 
 
 def write_feature_file(path, instances: np.ndarray) -> None:

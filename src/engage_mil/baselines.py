@@ -9,21 +9,14 @@ epsilon-insensitive regression.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .audit import note_read
-from .bags import JSON_NUMBER, Dataset, InstanceLabeling, check_fields, read_sidecar
-from .errors import ConvergenceError, ParseError, TrainingDivergedError
-
-SVR_MAGIC = b"EMSV"
-SVR_VERSION = 1
+from .bags import JSON_NUMBER, Dataset, InstanceLabeling, read_model, write_model
+from .errors import ConvergenceError, TrainingDivergedError
 
 # grid optima reported for the two cluster relabelings, kept as presets only
 SVR_PRESETS = {"kmeans-mode": (1.0, 1.0), "kmeans-mean": (1.0, 4.0)}
@@ -77,6 +70,8 @@ class LinearModel:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
+        if self.weights.ndim != 1:
+            raise ValueError("weights must be a vector")
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias)):
             raise ValueError("model parameters must be finite")
 
@@ -90,6 +85,8 @@ class RidgePosterior:
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
+        if self.mean.ndim != 1:
+            raise ValueError("posterior mean must be a vector")
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("alpha and beta must be positive")
         if not np.isfinite(self.mean).all():
@@ -459,144 +456,65 @@ def grid_search_svr(
 # persistence
 
 
-def _sidecar(path) -> Path:
-    return Path(str(path) + ".json")
-
-
 def save_svr(model: SvrModel, path, meta: dict | None = None) -> None:
-    sv = np.ascontiguousarray(model.support_vectors, dtype="<f4")
-    coef = np.ascontiguousarray(model.coef, dtype="<f8")
-    descriptor = {
+    config = model.config
+    fields = {
         "bias": model.bias,
-        "c": model.config.c,
-        "epsilon": model.config.epsilon,
-        "sigma": model.config.kernel.sigma,
-        "tol": model.config.tol,
-        "n_sv": sv.shape[0],
-        "dim": sv.shape[1],
+        "c": config.c,
+        "epsilon": config.epsilon,
+        "sigma": config.kernel.sigma,
+        "tol": config.tol,
     }
-    blob = json.dumps(descriptor, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sII", SVR_MAGIC, SVR_VERSION, len(blob)))
-        fh.write(blob)
-        fh.write(sv.tobytes())
-        fh.write(coef.tobytes())
-    _sidecar(path).write_text(json.dumps(meta or {}, indent=2, sort_keys=True) + "\n")
+    write_model(path, "svr", fields, [model.support_vectors, model.coef], meta)
 
 
-_SVR_HEADER = {
-    "n_sv": int,
-    "dim": int,
-    "bias": JSON_NUMBER,
-    "c": JSON_NUMBER,
-    "epsilon": JSON_NUMBER,
-    "sigma": JSON_NUMBER,
-    "tol": JSON_NUMBER,
-}
+def _svr_from_file(kind: str, fields: dict, arrays: list) -> SvrModel:
+    support_vectors, coef = arrays
+    if support_vectors.ndim != 2 or coef.shape != (len(support_vectors),):
+        raise ValueError("support vectors must be (n_sv, dim) with one coefficient each")
+    config = SvrConfig(
+        c=float(fields["c"]),
+        epsilon=float(fields["epsilon"]),
+        kernel=KernelSpec("gaussian", float(fields["sigma"])),
+        tol=float(fields["tol"]),
+    )
+    return SvrModel(support_vectors, coef, float(fields["bias"]), config)
+
+
+_SVR_FIELDS = {key: JSON_NUMBER for key in ("bias", "c", "epsilon", "sigma", "tol")}
 
 
 def load_svr(path) -> tuple[SvrModel, dict]:
-    note_read(path)
-    data = Path(path).read_bytes()
-    head = struct.Struct("<4sII")
-    if len(data) < head.size:
-        raise ParseError(path, 1, "truncated model file")
-    magic, version, blob_len = head.unpack_from(data)
-    if magic != SVR_MAGIC or version != SVR_VERSION:
-        raise ParseError(path, 1, f"not a supported model file: {magic!r} v{version}")
-    try:
-        descriptor = json.loads(data[head.size : head.size + blob_len])
-    except ValueError as exc:  # bad JSON or bad UTF-8
-        raise ParseError(path, 1, str(exc)) from None
-    check_fields(path, descriptor, _SVR_HEADER, "model header")
-    n_sv, dim = descriptor["n_sv"], descriptor["dim"]
-    if n_sv < 0 or dim < 0:
-        raise ParseError(path, 1, f"negative model size {n_sv} x {dim}")
-    try:
-        config = SvrConfig(
-            c=descriptor["c"],
-            epsilon=descriptor["epsilon"],
-            kernel=KernelSpec("gaussian", descriptor["sigma"]),
-            tol=descriptor["tol"],
-        )
-    except ValueError as exc:
-        raise ParseError(path, 1, str(exc)) from None
-    offset = head.size + blob_len
-    sv_bytes = n_sv * dim * 4
-    if len(data) != offset + sv_bytes + n_sv * 8:
-        raise ParseError(path, 1, "payload size mismatch")
-    sv = (
-        np.frombuffer(data[offset : offset + sv_bytes], dtype="<f4")
-        .reshape(n_sv, dim)
-        .astype(np.float64)
-    )
-    coef = np.frombuffer(data[offset + sv_bytes :], dtype="<f8").copy()
-    model = SvrModel(
-        support_vectors=sv, coef=coef, bias=descriptor["bias"], config=config
-    )
-    return model, read_sidecar(path)
+    return read_model(path, {"svr": _SVR_FIELDS}, _svr_from_file)
 
 
 def save_linear(model: LinearModel, path, meta: dict | None = None) -> None:
-    payload = {
-        "kind": "linear",
-        "weights": model.weights.tolist(),
-        "bias": model.bias,
-        "meta": meta or {},
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_model(path, "linear", {"bias": model.bias}, [model.weights], meta)
 
 
-def _read_json_model(path, kind: str, spec: dict, vector: str) -> dict:
-    """A JSON model file's fields, checked against `spec`; `vector` must be a
-    list of numbers and `meta`, if present, an object."""
-    note_read(path)
-    try:
-        raw = json.loads(Path(path).read_text())
-    except ValueError as exc:  # bad JSON or bad UTF-8
-        raise ParseError(path, 1, str(exc)) from None
-    check_fields(path, raw, {"kind": str, vector: list, **spec}, "model file")
-    if raw["kind"] != kind:
-        raise ParseError(path, 1, f"not a {kind} model file")
-    if not all(isinstance(v, JSON_NUMBER) and not isinstance(v, bool) for v in raw[vector]):
-        raise ParseError(path, 1, f"model file {vector!r} must be a list of numbers")
-    check_fields(path, raw.setdefault("meta", {}), {}, "model file 'meta'")
-    return raw
+def _linear_from_file(kind: str, fields: dict, arrays: list) -> LinearModel:
+    (weights,) = arrays
+    return LinearModel(weights, float(fields["bias"]))
 
 
 def load_linear(path) -> tuple[LinearModel, dict]:
-    raw = _read_json_model(path, "linear", {"bias": JSON_NUMBER}, "weights")
-    try:
-        model = LinearModel(np.asarray(raw["weights"], dtype=np.float64), float(raw["bias"]))
-    except ValueError as exc:  # non-finite parameters
-        raise ParseError(path, 1, str(exc)) from None
-    return model, raw["meta"]
+    return read_model(path, {"linear": {"bias": JSON_NUMBER}}, _linear_from_file)
 
 
 def save_ridge(posterior: RidgePosterior, path, meta: dict | None = None) -> None:
-    payload = {
-        "kind": "ridge",
-        "mean": posterior.mean.tolist(),
-        "alpha": posterior.alpha,
-        "beta": posterior.beta,
-        "intercept": posterior.intercept,
-        "meta": meta or {},
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    fields = {"alpha": posterior.alpha, "beta": posterior.beta, "intercept": posterior.intercept}
+    write_model(path, "ridge", fields, [posterior.mean], meta)
 
 
-_RIDGE_FILE = {"alpha": JSON_NUMBER, "beta": JSON_NUMBER, "intercept": JSON_NUMBER}
+def _ridge_from_file(kind: str, fields: dict, arrays: list) -> RidgePosterior:
+    (mean,) = arrays
+    return RidgePosterior(
+        mean, float(fields["alpha"]), float(fields["beta"]), float(fields["intercept"])
+    )
+
+
+_RIDGE_FIELDS = {key: JSON_NUMBER for key in ("alpha", "beta", "intercept")}
 
 
 def load_ridge(path) -> tuple[RidgePosterior, dict]:
-    raw = _read_json_model(path, "ridge", _RIDGE_FILE, "mean")
-    try:
-        posterior = RidgePosterior(
-            mean=np.asarray(raw["mean"], dtype=np.float64),
-            alpha=float(raw["alpha"]),
-            beta=float(raw["beta"]),
-            intercept=float(raw["intercept"]),
-        )
-    except ValueError as exc:  # nonpositive precisions, non-finite mean
-        raise ParseError(path, 1, str(exc)) from None
-    return posterior, raw["meta"]
+    return read_model(path, {"ridge": _RIDGE_FIELDS}, _ridge_from_file)

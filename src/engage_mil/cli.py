@@ -23,11 +23,11 @@ from .audit import note_read
 from .bags import (
     Dataset,
     SyntheticSpec,
-    check_fields,
     kmeans,
     load_dataset,
     load_planted_csv,
     make_bags,
+    model_kind,
     relabel,
     save_dataset,
     save_planted_csv,
@@ -101,18 +101,6 @@ _SYNTH_DEFAULTS = {
     "rho": 0.3,
     "noise_scale": 0.5,
 }
-
-
-@dataclass
-class LocalizationRecord:
-    video_id: str
-    segment_index: int
-    intensity: float
-    planted: float | None = None
-
-    def __post_init__(self):
-        if self.segment_index < 0:
-            raise ValueError("segment index must be nonnegative")
 
 
 @dataclass
@@ -469,26 +457,22 @@ def cmd_train(config: RunConfig) -> None:
 
 
 def _load_model(path):
-    note_read(path)
     target = Path(path)
     if not target.exists():
         raise DataError(f"model file not found: {target}")
-    head = target.open("rb").read(4)
-    if head == b"EMNN":
-        return load_net(target)
-    if head == b"EMSV":
-        return load_svr(target)
-    try:
-        raw = json.loads(target.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        raise ParseError(target, 1, "unrecognized model file") from None
-    check_fields(target, raw, {}, "model file")
-    kind = raw.get("kind")
-    if kind == "linear":
-        return load_linear(target)
-    if kind == "ridge":
-        return load_ridge(target)
-    raise ParseError(target, 1, f"unrecognized model kind {kind!r}")
+    # built per call, so a loader rebound on this module (as perfbench's
+    # tracer does) is the one that runs
+    loaders = {
+        "mil": load_net,
+        "seq": load_net,
+        "svr": load_svr,
+        "linear": load_linear,
+        "ridge": load_ridge,
+    }
+    kind = model_kind(target)
+    if kind not in loaders:
+        raise ParseError(target, 1, f"unrecognized model kind {kind!r}")
+    return loaders[kind](target)
 
 
 def _check_compat(model, meta: dict, dataset: Dataset) -> None:
@@ -513,6 +497,10 @@ def _check_compat(model, meta: dict, dataset: Dataset) -> None:
     if isinstance(model, SeqNet) and model.m != dataset.m:
         raise IncompatibleArtifactsError(
             f"model expects {model.m} segments per bag, dataset has {dataset.m}"
+        )
+    if isinstance(model, MilNet) and model.pooling == "topk" and model.k > dataset.m:
+        raise IncompatibleArtifactsError(
+            f"model pools the top {model.k} segments, dataset bags have {dataset.m}"
         )
 
 
@@ -575,36 +563,19 @@ def cmd_localize(config: RunConfig) -> None:
     planted = load_planted_csv(config.planted) if config.planted else None
 
     intensities = _localize_bags(model, dataset)
-    records: list[LocalizationRecord] = []
+    rows = []
     for i in sorted(range(len(dataset)), key=lambda i: dataset.bags[i].video_id):
-        bag, values = dataset.bags[i], intensities[i]
-        truth = None
-        if planted is not None:
-            if bag.video_id not in planted:
-                raise DataError(f"{bag.video_id}: missing from the planted-truth file")
-            truth = planted[bag.video_id]
-        for index, value in enumerate(values):
-            records.append(
-                LocalizationRecord(
-                    video_id=bag.video_id,
-                    segment_index=index,
-                    intensity=float(value),
-                    planted=None if truth is None else float(truth[index]),
-                )
-            )
+        video_id = dataset.bags[i].video_id
+        if planted is not None and len(planted.get(video_id, ())) != dataset.m:
+            raise DataError(f"{video_id}: no {dataset.m} segments in the planted-truth file")
+        for j, value in enumerate(intensities[i]):
+            row = [video_id, str(j), _fmt(value)]
+            rows.append(row if planted is None else row + [_fmt(planted[video_id][j])])
     header = ["video_id", "segment_index", "intensity"]
     if planted is not None:
         header.append("planted_intensity")
-    _write_rows(
-        config.out,
-        header,
-        (
-            [r.video_id, str(r.segment_index), _fmt(r.intensity)]
-            + ([] if planted is None else [_fmt(r.planted)])
-            for r in records
-        ),
-    )
-    LOGGER.info("localize: wrote %d rows to %s", len(records), config.out)
+    _write_rows(config.out, header, rows)
+    LOGGER.info("localize: wrote %d rows to %s", len(rows), config.out)
 
 
 def cmd_eval(config: RunConfig) -> None:
@@ -619,7 +590,10 @@ def cmd_eval(config: RunConfig) -> None:
     _check_compat(model, meta, dataset)
 
     test_subjects = set(dataset.subjects())
-    train_subjects = set(meta.get("train_subjects", []))
+    train_subjects = meta.get("train_subjects", [])
+    if not (isinstance(train_subjects, list) and all(isinstance(s, str) for s in train_subjects)):
+        raise ParseError(config.model_path, 1, "meta 'train_subjects' must list subject ids")
+    train_subjects = set(train_subjects)
     if config.train_dataset:
         train_subjects |= set(load_dataset(config.train_dataset).subjects())
     overlap = sorted(test_subjects & train_subjects)

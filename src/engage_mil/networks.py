@@ -10,21 +10,13 @@ central finite differences).
 from __future__ import annotations
 
 import copy
-import json
-import math
-import struct
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .audit import note_read
-from .bags import Bag, Dataset, check_fields, read_sidecar
-from .errors import ParseError, TrainingDivergedError
-
-NET_MAGIC = b"EMNN"
-NET_VERSION = 1
+from .bags import Bag, Dataset, read_model, write_model
+from .errors import TrainingDivergedError
 
 _ACTIVATIONS = ("relu", "sigmoid", "linear")
 
@@ -314,23 +306,35 @@ def _intensity_values(r) -> np.ndarray:
     return np.asarray(r, dtype=np.float64)
 
 
+def _pool_matrix(r: np.ndarray, pooling: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and d(score)/dr of mean or top-k pooling over each row of a
+    (B, M) intensity matrix; top-k ties go to the lower index."""
+    b, m = r.shape
+    if pooling == "mean" or k >= m:
+        if pooling == "topk" and k > m:
+            raise ValueError(f"k={k} exceeds bag size {m}")
+        return r.mean(axis=1), np.full((b, m), 1.0 / m)
+    idx = np.argsort(-r, axis=1, kind="stable")[:, :k]
+    mask = np.zeros((b, m))
+    np.put_along_axis(mask, idx, 1.0 / k, axis=1)
+    scores = np.take_along_axis(r, idx, axis=1).mean(axis=1)
+    return scores, mask
+
+
 def topk_pool(r, k: int = 10) -> float:
     """Mean of the k largest intensities (ties resolved toward lower index)."""
     values = _intensity_values(r)
     m = values.shape[0]
     if not 1 <= k <= m:
         raise ValueError(f"k must lie in [1, {m}], got {k}")
-    if k == m:
-        return mean_pool(values)
-    top = values[np.argsort(-values, kind="stable")[:k]]
-    return float(top.mean())
+    return float(_pool_matrix(values[None], "topk", k)[0][0])
 
 
 def mean_pool(r) -> float:
     values = _intensity_values(r)
     if values.shape[0] < 1:
         raise ValueError("need at least one intensity")
-    return float(values.mean())
+    return float(_pool_matrix(values[None], "mean", 1)[0][0])
 
 
 def mil_loss(pred: float, label: float) -> float:
@@ -368,20 +372,6 @@ def _dense_stack_backward(layers, caches, d_out, grads_out):
         grads_out.appendleft((dz.T @ h_in, dz.sum(axis=0)))
         dh = dz @ layer.weights
     return dh
-
-
-def _pool_matrix(net: MilNet, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and d(score)/dr for a (B, M) intensity matrix."""
-    b, m = r.shape
-    if net.pooling == "mean" or net.k >= m:
-        if net.pooling == "topk" and net.k > m:
-            raise ValueError(f"k={net.k} exceeds bag size {m}")
-        return r.mean(axis=1), np.full((b, m), 1.0 / m)
-    idx = np.argsort(-r, axis=1, kind="stable")[:, : net.k]
-    mask = np.zeros((b, m))
-    np.put_along_axis(mask, idx, 1.0 / net.k, axis=1)
-    scores = np.take_along_axis(r, idx, axis=1).mean(axis=1)
-    return scores, mask
 
 
 def _seq_forward(net: SeqNet, x: np.ndarray):
@@ -446,7 +436,7 @@ def _forward(net, x: np.ndarray, intensities: bool = False):
     if isinstance(net, MilNet):
         out, _ = _dense_stack_forward(net.layers, x.reshape(b * m, d))
         r = out[:, 0].reshape(b, m)
-        return _pool_matrix(net, r)[0], r
+        return _pool_matrix(r, net.pooling, net.k)[0], r
     scores, hs, _, _ = _seq_forward(net, x)
     return scores, _seq_intensities(net, hs) if intensities else None
 
@@ -471,7 +461,7 @@ def _mil_batch_grads(net: MilNet, x: np.ndarray, y: np.ndarray):
     flat_in = x.reshape(b * m, d)
     out, caches = _dense_stack_forward(net.layers, flat_in)
     r = out[:, 0].reshape(b, m)
-    scores, mask = _pool_matrix(net, r)
+    scores, mask = _pool_matrix(r, net.pooling, net.k)
     losses = (scores - y) ** 2
     d_scores = 2.0 * (scores - y) / b
     dr = d_scores[:, None] * mask
@@ -622,114 +612,37 @@ def localize(net, bag) -> InstanceIntensities:
 # persistence
 
 
-def _describe(net) -> dict:
-    if isinstance(net, MilNet):
-        return {
-            "kind": "mil",
-            "pooling": net.pooling,
-            "k": net.k,
-            "label_scaling": net.label_scaling,
-            "layers": [
-                {"in": layer.in_dim, "out": layer.out_dim, "activation": layer.activation}
-                for layer in net.layers
-            ],
-        }
-    return {
-        "kind": "seq",
-        "m": net.m,
-        "hidden": net.lstm.hidden,
-        "in_dim": net.lstm.in_dim,
-        "label_scaling": net.label_scaling,
-        "layers": [
-            {"in": layer.in_dim, "out": layer.out_dim, "activation": layer.activation}
-            for layer in net.dense
-        ],
-    }
+_NET_FIELDS = {
+    "mil": {"activations": list, "label_scaling": bool, "pooling": str, "k": int},
+    "seq": {"activations": list, "label_scaling": bool, "m": int},
+}
 
 
 def save_net(net, path, meta: dict | None = None) -> None:
-    descriptor = _describe(net)
-    blob = json.dumps(descriptor, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sII", NET_MAGIC, NET_VERSION, len(blob)))
-        fh.write(blob)
-        for p in net.parameters():
-            fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
-    sidecar = dict(descriptor)
-    sidecar["meta"] = meta or {}
-    Path(str(path) + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    )
+    """One model file holding net.parameters() in order; layer sizes are
+    their shapes."""
+    if isinstance(net, MilNet):
+        kind, layers, fields = "mil", net.layers, {"pooling": net.pooling, "k": net.k}
+    else:
+        kind, layers, fields = "seq", net.dense, {"m": net.m}
+    fields["activations"] = [layer.activation for layer in layers]
+    fields["label_scaling"] = net.label_scaling
+    write_model(path, kind, fields, net.parameters(), meta)
 
 
-_NET_HEADER = {"kind": str, "label_scaling": bool, "layers": list}
-_NET_KIND_HEADER = {
-    "mil": {"pooling": str, "k": int},
-    "seq": {"m": int, "hidden": int, "in_dim": int},
-}
-_LAYER_HEADER = {"in": int, "out": int, "activation": str}
-
-
-def _net_from_header(path, descriptor, data: bytes, offset: int) -> "MilNet | SeqNet":
-    """The network a file header describes, its parameters read from
-    data[offset:], or ParseError.  The payload size is checked against the
-    header's sizes before any parameter array is allocated."""
-    check_fields(path, descriptor, _NET_HEADER, "network header")
-    kind = descriptor["kind"]
-    if kind not in _NET_KIND_HEADER:
-        raise ParseError(path, 1, f"unknown network kind {kind!r}")
-    check_fields(path, descriptor, _NET_KIND_HEADER[kind], "network header")
-    layers = descriptor["layers"]
-    for spec in layers:
-        check_fields(path, spec, _LAYER_HEADER, "network layer")
-    sizes = [spec[key] for spec in layers for key in ("in", "out")]
-    shapes = [shape for spec in layers for shape in ((spec["out"], spec["in"]), (spec["out"],))]
-    if kind == "seq":
-        h, d = descriptor["hidden"], descriptor["in_dim"]
-        sizes += [h, d]
-        shapes = [(h, d + h), (h,)] * len(_GATES) + shapes
-    if min(sizes, default=0) < 0:
-        raise ParseError(path, 1, "negative layer size in network header")
-    counts = [math.prod(shape) for shape in shapes]
-    if len(data) != offset + 8 * sum(counts):
-        raise ParseError(path, 1, "payload size mismatch")
-    params = []
-    for shape, count in zip(shapes, counts):
-        block = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-        params.append(block.reshape(shape).astype(np.float64))
-        offset += 8 * count
-    it = iter(params)  # file order is parameters() order
-    try:
-        if kind == "mil":
-            return MilNet(
-                layers=[DenseLayer(next(it), next(it), spec["activation"]) for spec in layers],
-                pooling=descriptor["pooling"],
-                k=descriptor["k"],
-                label_scaling=descriptor["label_scaling"],
-            )
-        lstm = LstmLayer(**{f"{p}_{gate}": next(it) for gate in _GATES for p in "wb"})
-        return SeqNet(
-            lstm=lstm,
-            dense=[DenseLayer(next(it), next(it), spec["activation"]) for spec in layers],
-            m=descriptor["m"],
-            label_scaling=descriptor["label_scaling"],
-        )
-    except ValueError as exc:  # mismatched sizes, unknown names, non-finite values
-        raise ParseError(path, 1, str(exc)) from None
+def _net_from_file(kind: str, fields: dict, arrays: list):
+    n_lstm = 2 * len(_GATES) if kind == "seq" else 0
+    activations = fields["activations"]
+    if len(arrays) != n_lstm + 2 * len(activations):
+        raise ValueError(f"{len(arrays)} arrays do not fit {len(activations)} dense layers")
+    layers = [
+        DenseLayer(w, b, activation)
+        for w, b, activation in zip(arrays[n_lstm::2], arrays[n_lstm + 1 :: 2], activations)
+    ]
+    if kind == "mil":
+        return MilNet(layers, fields["pooling"], fields["k"], fields["label_scaling"])
+    return SeqNet(LstmLayer(*arrays[:n_lstm]), layers, fields["m"], fields["label_scaling"])
 
 
 def load_net(path):
-    note_read(path)
-    data = Path(path).read_bytes()
-    head = struct.Struct("<4sII")
-    if len(data) < head.size:
-        raise ParseError(path, 1, "truncated network file")
-    magic, version, blob_len = head.unpack_from(data)
-    if magic != NET_MAGIC or version != NET_VERSION:
-        raise ParseError(path, 1, f"not a supported network file: {magic!r} v{version}")
-    try:
-        descriptor = json.loads(data[head.size : head.size + blob_len])
-    except ValueError as exc:  # bad JSON or bad UTF-8
-        raise ParseError(path, 1, str(exc)) from None
-    net = _net_from_header(path, descriptor, data, head.size + blob_len)
-    return net, read_sidecar(path, "meta")
+    return read_model(path, _NET_FIELDS, _net_from_file)

@@ -4,7 +4,9 @@ Everything here favors scalar loops and textbook formulations over speed so
 that a disagreement with the library code points at the library.
 """
 
+import json
 import math
+import struct
 
 import numpy as np
 
@@ -455,3 +457,21 @@ def max_relative_gradient_error(analytic, numeric):
         denom = np.maximum(np.abs(ga) + np.abs(gn), 1e-6)
         worst = max(worst, float((np.abs(ga - gn) / denom).max()))
     return worst
+
+
+# --- model files, written and split without engage_mil.bags ----------------
+
+MODEL_PREFIX = struct.Struct("<4sII")  # b"EMMF", version 1, header length
+
+
+def model_file_bytes(header, payload: bytes = b"") -> bytes:
+    """A model file holding any JSON `header` (object or not) and `payload`."""
+    blob = json.dumps(header).encode("utf-8")
+    return MODEL_PREFIX.pack(b"EMMF", 1, len(blob)) + blob + payload
+
+
+def split_model_file(data: bytes) -> tuple[dict, bytes]:
+    """The parsed JSON header and the raw payload of a model file."""
+    _, _, size = MODEL_PREFIX.unpack_from(data)
+    end = MODEL_PREFIX.size + size
+    return json.loads(data[MODEL_PREFIX.size : end]), data[end:]

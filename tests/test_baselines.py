@@ -1,6 +1,5 @@
 import json
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -38,6 +37,7 @@ from oracles import (
     _box_hyperplane_root,
     _project_box_hyperplane,
     closed_form_ridge,
+    model_file_bytes,
     qp_reference_svr,
     reference_smo_svr,
     ridge_mean_at,
@@ -230,12 +230,11 @@ def test_svr_round_trip_preserves_predictions(tmp_path):
     save_svr(model, path, meta={"feature_kind": "synthetic", "dim": 3})
     loaded, meta = load_svr(path)
     assert meta == {"feature_kind": "synthetic", "dim": 3}
-    assert loaded.config == model.config
+    assert loaded.config == model.config and loaded.bias == model.bias
+    assert np.array_equal(loaded.support_vectors, model.support_vectors)
+    assert np.array_equal(loaded.coef, model.coef)
     probe = np.random.default_rng(0).normal(size=(10, 3))
-    # support vectors are stored as float32, so allow quantization error
-    assert np.allclose(
-        svr_predict_many(loaded, probe), svr_predict_many(model, probe), atol=1e-4
-    )
+    assert np.array_equal(svr_predict_many(loaded, probe), svr_predict_many(model, probe))
 
 
 def test_svr_load_rejects_bad_magic(tmp_path):
@@ -245,34 +244,57 @@ def test_svr_load_rejects_bad_magic(tmp_path):
         load_svr(path)
 
 
-def _svr_file(path, header, payload=b""):
-    blob = json.dumps(header).encode("utf-8")
-    path.write_bytes(struct.pack("<4sII", b"EMSV", 1, len(blob)) + blob + payload)
+def _model_file(path, base, change):
+    """A model file holding `base` (a header) edited by `change`: its dotted
+    keys set header entries (None removes one) and "payload" replaces the
+    payload of 0.5s that the base shapes describe."""
+    payload = b"".join(np.full(shape, 0.5, dtype="<f8").tobytes() for shape in base["shapes"])
+    if change == "not-an-object":
+        header = [base]
+    else:
+        header = json.loads(json.dumps(base))
+        for key, value in change.items():
+            if key == "payload":
+                payload = value
+                continue
+            *parents, name = key.split(".")
+            target = header
+            for parent in parents:
+                target = target[parent]
+            if value is None:
+                del target[name]
+            else:
+                target[name] = value
+    path.write_bytes(model_file_bytes(header, payload))
     return path
+
+
+_SVR = {
+    "kind": "svr",
+    "fields": {"bias": 0.5, "c": 1.0, "epsilon": 0.1, "sigma": 1.0, "tol": 1e-3},
+    "meta": {},
+    "shapes": [[1, 1], [1]],
+}
 
 
 @pytest.mark.parametrize(
     "change",
     [
         "not-an-object",
-        {"n_sv": None},  # key removed
-        {"n_sv": "1"},
-        {"dim": 1.5},
-        {"bias": True},
-        {"sigma": "wide"},
-        {"n_sv": -1},
-        {"c": -1.0},
+        ({"shapes": None}, "model header missing 'shapes'"),
+        ({"shapes": [["1", 1], [1]]}, "bad shape"),
+        ({"shapes": [[1, 1.5], [1]]}, "bad shape"),
+        ({"fields.bias": True}, "bad 'bias'"),
+        ({"fields.sigma": "wide"}, "bad 'sigma'"),
+        ({"shapes": [[-1, 1], [-1]]}, "bad shape"),
+        ({"fields.c": -1.0}, "C must be positive"),
+        ({"fields.bias": 10**400}, "int too large to convert to float"),
     ],
 )
 def test_svr_load_rejects_a_bad_header(tmp_path, change):
-    header = {"bias": 0.5, "c": 1.0, "epsilon": 0.1, "sigma": 1.0, "tol": 1e-3, "n_sv": 1, "dim": 1}
-    if change == "not-an-object":
-        header = [header]
-    else:
-        header.update(change)
-        header = {key: value for key, value in header.items() if value is not None}
-    path = _svr_file(tmp_path / "model.svr", header, bytes(4 + 8))
-    with pytest.raises(ParseError):
+    change, match = (change, "must be a JSON object") if isinstance(change, str) else change
+    path = _model_file(tmp_path / "model.svr", _SVR, change)
+    with pytest.raises(ParseError, match=match):
         load_svr(path)
 
 
@@ -396,66 +418,59 @@ def test_ridge_posterior_validation():
 
 def test_linear_and_ridge_round_trips(tmp_path):
     model = LinearModel(weights=np.array([0.25, -1.5]), bias=3.0)
-    save_linear(model, tmp_path / "lin.json", meta={"feature_kind": "lbp-top"})
-    loaded, meta = load_linear(tmp_path / "lin.json")
+    save_linear(model, tmp_path / "lin.bin", meta={"feature_kind": "lbp-top"})
+    loaded, meta = load_linear(tmp_path / "lin.bin")
     assert np.array_equal(loaded.weights, model.weights)
     assert loaded.bias == model.bias and meta == {"feature_kind": "lbp-top"}
 
     posterior = RidgePosterior(mean=np.array([1.0, 2.0]), alpha=0.5, beta=9.0, intercept=-1.0)
-    save_ridge(posterior, tmp_path / "ridge.json")
-    back, meta = load_ridge(tmp_path / "ridge.json")
+    save_ridge(posterior, tmp_path / "ridge.bin")
+    back, meta = load_ridge(tmp_path / "ridge.bin")
     assert np.array_equal(back.mean, posterior.mean)
     assert (back.alpha, back.beta, back.intercept) == (0.5, 9.0, -1.0)
     assert meta == {}
 
-    with pytest.raises(ParseError):
-        load_ridge(tmp_path / "lin.json")
-    with pytest.raises(ParseError):
-        load_linear(tmp_path / "ridge.json")
+    with pytest.raises(ParseError, match="not a ridge model file"):
+        load_ridge(tmp_path / "lin.bin")
+    with pytest.raises(ParseError, match="not a linear model file"):
+        load_linear(tmp_path / "ridge.bin")
 
 
-_LINEAR = {"kind": "linear", "weights": [0.25, -1.5], "bias": 3.0, "meta": {}}
-_RIDGE = {"kind": "ridge", "mean": [1.0], "alpha": 0.5, "beta": 9.0, "intercept": 0.0}
+_LINEAR = {"kind": "linear", "fields": {"bias": 3.0}, "meta": {}, "shapes": [[2]]}
+_RIDGE = {
+    "kind": "ridge",
+    "fields": {"alpha": 0.5, "beta": 9.0, "intercept": 0.0},
+    "meta": {},
+    "shapes": [[1]],
+}
 
 
 @pytest.mark.parametrize(
     "loader,base,change",
     [
         (load_linear, _LINEAR, "not-an-object"),
-        (load_linear, _LINEAR, {"weights": None}),  # key removed
-        (load_linear, _LINEAR, {"bias": None}),
-        (load_linear, _LINEAR, {"weights": [1.0, "2"]}),
-        (load_linear, _LINEAR, {"weights": [[1.0]]}),
-        (load_linear, _LINEAR, {"weights": [True]}),
-        (load_linear, _LINEAR, {"bias": "3"}),
-        (load_linear, _LINEAR, {"bias": float("nan")}),
-        (load_linear, _LINEAR, {"meta": [1]}),
+        (load_linear, _LINEAR, ({"shapes": [], "payload": b""}, "expected 1, got 0")),
+        (load_linear, _LINEAR, ({"fields.bias": None}, "missing 'bias'")),
+        (load_linear, _LINEAR, ({"shapes": [["2"]]}, "bad shape")),
+        (load_linear, _LINEAR, ({"shapes": [[1, 2]]}, "weights must be a vector")),
+        (load_linear, _LINEAR, ({"fields.bias": True}, "bad 'bias'")),
+        (load_linear, _LINEAR, ({"fields.bias": "3"}, "bad 'bias'")),
+        (load_linear, _LINEAR, ({"fields.bias": float("nan")}, "non-finite number NaN")),
+        (load_linear, _LINEAR, ({"meta": [1]}, "bad 'meta'")),
         (load_ridge, _RIDGE, "not-an-object"),
-        (load_ridge, _RIDGE, {"alpha": None}),
-        (load_ridge, _RIDGE, {"alpha": 0.0}),
-        (load_ridge, _RIDGE, {"mean": 1.0}),
-        (load_ridge, _RIDGE, {"mean": [float("inf")]}),
-        (load_ridge, _RIDGE, {"kind": "linear"}),
+        (load_ridge, _RIDGE, ({"fields.alpha": None}, "missing 'alpha'")),
+        (load_ridge, _RIDGE, ({"fields.alpha": 0.0}, "alpha and beta must be positive")),
+        (load_ridge, _RIDGE, ({"shapes": [[]]}, "posterior mean must be a vector")),
+        (load_ridge, _RIDGE, ({"payload": np.array([np.inf]).tobytes()}, "must be finite")),
+        (load_ridge, _RIDGE, ({"kind": "linear"}, "not a ridge model file")),
     ],
 )
 def test_json_model_load_rejects_bad_fields(tmp_path, loader, base, change):
-    raw = [1, 2] if change == "not-an-object" else {**base, **change}
-    if isinstance(raw, dict):
-        raw = {key: value for key, value in raw.items() if value is not None}
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(raw))
-    with pytest.raises(ParseError):
+    """Linear and ridge models (once JSON files) refuse each bad header entry."""
+    change, match = (change, "must be a JSON object") if isinstance(change, str) else change
+    path = _model_file(tmp_path / "model.bin", base, change)
+    with pytest.raises(ParseError, match=match):
         loader(path)
-
-
-def test_svr_load_rejects_a_sidecar_that_is_not_a_json_object(tmp_path):
-    path = tmp_path / "model.svr"
-    save_svr(svr_train(np.eye(3), np.array([0.0, 1.0, 2.0]), SvrConfig()), path, meta={"dim": 3})
-    assert load_svr(path)[1] == {"dim": 3}
-    for text in ("{bad", "[1]"):
-        (tmp_path / "model.svr.json").write_text(text)
-        with pytest.raises(ParseError, match="model.svr.json"):
-            load_svr(path)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import functools
 import json
 import os
 import shutil
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +17,6 @@ from engage_mil import cli
 from engage_mil.bags import load_dataset, save_dataset, split_subject_independent
 from engage_mil.baselines import svr_train
 from engage_mil.cli import (
-    LocalizationRecord,
     RunConfig,
     load_labels_csv,
     main,
@@ -31,6 +29,8 @@ from engage_mil.features import (
     save_pose_gaze_csv,
 )
 from engage_mil.networks import build_mil_net, save_net
+
+from oracles import model_file_bytes, split_model_file
 
 
 def run_cli(*argv) -> int:
@@ -163,10 +163,6 @@ class TestRunConfig:
             path = write_config(tmp_path / "c.json", **bad)
             with pytest.raises(ConfigError):
                 RunConfig.from_file(path)
-
-    def test_localization_record_validates(self):
-        with pytest.raises(ValueError):
-            LocalizationRecord("v", -1, 0.0)
 
 
 class TestLabelsCsv:
@@ -473,6 +469,18 @@ class TestModelCommands:
         loc_rows = (tmp_path / "l.csv").read_text().splitlines()
         assert loc_rows[0] == "video_id,segment_index,intensity"
         assert len(loc_rows) == len(test_ds) * test_ds.m + 1
+
+    def test_model_file_alone_guards_against_subject_overlap(
+        self, tmp_path, split_root, kind, capsys
+    ):
+        models = tmp_path / "models"
+        models.mkdir()
+        config = self._config(tmp_path, split_root, kind, model_path=str(models / "m.bin"))
+        assert run_cli("train", "--config", str(config), "--out", str(tmp_path / "t.csv")) == 0
+        assert [p.name for p in models.iterdir()] == ["m.bin"]
+        code = run_cli("eval", "--config", str(config), "--out", str(tmp_path / "r.json"))
+        assert code == 3
+        assert "share subjects" in capsys.readouterr().err
 
     def test_rerun_is_byte_identical(self, tmp_path, split_root, kind):
         config = self._config(tmp_path, split_root, kind)
@@ -787,16 +795,26 @@ class TestProcess:
         assert "after 5 steps" in capsys.readouterr().err
         assert not (tmp_path / "m.bin").exists()
 
-    @pytest.mark.parametrize("magic", [b"EMSV", b"EMNN"])
+    @pytest.mark.parametrize("kind", ["svr", "mil"])
     @pytest.mark.parametrize(
-        "header", [[1, 2], {"kind": "mil"}, {"n_sv": "2", "dim": 5, "kind": 3}]
+        "header",
+        [
+            ([1, 2], "model header must be a JSON object"),
+            ({"kind": None}, "model header missing 'fields'"),
+            (
+                {"kind": 3, "fields": {}, "meta": {}, "shapes": [[2, "5"]]},
+                "model header has a bad 'kind'",
+            ),
+        ],
     )
-    def test_model_with_a_bad_header_exits_3(
-        self, split_root, tmp_path, capsys, magic, header
-    ):
-        blob = json.dumps(header).encode("utf-8")
+    def test_model_with_a_bad_header_exits_3(self, split_root, tmp_path, capsys, kind, header):
+        """Each bad header is refused with the message naming its fault;
+        `kind` fills a header's empty kind."""
+        header, match = header
+        if isinstance(header, dict) and header["kind"] is None:
+            header = {**header, "kind": kind}
         model = tmp_path / "model.bin"
-        model.write_bytes(struct.pack("<4sII", magic, 1, len(blob)) + blob + bytes(64))
+        model.write_bytes(model_file_bytes(header, bytes(64)))
         config = write_config(
             tmp_path / "c.json",
             dataset=str(split_root / "test"),
@@ -806,10 +824,12 @@ class TestProcess:
         code = run_cli("eval", "--config", str(config), "--out", str(tmp_path / "r.json"))
         assert code == 3
         err = capsys.readouterr().err
-        assert "Traceback" not in err and str(model) in err
+        assert "Traceback" not in err and str(model) in err and match in err
 
-    @pytest.mark.parametrize("case", ["json-list", "linear-no-weights", "bad-sidecar", "huge-net"])
+    @pytest.mark.parametrize("case", ["json-list", "linear-no-weights", "bad-meta", "huge-net"])
     def test_malformed_model_file_exits_3(self, split_root, tmp_path, capsys, case):
+        """Files in the retired JSON format, and container files whose meta
+        is not an object or whose shapes outgrow the payload."""
         model = tmp_path / "model.bin"
         if case == "json-list":
             model.write_text("[1, 2]")
@@ -817,15 +837,12 @@ class TestProcess:
             model.write_text('{"kind": "linear"}')
         else:
             save_net(build_mil_net(5, hidden=(4,), seed=0), model)
-            if case == "bad-sidecar":
-                (tmp_path / "model.bin.json").write_text("{bad")
+            header, payload = split_model_file(model.read_bytes())
+            if case == "bad-meta":
+                header["meta"] = "{bad"
             else:
-                layers = [{"in": 10**7, "out": 10**7, "activation": "relu"}]
-                blob = json.dumps(
-                    {"kind": "mil", "pooling": "mean", "k": 1, "label_scaling": False,
-                     "layers": layers + [{"in": 10**7, "out": 1, "activation": "linear"}]}
-                ).encode("utf-8")
-                model.write_bytes(struct.pack("<4sII", b"EMNN", 1, len(blob)) + blob)
+                header["shapes"] = [[10**7, 5], [10**7], [1, 10**7], [1]]
+            model.write_bytes(model_file_bytes(header, payload))
         config = write_config(
             tmp_path / "c.json", dataset=str(split_root / "test"), model_path=str(model)
         )
@@ -833,6 +850,54 @@ class TestProcess:
         assert code == 3
         err = capsys.readouterr().err
         assert "Traceback" not in err and "model.bin" in err
+        want = {"bad-meta": "bad 'meta'", "huge-net": "payload size mismatch"}
+        assert want.get(case, "not a supported model file") in err
+
+    def test_planted_truth_shorter_than_the_bags_exits_3(
+        self, artifacts, synth_dir, tmp_path, capsys
+    ):
+        planted = tmp_path / "planted.csv"
+        lines = (synth_dir / "data" / "planted.csv").read_text().splitlines()
+        # drop the last of the 10 segments of every video
+        planted.write_text("\n".join(line for line in lines if ",9," not in line) + "\n")
+        config = write_config(
+            tmp_path / "c.json",
+            dataset=str(synth_dir / "data"),
+            model_path=str(artifacts / "model.bin"),
+            planted=str(planted),
+        )
+        code = run_cli("localize", "--config", str(config), "--out", str(tmp_path / "l.csv"))
+        assert code == 3
+        assert "no 10 segments in the planted-truth file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subjects", ["subj0", 5, [1]])
+    def test_model_with_bad_train_subjects_exits_3(self, split_root, tmp_path, capsys, subjects):
+        model = tmp_path / "model.bin"
+        save_net(build_mil_net(5, hidden=(4,), pooling="mean", seed=0), model)
+        header, payload = split_model_file(model.read_bytes())
+        header["meta"] = {"train_subjects": subjects}
+        model.write_bytes(model_file_bytes(header, payload))
+        config = write_config(
+            tmp_path / "c.json", dataset=str(split_root / "test"), model_path=str(model)
+        )
+        code = run_cli("eval", "--config", str(config), "--out", str(tmp_path / "r.json"))
+        assert code == 3
+        assert "train_subjects" in capsys.readouterr().err
+
+    def test_topk_wider_than_the_bags_exits_3(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path / "c.json",
+            seed=0,
+            synth={"subjects": 2, "videos": 4, "m": 6, "dim": 5},
+            dataset=str(tmp_path / "data"),
+            model_path=str(tmp_path / "model.bin"),
+        )
+        assert run_cli("synth", "--config", str(config), "--out", str(tmp_path / "data")) == 0
+        net = build_mil_net(5, hidden=(4,), pooling="topk", k=10, seed=0)
+        save_net(net, tmp_path / "model.bin")
+        code = run_cli("predict", "--config", str(config), "--out", str(tmp_path / "p.csv"))
+        assert code == 3
+        assert "top 10 segments, dataset bags have 6" in capsys.readouterr().err
 
     @pytest.mark.parametrize("label", [2.5, "2", True, 7, -1])
     def test_bad_index_label_exits_3(self, split_root, tmp_path, capsys, label):

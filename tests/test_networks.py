@@ -1,6 +1,4 @@
-import json
 import math
-import struct
 import warnings
 
 import numpy as np
@@ -40,9 +38,11 @@ from oracles import (
     finite_difference_gradients,
     masked_sigmoid,
     max_relative_gradient_error,
+    model_file_bytes,
     reference_bag_scores,
     reference_seq_forward,
     reference_seq_grads,
+    split_model_file,
 )
 
 
@@ -377,39 +377,6 @@ def test_sigmoid_is_bit_identical_to_the_masked_form():
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_seq_net_file_in_the_per_gate_layout_loads_to_identical_arrays(tmp_path):
-    """EMNN v1 stores each gate's weight and bias in turn, then the head."""
-    rng = np.random.default_rng(19)
-    h, d, m = 3, 2, 4
-    header = {
-        "kind": "seq", "m": m, "hidden": h, "in_dim": d, "label_scaling": True,
-        "layers": [
-            {"in": m * h, "out": 5, "activation": "sigmoid"},
-            {"in": 5, "out": 6, "activation": "sigmoid"},
-            {"in": 6, "out": m, "activation": "sigmoid"},
-        ],
-    }
-    shapes = [(h, d + h), (h,)] * 4 + [(5, m * h), (5,), (6, 5), (6,), (m, 6), (m,)]
-    arrays = [rng.normal(size=shape) for shape in shapes]
-    blob = json.dumps(header).encode("utf-8")
-    path = tmp_path / "net.emnn"
-    path.write_bytes(
-        struct.pack("<4sII", b"EMNN", 1, len(blob))
-        + blob
-        + b"".join(a.astype("<f8").tobytes() for a in arrays)
-    )
-    net, meta = load_net(path)
-    assert meta == {}
-    for gate, k in zip(("input", "forget", "output", "candidate"), range(0, 8, 2)):
-        assert np.array_equal(getattr(net.lstm, f"w_{gate}"), arrays[k])
-        assert np.array_equal(getattr(net.lstm, f"b_{gate}"), arrays[k + 1])
-    for got, want in zip(net.parameters(), arrays):
-        assert np.array_equal(got, want)
-    w, b = net.lstm.stacked()
-    assert np.array_equal(w, np.concatenate(arrays[0:8:2]))
-    assert np.array_equal(b, np.concatenate(arrays[1:8:2]))
-
-
 # ---------------------------------------------------------------------------
 # training
 
@@ -592,17 +559,23 @@ def test_load_net_rejects_garbage(tmp_path):
 
 
 def _rewrite_header(path, edit):
-    data = path.read_bytes()
-    (blob_len,) = struct.unpack_from("<I", data, 8)
-    header = edit(json.loads(data[12 : 12 + blob_len]))
-    blob = json.dumps(header).encode("utf-8")
-    path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + blob_len :])
+    """Apply `edit` to the file's header; returns the message it must cause."""
+    header, payload = split_model_file(path.read_bytes())
+    header, match = edit(header)
+    path.write_bytes(model_file_bytes(header, payload))
+    return match
 
 
-def _set(key, value):
+def _set(key, value, match):
+    """An edit setting header[key], or header[section][name] for "section.name"."""
+
     def edit(header):
-        header[key] = value
-        return header
+        *sections, name = key.split(".")
+        target = header
+        for section in sections:
+            target = target[section]
+        target[name] = value
+        return header, match
 
     return edit
 
@@ -610,53 +583,48 @@ def _set(key, value):
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda header: [header],
-        lambda header: {k: v for k, v in header.items() if k != "pooling"},
-        _set("kind", "gru"),
-        _set("k", 2.5),
-        _set("label_scaling", 1),
-        _set("layers", {"in": 3}),
-        _set("layers", [{"in": 3, "out": 4}]),
-        _set("layers", [{"in": 3, "out": -4, "activation": "relu"}]),
-        _set("layers", [{"in": 3, "out": 1, "activation": "tanh"}]),
+        lambda header: ([header], "model header must be a JSON object"),
+        lambda header: (
+            {**header, "fields": {k: v for k, v in header["fields"].items() if k != "pooling"}},
+            "mil model fields missing 'pooling'",
+        ),
+        _set("kind", "gru", "not a mil/seq model file"),
+        _set("fields.k", 2.5, "bad 'k'"),
+        _set("fields.label_scaling", 1, "bad 'label_scaling'"),
+        _set("fields.activations", {"in": 3}, "bad 'activations'"),
+        _set("fields.activations", ["relu"], "4 arrays do not fit 1 dense layers"),
+        _set("shapes", [[4, -3], [4], [1, 4], [1]], "bad shape"),
+        _set("fields.activations", ["relu", "tanh"], "unknown activation"),
     ],
 )
 def test_load_net_rejects_a_bad_header(tmp_path, edit):
     path = tmp_path / "net.emnn"
     save_net(build_mil_net(3, hidden=(4,), seed=0), path)
-    _rewrite_header(path, edit)
-    with pytest.raises(ParseError):
+    match = _rewrite_header(path, edit)
+    with pytest.raises(ParseError, match=match):
         load_net(path)
 
 
 @pytest.mark.parametrize(
     "edit",
     [
-        _set("layers", [
-            {"in": 10**7, "out": 10**7, "activation": "relu"},
-            {"in": 10**7, "out": 1, "activation": "linear"},
-        ]),
-        lambda header: {
-            "kind": "seq", "m": 1, "hidden": 10**7, "in_dim": 10**7,
-            "label_scaling": True, "layers": [],
-        },
+        _set("shapes", [[10**7, 10**7]], "payload size mismatch"),
+        lambda header: (
+            {
+                "kind": "seq",
+                "fields": {"activations": [], "label_scaling": True, "m": 1},
+                "meta": {},
+                "shapes": [[10**7, 2 * 10**7], [10**7]] * 4,
+            },
+            "payload size mismatch",
+        ),
     ],
 )
 def test_load_net_checks_the_payload_size_before_allocating(tmp_path, edit):
     path = tmp_path / "net.emnn"
     save_net(build_mil_net(3, hidden=(4,), seed=0), path)
-    _rewrite_header(path, edit)
-    with pytest.raises(ParseError, match="payload size"):
-        load_net(path)
-
-
-@pytest.mark.parametrize("text", ["{bad", "[1]", '{"meta": [1]}'])
-def test_load_net_rejects_a_bad_sidecar(tmp_path, text):
-    path = tmp_path / "net.emnn"
-    save_net(build_mil_net(3, hidden=(4,), seed=0), path, meta={"dim": 3})
-    assert load_net(path)[1] == {"dim": 3}
-    (tmp_path / "net.emnn.json").write_text(text)
-    with pytest.raises(ParseError, match="net.emnn.json"):
+    match = _rewrite_header(path, edit)
+    with pytest.raises(ParseError, match=match):
         load_net(path)
 
 
