@@ -24,7 +24,6 @@ from .errors import (
     EmptyVideoError,
     ParseError,
 )
-from .features import SegmentFeature
 
 LABELS = (0, 1, 2, 3)
 
@@ -148,10 +147,10 @@ class SyntheticSpec:
     pure noise.  Videos are spread over subjects as evenly as possible.
     """
 
-    subjects: int
-    videos: int
-    m: int
-    dim: int
+    subjects: int = 10
+    videos: int = 40
+    m: int = 100
+    dim: int = 8
     class_distribution: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
     rho: float = 0.3
     noise_scale: float = 0.5
@@ -203,21 +202,18 @@ def resample_indices(count: int, m: int) -> list[int]:
 
 
 def make_bags(
-    features: list[SegmentFeature],
+    vectors: np.ndarray,
     m: int,
     *,
     video_id: str,
     subject_id: str,
     label: int,
 ) -> Bag:
-    """One video's segment features, resampled to exactly m instances."""
-    if not features:
+    """One video's (n, dim) segment feature matrix, resampled to exactly m
+    instances."""
+    if len(vectors) == 0:
         raise EmptyVideoError(f"{video_id}: no segment features")
-    kinds = {f.kind for f in features}
-    if len(kinds) != 1:
-        raise ValueError(f"{video_id}: mixed feature kinds {sorted(kinds)}")
-    picks = resample_indices(len(features), m)
-    instances = np.stack([np.asarray(features[i].vector, dtype=np.float64) for i in picks])
+    instances = np.asarray(vectors, dtype=np.float64)[resample_indices(len(vectors), m)]
     return Bag(video_id=video_id, subject_id=subject_id, instances=instances, label=label)
 
 

@@ -50,8 +50,23 @@ class SvrConfig:
             raise ValueError("tol must be positive")
 
 
+class _InstanceServing:
+    """predict_bags/localize_bags of the model serving surface (see cli) for
+    the per-instance regressors.  Bags are scored one at a time: a single
+    call over every instance can change the last bits through BLAS."""
+
+    def check(self, dataset: Dataset) -> None:
+        """Any bag size fits a per-instance model."""
+
+    def localize_bags(self, dataset: Dataset) -> np.ndarray:
+        return np.array([self.instance_scores(bag.instances) for bag in dataset.bags])
+
+    def predict_bags(self, dataset: Dataset) -> np.ndarray:
+        return np.array([aggregate_video(r) for r in self.localize_bags(dataset)])
+
+
 @dataclass
-class SvrModel:
+class SvrModel(_InstanceServing):
     support_vectors: np.ndarray  # (n_sv, dim)
     coef: np.ndarray  # (n_sv,) alpha - alpha*
     bias: float
@@ -59,12 +74,15 @@ class SvrModel:
     objective_trace: list[float] = field(default_factory=list, repr=False)
 
     @property
-    def dim(self):
+    def in_dim(self):
         return self.support_vectors.shape[1]
+
+    def instance_scores(self, xs) -> np.ndarray:
+        return svr_predict_many(self, xs)
 
 
 @dataclass
-class LinearModel:
+class LinearModel(_InstanceServing):
     weights: np.ndarray
     bias: float
 
@@ -75,9 +93,16 @@ class LinearModel:
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias)):
             raise ValueError("model parameters must be finite")
 
+    @property
+    def in_dim(self):
+        return self.weights.shape[0]
+
+    def instance_scores(self, xs) -> np.ndarray:
+        return linear_predict(self, xs)
+
 
 @dataclass
-class RidgePosterior:
+class RidgePosterior(_InstanceServing):
     mean: np.ndarray  # posterior mean weights
     alpha: float  # weight precision
     beta: float  # noise precision
@@ -91,6 +116,13 @@ class RidgePosterior:
             raise ValueError("alpha and beta must be positive")
         if not np.isfinite(self.mean).all():
             raise ValueError("posterior mean must be finite")
+
+    @property
+    def in_dim(self):
+        return self.mean.shape[0]
+
+    def instance_scores(self, xs) -> np.ndarray:
+        return ridge_predict(self, xs)
 
 
 @dataclass
@@ -253,18 +285,10 @@ def svr_train(instances, labels, config: SvrConfig, max_iter: int = 200_000) -> 
     )
 
 
-def svr_predict(model: SvrModel, x) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.dim,):
-        raise ValueError(f"expected a {model.dim}-dim input, got {x.shape}")
-    k = gaussian_kernel(x[None, :], model.support_vectors, model.config.kernel.sigma)
-    return float(k[0] @ model.coef + model.bias)
-
-
 def svr_predict_many(model: SvrModel, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != model.dim:
-        raise ValueError(f"expected (n, {model.dim}) inputs, got {xs.shape}")
+    if xs.ndim != 2 or xs.shape[1] != model.in_dim:
+        raise ValueError(f"expected (n, {model.in_dim}) inputs, got {xs.shape}")
     k = gaussian_kernel(xs, model.support_vectors, model.config.kernel.sigma)
     return k @ model.coef + model.bias
 

@@ -8,6 +8,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import os
@@ -36,18 +37,14 @@ from .bags import (
 from .baselines import (
     KernelSpec,
     SvrConfig,
-    aggregate_video,
     bayesian_ridge_train,
-    linear_predict,
     load_linear,
     load_ridge,
     load_svr,
-    ridge_predict,
     save_linear,
     save_ridge,
     save_svr,
     sgd_linear_train,
-    svr_predict_many,
     svr_train,
 )
 from .errors import (
@@ -56,23 +53,18 @@ from .errors import (
     EngageMilError,
     IncompatibleArtifactsError,
     InvalidSplitError,
+    NumericError,
     ParseError,
 )
-from .features import SegmentFeature, SegmentWindow
 from .metrics import compute_report
 from .networks import (
-    MilNet,
-    SeqNet,
     TrainConfig,
     build_mil_net,
     build_seq_net,
     load_net,
-    localize_dataset,
-    predict_dataset,
     save_net,
     train,
 )
-from .baselines import LinearModel, SvrModel
 
 LOGGER = logging.getLogger("engage_mil")
 LOG_ENV = "ENGAGE_MIL_LOG"
@@ -82,25 +74,52 @@ FEATURE_KINDS = ("lbptop", "posegaze")
 MODEL_KINDS = ("svr", "sgd", "ridge", "milnet", "seqnet")
 RELABEL_STRATEGIES = ("noisy", "kmeans-mode", "kmeans-mean")
 
-_TRAIN_DEFAULTS = {
-    "step_size": 0.01,
-    "epochs": 300,
-    "batch_size": 16,
-    "scale_labels": None,
-    "clip_norm": 5.0,
+
+def _keyword_defaults(target, *skip) -> dict:
+    return {
+        name: p.default
+        for name, p in inspect.signature(target).parameters.items()
+        if p.default is not p.empty and name not in skip
+    }
+
+
+# Each nested block holds exactly the settings of the library object it
+# configures, with that object's defaults; `seed` is the top-level one.
+_BLOCKS = {
+    "train": _keyword_defaults(TrainConfig, "seed"),
+    "svr": {**_keyword_defaults(SvrConfig, "kernel"), "sigma": KernelSpec.sigma},
+    "sgd": _keyword_defaults(sgd_linear_train, "seed"),
+    "ridge": _keyword_defaults(bayesian_ridge_train),
+    "synth": _keyword_defaults(SyntheticSpec, "seed"),
 }
-_SVR_DEFAULTS = {"c": 1.0, "epsilon": 0.1, "sigma": 1.0, "tol": 1e-3}
-_SGD_DEFAULTS = {"penalty": 1e-4, "epochs": 200, "eta0": 0.01}
-_RIDGE_DEFAULTS = {"max_iter": 300, "tol": 1e-6, "fit_intercept": True}
-_SYNTH_DEFAULTS = {
-    "subjects": 10,
-    "videos": 40,
-    "m": 100,
-    "dim": 8,
-    "class_distribution": [0.25, 0.25, 0.25, 0.25],
-    "rho": 0.3,
-    "noise_scale": 0.5,
-}
+
+
+def _coerce(default, value):
+    """`value` as the type of `default`: a float, int or bool setting, a
+    tuple of floats, or (default None) as given."""
+    if default is None:
+        return value
+    if isinstance(default, tuple):
+        return tuple(float(v) for v in value)
+    return type(default)(value)
+
+
+def _block(name: str, raw) -> dict:
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {name!r} must be a JSON object")
+    defaults = _BLOCKS[name]
+    unknown = sorted(set(raw) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown {name} config keys: {', '.join(unknown)}")
+    block = dict(defaults)
+    for key, value in raw.items():
+        try:
+            block[key] = _coerce(defaults[key], value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"config {name}.{key} has a bad value {value!r}") from None
+    return block
 
 
 @dataclass
@@ -136,11 +155,8 @@ class RunConfig:
     planted: str | None = None
 
     def __post_init__(self):
-        self.train = {**_TRAIN_DEFAULTS, **(self.train or {})}
-        self.svr = {**_SVR_DEFAULTS, **(self.svr or {})}
-        self.sgd = {**_SGD_DEFAULTS, **(self.sgd or {})}
-        self.ridge = {**_RIDGE_DEFAULTS, **(self.ridge or {})}
-        self.synth = {**_SYNTH_DEFAULTS, **(self.synth or {})}
+        for name in _BLOCKS:
+            setattr(self, name, _block(name, getattr(self, name)))
         if self.feature not in FEATURE_KINDS:
             raise ConfigError(f"feature must be one of {FEATURE_KINDS}")
         if self.model not in MODEL_KINDS:
@@ -260,9 +276,7 @@ def _extract_one(task):
     step = feats.sample_step(float(manifest["fps"]), target_fps)
     sub = track.every(step)
     windows = feats.segment(len(sub), window, stride)
-    vectors = np.stack(
-        [feats.pose_gaze_feature(sub, w).vector for w in windows]
-    )
+    vectors = np.stack([feats.pose_gaze_feature(sub, w) for w in windows])
     return manifest["video_id"], manifest["subject_id"], vectors
 
 
@@ -305,18 +319,10 @@ def cmd_extract(config: RunConfig) -> None:
     for video_id, subject_id, vectors in results:
         if video_id not in labels:
             raise DataError(f"{video_id}: no entry in the labels file")
-        segment_features = [
-            SegmentFeature(
-                vector=row,
-                kind=config.feature,
-                window=SegmentWindow(i * config.stride, config.window, config.stride),
-            )
-            for i, row in enumerate(vectors)
-        ]
-        print(f"{video_id}: {len(segment_features)} segments")
+        print(f"{video_id}: {len(vectors)} segments")
         bags.append(
             make_bags(
-                segment_features,
+                vectors,
                 config.m,
                 video_id=video_id,
                 subject_id=subject_id,
@@ -335,17 +341,7 @@ def cmd_extract(config: RunConfig) -> None:
 def cmd_synth(config: RunConfig) -> None:
     if not config.out:
         raise ConfigError("synth needs an output directory ('out')")
-    s = config.synth
-    spec = SyntheticSpec(
-        subjects=int(s["subjects"]),
-        videos=int(s["videos"]),
-        m=int(s["m"]),
-        dim=int(s["dim"]),
-        class_distribution=tuple(float(p) for p in s["class_distribution"]),
-        rho=float(s["rho"]),
-        noise_scale=float(s["noise_scale"]),
-        seed=config.seed,
-    )
+    spec = SyntheticSpec(seed=config.seed, **config.synth)
     dataset, planted = synth_generate(spec)
     index = save_dataset(dataset, config.out)
     save_planted_csv(dataset, planted, Path(config.out) / "planted.csv")
@@ -391,33 +387,16 @@ def cmd_train(config: RunConfig) -> None:
         x = dataset.instance_matrix()
         y = labeling.labels.reshape(-1)
         if config.model == "svr":
-            svr_cfg = SvrConfig(
-                c=float(config.svr["c"]),
-                epsilon=float(config.svr["epsilon"]),
-                kernel=KernelSpec("gaussian", float(config.svr["sigma"])),
-                tol=float(config.svr["tol"]),
-            )
-            model = svr_train(x, y, svr_cfg)
+            settings = dict(config.svr)
+            kernel = KernelSpec("gaussian", settings.pop("sigma"))
+            model = svr_train(x, y, SvrConfig(kernel=kernel, **settings))
             trace = model.objective_trace
             save_svr(model, config.model_path, meta=meta)
         elif config.model == "sgd":
-            model, trace = sgd_linear_train(
-                x,
-                y,
-                penalty=float(config.sgd["penalty"]),
-                epochs=int(config.sgd["epochs"]),
-                eta0=float(config.sgd["eta0"]),
-                seed=config.seed,
-            )
+            model, trace = sgd_linear_train(x, y, seed=config.seed, **config.sgd)
             save_linear(model, config.model_path, meta=meta)
         else:
-            posterior = bayesian_ridge_train(
-                x,
-                y,
-                max_iter=int(config.ridge["max_iter"]),
-                tol=float(config.ridge["tol"]),
-                fit_intercept=bool(config.ridge["fit_intercept"]),
-            )
+            posterior = bayesian_ridge_train(x, y, **config.ridge)
             trace = []
             save_ridge(posterior, config.model_path, meta=meta)
     else:
@@ -437,14 +416,7 @@ def cmd_train(config: RunConfig) -> None:
                 dense=config.seq_dense,
                 seed=config.seed,
             )
-        train_cfg = TrainConfig(
-            step_size=float(config.train["step_size"]),
-            epochs=int(config.train["epochs"]),
-            batch_size=int(config.train["batch_size"]),
-            seed=config.seed,
-            scale_labels=config.train["scale_labels"],
-            clip_norm=float(config.train["clip_norm"]),
-        )
+        train_cfg = TrainConfig(seed=config.seed, **config.train)
         trained, trace = train(net, dataset, train_cfg)
         save_net(trained, config.model_path, meta=meta)
 
@@ -475,69 +447,47 @@ def _load_model(path):
     return loaders[kind](target)
 
 
-def _check_compat(model, meta: dict, dataset: Dataset) -> None:
+def _open_served(config: RunConfig, command: str, output: str):
+    """(dataset, model, meta) of predict/localize/eval, checked against each
+    other.  Every model kind serves through the same surface: in_dim,
+    check(dataset), predict_bags(dataset) and localize_bags(dataset)."""
+    for key, what in (
+        ("dataset", "a 'dataset' index path"),
+        ("model_path", "a model path ('model_path')"),
+        ("out", f"an output {output} path ('out')"),
+    ):
+        if not getattr(config, key):
+            raise ConfigError(f"{command} needs {what}")
+    dataset = load_dataset(config.dataset)
+    model, meta = _load_model(config.model_path)
     feature_kind = meta.get("feature_kind")
     if feature_kind is not None and feature_kind != dataset.feature_kind:
         raise IncompatibleArtifactsError(
             f"model was trained on {feature_kind!r} features, "
             f"dataset holds {dataset.feature_kind!r}"
         )
-    if isinstance(model, (MilNet, SeqNet)):
-        model_dim = model.in_dim
-    elif isinstance(model, SvrModel):
-        model_dim = model.dim
-    elif isinstance(model, LinearModel):
-        model_dim = model.weights.shape[0]
-    else:
-        model_dim = model.mean.shape[0]
-    if model_dim != dataset.dim:
+    if model.in_dim != dataset.dim:
         raise IncompatibleArtifactsError(
-            f"model expects dimension {model_dim}, dataset has {dataset.dim}"
+            f"model expects dimension {model.in_dim}, dataset has {dataset.dim}"
         )
-    if isinstance(model, SeqNet) and model.m != dataset.m:
-        raise IncompatibleArtifactsError(
-            f"model expects {model.m} segments per bag, dataset has {dataset.m}"
-        )
-    if isinstance(model, MilNet) and model.pooling == "topk" and model.k > dataset.m:
-        raise IncompatibleArtifactsError(
-            f"model pools the top {model.k} segments, dataset bags have {dataset.m}"
-        )
+    model.check(dataset)
+    return dataset, model, meta
 
 
-def _instance_scores(model, instances: np.ndarray) -> np.ndarray:
-    if isinstance(model, SvrModel):
-        return svr_predict_many(model, instances)
-    if isinstance(model, LinearModel):
-        return linear_predict(model, instances)
-    return ridge_predict(model, instances)
-
-
-def _predict_bags(model, dataset: Dataset) -> np.ndarray:
-    if isinstance(model, (MilNet, SeqNet)):
-        return predict_dataset(model, dataset)
-    return np.array(
-        [aggregate_video(_instance_scores(model, bag.instances)) for bag in dataset.bags]
-    )
-
-
-def _localize_bags(model, dataset: Dataset):
-    """Per-segment intensities of every bag, in dataset order."""
-    if isinstance(model, (MilNet, SeqNet)):
-        return localize_dataset(model, dataset)
-    return [_instance_scores(model, bag.instances) for bag in dataset.bags]
+def _finite(dataset: Dataset, values: np.ndarray) -> np.ndarray:
+    """A model's output for every bag (a score each, or a row of per-segment
+    intensities), refused with NumericError naming the first video that
+    has a non-finite value, before any output file is written."""
+    finite = np.isfinite(values).reshape(len(dataset), -1).all(axis=1)
+    if not finite.all():
+        video_id = dataset.bags[int(finite.argmin())].video_id
+        raise NumericError(f"{video_id}: the model's output is not finite")
+    return values
 
 
 def cmd_predict(config: RunConfig) -> None:
-    if not config.dataset:
-        raise ConfigError("predict needs a 'dataset' index path")
-    if not config.model_path:
-        raise ConfigError("predict needs a model path ('model_path')")
-    if not config.out:
-        raise ConfigError("predict needs an output CSV path ('out')")
-    dataset = load_dataset(config.dataset)
-    model, meta = _load_model(config.model_path)
-    _check_compat(model, meta, dataset)
-    predictions = _predict_bags(model, dataset)
+    dataset, model, _ = _open_served(config, "predict", "CSV")
+    predictions = _finite(dataset, model.predict_bags(dataset))
     order = np.argsort([bag.video_id for bag in dataset.bags])
     _write_rows(
         config.out,
@@ -551,18 +501,10 @@ def cmd_predict(config: RunConfig) -> None:
 
 
 def cmd_localize(config: RunConfig) -> None:
-    if not config.dataset:
-        raise ConfigError("localize needs a 'dataset' index path")
-    if not config.model_path:
-        raise ConfigError("localize needs a model path ('model_path')")
-    if not config.out:
-        raise ConfigError("localize needs an output CSV path ('out')")
-    dataset = load_dataset(config.dataset)
-    model, meta = _load_model(config.model_path)
-    _check_compat(model, meta, dataset)
+    dataset, model, _ = _open_served(config, "localize", "CSV")
     planted = load_planted_csv(config.planted) if config.planted else None
 
-    intensities = _localize_bags(model, dataset)
+    intensities = _finite(dataset, model.localize_bags(dataset))
     rows = []
     for i in sorted(range(len(dataset)), key=lambda i: dataset.bags[i].video_id):
         video_id = dataset.bags[i].video_id
@@ -579,15 +521,7 @@ def cmd_localize(config: RunConfig) -> None:
 
 
 def cmd_eval(config: RunConfig) -> None:
-    if not config.dataset:
-        raise ConfigError("eval needs a 'dataset' index path")
-    if not config.model_path:
-        raise ConfigError("eval needs a model path ('model_path')")
-    if not config.out:
-        raise ConfigError("eval needs an output JSON path ('out')")
-    dataset = load_dataset(config.dataset)
-    model, meta = _load_model(config.model_path)
-    _check_compat(model, meta, dataset)
+    dataset, model, meta = _open_served(config, "eval", "JSON")
 
     test_subjects = set(dataset.subjects())
     train_subjects = meta.get("train_subjects", [])
@@ -602,7 +536,7 @@ def cmd_eval(config: RunConfig) -> None:
             f"train and test share subjects: {', '.join(overlap[:5])}"
         )
 
-    predictions = _predict_bags(model, dataset)
+    predictions = _finite(dataset, model.predict_bags(dataset))
     labels = np.array([bag.label for bag in dataset.bags], dtype=np.float64)
     report = compute_report(predictions, labels)
     report.save(config.out)

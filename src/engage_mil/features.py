@@ -156,13 +156,6 @@ class LbpTopHistogram:
         return self.bins.reshape(-1, N_PLANES, PLANE_BINS)
 
 
-@dataclass
-class SegmentFeature:
-    vector: np.ndarray
-    kind: str  # "lbptop" | "posegaze"
-    window: SegmentWindow
-
-
 # ---------------------------------------------------------------------------
 # temporal subsampling and windowing
 
@@ -211,17 +204,6 @@ def segment(source, length: int, stride: int) -> list[SegmentWindow]:
 
 # ---------------------------------------------------------------------------
 # local binary patterns
-
-
-def lbp_code(center: float, neighbors) -> int:
-    """8-bit pattern code: bit b is set iff neighbors[b] >= center."""
-    if len(neighbors) != 8:
-        raise ValueError("exactly 8 neighbor samples required")
-    code = 0
-    for bit, value in enumerate(neighbors):
-        if value >= center:
-            code |= 1 << bit
-    return code
 
 
 def _circular_transitions(code: int) -> int:
@@ -401,7 +383,7 @@ def lbp_top_many(
 # pose / gaze features
 
 
-def pose_gaze_feature(track: PoseGazeTrack, window: SegmentWindow) -> SegmentFeature:
+def pose_gaze_feature(track: PoseGazeTrack, window: SegmentWindow) -> np.ndarray:
     """9-dim motion descriptor of one window.
 
     Population standard deviations over the window's frames of: head x, y,
@@ -412,14 +394,13 @@ def pose_gaze_feature(track: PoseGazeTrack, window: SegmentWindow) -> SegmentFea
         raise ValueError(f"window {window} outside track of {len(track)} frames")
     rows = slice(window.start, window.stop)
     gaze = (track.gaze_left[rows] + track.gaze_right[rows]) / 2.0
-    vector = np.concatenate(
+    return np.concatenate(
         [
             track.head_position[rows].std(axis=0),
             track.head_rotation[rows].std(axis=0),
             gaze.std(axis=0),
         ]
     )
-    return SegmentFeature(vector=vector, kind="posegaze", window=window)
 
 
 # ---------------------------------------------------------------------------

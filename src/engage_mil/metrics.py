@@ -29,17 +29,6 @@ from .errors import (
 NUM_LEVELS = 4
 RELIABILITY_THRESHOLD = 0.4
 
-# Video-level numbers reported for the original (non-redistributable)
-# 78-subject corpus.  Informative presets only -- nothing here can reproduce
-# them without that data; synthetic acceptance checks stand in for them.
-REFERENCE_RESULTS = {
-    "svr_mse": 0.15,
-    "lstm_mse": 0.10,
-    "svr_noisy_instance_mse": 0.09,
-    "localization_pcc": 0.25,
-    "localization_pcc_topk": 0.37,
-}
-
 
 @dataclass
 class AnnotationMatrix:

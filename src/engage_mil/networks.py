@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bags import Bag, Dataset, read_model, write_model
-from .errors import TrainingDivergedError
+from .bags import Dataset, read_model, write_model
+from .errors import IncompatibleArtifactsError, TrainingDivergedError
 
 _ACTIVATIONS = ("relu", "sigmoid", "linear")
 
@@ -129,8 +129,19 @@ class LstmLayer:
         )
 
 
+class _NetServing:
+    """predict_bags/localize_bags of the model serving surface (see cli),
+    each one batched pass over the whole dataset."""
+
+    def predict_bags(self, dataset: Dataset) -> np.ndarray:
+        return predict_dataset(self, dataset)
+
+    def localize_bags(self, dataset: Dataset) -> np.ndarray:
+        return localize_dataset(self, dataset)
+
+
 @dataclass
-class MilNet:
+class MilNet(_NetServing):
     """Shared dense stack scoring each instance, then top-k or mean pooling."""
 
     layers: list[DenseLayer]
@@ -153,6 +164,12 @@ class MilNet:
     def in_dim(self):
         return self.layers[0].in_dim
 
+    def check(self, dataset: Dataset) -> None:
+        if self.pooling == "topk" and self.k > dataset.m:
+            raise IncompatibleArtifactsError(
+                f"model pools the top {self.k} segments, dataset bags have {dataset.m}"
+            )
+
     def parameters(self) -> list[np.ndarray]:
         out = []
         for layer in self.layers:
@@ -161,7 +178,7 @@ class MilNet:
 
 
 @dataclass
-class SeqNet:
+class SeqNet(_NetServing):
     """LSTM over the segment sequence, flattened into a sigmoid dense head."""
 
     lstm: LstmLayer
@@ -186,6 +203,12 @@ class SeqNet:
     def in_dim(self):
         return self.lstm.in_dim
 
+    def check(self, dataset: Dataset) -> None:
+        if self.m != dataset.m:
+            raise IncompatibleArtifactsError(
+                f"model expects {self.m} segments per bag, dataset has {dataset.m}"
+            )
+
     def parameters(self) -> list[np.ndarray]:
         out = []
         for gate in _GATES:
@@ -193,27 +216,6 @@ class SeqNet:
         for layer in self.dense:
             out.extend((layer.weights, layer.bias))
         return out
-
-
-@dataclass
-class InstanceIntensities:
-    """Per-segment scores for one bag, in original segment order."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise ValueError("intensities must be a vector")
-        if not np.isfinite(self.values).all():
-            raise ValueError("intensities must be finite")
-
-    def __len__(self):
-        return self.values.shape[0]
-
-    def sorted_view(self) -> np.ndarray:
-        """The intensities in descending order (ties keep lower index first)."""
-        return self.values[np.argsort(-self.values, kind="stable")]
 
 
 @dataclass(frozen=True)
@@ -300,12 +302,6 @@ def build_seq_net(
 # pooling
 
 
-def _intensity_values(r) -> np.ndarray:
-    if isinstance(r, InstanceIntensities):
-        return r.values
-    return np.asarray(r, dtype=np.float64)
-
-
 def _pool_matrix(r: np.ndarray, pooling: str, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Scores and d(score)/dr of mean or top-k pooling over each row of a
     (B, M) intensity matrix; top-k ties go to the lower index."""
@@ -321,35 +317,8 @@ def _pool_matrix(r: np.ndarray, pooling: str, k: int) -> tuple[np.ndarray, np.nd
     return scores, mask
 
 
-def topk_pool(r, k: int = 10) -> float:
-    """Mean of the k largest intensities (ties resolved toward lower index)."""
-    values = _intensity_values(r)
-    m = values.shape[0]
-    if not 1 <= k <= m:
-        raise ValueError(f"k must lie in [1, {m}], got {k}")
-    return float(_pool_matrix(values[None], "topk", k)[0][0])
-
-
-def mean_pool(r) -> float:
-    values = _intensity_values(r)
-    if values.shape[0] < 1:
-        raise ValueError("need at least one intensity")
-    return float(_pool_matrix(values[None], "mean", 1)[0][0])
-
-
-def mil_loss(pred: float, label: float) -> float:
-    return float((pred - label) ** 2)
-
-
 # ---------------------------------------------------------------------------
 # forward passes (batched internally over bags)
-
-
-def _bag_matrix(net, bag) -> np.ndarray:
-    x = bag.instances if isinstance(bag, Bag) else np.asarray(bag, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.in_dim:
-        raise ValueError(f"expected (m, {net.in_dim}) instances, got {x.shape}")
-    return np.asarray(x, dtype=np.float64)
 
 
 def _dense_stack_forward(layers, h):
@@ -441,16 +410,6 @@ def _forward(net, x: np.ndarray, intensities: bool = False):
     return scores, _seq_intensities(net, hs) if intensities else None
 
 
-def forward_mil(net: MilNet, bag) -> tuple[float, InstanceIntensities]:
-    scores, r = _forward(net, _bag_matrix(net, bag)[None])
-    return float(scores[0]), InstanceIntensities(values=r[0])
-
-
-def forward_seq(net: SeqNet, bag) -> tuple[float, np.ndarray]:
-    scores, hs, _, _ = _seq_forward(net, _bag_matrix(net, bag)[None])
-    return float(scores[0]), hs[0]
-
-
 # ---------------------------------------------------------------------------
 # backward passes
 
@@ -512,12 +471,6 @@ def _seq_batch_grads(net: SeqNet, x: np.ndarray, y: np.ndarray):
         grads.extend((gw[rows], gb[rows]))
     grads.extend(g for pair in head_grads for g in pair)
     return float(losses.mean()), grads, scores
-
-
-def backward(net, bag, label: float) -> list[np.ndarray]:
-    """Gradients of (score - label)^2, aligned with net.parameters()."""
-    _, grads, _ = _batch_grads(net, _bag_matrix(net, bag)[None], np.array([float(label)]))
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -594,18 +547,6 @@ def localize_dataset(net, dataset: Dataset) -> np.ndarray:
     """
     _, r = _forward(net, dataset.tensor(), intensities=True)
     return r * _label_scale(net)
-
-
-def predict_score(net, bag) -> float:
-    """Bag score in the 0-3 label range (rescaled if the net trains on [0,1])."""
-    scores, _ = _forward(net, _bag_matrix(net, bag)[None])
-    return float(scores[0]) * _label_scale(net)
-
-
-def localize(net, bag) -> InstanceIntensities:
-    """One bag's per-segment intensities; see localize_dataset."""
-    _, r = _forward(net, _bag_matrix(net, bag)[None], intensities=True)
-    return InstanceIntensities(values=r[0] * _label_scale(net))
 
 
 # ---------------------------------------------------------------------------

@@ -48,21 +48,27 @@ def _neighbor_value(plane, r, c, dy, dx):
     return value
 
 
+def lbp_code(center: float, neighbors) -> int:
+    """8-bit pattern code: bit b is set iff neighbors[b] >= center."""
+    if len(neighbors) != 8:
+        raise ValueError("exactly 8 neighbor samples required")
+    code = 0
+    for bit, value in enumerate(neighbors):
+        if value >= center:
+            code |= 1 << bit
+    return code
+
+
 def naive_plane_codes(plane):
     """Pattern codes of one 2-D plane (list of rows), interior points only."""
     a, b = len(plane), len(plane[0])
-    codes = []
-    for r in range(1, a - 1):
-        row = []
-        for c in range(1, b - 1):
-            center = plane[r][c]
-            code = 0
-            for bit, (dx, dy) in enumerate(_OFFSETS):
-                if _neighbor_value(plane, r, c, dy, dx) >= center:
-                    code |= 1 << bit
-            row.append(code)
-        codes.append(row)
-    return codes
+    return [
+        [
+            lbp_code(plane[r][c], [_neighbor_value(plane, r, c, dy, dx) for dx, dy in _OFFSETS])
+            for c in range(1, b - 1)
+        ]
+        for r in range(1, a - 1)
+    ]
 
 
 def _transitions(code):

@@ -33,7 +33,7 @@ from engage_mil.baselines import (
     svr_train,
 )
 from engage_mil.cli import main as cli_main
-from engage_mil.features import FrameSequence, SegmentFeature, SegmentWindow, lbp_top
+from engage_mil.features import FrameSequence, SegmentWindow, lbp_top
 from engage_mil.metrics import (
     AnnotationMatrix,
     fuse_labels,
@@ -43,18 +43,13 @@ from engage_mil.metrics import (
 )
 from engage_mil.networks import (
     TrainConfig,
-    backward,
     build_mil_net,
     build_seq_net,
-    forward_mil,
-    forward_seq,
-    localize,
-    mean_pool,
-    mil_loss,
+    localize_dataset,
     predict_dataset,
-    topk_pool,
     train,
 )
+from engage_mil.networks import _batch_grads, _forward, _pool_matrix
 
 from oracles import (
     finite_difference_gradients,
@@ -74,6 +69,11 @@ def _report(number: int, ok: bool, detail: str) -> None:
 # 1. analytic gradients vs central finite differences
 
 
+def _one_bag_grads(net, bag, label):
+    """Gradients of one bag's (score - label)^2, aligned with net.parameters()."""
+    return _batch_grads(net, bag[None], np.array([label]))[1]
+
+
 def test_criterion_1_gradients_match_finite_differences():
     started = time.perf_counter()
     rng = np.random.default_rng(11)
@@ -91,9 +91,9 @@ def test_criterion_1_gradients_match_finite_differences():
         )
         bag = rng.normal(size=(m, in_dim))
         label = float(rng.integers(0, 4))
-        analytic = backward(net, bag, label)
+        analytic = _one_bag_grads(net, bag, label)
         numeric = finite_difference_gradients(
-            lambda: mil_loss(forward_mil(net, bag)[0], label), net.parameters()
+            lambda: (_forward(net, bag[None])[0][0] - label) ** 2, net.parameters()
         )
         worst = max(worst, max_relative_gradient_error(analytic, numeric))
 
@@ -107,9 +107,9 @@ def test_criterion_1_gradients_match_finite_differences():
         )
         bag = rng.normal(size=(m, in_dim))
         label = float(rng.uniform(0, 1))  # scaled-space target
-        analytic = backward(net, bag, label)
+        analytic = _one_bag_grads(net, bag, label)
         numeric = finite_difference_gradients(
-            lambda: (forward_seq(net, bag)[0] - label) ** 2, net.parameters()
+            lambda: (_forward(net, bag[None])[0][0] - label) ** 2, net.parameters()
         )
         worst = max(worst, max_relative_gradient_error(analytic, numeric))
 
@@ -133,8 +133,10 @@ def test_criterion_2_pooling_matches_full_sort_oracle():
         r = rng.normal(size=100)
         k = int(rng.integers(1, 100))
         oracle = float(np.sort(r)[::-1][:k].mean())
-        exact = exact and topk_pool(r, k) == oracle
-        exact = exact and topk_pool(r, 100) == mean_pool(r)
+        exact = exact and _pool_matrix(r[None], "topk", k)[0][0] == oracle
+        exact = exact and (
+            _pool_matrix(r[None], "topk", 100)[0][0] == _pool_matrix(r[None], "mean", 1)[0][0]
+        )
     elapsed = time.perf_counter() - started
     _report(
         2,
@@ -284,10 +286,7 @@ def test_criterion_6_corpus_scale_dataset_mechanics():
                 subject = f"s{len(train_bags) % n_train_subjects:02d}"
             else:
                 subject = f"s{n_train_subjects + len(test_bags) % n_test_subjects:02d}"
-            segments = [
-                SegmentFeature(rng.normal(size=dim), "posegaze", SegmentWindow(s, 20, 10))
-                for s in range(int(rng.integers(21, 180)))
-            ]
+            segments = rng.normal(size=(int(rng.integers(21, 180)), dim))
             bag = make_bags(
                 segments,
                 100,
@@ -360,7 +359,7 @@ def planted_runs():
             TrainConfig(step_size=0.02, epochs=300, batch_size=16, seed=seed),
         )
         mil_preds = predict_dataset(mil, test_ds)
-        loc_pred = np.concatenate([localize(mil, b).values for b in test_ds.bags])
+        loc_pred = localize_dataset(mil, test_ds).ravel()
         loc_true = np.concatenate(
             [planted[index_of[b.video_id]] for b in test_ds.bags]
         )

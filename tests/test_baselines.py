@@ -27,7 +27,6 @@ from engage_mil.baselines import (
     save_ridge,
     save_svr,
     sgd_linear_train,
-    svr_predict,
     svr_predict_many,
     svr_train,
 )
@@ -133,8 +132,8 @@ def test_svr_huge_sigma_collapses_to_the_bias():
 def test_svr_predict_rejects_wrong_dimension():
     x, y = _random_problem(2, n=8, dim=3)
     model = svr_train(x, y, SvrConfig())
-    with pytest.raises(ValueError, match="dim"):
-        svr_predict(model, np.zeros(4))
+    with pytest.raises(ValueError, match=r"expected \(n, 3\) inputs"):
+        svr_predict_many(model, np.zeros((1, 4)))
     with pytest.raises(ValueError):
         svr_predict_many(model, np.zeros((5, 2)))
 

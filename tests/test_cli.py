@@ -3,7 +3,9 @@ byte-level determinism, and the audit guarantee that training never
 touches test features."""
 
 import functools
+import inspect
 import json
+import re
 import os
 import shutil
 import subprocess
@@ -13,9 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from engage_mil import cli
+from engage_mil import bags, baselines, cli, features, networks
 from engage_mil.bags import load_dataset, save_dataset, split_subject_independent
-from engage_mil.baselines import svr_train
+from engage_mil.baselines import LinearModel, SvrConfig, save_linear, save_svr, svr_train
 from engage_mil.cli import (
     RunConfig,
     load_labels_csv,
@@ -129,6 +131,32 @@ class TestRunConfig:
         path = write_config(tmp_path / "c.json", bogus=1)
         with pytest.raises(ConfigError, match="bogus"):
             RunConfig.from_file(path)
+
+    @pytest.mark.parametrize(
+        "block,key",
+        [("synth", "typo_rho"), ("sgd", "bogus"), ("train", "seed"), ("svr", "kernel")],
+    )
+    def test_unknown_nested_key_rejected(self, tmp_path, block, key):
+        path = write_config(tmp_path / "c.json", **{block: {key: 9}})
+        with pytest.raises(ConfigError, match=f"unknown {block} config keys: {key}"):
+            RunConfig.from_file(path)
+
+    @pytest.mark.parametrize(
+        "train,message",
+        [({"epochs": "x"}, "train.epochs has a bad value 'x'"), ({"step_size": -1}, "step size")],
+    )
+    def test_bad_nested_value_exits_2(self, split_root, tmp_path, capsys, train, message):
+        config = write_config(
+            tmp_path / "c.json",
+            hidden=[4],
+            train=train,
+            dataset=str(split_root / "train"),
+            model_path=str(tmp_path / "m.bin"),
+        )
+        code = run_cli("train", "--config", str(config), "--out", str(tmp_path / "t.csv"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and message in err
 
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -915,6 +943,22 @@ class TestProcess:
         assert code == 3
         assert str(dataset / "index.json") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["predict", "localize"])
+    def test_non_finite_output_exits_4(self, split_root, tmp_path, capsys, command):
+        model = tmp_path / "model.bin"
+        save_linear(LinearModel(np.full(5, 1e308), 0.0), model)
+        config = write_config(
+            tmp_path / "c.json", dataset=str(split_root / "test"), model_path=str(model)
+        )
+        out = tmp_path / "out.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli(command, "--config", str(config), "--out", str(out))
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert re.search(r"video\d+: the model's output is not finite", err)
+        assert not out.exists()
+
     def test_missing_model_file_exits_3(self, split_root, tmp_path):
         config = write_config(
             tmp_path / "c.json",
@@ -932,3 +976,71 @@ class TestProcess:
             run_cli("train", "--config", str(config), "--out", str(tmp_path / "t.csv"))
             == 2
         )
+
+
+# ---------------------------------------------------------------------------
+# names the benchmark harness (perfbench/tracer.py) wraps and reads
+
+
+class TestBenchmarkNames:
+    @staticmethod
+    def _counting(monkeypatch, module, name):
+        """Rebind module.name to a wrapper that records each call's arguments."""
+        calls = []
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(inspect.signature(fn).bind(*args, **kwargs).arguments)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_serving_goes_through_the_traced_functions(self, split_root, tmp_path, monkeypatch):
+        test_ds = load_dataset(split_root / "test")
+        y = np.repeat(test_ds.labels(), test_ds.m).astype(float)
+        save_svr(svr_train(test_ds.instance_matrix(), y, SvrConfig()), tmp_path / "svr.bin")
+        save_net(build_mil_net(5, hidden=(4,), pooling="topk", k=3, seed=0), tmp_path / "mil.bin")
+        predicted = self._counting(monkeypatch, baselines, "svr_predict_many")
+        svr_loads = self._counting(monkeypatch, cli, "load_svr")
+        net_loads = self._counting(monkeypatch, cli, "load_net")
+        for name in ("svr", "mil"):
+            config = write_config(
+                tmp_path / f"{name}.json",
+                dataset=str(split_root / "test"),
+                model_path=str(tmp_path / f"{name}.bin"),
+            )
+            code = run_cli("predict", "--config", str(config), "--out", str(tmp_path / "p.csv"))
+            assert code == 0
+        assert len(predicted) == len(test_ds)
+        for call, bag in zip(predicted, test_ds.bags):
+            assert np.array_equal(call["xs"], bag.instances)
+        assert (len(svr_loads), len(net_loads)) == (1, 1)
+
+    def test_extract_calls_pose_gaze_feature_once_per_window(
+        self, pose_tree, tmp_path, monkeypatch, capsys
+    ):
+        calls = self._counting(monkeypatch, features, "pose_gaze_feature")
+        config = write_config(
+            tmp_path / "c.json",
+            feature="posegaze",
+            m=8,
+            input=str(pose_tree),
+            labels=str(pose_tree / "labels.csv"),
+        )
+        assert run_cli("extract", "--config", str(config), "--out", str(tmp_path / "o")) == 0
+        segments = re.findall(r": (\d+) segments", capsys.readouterr().out)
+        assert len(calls) == sum(int(n) for n in segments) > 0
+
+    @pytest.mark.parametrize(
+        "fn,names",
+        [
+            (features.lbp_top_many, ["seq"]),
+            (baselines.svr_train, ["instances"]),
+            (baselines.grid_search_svr, ["folds"]),
+            (networks.train, ["config", "dataset"]),
+            (bags.load_dataset, ["index_path"]),
+        ],
+    )
+    def test_argument_names_the_tracer_reads(self, fn, names):
+        assert set(names) <= set(inspect.signature(fn).parameters)

@@ -11,28 +11,26 @@ from engage_mil.bags import Bag, Dataset, SyntheticSpec, synth_generate
 from engage_mil.errors import ParseError, TrainingDivergedError
 from engage_mil.networks import (
     DenseLayer,
-    InstanceIntensities,
     LstmLayer,
     MilNet,
     SeqNet,
     TrainConfig,
-    backward,
     build_mil_net,
     build_seq_net,
-    forward_mil,
-    forward_seq,
     load_net,
-    localize,
     localize_dataset,
-    mean_pool,
-    mil_loss,
     predict_dataset,
-    predict_score,
     save_net,
-    topk_pool,
     train,
 )
-from engage_mil.networks import _seq_batch_grads, _seq_forward, _sigmoid
+from engage_mil.networks import (
+    _batch_grads,
+    _forward,
+    _pool_matrix,
+    _seq_batch_grads,
+    _seq_forward,
+    _sigmoid,
+)
 
 from oracles import (
     finite_difference_gradients,
@@ -55,18 +53,44 @@ def _random_bag(rng, m, dim, label=1):
     )
 
 
+def _one_bag(x) -> Dataset:
+    return Dataset([Bag("v0", "s0", x, label=0)], "synthetic", len(x))
+
+
+def _pool(r, pooling, k=1) -> float:
+    """One intensity vector pooled to a score."""
+    return float(_pool_matrix(np.asarray(r, dtype=np.float64)[None], pooling, k)[0][0])
+
+
+def _mil_forward(net, x):
+    """One bag's score and its ranking-layer outputs."""
+    scores, r = _forward(net, np.asarray(x)[None])
+    return float(scores[0]), r[0]
+
+
+def _seq_score(net, x):
+    """One bag's score (in the net's training label space) and LSTM states."""
+    scores, states, _, _ = _seq_forward(net, np.asarray(x)[None])
+    return float(scores[0]), states[0]
+
+
+def _grads(net, x, label):
+    """Gradients of one bag's (score - label)^2, aligned with net.parameters()."""
+    return _batch_grads(net, np.asarray(x)[None], np.array([float(label)]))[1]
+
+
 # ---------------------------------------------------------------------------
 # pooling
 
 
 def test_topk_pool_hand_examples():
     r = np.array([3.0, 2.0, 1.0] + [0.0] * 7)
-    assert topk_pool(r, 2) == 2.5
-    assert topk_pool(np.full(6, 1.25), 3) == 1.25
+    assert _pool(r, "topk", 2) == 2.5
+    assert _pool(np.full(6, 1.25), "topk", 3) == 1.25
     with pytest.raises(ValueError):
-        topk_pool(r, 0)
+        build_mil_net(3, pooling="topk", k=0)  # k < 1 is refused when the net is built
     with pytest.raises(ValueError):
-        topk_pool(r, 11)
+        _pool(r, "topk", 11)
 
 
 def test_topk_pool_matches_full_sort_oracle_exactly():
@@ -74,21 +98,21 @@ def test_topk_pool_matches_full_sort_oracle_exactly():
     for _ in range(200):
         r = rng.normal(size=100)
         expected = float(np.sort(r)[::-1][:10].mean())
-        assert topk_pool(r, 10) == expected
+        assert _pool(r, "topk", 10) == expected
 
 
 def test_topk_pool_with_k_equal_m_is_mean_pool():
     rng = np.random.default_rng(1)
     for _ in range(100):
         r = rng.normal(size=17)
-        assert topk_pool(r, 17) == mean_pool(r)
+        assert _pool(r, "topk", 17) == _pool(r, "mean")
 
 
 def test_topk_pool_tie_handling_prefers_lower_index():
     # equal values: either choice yields identical numbers, but selection
     # order must be stable so gradients route deterministically
     r = np.array([1.0, 2.0, 2.0, 0.0])
-    assert topk_pool(r, 2) == 2.0
+    assert _pool(r, "topk", 2) == 2.0
 
 
 @settings(max_examples=60)
@@ -102,19 +126,26 @@ def test_topk_pool_is_monotone(r, data):
     bump = data.draw(st.floats(0, 5))
     raised = r.copy()
     raised[idx] += bump
-    assert topk_pool(raised, k) >= topk_pool(r, k) - 1e-12
+    assert _pool(raised, "topk", k) >= _pool(r, "topk", k) - 1e-12
 
 
 def test_mean_pool_examples():
-    assert mean_pool(np.array([0.0, 3.0])) == 1.5
-    assert mean_pool(np.full(9, 2.0)) == 2.0
-    with pytest.raises(ValueError):
-        mean_pool(np.array([]))
+    assert _pool(np.array([0.0, 3.0]), "mean") == 1.5
+    assert _pool(np.full(9, 2.0), "mean") == 2.0
+    with pytest.raises(ValueError):  # so pooling never sees an empty bag
+        Bag("v0", "s0", np.empty((0, 3)), label=0)
 
 
 def test_mil_loss_examples():
-    assert mil_loss(2.0, 2.0) == 0.0
-    assert mil_loss(1.0, 3.0) == 4.0
+    # the batch loss is the squared error: score 2 vs label 2, score 1 vs label 3
+    net = build_mil_net(3, hidden=(4,), pooling="mean", seed=0)
+    for layer in net.layers:
+        layer.weights[:] = 0.0
+        layer.bias[:] = 0.0
+    bag = np.random.default_rng(19).normal(size=(5, 3))
+    for score, label, loss in ((2.0, 2.0, 0.0), (1.0, 3.0, 4.0)):
+        net.layers[-1].bias[:] = score
+        assert _batch_grads(net, bag[None], np.array([label]))[0] == loss
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +156,12 @@ def test_forward_mil_identical_instances_share_the_score():
     net = build_mil_net(5, hidden=(8, 6), pooling="topk", k=3, seed=0)
     row = np.random.default_rng(2).normal(size=5)
     bag = np.tile(row, (12, 1))
-    score, intensities = forward_mil(net, bag)
-    assert np.allclose(intensities.values, intensities.values[0])
-    assert score == pytest.approx(intensities.values[0], abs=1e-12)
+    score, intensities = _mil_forward(net, bag)
+    assert np.allclose(intensities, intensities[0])
+    assert score == pytest.approx(intensities[0], abs=1e-12)
     net_mean = build_mil_net(5, hidden=(8, 6), pooling="mean", seed=0)
-    score_mean, _ = forward_mil(net_mean, bag)
-    assert score_mean == pytest.approx(intensities.values[0], abs=1e-12)
+    score_mean, _ = _mil_forward(net_mean, bag)
+    assert score_mean == pytest.approx(intensities[0], abs=1e-12)
 
 
 def test_forward_mil_zero_weights_score_is_the_ranking_bias():
@@ -139,8 +170,8 @@ def test_forward_mil_zero_weights_score_is_the_ranking_bias():
         layer.weights[:] = 0.0
         layer.bias[:] = 0.0
     net.layers[-1].bias[:] = -0.75
-    score, intensities = forward_mil(net, np.random.default_rng(3).normal(size=(7, 4)))
-    assert np.all(intensities.values == -0.75)
+    score, intensities = _mil_forward(net, np.random.default_rng(3).normal(size=(7, 4)))
+    assert np.all(intensities == -0.75)
     assert score == -0.75
 
 
@@ -148,7 +179,7 @@ def test_forward_mil_matches_per_instance_recomputation():
     rng = np.random.default_rng(4)
     net = build_mil_net(6, hidden=(10, 5), pooling="topk", k=4, seed=11)
     bag = rng.normal(size=(9, 6))
-    score, intensities = forward_mil(net, bag)
+    score, intensities = _mil_forward(net, bag)
     manual = []
     for row in bag:
         h = row
@@ -160,7 +191,7 @@ def test_forward_mil_matches_per_instance_recomputation():
                 h = z
         manual.append(h[0])
     manual = np.array(manual)
-    assert np.allclose(intensities.values, manual, atol=1e-12)
+    assert np.allclose(intensities, manual, atol=1e-12)
     assert score == pytest.approx(np.sort(manual)[::-1][:4].mean(), abs=1e-12)
 
 
@@ -169,33 +200,33 @@ def test_forward_mil_is_permutation_invariant():
     net = build_mil_net(3, hidden=(7,), pooling="topk", k=2, seed=1)
     bag = rng.normal(size=(8, 3))
     shuffled = bag[rng.permutation(8)]
-    assert forward_mil(net, bag)[0] == pytest.approx(
-        forward_mil(net, shuffled)[0], abs=1e-12
+    assert _mil_forward(net, bag)[0] == pytest.approx(
+        _mil_forward(net, shuffled)[0], abs=1e-12
     )
     net_mean = build_mil_net(3, hidden=(7,), pooling="mean", seed=1)
-    assert forward_mil(net_mean, bag)[0] == pytest.approx(
-        forward_mil(net_mean, shuffled)[0], abs=1e-12
+    assert _mil_forward(net_mean, bag)[0] == pytest.approx(
+        _mil_forward(net_mean, shuffled)[0], abs=1e-12
     )
 
 
 def test_forward_mil_rejects_wrong_dimension():
     net = build_mil_net(4, hidden=(5,), seed=0)
     with pytest.raises(ValueError):
-        forward_mil(net, np.zeros((6, 3)))
+        _mil_forward(net, np.zeros((6, 3)))
 
 
 def test_forward_passes_are_pure():
     rng = np.random.default_rng(6)
     net = build_mil_net(4, hidden=(6, 5), pooling="topk", k=2, seed=3)
     bag = rng.normal(size=(6, 4))
-    first = forward_mil(net, bag)
-    second = forward_mil(net, bag)
+    first = _mil_forward(net, bag)
+    second = _mil_forward(net, bag)
     assert first[0] == second[0]
-    assert np.array_equal(first[1].values, second[1].values)
+    assert np.array_equal(first[1], second[1])
 
     seq = build_seq_net(3, m=5, hidden=4, dense=(6, 5), seed=2)
     sbag = rng.normal(size=(5, 3))
-    assert forward_seq(seq, sbag)[0] == forward_seq(seq, sbag)[0]
+    assert _seq_score(seq, sbag)[0] == _seq_score(seq, sbag)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +239,7 @@ def test_forward_seq_zero_net_scores_from_final_biases():
         p[:] = 0.0
     final_bias = np.array([0.3, -0.2, 0.1, 0.0, 0.5, -0.4])
     net.dense[-1].bias[:] = final_bias
-    score, hs = forward_seq(net, np.random.default_rng(7).normal(size=(6, 4)))
+    score, hs = _seq_score(net, np.random.default_rng(7).normal(size=(6, 4)))
     expected = float((1.0 / (1.0 + np.exp(-final_bias))).mean())
     assert score == pytest.approx(expected, abs=1e-12)
     assert np.all(hs == 0.0)
@@ -222,7 +253,7 @@ def test_forward_seq_is_order_sensitive_somewhere():
         bag = rng.normal(size=(5, 3)) * 2.0
         swapped = bag.copy()
         swapped[[0, 4]] = swapped[[4, 0]]
-        if abs(forward_seq(net, bag)[0] - forward_seq(net, swapped)[0]) > 1e-6:
+        if abs(_seq_score(net, bag)[0] - _seq_score(net, swapped)[0]) > 1e-6:
             found = True
             break
     assert found
@@ -232,7 +263,7 @@ def test_forward_seq_score_within_unit_interval():
     rng = np.random.default_rng(8)
     net = build_seq_net(5, m=7, hidden=6, dense=(8, 6), seed=4)
     for _ in range(5):
-        score, hs = forward_seq(net, rng.normal(size=(7, 5)) * 3.0)
+        score, hs = _seq_score(net, rng.normal(size=(7, 5)) * 3.0)
         assert 0.0 < score < 1.0
         assert hs.shape == (7, 6)
 
@@ -240,9 +271,9 @@ def test_forward_seq_score_within_unit_interval():
 def test_forward_seq_rejects_wrong_sizes():
     net = build_seq_net(4, m=5, hidden=3, seed=0)
     with pytest.raises(ValueError):
-        forward_seq(net, np.zeros((4, 4)))  # wrong segment count
+        _forward(net, np.zeros((1, 4, 4)))  # wrong segment count
     with pytest.raises(ValueError):
-        forward_seq(net, np.zeros((5, 3)))  # wrong feature dim
+        _forward(net, np.zeros((1, 5, 3)))  # wrong feature dim
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +285,11 @@ def test_forward_seq_rejects_wrong_sizes():
 def test_mil_gradients_match_finite_differences(seed, pooling, k):
     rng = np.random.default_rng(100 + seed)
     net = build_mil_net(5, hidden=(7, 4), pooling=pooling, k=k, seed=seed)
-    bag = _random_bag(rng, m=8, dim=5, label=2)
+    bag = _random_bag(rng, m=8, dim=5, label=2).instances
     label = 2.0
-    analytic = backward(net, bag, label)
+    analytic = _grads(net, bag, label)
     numeric = finite_difference_gradients(
-        lambda: mil_loss(forward_mil(net, bag)[0], label), net.parameters()
+        lambda: (_mil_forward(net, bag)[0] - label) ** 2, net.parameters()
     )
     assert max_relative_gradient_error(analytic, numeric) < 1e-4
 
@@ -267,11 +298,11 @@ def test_mil_gradients_match_finite_differences(seed, pooling, k):
 def test_seq_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(200 + seed)
     net = build_seq_net(4, m=5, hidden=4, dense=(6, 5), seed=seed)
-    bag = _random_bag(rng, m=5, dim=4, label=3)
-    label = 1.0  # scaled-space target; backward never rescales
-    analytic = backward(net, bag, label)
+    bag = _random_bag(rng, m=5, dim=4, label=3).instances
+    label = 1.0  # scaled-space target; the gradients never rescale
+    analytic = _grads(net, bag, label)
     numeric = finite_difference_gradients(
-        lambda: (forward_seq(net, bag)[0] - label) ** 2, net.parameters()
+        lambda: (_seq_score(net, bag)[0] - label) ** 2, net.parameters()
     )
     assert max_relative_gradient_error(analytic, numeric) < 1e-4
 
@@ -283,7 +314,7 @@ def test_zero_loss_gives_exactly_zero_gradients():
         layer.bias[:] = 0.0
     net.layers[-1].bias[:] = 2.0  # score == 2 for every bag
     bag = np.random.default_rng(9).normal(size=(5, 3))
-    grads = backward(net, bag, 2.0)
+    grads = _grads(net, bag, 2.0)
     assert all(np.all(g == 0.0) for g in grads)
 
 
@@ -296,7 +327,7 @@ def test_topk_gradient_reaches_only_the_selected_instances():
     rank = DenseLayer(weights=rank_w.copy(), bias=np.zeros(1), activation="linear")
     net = MilNet(layers=[first, rank], pooling="topk", k=2)
     bag = np.eye(m)
-    grads = backward(net, bag, 0.0)
+    grads = _grads(net, bag, 0.0)
     d_rank_w = grads[2][0]
     assert np.all(d_rank_w[:-2] == 0.0)  # instances outside the top 2
     assert np.all(d_rank_w[-2:] != 0.0)
@@ -362,8 +393,9 @@ def test_batched_serving_matches_per_bag_reference(make):
     for bag, score, curve, (ref_score, ref_curve) in zip(dataset.bags, scores, curves, want):
         assert abs(score - ref_score) <= 1e-12 * max(1.0, abs(ref_score))
         assert _relative_error(curve, ref_curve) < 1e-12
-        assert abs(predict_score(net, bag) - ref_score) <= 1e-12 * max(1.0, abs(ref_score))
-        assert _relative_error(localize(net, bag).values, ref_curve) < 1e-12
+        alone = _one_bag(bag.instances)
+        assert abs(predict_dataset(net, alone)[0] - ref_score) <= 1e-12 * max(1.0, abs(ref_score))
+        assert _relative_error(localize_dataset(net, alone)[0], ref_curve) < 1e-12
 
 
 def test_sigmoid_is_bit_identical_to_the_masked_form():
@@ -421,7 +453,7 @@ def test_train_first_epoch_loss_is_the_mean_of_initial_bag_losses():
     dataset, _ = _tiny_dataset(seed=5)
     net = build_mil_net(5, hidden=(8, 6), pooling="mean", seed=2)
     _, trace = train(net, dataset, TrainConfig(epochs=1, batch_size=len(dataset)))
-    per_bag = [mil_loss(forward_mil(net, bag)[0], bag.label) for bag in dataset.bags]
+    per_bag = [(_mil_forward(net, bag.instances)[0] - bag.label) ** 2 for bag in dataset.bags]
     assert trace[0] == pytest.approx(math.fsum(per_bag) / len(per_bag), rel=1e-12)
 
 
@@ -461,11 +493,11 @@ def test_train_scale_labels_override_is_stamped_on_the_copy():
 def test_predict_score_rescales_when_label_scaling_is_active():
     net = build_seq_net(3, m=4, hidden=3, dense=(5, 4), seed=1, label_scaling=True)
     bag = np.random.default_rng(10).normal(size=(4, 3))
-    raw, _ = forward_seq(net, bag)
-    assert predict_score(net, bag) == pytest.approx(3.0 * raw, abs=1e-12)
+    raw, _ = _seq_score(net, bag)
+    assert predict_dataset(net, _one_bag(bag))[0] == pytest.approx(3.0 * raw, abs=1e-12)
     net_mil = build_mil_net(3, hidden=(4,), k=3, seed=1, label_scaling=False)
     mil_bag = np.random.default_rng(11).normal(size=(6, 3))
-    assert predict_score(net_mil, mil_bag) == forward_mil(net_mil, mil_bag)[0]
+    assert predict_dataset(net_mil, _one_bag(mil_bag))[0] == _mil_forward(net_mil, mil_bag)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -476,21 +508,21 @@ def test_localize_milnet_returns_the_ranking_outputs():
     rng = np.random.default_rng(12)
     net = build_mil_net(4, hidden=(6, 5), pooling="topk", k=3, seed=5)
     bag = rng.normal(size=(9, 4))
-    _, intensities = forward_mil(net, bag)
-    located = localize(net, bag)
-    assert np.array_equal(located.values, intensities.values)
+    _, intensities = _mil_forward(net, bag)
+    located = localize_dataset(net, _one_bag(bag))[0]
+    assert np.array_equal(located, intensities)
     assert len(located) == 9
 
     scaled = build_mil_net(4, hidden=(6, 5), pooling="topk", k=3, seed=5, label_scaling=True)
-    assert np.allclose(localize(scaled, bag).values, 3.0 * intensities.values)
+    assert np.allclose(localize_dataset(scaled, _one_bag(bag))[0], 3.0 * intensities)
 
 
 def test_localize_seqnet_matches_manual_zeroed_attribution():
     rng = np.random.default_rng(13)
     net = build_seq_net(3, m=5, hidden=4, dense=(6, 5), seed=3, label_scaling=False)
     bag = rng.normal(size=(5, 3))
-    _, hs = forward_seq(net, bag)
-    located = localize(net, bag)
+    _, hs = _seq_score(net, bag)
+    located = localize_dataset(net, _one_bag(bag))[0]
     assert len(located) == 5
     for j in range(5):
         flat = np.zeros(5 * 4)
@@ -498,22 +530,15 @@ def test_localize_seqnet_matches_manual_zeroed_attribution():
         h = flat
         for layer in net.dense:
             h = 1.0 / (1.0 + np.exp(-(layer.weights @ h + layer.bias)))
-        assert located.values[j] == pytest.approx(float(h.mean()), abs=1e-12)
+        assert located[j] == pytest.approx(float(h.mean()), abs=1e-12)
 
 
 def test_localize_seqnet_rescales_with_label_scaling():
     rng = np.random.default_rng(14)
     net = build_seq_net(3, m=4, hidden=3, dense=(5, 4), seed=6, label_scaling=True)
-    bag = rng.normal(size=(4, 3))
+    bag = _one_bag(rng.normal(size=(4, 3)))
     plain = build_seq_net(3, m=4, hidden=3, dense=(5, 4), seed=6, label_scaling=False)
-    assert np.allclose(localize(net, bag).values, 3.0 * localize(plain, bag).values)
-
-
-def test_instance_intensities_sorted_view():
-    intensities = InstanceIntensities(values=np.array([1.0, 3.0, 2.0]))
-    assert np.array_equal(intensities.sorted_view(), [3.0, 2.0, 1.0])
-    with pytest.raises(ValueError):
-        InstanceIntensities(values=np.array([np.nan]))
+    assert np.allclose(localize_dataset(net, bag), 3.0 * localize_dataset(plain, bag))
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +556,7 @@ def test_mil_net_round_trip(tmp_path):
     for a, b in zip(net.parameters(), loaded.parameters()):
         assert np.array_equal(a, b)
     bag = rng.normal(size=(7, 5))
-    assert forward_mil(loaded, bag)[0] == forward_mil(net, bag)[0]
+    assert _mil_forward(loaded, bag)[0] == _mil_forward(net, bag)[0]
 
 
 def test_seq_net_round_trip(tmp_path):
@@ -542,7 +567,7 @@ def test_seq_net_round_trip(tmp_path):
     assert isinstance(loaded, SeqNet)
     assert meta == {}
     bag = rng.normal(size=(6, 4))
-    assert forward_seq(loaded, bag)[0] == forward_seq(net, bag)[0]
+    assert _seq_score(loaded, bag)[0] == _seq_score(net, bag)[0]
 
 
 def test_load_net_rejects_garbage(tmp_path):
