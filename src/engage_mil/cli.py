@@ -95,10 +95,12 @@ _BLOCKS = {
 
 
 def _coerce(default, value):
-    """`value` as the type of `default`: a float, int or bool setting, a
-    tuple of floats, or (default None) as given."""
+    """`value` as the type of `default`: a float or int setting, a bool one
+    (a JSON boolean only), a tuple of floats, or (default None) as given."""
     if default is None:
         return value
+    if isinstance(default, bool) and not isinstance(value, bool):
+        raise TypeError("not a boolean")
     if isinstance(default, tuple):
         return tuple(float(v) for v in value)
     return type(default)(value)

@@ -243,89 +243,81 @@ def _bilinear_taps(dx: float, dy: float):
 _NEIGHBOR_TAPS = tuple(_bilinear_taps(dx, dy) for dx, dy in NEIGHBOR_OFFSETS)
 
 
-def _codes(planes: np.ndarray) -> np.ndarray:
-    """Pattern codes for all interior positions of stacked 2-D planes.
+# Size of a code-map chunk's float64 frames (8 frames at 64x64), so that the
+# chunk and its tap temporaries stay in L2.
+_CHUNK_BYTES = 256 * 1024
 
-    `planes` has shape (..., a, b); off-grid neighbor samples are
-    bilinearly interpolated.  Returns int64 codes of shape (..., a-2, b-2).
-    """
-    a, b = planes.shape[-2], planes.shape[-1]
-    if a < 3 or b < 3:
-        raise DegenerateWindowError(
-            f"plane of {a}x{b} has no interior pixels"
-        )
-    center = planes[..., 1 : a - 1, 1 : b - 1]
-    codes = np.zeros(center.shape, dtype=np.int64)
+
+def _plane_codes(out, u8, f64, ay, ax, scratch) -> None:
+    """OR into `out` the 8 neighbor bits of the chunk planes on axes `ay` (the
+    circle's vertical axis) and `ax`.  Axial neighbors compare exactly in
+    uint8 `u8`; diagonal ones sum their bilinear taps in float64 `f64`, in order."""
+    def at(ro, co):
+        idx = [slice(None)] * 3
+        idx[ay] = slice(1 + ro, u8.shape[ay] - 1 + ro)
+        idx[ax] = slice(1 + co, u8.shape[ax] - 1 + co)
+        return tuple(idx)
+
+    value, term, hit = (s[: out.size].reshape(out.shape) for s in scratch)
+    bits = hit.view(np.uint8)
+    center = at(0, 0)
     for bit, taps in enumerate(_NEIGHBOR_TAPS):
-        value = None
-        for ro, co, w in taps:
-            r0, c0 = 1 + ro, 1 + co
-            term = w * planes[..., r0 : r0 + a - 2, c0 : c0 + b - 2]
-            value = term if value is None else value + term
-        codes += (value >= center).astype(np.int64) << bit
-    return codes
+        if len(taps) == 1:
+            ro, co, _ = taps[0]
+            np.greater_equal(u8[at(ro, co)], u8[center], out=hit)
+        else:
+            np.multiply(taps[0][2], f64[at(*taps[0][:2])], out=value)
+            for ro, co, w in taps[1:]:
+                np.add(value, np.multiply(w, f64[at(ro, co)], out=term), out=value)
+            np.greater_equal(value, f64[center], out=hit)
+        np.left_shift(bits, bit, out=bits)
+        np.bitwise_or(out, bits, out=out)
 
 
 class _PlaneCodeMaps:
-    """Per-voxel pattern codes of one video volume, all three slice sets.
+    """Per-voxel uint8 pattern codes of a (t, h, w) uint8 volume, all three slice sets.
 
-    Sliding windows only re-histogram slices of these maps: a window's
-    interior voxels sample temporal neighbors that stay inside the window,
-    so per-window recomputation would produce the very same codes.
+    Layouts: `xy` (t, h-2, w-2) has one row per frame; row i of `xt`
+    (t-2, h, w-2) and `yt` (t-2, h-2, w) holds the time-by-x codes of every
+    image row and the time-by-y codes of every image column, centered on frame
+    i + 1.  Sliding windows only re-histogram rows of these maps: a window's
+    interior voxels sample temporal neighbors that stay inside the window.
     """
 
-    def __init__(self, vol: np.ndarray):
-        t, h, w = vol.shape
+    def __init__(self, frames: np.ndarray):
+        t, h, w = frames.shape
         if t < 3:
-            raise DegenerateWindowError(
-                f"{t} frames cannot support temporal planes"
-            )
-        self.shape = (t, h, w)
-        self.xy = _codes(vol)  # (t, h-2, w-2)
-        self.xt = _codes(vol.transpose(1, 0, 2))  # (h, t-2, w-2)
-        self.yt = _codes(vol.transpose(2, 0, 1))  # (w, t-2, h-2)
+            raise DegenerateWindowError(f"{t} frames cannot support temporal planes")
+        if h < 3 or w < 3:
+            raise DegenerateWindowError(f"plane of {h}x{w} has no interior pixels")
+        self.xy = np.zeros((t, h - 2, w - 2), np.uint8)
+        self.xt = np.zeros((t - 2, h, w - 2), np.uint8)
+        self.yt = np.zeros((t - 2, h - 2, w), np.uint8)
+        self.step = step = max(1, _CHUNK_BYTES // (8 * h * w))
+        chunk = np.empty((step + 2, h, w))  # float64 copy with a 2-frame halo
+        scratch = (np.empty(step * h * w), np.empty(step * h * w), np.empty(step * h * w, bool))
+        for t0 in range(0, t, step):
+            t1 = min(t0 + step, t)
+            u8 = frames[t0 : min(t1 + 2, t)]
+            f64 = chunk[: len(u8)]
+            f64[...] = u8
+            _plane_codes(self.xy[t0:t1], u8[: t1 - t0], f64[: t1 - t0], 1, 2, scratch)
+            if t0 < t - 2:
+                _plane_codes(self.xt[t0:t1], u8, f64, 0, 2, scratch)
+                _plane_codes(self.yt[t0:t1], u8, f64, 0, 1, scratch)
 
 
-def _block_ids(coords: np.ndarray, extent: int, blocks: int) -> np.ndarray:
-    return (coords * blocks) // extent
-
-
-def _window_counts(maps: _PlaneCodeMaps, window: SegmentWindow, xy_frames: str, grid) -> np.ndarray:
-    """Raw per-(block, plane) bin counts for one window."""
-    t_total, h, w = maps.shape
-    gy, gx = grid
-    n_blocks = gy * gx
-    s, k = window.start, window.length
-    if k < 3:
-        raise DegenerateWindowError("window shorter than 3 frames")
-    if s < 0 or s + k > t_total:
-        raise ValueError(f"window {window} outside {t_total} frames")
-
-    counts = np.zeros(n_blocks * N_PLANES * PLANE_BINS, dtype=np.int64)
-    y_block = _block_ids(np.arange(1, h - 1), h, gy)
-    x_block = _block_ids(np.arange(1, w - 1), w, gx)
-    y_block_full = _block_ids(np.arange(h), h, gy)
-    x_block_full = _block_ids(np.arange(w), w, gx)
-
-    def accumulate(codes, block, plane):
-        idx = (block * N_PLANES + plane) * PLANE_BINS + UNIFORM_LUT[codes]
-        counts[:] += np.bincount(idx.ravel(), minlength=counts.size)
-
-    if xy_frames == "center":
-        xy = maps.xy[s + k // 2][None]
-    else:
-        xy = maps.xy[s : s + k]
-    accumulate(xy, (y_block[:, None] * gx + x_block[None, :])[None], 0)
-
-    # the window's interior voxels occupy rows [s, s+k-2) of the temporal
-    # code volumes
-    xt = maps.xt[:, s : s + k - 2, :]  # (h, k-2, w-2)
-    accumulate(xt, y_block_full[:, None, None] * gx + x_block[None, None, :], 1)
-
-    yt = maps.yt[:, s : s + k - 2, :]  # (w, k-2, h-2)
-    accumulate(yt, y_block[None, None, :] * gx + x_block_full[:, None, None], 2)
-
-    return counts.reshape(n_blocks, N_PLANES, PLANE_BINS)
+def _prefix_counts(codes: np.ndarray, block: np.ndarray, n_blocks: int, step: int) -> np.ndarray:
+    """Running per-row (block, bin) counts of a code map: rows [lo, hi) count
+    `out[hi] - out[lo]`."""
+    rows, width = codes.shape[0], n_blocks * PLANE_BINS
+    out = np.zeros((rows + 1, width), np.int64)
+    for r0 in range(0, rows, step):
+        idx = UNIFORM_LUT[codes[r0 : r0 + step]]
+        n = len(idx)
+        idx += block * PLANE_BINS + (np.arange(n) * width)[:, None, None]
+        out[r0 + 1 : r0 + 1 + n] = np.bincount(idx.ravel(), minlength=n * width).reshape(n, width)
+    return np.cumsum(out, axis=0, out=out)
 
 
 def _normalize_counts(counts: np.ndarray) -> np.ndarray:
@@ -350,15 +342,12 @@ def lbp_top(
     histogram is normalized to sum 1 per spatial block, then blocks are
     concatenated row-major as [XY | XT | YT] chunks of 59 bins.
     """
-    if xy_frames not in ("all", "center"):
-        raise ValueError("xy_frames must be 'all' or 'center'")
     if window.stop > len(seq):
         raise ValueError(f"window {window} outside sequence of {len(seq)} frames")
-    vol = seq.frames[window.start : window.stop].astype(np.float64)
-    maps = _PlaneCodeMaps(vol)
+    frames = seq.frames[window.start : window.stop]
+    part = FrameSequence(frames, seq.fps, seq.subject_id, seq.video_id)
     local = SegmentWindow(0, window.length, window.stride)
-    counts = _window_counts(maps, local, xy_frames, grid)
-    return LbpTopHistogram(_normalize_counts(counts))
+    return lbp_top_many(part, [local], xy_frames=xy_frames, grid=grid)[0]
 
 
 def lbp_top_many(
@@ -368,13 +357,33 @@ def lbp_top_many(
     xy_frames: str = "all",
     grid=(1, 1),
 ) -> list[LbpTopHistogram]:
-    """Histograms for many windows of one video, sharing one code pass."""
+    """Histograms for many windows of one video, sharing one code pass; each
+    window's counts are a difference of two prefix-sum rows per plane."""
     if xy_frames not in ("all", "center"):
         raise ValueError("xy_frames must be 'all' or 'center'")
-    maps = _PlaneCodeMaps(seq.frames.astype(np.float64))
+    maps = _PlaneCodeMaps(seq.frames)
+    t, h, w = seq.frames.shape
+    gy, gx = grid
+    n_blocks = gy * gx
+    ys = (np.arange(h) * gy // h)[:, None] * gx  # block of each pixel, row-major
+    xs = np.arange(w) * gx // w
+    prefix = (
+        _prefix_counts(maps.xy, ys[1:-1] + xs[1:-1], n_blocks, maps.step),
+        _prefix_counts(maps.xt, ys + xs[1:-1], n_blocks, maps.step),
+        _prefix_counts(maps.yt, ys[1:-1] + xs, n_blocks, maps.step),
+    )
     out = []
     for window in windows:
-        counts = _window_counts(maps, window, xy_frames, grid)
+        s, k = window.start, window.length
+        if k < 3:
+            raise DegenerateWindowError("window shorter than 3 frames")
+        if s + k > t:
+            raise ValueError(f"window {window} outside {t} frames")
+        # the window's interior voxels occupy rows [s, s+k-2) of XT and YT
+        xy = (s + k // 2, s + k // 2 + 1) if xy_frames == "center" else (s, s + k)
+        spans = (xy, (s, s + k - 2), (s, s + k - 2))
+        counts = np.stack([p[hi] - p[lo] for p, (lo, hi) in zip(prefix, spans)])
+        counts = counts.reshape(N_PLANES, n_blocks, PLANE_BINS).transpose(1, 0, 2)
         out.append(LbpTopHistogram(_normalize_counts(counts)))
     return out
 
@@ -436,6 +445,8 @@ def read_pgm(path) -> np.ndarray:
         raise ParseError(path, 1, "non-integer PGM header fields") from None
     if maxval > 255 or maxval < 1:
         raise ParseError(path, 1, f"unsupported maxval {maxval}")
+    if width < 1 or height < 1:
+        raise ParseError(path, 1, f"bad PGM size {width}x{height}")
     i += 1  # single whitespace byte after maxval
     raster = data[i : i + width * height]
     if len(raster) != width * height:
@@ -474,11 +485,12 @@ def load_frame_archive(directory) -> FrameSequence:
             1,
             f"manifest says {manifest['frame_count']} frames, found {len(paths)}",
         )
-    frames = np.stack([read_pgm(p) for p in paths])
-    if frames.shape[1:] != (manifest["height"], manifest["width"]):
-        raise ParseError(manifest_path, 1, "frame size disagrees with manifest")
+    frames = [read_pgm(p) for p in paths]
+    for path, frame in zip(paths, frames):
+        if frame.shape != (manifest["height"], manifest["width"]):
+            raise ParseError(path, 1, "frame size disagrees with manifest")
     return FrameSequence(
-        frames=frames,
+        frames=np.stack(frames),
         fps=float(manifest["fps"]),
         subject_id=str(manifest["subject_id"]),
         video_id=str(manifest["video_id"]),

@@ -236,6 +236,8 @@ class TrainConfig:
             raise ValueError("batch size must be at least 1")
         if self.clip_norm <= 0:
             raise ValueError("clip norm must be positive")
+        if not (self.scale_labels is None or isinstance(self.scale_labels, bool)):
+            raise ValueError(f"scale_labels must be true, false or null, not {self.scale_labels!r}")
 
 
 # ---------------------------------------------------------------------------

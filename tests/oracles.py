@@ -26,25 +26,29 @@ _OFFSETS = [
 ]
 
 
-def _neighbor_value(plane, r, c, dy, dx):
-    """plane[r + dy][c + dx] by bilinear interpolation.
+def _taps(dx, dy):
+    """Bilinear (row offset, column offset, weight) corners of a neighbor.
 
     Weights come from the offset's fractional parts; zero-weight corners are
-    skipped and the rest are added in row-major corner order.
+    dropped and the rest keep row-major corner order.
     """
     y0, x0 = math.floor(dy), math.floor(dx)
     fy, fx = dy - y0, dx - x0
     corners = (
-        (r + y0, c + x0, (1.0 - fy) * (1.0 - fx)),
-        (r + y0, c + x0 + 1, (1.0 - fy) * fx),
-        (r + y0 + 1, c + x0, fy * (1.0 - fx)),
-        (r + y0 + 1, c + x0 + 1, fy * fx),
+        (y0, x0, (1.0 - fy) * (1.0 - fx)),
+        (y0, x0 + 1, (1.0 - fy) * fx),
+        (y0 + 1, x0, fy * (1.0 - fx)),
+        (y0 + 1, x0 + 1, fy * fx),
     )
+    return [(ro, co, w) for ro, co, w in corners if w != 0.0]
+
+
+def _neighbor_value(plane, r, c, dy, dx):
+    """plane[r + dy][c + dx] by bilinear interpolation, corners summed in order."""
     value = None
-    for rr, cc, w in corners:
-        if w != 0.0:
-            term = w * plane[rr][cc]
-            value = term if value is None else value + term
+    for ro, co, w in _taps(dx, dy):
+        term = w * plane[r + ro][c + co]
+        value = term if value is None else value + term
     return value
 
 
@@ -124,6 +128,40 @@ def naive_lbp_top(vol, xy_frames="all", grid=(1, 1)):
             total = sum(plane_counts)
             out.extend(c / total for c in plane_counts)
     return np.asarray(out)
+
+
+def _reference_codes(planes):
+    """Pattern codes of all interior positions of stacked 2-D planes.
+
+    `planes` is float64 of shape (..., a, b), axis -2 the circle's vertical
+    axis.  Returns int64 codes of shape (..., a-2, b-2).
+    """
+    a, b = planes.shape[-2], planes.shape[-1]
+    center = planes[..., 1 : a - 1, 1 : b - 1]
+    codes = np.zeros(center.shape, dtype=np.int64)
+    for bit, (dx, dy) in enumerate(_OFFSETS):
+        value = None
+        for ro, co, w in _taps(dx, dy):
+            r0, c0 = 1 + ro, 1 + co
+            term = w * planes[..., r0 : r0 + a - 2, c0 : c0 + b - 2]
+            value = term if value is None else value + term
+        codes += (value >= center).astype(np.int64) << bit
+    return codes
+
+
+def reference_plane_codes(frames):
+    """Whole-volume code maps of a (t, h, w) video, one plane set at a time.
+
+    The vectorised form that the chunked uint8 maps replaced: a float64
+    copy of the volume, with the XT and YT planes read through transposes.
+    Returns int64 maps laid out as the library's: xy (t, h-2, w-2),
+    xt (t-2, h, w-2) and yt (t-2, h-2, w).
+    """
+    vol = np.asarray(frames, dtype=np.float64)
+    xy = _reference_codes(vol)
+    xt = _reference_codes(vol.transpose(1, 0, 2))  # (h, t-2, w-2)
+    yt = _reference_codes(vol.transpose(2, 0, 1))  # (w, t-2, h-2)
+    return xy, xt.transpose(1, 0, 2), yt.transpose(1, 2, 0)
 
 
 # --- agreement and correlation ----------------------------------------------

@@ -158,6 +158,14 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert "Traceback" not in err and message in err
 
+    @pytest.mark.parametrize("value", ["false", 0, 1, None, [True]])
+    def test_bool_setting_takes_only_a_json_boolean(self, tmp_path, value):
+        path = write_config(tmp_path / "c.json", ridge={"fit_intercept": value})
+        with pytest.raises(ConfigError, match="config ridge.fit_intercept has a bad value"):
+            RunConfig.from_file(path)
+        path = write_config(tmp_path / "c.json", ridge={"fit_intercept": False})
+        assert RunConfig.from_file(path).ridge["fit_intercept"] is False
+
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{not json")
@@ -942,6 +950,24 @@ class TestProcess:
         code = run_cli("train", "--config", str(config), "--out", str(tmp_path / "t.csv"))
         assert code == 3
         assert str(dataset / "index.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["no", 1, 0.0, [True]])
+    def test_bad_scale_labels_exits_2_before_writing_a_model(
+        self, split_root, tmp_path, capsys, value
+    ):
+        model = tmp_path / "m.bin"
+        config = write_config(
+            tmp_path / "c.json",
+            hidden=[4],
+            train={"epochs": 1, "scale_labels": value},
+            dataset=str(split_root / "train"),
+            model_path=str(model),
+        )
+        code = run_cli("train", "--config", str(config), "--out", str(tmp_path / "t.csv"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "scale_labels must be true, false or null" in err
+        assert not model.exists()
 
     @pytest.mark.parametrize("command", ["predict", "localize"])
     def test_non_finite_output_exits_4(self, split_root, tmp_path, capsys, command):

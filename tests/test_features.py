@@ -1,8 +1,13 @@
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from engage_mil import cli, features
 from engage_mil.errors import (
     DegenerateWindowError,
     ParseError,
@@ -28,7 +33,7 @@ from engage_mil.features import (
     subsample,
     write_pgm,
 )
-from oracles import lbp_code, naive_bin, naive_lbp_top
+from oracles import lbp_code, naive_bin, naive_lbp_top, reference_plane_codes
 
 
 def _random_seq(rng, t, h, w, fps=6.0, vid="v0", subj="s0"):
@@ -185,6 +190,41 @@ def test_lbp_top_histograms_are_distributions(seed):
     hist = lbp_top(seq, SegmentWindow(0, t))
     assert (hist.bins >= 0).all() and (hist.bins <= 1).all()
     np.testing.assert_allclose(hist.blocks().sum(axis=2), 1.0, atol=1e-12, rtol=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_chunked_code_maps_and_histograms_match_the_references(data):
+    """With chunks of 1-3 frames, the uint8 code maps equal the whole-volume
+    float64 reference, and every window's histogram equals the triple loop,
+    from `lbp_top_many` and `lbp_top` alike."""
+    grid = data.draw(st.sampled_from([(1, 1), (2, 3)]), label="grid")
+    t = data.draw(st.integers(3, 8), label="t")
+    h = data.draw(st.integers(3 if grid == (1, 1) else 4, 8), label="h")
+    w = data.draw(st.integers(3 if grid == (1, 1) else 6, 9), label="w")
+    top = data.draw(st.sampled_from([0, 1, 255]), label="top")  # 0: constant, all ties
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    frames = rng.integers(0, top + 1, size=(t, h, w), dtype=np.uint8)
+    if top == 0:
+        frames[...] = rng.integers(0, 256)
+    seq = FrameSequence(frames, 6.0, "s0", "v0")
+    length = data.draw(st.integers(3, t), label="length")
+    windows = segment(seq, length, data.draw(st.integers(1, 3), label="stride"))
+    windows.append(SegmentWindow(t - length, length))  # ends on the last frame
+    mode = data.draw(st.sampled_from(["all", "center"]), label="xy_frames")
+    chunk = data.draw(st.integers(1, 3), label="chunk frames")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(features, "_CHUNK_BYTES", chunk * 8 * h * w)
+        maps = features._PlaneCodeMaps(frames)
+        many = lbp_top_many(seq, windows, xy_frames=mode, grid=grid)
+        single = [lbp_top(seq, win, xy_frames=mode, grid=grid) for win in windows]
+    for got, want in zip((maps.xy, maps.xt, maps.yt), reference_plane_codes(frames)):
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, want)
+    for window, a, b in zip(windows, many, single):
+        want = naive_lbp_top(frames[window.start : window.stop], xy_frames=mode, grid=grid)
+        assert a.bins.tobytes() == want.tobytes() == b.bins.tobytes()
 
 
 # --- subsampling and windowing ----------------------------------------------
@@ -393,6 +433,76 @@ def test_pgm_reader_rejects_wide_maxval(tmp_path):
     path.write_bytes(b"P5\n2 2\n65535\n" + b"\x00" * 8)
     with pytest.raises(ParseError):
         read_pgm(path)
+
+
+@pytest.mark.parametrize("size", [b"-5 -5", b"0 4", b"4 0", b"-1 -25"])
+def test_pgm_reader_rejects_non_positive_size(tmp_path, size):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(25))
+    with pytest.raises(ParseError, match="bad PGM size"):
+        read_pgm(path)
+
+
+@pytest.fixture(scope="module")
+def pgm_archive(tmp_path_factory):
+    """One 6-frame 5x7 archive, its labels and an extract config."""
+    root = tmp_path_factory.mktemp("pgm_fuzz")
+    rng = np.random.default_rng(19)
+    frames = rng.integers(0, 256, size=(6, 5, 7), dtype=np.uint8)
+    save_frame_archive(FrameSequence(frames, 6.0, "s0", "v0"), root / "v0")
+    (root / "labels.csv").write_text("video_id,label\nv0,1\n")
+    config = root / "extract.json"
+    config.write_text(
+        json.dumps(
+            {
+                "feature": "lbptop",
+                "window": 3,
+                "stride": 1,
+                "m": 2,
+                "input": str(root),
+                "labels": str(root / "labels.csv"),
+            }
+        )
+    )
+    originals = {p: p.read_bytes() for p in sorted((root / "v0" / "frames").glob("*.pgm"))}
+    return root, config, originals
+
+
+def _damage_pgm(data, original: bytes) -> bytes:
+    how = data.draw(st.sampled_from(["truncate", "flip", "header"]))
+    if how == "truncate":
+        return original[: data.draw(st.integers(0, len(original) - 1))]
+    if how == "flip":
+        i = data.draw(st.integers(0, len(original) - 1))
+        return original[:i] + bytes([original[i] ^ data.draw(st.integers(1, 255))]) + original[i + 1 :]
+    fields = [b"P5", b"7", b"5", b"255"]
+    value = st.integers(-300, 300).map(lambda v: str(v).encode()) | st.binary(min_size=1, max_size=6)
+    fields[data.draw(st.integers(0, 3))] = data.draw(value)
+    return b"%s\n%s %s\n%s\n" % tuple(fields) + original[-35:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_damaged_pgm_frame_is_refused_or_loads(pgm_archive, data):
+    """Truncation, a flipped byte or an arbitrary header field in one frame:
+    the readers raise ParseError or return valid frames, and `extract`
+    exits 0 or 3 with no traceback."""
+    root, config, originals = pgm_archive
+    path = data.draw(st.sampled_from(sorted(originals)))
+    path.write_bytes(_damage_pgm(data, originals[path]))
+    try:
+        with contextlib.suppress(ParseError):
+            frame = read_pgm(path)
+            assert frame.dtype == np.uint8 and frame.ndim == 2 and min(frame.shape) >= 1
+        with contextlib.suppress(ParseError):
+            assert load_frame_archive(root / "v0").frames.shape == (6, 5, 7)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["extract", "--config", str(config), "--out", str(root / "out")])
+        assert code in (0, 3)
+        assert "Traceback" not in err.getvalue()
+    finally:
+        path.write_bytes(originals[path])
 
 
 def test_frame_archive_round_trip(tmp_path):
