@@ -18,10 +18,6 @@ import numpy as np
 from .bags import JSON_NUMBER, Dataset, InstanceLabeling, read_model, write_model
 from .errors import ConvergenceError, TrainingDivergedError
 
-# grid optima reported for the two cluster relabelings, kept as presets only
-SVR_PRESETS = {"kmeans-mode": (1.0, 1.0), "kmeans-mean": (1.0, 4.0)}
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     kind: str = "gaussian"

@@ -265,15 +265,7 @@ def _extract_one(task):
         hists = feats.lbp_top_many(sub, windows, xy_frames=xy_frames, grid=grid)
         vectors = np.stack([h.bins for h in hists])
         return seq.video_id, seq.subject_id, vectors
-    manifest_path = folder / "manifest.json"
-    note_read(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(manifest_path, 1, exc.msg) from None
-    for key in ("video_id", "subject_id", "fps"):
-        if key not in manifest:
-            raise ParseError(manifest_path, 1, f"missing manifest key {key!r}")
+    manifest = feats.load_manifest(folder, frames=False)
     track = feats.load_pose_gaze_csv(folder / "pose.csv")
     step = feats.sample_step(float(manifest["fps"]), target_fps)
     sub = track.every(step)

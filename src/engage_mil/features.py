@@ -12,12 +12,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .audit import note_read
+from .bags import JSON_NUMBER, check_fields
 from .errors import (
     DegenerateWindowError,
     ParseError,
@@ -464,27 +466,38 @@ def write_pgm(path, image: np.ndarray) -> None:
         fh.write(image.tobytes())
 
 
+def load_manifest(directory, frames: bool) -> dict:
+    """One video's manifest.json, checked: string ids, a positive `fps` and,
+    for a frame archive (`frames`), positive integer `width`, `height` and
+    `frame_count`."""
+    path = Path(directory) / "manifest.json"
+    note_read(path)
+    try:
+        manifest = json.loads(path.read_bytes())
+    except FileNotFoundError:
+        raise ParseError(path, 1, "missing manifest") from None
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; an overlong integer
+        raise ParseError(path, 1, f"bad manifest: {exc}") from None
+    spec = {"video_id": str, "subject_id": str, "fps": JSON_NUMBER}
+    if frames:
+        spec.update(width=int, height=int, frame_count=int)
+    check_fields(path, manifest, spec, "manifest")
+    for key, kind in spec.items():
+        if kind is not str and not 0 < manifest[key] <= sys.float_info.max:
+            raise ParseError(
+                path, 1, f"manifest {key!r} must be positive and finite: {manifest[key]!r}"
+            )
+    return manifest
+
+
 def load_frame_archive(directory) -> FrameSequence:
     """Read one video's manifest + numbered PGM frames."""
     directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    note_read(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except FileNotFoundError:
-        raise ParseError(manifest_path, 1, "missing manifest") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(manifest_path, exc.lineno, exc.msg) from None
-    for key in ("video_id", "subject_id", "fps", "width", "height", "frame_count"):
-        if key not in manifest:
-            raise ParseError(manifest_path, 1, f"manifest missing {key!r}")
+    manifest = load_manifest(directory, frames=True)
     paths = sorted((directory / "frames").glob("*.pgm"))
     if len(paths) != manifest["frame_count"]:
-        raise ParseError(
-            manifest_path,
-            1,
-            f"manifest says {manifest['frame_count']} frames, found {len(paths)}",
-        )
+        message = f"manifest says {manifest['frame_count']} frames, found {len(paths)}"
+        raise ParseError(directory / "manifest.json", 1, message)
     frames = [read_pgm(p) for p in paths]
     for path, frame in zip(paths, frames):
         if frame.shape != (manifest["height"], manifest["width"]):
@@ -492,8 +505,8 @@ def load_frame_archive(directory) -> FrameSequence:
     return FrameSequence(
         frames=np.stack(frames),
         fps=float(manifest["fps"]),
-        subject_id=str(manifest["subject_id"]),
-        video_id=str(manifest["video_id"]),
+        subject_id=manifest["subject_id"],
+        video_id=manifest["video_id"],
     )
 
 

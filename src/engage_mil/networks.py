@@ -77,56 +77,34 @@ class DenseLayer:
         return self.weights.shape[0]
 
 
-_GATES = ("input", "forget", "output", "candidate")
-
-
 @dataclass
 class LstmLayer:
-    """Single LSTM layer; each gate maps the concatenated [x_t, h_{t-1}]."""
+    """Single LSTM layer: the input, forget, output and candidate gates as
+    one stacked (4H, in_dim + H) weight, each gate a row block mapping the
+    concatenated [x_t, h_{t-1}], and a (4H,) bias."""
 
-    w_input: np.ndarray
-    b_input: np.ndarray
-    w_forget: np.ndarray
-    b_forget: np.ndarray
-    w_output: np.ndarray
-    b_output: np.ndarray
-    w_candidate: np.ndarray
-    b_candidate: np.ndarray
+    weights: np.ndarray  # (4H, in_dim + H)
+    bias: np.ndarray  # (4H,)
 
     def __post_init__(self):
-        for gate in _GATES:
-            w = np.asarray(getattr(self, f"w_{gate}"), dtype=np.float64)
-            b = np.asarray(getattr(self, f"b_{gate}"), dtype=np.float64)
-            setattr(self, f"w_{gate}", w)
-            setattr(self, f"b_{gate}", b)
-        shapes_w = {getattr(self, f"w_{gate}").shape for gate in _GATES}
-        shapes_b = {getattr(self, f"b_{gate}").shape for gate in _GATES}
-        if len(shapes_w) != 1 or len(shapes_b) != 1:
-            raise ValueError("all four gates must share parameter shapes")
-        h, total = self.w_input.shape
-        if self.b_input.shape != (h,) or total <= h:
-            raise ValueError("gate weights must be (H, in_dim + H)")
-        for gate in _GATES:
-            if not (
-                np.isfinite(getattr(self, f"w_{gate}")).all()
-                and np.isfinite(getattr(self, f"b_{gate}")).all()
-            ):
-                raise ValueError("gate parameters must be finite")
+        self.weights = np.asarray(self.weights, dtype=np.float64)
+        self.bias = np.asarray(self.bias, dtype=np.float64)
+        rows, cols = self.weights.shape if self.weights.ndim == 2 else (0, 0)
+        if rows % 4 or not 0 < rows // 4 < cols or self.bias.shape != (rows,):
+            raise ValueError(
+                "LSTM parameters must be a stacked (4H, D+H) gate weight with D >= 1 and a "
+                f"(4H,) bias, not {self.weights.shape} and {self.bias.shape}"
+            )
+        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
+            raise ValueError("gate parameters must be finite")
 
     @property
     def hidden(self):
-        return self.w_input.shape[0]
+        return self.weights.shape[0] // 4
 
     @property
     def in_dim(self):
-        return self.w_input.shape[1] - self.hidden
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """The gates as one (4H, in_dim + H) weight and (4H,) bias, in _GATES order."""
-        return (
-            np.concatenate([getattr(self, f"w_{gate}") for gate in _GATES]),
-            np.concatenate([getattr(self, f"b_{gate}") for gate in _GATES]),
-        )
+        return self.weights.shape[1] - self.hidden
 
 
 class _NetServing:
@@ -210,9 +188,7 @@ class SeqNet(_NetServing):
             )
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for gate in _GATES:
-            out.extend((getattr(self.lstm, f"w_{gate}"), getattr(self.lstm, f"b_{gate}")))
+        out = [self.lstm.weights, self.lstm.bias]
         for layer in self.dense:
             out.extend((layer.weights, layer.bias))
         return out
@@ -282,11 +258,9 @@ def build_seq_net(
 ) -> SeqNet:
     rng = np.random.default_rng(seed)
     gate_in = in_dim + hidden
-    gates = {}
-    for gate in _GATES:
-        gates[f"w_{gate}"] = _uniform(rng, (hidden, gate_in), gate_in)
-        gates[f"b_{gate}"] = _uniform(rng, (hidden,), gate_in)
-    lstm = LstmLayer(**gates)
+    # drawn gate by gate, weight then bias, then stacked: this order fixes the net a seed gives
+    draws = [_uniform(rng, s, gate_in) for _ in range(4) for s in ((hidden, gate_in), (hidden,))]
+    lstm = LstmLayer(np.concatenate(draws[::2]), np.concatenate(draws[1::2]))
     sizes = [m * hidden, *dense, m]
     head = []
     for d_in, d_out in zip(sizes, sizes[1:]):
@@ -348,10 +322,10 @@ def _dense_stack_backward(layers, caches, d_out, grads_out):
 def _seq_forward(net: SeqNet, x: np.ndarray):
     """LSTM recurrence + dense head for a (B, M, D) batch.
 
-    The four gates act as one stacked (4H, D+H) weight: its input part maps
-    every timestep before the loop, its recurrent part is one matmul per
-    step.  The recurrence runs feature-major, (features, B), so each gate is
-    a contiguous row block.  The cache holds, time-major, zcat (M+1, D+H, B)
+    The stacked (4H, D+H) gate weight's input part maps every timestep
+    before the loop, its recurrent part is one matmul per step.  The
+    recurrence runs feature-major, (features, B), so each gate is a
+    contiguous row block.  The cache holds, time-major, zcat (M+1, D+H, B)
     with zcat[t] = [x_t; h_{t-1}] (h_{-1} = 0, and zcat[M] holds h_{M-1}),
     the gate activations (M, 4H, B), the cell states (M+1, H, B) after a
     zero initial state, and tanh(c_t) (M, H, B).
@@ -360,10 +334,10 @@ def _seq_forward(net: SeqNet, x: np.ndarray):
     if m != net.m:
         raise ValueError(f"expected {net.m} segments, got {m}")
     h_dim = net.lstm.hidden
-    w, bias = net.lstm.stacked()
+    w = net.lstm.weights
     zcat = np.zeros((m + 1, d + h_dim, b))
     zcat[:m, :d] = x.transpose(1, 2, 0)
-    zx = np.matmul(w[:, :d], zcat[:m, :d]) + bias[:, None]
+    zx = np.matmul(w[:, :d], zcat[:m, :d]) + net.lstm.bias[:, None]
     w_h = np.ascontiguousarray(w[:, d:])
     gates = np.empty((m, 4 * h_dim, b))
     cs = np.zeros((m + 1, h_dim, b))
@@ -445,7 +419,7 @@ def _seq_batch_grads(net: SeqNet, x: np.ndarray, y: np.ndarray):
     d_flat = _dense_stack_backward(net.dense, dense_caches, d_out, head_grads)
     d_hs = np.ascontiguousarray(d_flat.reshape(b, m, h_dim).transpose(1, 2, 0))
 
-    w_h_t = net.lstm.stacked()[0][:, d:].T.copy()
+    w_h_t = net.lstm.weights[:, d:].T.copy()
     sig = 3 * h_dim
     dz = np.empty((m, 4 * h_dim, b))  # d(loss)/d(gate pre-activation)
     dh_next = np.zeros((h_dim, b))
@@ -466,12 +440,7 @@ def _seq_batch_grads(net: SeqNet, x: np.ndarray, y: np.ndarray):
         dc_next = dc * gf
     inputs = zcat[:m].transpose(0, 2, 1).reshape(m * b, d + h_dim)
     gw = dz.transpose(1, 0, 2).reshape(4 * h_dim, m * b) @ inputs
-    gb = dz.sum(axis=(0, 2))
-    grads = []
-    for k in range(4):  # row slices in _GATES order, as parameters() lists them
-        rows = slice(k * h_dim, (k + 1) * h_dim)
-        grads.extend((gw[rows], gb[rows]))
-    grads.extend(g for pair in head_grads for g in pair)
+    grads = [gw, dz.sum(axis=(0, 2)), *(g for pair in head_grads for g in pair)]
     return float(losses.mean()), grads, scores
 
 
@@ -574,10 +543,11 @@ def save_net(net, path, meta: dict | None = None) -> None:
 
 
 def _net_from_file(kind: str, fields: dict, arrays: list):
-    n_lstm = 2 * len(_GATES) if kind == "seq" else 0
+    n_lstm = 2 if kind == "seq" else 0
     activations = fields["activations"]
     if len(arrays) != n_lstm + 2 * len(activations):
-        raise ValueError(f"{len(arrays)} arrays do not fit {len(activations)} dense layers")
+        lstm = "a stacked (4H, D+H) LSTM weight and (4H,) bias, then " if n_lstm else ""
+        raise ValueError(f"{len(arrays)} arrays do not fit {lstm}{len(activations)} dense layers")
     layers = [
         DenseLayer(w, b, activation)
         for w, b, activation in zip(arrays[n_lstm::2], arrays[n_lstm + 1 :: 2], activations)

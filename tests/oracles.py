@@ -343,6 +343,16 @@ def ridge_mean_at(x, y, alpha, beta, fit_intercept=True):
 _GATES = ("input", "forget", "output", "candidate")
 
 
+def _gate_blocks(lstm):
+    """{gate: (weight, bias)}: the four row blocks of the stacked LSTM
+    parameters, in _GATES order."""
+    h_dim = lstm.hidden
+    return {
+        gate: (lstm.weights[k * h_dim : (k + 1) * h_dim], lstm.bias[k * h_dim : (k + 1) * h_dim])
+        for k, gate in enumerate(_GATES)
+    }
+
+
 def masked_sigmoid(z):
     """Logistic function by boolean masks: 1/(1+e^-z) where z >= 0, else e^z/(1+e^z)."""
     out = np.empty_like(z)
@@ -370,18 +380,18 @@ def reference_seq_forward(net, x):
     Returns (scores, hs, states, head_caches) with hs of shape (B, M, H).
     """
     b, m, _ = x.shape
-    lstm = net.lstm
-    h_dim = lstm.hidden
+    h_dim = net.lstm.hidden
+    (wi, bi), (wf, bf), (wo, bo), (wc, bc) = _gate_blocks(net.lstm).values()
     h = np.zeros((b, h_dim))
     c = np.zeros((b, h_dim))
     states = []
     hs = np.empty((b, m, h_dim))
     for t in range(m):
         zcat = np.concatenate([x[:, t, :], h], axis=1)
-        gi = masked_sigmoid(zcat @ lstm.w_input.T + lstm.b_input)
-        gf = masked_sigmoid(zcat @ lstm.w_forget.T + lstm.b_forget)
-        go = masked_sigmoid(zcat @ lstm.w_output.T + lstm.b_output)
-        gc = np.tanh(zcat @ lstm.w_candidate.T + lstm.b_candidate)
+        gi = masked_sigmoid(zcat @ wi.T + bi)
+        gf = masked_sigmoid(zcat @ wf.T + bf)
+        go = masked_sigmoid(zcat @ wo.T + bo)
+        gc = np.tanh(zcat @ wc.T + bc)
         c_prev = c
         c = gf * c_prev + gi * gc
         tanh_c = np.tanh(c)
@@ -396,8 +406,8 @@ def reference_seq_grads(net, x, y):
     """Mean squared-error loss over a (B, M, D) batch and its gradients in
     net.parameters() order, by per-gate backprop through time."""
     b, m, _ = x.shape
-    lstm = net.lstm
-    h_dim = lstm.hidden
+    h_dim = net.lstm.hidden
+    blocks = _gate_blocks(net.lstm)
     scores, _, states, head_caches = reference_seq_forward(net, x)
     d_scores = 2.0 * (scores - y) / b
     m_out = net.dense[-1].out_dim
@@ -409,8 +419,8 @@ def reference_seq_grads(net, x, y):
         dh = dz @ layer.weights
     d_hs = dh.reshape(b, m, h_dim)
 
-    gw = {gate: np.zeros_like(getattr(lstm, f"w_{gate}")) for gate in _GATES}
-    gb = {gate: np.zeros_like(getattr(lstm, f"b_{gate}")) for gate in _GATES}
+    gw = {gate: np.zeros_like(w) for gate, (w, _) in blocks.items()}
+    gb = {gate: np.zeros_like(bias) for gate, (_, bias) in blocks.items()}
     dh_next = np.zeros((b, h_dim))
     dc_next = np.zeros((b, h_dim))
     for t in range(m - 1, -1, -1):
@@ -431,12 +441,10 @@ def reference_seq_grads(net, x, y):
         for gate in _GATES:
             gw[gate] += dz[gate].T @ zcat
             gb[gate] += dz[gate].sum(axis=0)
-            d_zcat += dz[gate] @ getattr(lstm, f"w_{gate}")
+            d_zcat += dz[gate] @ blocks[gate][0]
         dh_next = d_zcat[:, -h_dim:]
         dc_next = dc * gf
-    grads = []
-    for gate in _GATES:
-        grads.extend((gw[gate], gb[gate]))
+    grads = [np.concatenate([gw[g] for g in _GATES]), np.concatenate([gb[g] for g in _GATES])]
     return float(((scores - y) ** 2).mean()), grads + head_grads
 
 

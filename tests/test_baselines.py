@@ -622,6 +622,3 @@ def test_grid_search_is_deterministic():
     assert (first.c, first.sigma) == (second.c, second.sigma)
     assert isinstance(first, GridSearchResult)
 
-
-def test_recorded_presets_for_cluster_relabelings():
-    assert baselines.SVR_PRESETS == {"kmeans-mode": (1.0, 1.0), "kmeans-mean": (1.0, 4.0)}

@@ -30,7 +30,7 @@ from engage_mil.features import (
     save_frame_archive,
     save_pose_gaze_csv,
 )
-from engage_mil.networks import build_mil_net, save_net
+from engage_mil.networks import build_mil_net, build_seq_net, save_net
 
 from oracles import model_file_bytes, split_model_file
 
@@ -391,6 +391,40 @@ class TestExtract:
         )
         for rel in sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file()):
             assert (parallel / rel).read_bytes() == (serial / rel).read_bytes(), rel
+
+    @pytest.mark.parametrize(
+        "feature,edit",
+        [
+            ("lbptop", {"frame_count": 0}),
+            ("lbptop", {"fps": 0}),
+            ("lbptop", {"fps": "x"}),
+            ("posegaze", {"fps": 0}),
+            ("posegaze", {"fps": "x"}),
+        ],
+    )
+    def test_bad_manifest_exits_3(self, frame_tree, pose_tree, tmp_path, capsys, feature, edit):
+        """A manifest fault is a data error naming manifest.json, for either
+        feature kind; frame_count 0 comes with an empty archive."""
+        source = frame_tree / "fvid0" if feature == "lbptop" else pose_tree / "vid00"
+        root = tmp_path / "raw"
+        video = root / source.name
+        shutil.copytree(source, video)
+        manifest = json.loads((video / "manifest.json").read_text())
+        (video / "manifest.json").write_text(json.dumps({**manifest, **edit}))
+        if edit.get("frame_count") == 0:
+            shutil.rmtree(video / "frames")
+        (root / "labels.csv").write_text(f"video_id,label\n{manifest['video_id']},1\n")
+        config = write_config(
+            tmp_path / "c.json",
+            feature=feature,
+            m=5,
+            input=str(root),
+            labels=str(root / "labels.csv"),
+        )
+        code = run_cli("extract", "--config", str(config), "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err and "manifest.json" in err
 
     def test_empty_input_dir_exits_3(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
@@ -862,15 +896,24 @@ class TestProcess:
         err = capsys.readouterr().err
         assert "Traceback" not in err and str(model) in err and match in err
 
-    @pytest.mark.parametrize("case", ["json-list", "linear-no-weights", "bad-meta", "huge-net"])
+    @pytest.mark.parametrize(
+        "case", ["json-list", "linear-no-weights", "bad-meta", "huge-net", "eight-gate-seq"]
+    )
     def test_malformed_model_file_exits_3(self, split_root, tmp_path, capsys, case):
-        """Files in the retired JSON format, and container files whose meta
-        is not an object or whose shapes outgrow the payload."""
+        """Files in the retired JSON format, seq files in the retired layout
+        of eight per-gate LSTM arrays, and container files whose meta is not
+        an object or whose shapes outgrow the payload."""
         model = tmp_path / "model.bin"
         if case == "json-list":
             model.write_text("[1, 2]")
         elif case == "linear-no-weights":
             model.write_text('{"kind": "linear"}')
+        elif case == "eight-gate-seq":
+            net = build_seq_net(5, m=6, hidden=2, dense=(4, 3))
+            w, b = net.lstm.weights, net.lstm.bias
+            gates = [part for k in range(0, 8, 2) for part in (w[k : k + 2], b[k : k + 2])]
+            fields = {"activations": ["sigmoid"] * 3, "label_scaling": True, "m": 6}
+            bags.write_model(model, "seq", fields, gates + net.parameters()[2:])
         else:
             save_net(build_mil_net(5, hidden=(4,), seed=0), model)
             header, payload = split_model_file(model.read_bytes())
@@ -886,7 +929,11 @@ class TestProcess:
         assert code == 3
         err = capsys.readouterr().err
         assert "Traceback" not in err and "model.bin" in err
-        want = {"bad-meta": "bad 'meta'", "huge-net": "payload size mismatch"}
+        want = {
+            "bad-meta": "bad 'meta'",
+            "huge-net": "payload size mismatch",
+            "eight-gate-seq": "14 arrays do not fit a stacked (4H, D+H) LSTM weight",
+        }
         assert want.get(case, "not a supported model file") in err
 
     def test_planted_truth_shorter_than_the_bags_exits_3(

@@ -620,6 +620,20 @@ def _set(key, value, match):
         _set("fields.activations", ["relu"], "4 arrays do not fit 1 dense layers"),
         _set("shapes", [[4, -3], [4], [1, 4], [1]], "bad shape"),
         _set("fields.activations", ["relu", "tanh"], "unknown activation"),
+        # the same 21 values as a seq net (D=1, H=1, m=1, head 2-1) whose
+        # stacked (4, 2) gate weight is written as (2, 4)
+        pytest.param(
+            lambda header: (
+                {
+                    "kind": "seq",
+                    "fields": {"activations": ["sigmoid"] * 3, "label_scaling": True, "m": 1},
+                    "meta": {},
+                    "shapes": [[2, 4], [4], [2, 1], [2], [1, 2], [1], [1, 1], [1]],
+                },
+                r"\(4H, D\+H\) gate weight .* not \(2, 4\) and \(4,\)",
+            ),
+            id="seq-gate-shape",
+        ),
     ],
 )
 def test_load_net_rejects_a_bad_header(tmp_path, edit):
@@ -639,7 +653,7 @@ def test_load_net_rejects_a_bad_header(tmp_path, edit):
                 "kind": "seq",
                 "fields": {"activations": [], "label_scaling": True, "m": 1},
                 "meta": {},
-                "shapes": [[10**7, 2 * 10**7], [10**7]] * 4,
+                "shapes": [[4 * 10**7, 2 * 10**7], [4 * 10**7]],
             },
             "payload size mismatch",
         ),
@@ -673,17 +687,12 @@ def test_net_construction_validation():
         )
     with pytest.raises(ValueError, match="activation"):
         DenseLayer(np.zeros((2, 2)), np.zeros(2), "tanh")
-    with pytest.raises(ValueError, match="shapes"):
-        LstmLayer(
-            w_input=np.zeros((3, 7)),
-            b_input=np.zeros(3),
-            w_forget=np.zeros((3, 7)),
-            b_forget=np.zeros(3),
-            w_output=np.zeros((4, 7)),
-            b_output=np.zeros(4),
-            w_candidate=np.zeros((3, 7)),
-            b_candidate=np.zeros(3),
-        )
+    with pytest.raises(ValueError, match=r"not \(6, 7\) and \(6,\)"):
+        LstmLayer(np.zeros((6, 7)), np.zeros(6))
+    with pytest.raises(ValueError, match=r"not \(12, 7\) and \(3,\)"):
+        LstmLayer(np.zeros((12, 7)), np.zeros(3))
+    with pytest.raises(ValueError, match="finite"):
+        LstmLayer(np.full((12, 7), np.inf), np.zeros(12))
 
 
 def test_train_config_validation():
