@@ -681,11 +681,13 @@ def load_dataset(index_path) -> Dataset:
         index_path = index_path / "index.json"
     note_read(index_path)
     try:
-        index = json.loads(index_path.read_text())
+        index = json.loads(index_path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ParseError(index_path, 1, "missing dataset index") from None
     except json.JSONDecodeError as exc:
         raise ParseError(index_path, exc.lineno, exc.msg) from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8; nested too deep
+        raise ParseError(index_path, 1, f"bad index: {exc}") from None
     if not isinstance(index, list) or not index:
         raise ParseError(index_path, 1, "index must be a nonempty array")
     bags = []

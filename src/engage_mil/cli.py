@@ -225,8 +225,8 @@ def load_labels_csv(path) -> dict[str, int]:
     """Two-column video_id,label file mapping each video to its 0-3 level."""
     note_read(path)
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read labels {path}: {exc}") from None
     lines = text.splitlines()
     if not lines or lines[0].strip() != "video_id,label":
@@ -255,17 +255,27 @@ def load_labels_csv(path) -> dict[str, int]:
 # extract
 
 
+def _check_rate(folder: Path, fps: float, target_fps: float) -> None:
+    """A video recorded below the target rate is a fault of its manifest."""
+    if fps < target_fps:
+        raise ParseError(
+            folder / "manifest.json", 1, f"fps {fps} is below the target rate {target_fps}"
+        )
+
+
 def _extract_one(task):
     directory, kind, window, stride, target_fps, grid, xy_frames = task
     folder = Path(directory)
     if kind == "lbptop":
         seq = feats.load_frame_archive(folder)
+        _check_rate(folder, seq.fps, target_fps)
         sub = feats.subsample(seq, target_fps)
         windows = feats.segment(len(sub), window, stride)
         hists = feats.lbp_top_many(sub, windows, xy_frames=xy_frames, grid=grid)
         vectors = np.stack([h.bins for h in hists])
         return seq.video_id, seq.subject_id, vectors
     manifest = feats.load_manifest(folder, frames=False)
+    _check_rate(folder, float(manifest["fps"]), target_fps)
     track = feats.load_pose_gaze_csv(folder / "pose.csv")
     step = feats.sample_step(float(manifest["fps"]), target_fps)
     sub = track.every(step)

@@ -10,6 +10,7 @@ standard deviations of head position, head rotation and mean eye gaze).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import sys
@@ -529,30 +530,88 @@ def save_frame_archive(seq: FrameSequence, directory) -> None:
         write_pgm(directory / "frames" / f"{i:0{digits}d}.pgm", frame)
 
 
-def load_pose_gaze_csv(path) -> PoseGazeTrack:
-    """Parse a per-frame pose/gaze CSV (OpenFace column naming)."""
-    note_read(path)
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+# str.splitlines also breaks at these; open(newline=""), and so csv, does not
+_OTHER_LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _text_lines(path) -> tuple[list[str], bool]:
+    """The file's lines, ends kept, split where open(newline="") splits them,
+    and whether the file is UTF-8.  A file that is not is decoded with
+    surrogateescape.  The bytes are dropped before the text is split, which
+    keeps the peak at about twice the file size."""
+    try:
+        text, clean = Path(path).read_bytes().decode("utf-8"), True
+    except UnicodeDecodeError:
+        text, clean = Path(path).read_bytes().decode("utf-8", "surrogateescape"), False
+    if any(c in text for c in _OTHER_LINE_BREAKS):
+        return io.StringIO(text, newline="").readlines(), clean
+    return text.splitlines(keepends=True), clean
+
+
+def _csv_records(path, reader, clean: bool):
+    """(line, cells) for each record of `reader`, the header being line 1.
+
+    A record the csv module refuses, or one holding a byte that was not
+    UTF-8 (decoded with surrogateescape when `clean` is false), is a
+    ParseError at its line.
+    """
+    line = 0
+    while True:
+        line += 1
         try:
-            header = [h.strip() for h in next(reader)]
+            cells = next(reader)
         except StopIteration:
-            raise ParseError(path, 1, "empty pose/gaze file") from None
-        missing = [c for c in POSE_GAZE_COLUMNS if c not in header]
-        if missing:
-            raise ParseError(path, 1, f"missing columns: {', '.join(missing)}")
-        index = {c: header.index(c) for c in POSE_GAZE_COLUMNS}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
+            return
+        except csv.Error as exc:
+            raise ParseError(path, line, f"malformed row: {exc}") from None
+        if not clean:
             try:
-                rows.append([float(row[index[c]]) for c in POSE_GAZE_COLUMNS[1:]])
-            except (ValueError, IndexError):
-                raise ParseError(path, lineno, "malformed row") from None
-    if not rows:
-        raise ParseError(path, 2, "no data rows")
-    arr = np.asarray(rows, dtype=np.float64)
+                ",".join(cells).encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(path, line, "not UTF-8") from None
+        yield line, cells
+
+
+def load_pose_gaze_csv(path) -> PoseGazeTrack:
+    """Parse a per-frame pose/gaze CSV (OpenFace column naming).
+
+    Columns are found by header name; extra columns are ignored and blank
+    rows skipped.  Every used cell must be a finite number.  NumPy's C
+    reader parses the data rows.  The row loop decides wherever that parse
+    could read the file differently, refuses it, finds no rows or finds a
+    non-finite value, so a fault is reported at its line.
+    """
+    note_read(path)
+    lines, clean = _text_lines(path)
+    reader = csv.reader(iter(lines))
+    records = _csv_records(path, reader, clean)
+    _, header = next(records, (1, None))
+    if header is None:
+        raise ParseError(path, 1, "empty pose/gaze file")
+    header = [h.strip() for h in header]
+    missing = [c for c in POSE_GAZE_COLUMNS if c not in header]
+    if missing:
+        raise ParseError(path, 1, f"missing columns: {', '.join(missing)}")
+    cols = [header.index(c) for c in POSE_GAZE_COLUMNS[1:]]
+    body = lines[reader.line_num :]
+    arr = None
+    # The C parse is taken only where it cannot disagree with the loop:
+    # UTF-8 text, no csv quoting, no line past the csv field limit, and at
+    # least one non-blank line (loadtxt warns on none).
+    if (
+        clean
+        and not any('"' in line for line in body)
+        and max(map(len, body), default=0) <= csv.field_size_limit()
+        and any(map(str.strip, body))
+    ):
+        try:
+            arr = np.loadtxt(
+                body, delimiter=",", usecols=cols, comments=None, quotechar=None, ndmin=2
+            )
+        except ValueError:
+            pass
+    if arr is None or not len(arr) or not np.isfinite(arr).all():
+        arr = np.asarray(_pose_rows(path, records, cols), dtype=np.float64)
     return PoseGazeTrack(
         head_position=arr[:, 0:3],
         head_rotation=arr[:, 3:6],
@@ -561,15 +620,31 @@ def load_pose_gaze_csv(path) -> PoseGazeTrack:
     )
 
 
+def _pose_rows(path, records, cols) -> list[list[float]]:
+    """The row loop: the values of each non-blank record, or a ParseError at
+    the first record with a missing, malformed or non-finite cell."""
+    rows = []
+    for line, cells in records:
+        if all(not cell.strip() for cell in cells):
+            continue
+        try:
+            values = [float(cells[i]) for i in cols]
+        except (ValueError, IndexError):
+            raise ParseError(path, line, "malformed row") from None
+        if not all(map(math.isfinite, values)):
+            raise ParseError(path, line, "non-finite value")
+        rows.append(values)
+    if not rows:
+        raise ParseError(path, 2, "no data rows")
+    return rows
+
+
 def save_pose_gaze_csv(track: PoseGazeTrack, path) -> None:
+    values = np.hstack(
+        [track.head_position, track.head_rotation, track.gaze_left, track.gaze_right]
+    ).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(POSE_GAZE_COLUMNS)
-        for i in range(len(track)):
-            writer.writerow(
-                [i]
-                + [repr(float(v)) for v in track.head_position[i]]
-                + [repr(float(v)) for v in track.head_rotation[i]]
-                + [repr(float(v)) for v in track.gaze_left[i]]
-                + [repr(float(v)) for v in track.gaze_right[i]]
-            )
+        # csv writes a float as str(), which is its shortest round-trip repr
+        writer.writerows([i, *row] for i, row in enumerate(values))

@@ -4,6 +4,7 @@ Everything here favors scalar loops and textbook formulations over speed so
 that a disagreement with the library code points at the library.
 """
 
+import csv
 import json
 import math
 import struct
@@ -527,3 +528,91 @@ def split_model_file(data: bytes) -> tuple[dict, bytes]:
     _, _, size = MODEL_PREFIX.unpack_from(data)
     end = MODEL_PREFIX.size + size
     return json.loads(data[MODEL_PREFIX.size : end]), data[end:]
+
+
+# --- pose/gaze CSV, read and written row by row -----------------------------
+
+POSE_GAZE_HEADER = (
+    "frame",
+    "pose_Tx",
+    "pose_Ty",
+    "pose_Tz",
+    "pose_Rx",
+    "pose_Ry",
+    "pose_Rz",
+    "gaze_0_x",
+    "gaze_0_y",
+    "gaze_0_z",
+    "gaze_1_x",
+    "gaze_1_y",
+    "gaze_1_z",
+)
+
+
+class RefusedAt(Exception):
+    """A reference reader's refusal of a file at a 1-based line."""
+
+    def __init__(self, line, message):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+        self.message = message
+
+
+def reference_pose_gaze_csv(path) -> np.ndarray:
+    """The (n, 12) values of a pose/gaze CSV, read one csv record at a time.
+
+    The reader's row loop before it parsed through NumPy, plus two rules: a
+    record holding a byte that is not UTF-8, and a used cell that is not
+    finite, are refused at that record.  A line is the record's number, the
+    header being 1; blank records count but yield no row.
+    """
+    rows = []
+    index = None
+    line = 0
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        reader = csv.reader(fh)
+        while True:
+            line += 1
+            try:
+                record = next(reader)
+            except StopIteration:
+                break
+            except csv.Error:
+                raise RefusedAt(line, "malformed row") from None
+            if any(0xDC80 <= ord(ch) <= 0xDCFF for cell in record for ch in cell):
+                raise RefusedAt(line, "not UTF-8")
+            if index is None:
+                header = [name.strip() for name in record]
+                if any(name not in header for name in POSE_GAZE_HEADER):
+                    raise RefusedAt(1, "missing columns")
+                index = [header.index(name) for name in POSE_GAZE_HEADER[1:]]
+                continue
+            if all(not cell.strip() for cell in record):
+                continue
+            try:
+                values = [float(record[i]) for i in index]
+            except (ValueError, IndexError):
+                raise RefusedAt(line, "malformed row") from None
+            if any(math.isnan(v) or math.isinf(v) for v in values):
+                raise RefusedAt(line, "non-finite value")
+            rows.append(values)
+    if index is None:
+        raise RefusedAt(1, "empty pose/gaze file")
+    if not rows:
+        raise RefusedAt(2, "no data rows")
+    return np.array(rows, dtype=np.float64)
+
+
+def reference_save_pose_gaze_csv(track, path) -> None:
+    """The pose/gaze writer that formatted one NumPy scalar at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(POSE_GAZE_HEADER)
+        for i in range(len(track)):
+            writer.writerow(
+                [i]
+                + [repr(float(v)) for v in track.head_position[i]]
+                + [repr(float(v)) for v in track.head_rotation[i]]
+                + [repr(float(v)) for v in track.gaze_left[i]]
+                + [repr(float(v)) for v in track.gaze_right[i]]
+            )

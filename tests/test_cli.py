@@ -225,6 +225,17 @@ class TestLabelsCsv:
         with pytest.raises(ParseError):
             load_labels_csv(path)
 
+    def test_labels_that_are_not_utf8_exit_3(self, pose_tree, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes(b"video_id,label\nvid00,0\nvid01,1\nvid02,\xff2\n")
+        config = write_config(
+            tmp_path / "c.json", feature="posegaze", m=5, input=str(pose_tree), labels=str(labels)
+        )
+        code = run_cli("extract", "--config", str(config), "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err and f"cannot read labels {labels}" in err
+
 
 # ---------------------------------------------------------------------------
 # synth
@@ -398,13 +409,16 @@ class TestExtract:
             ("lbptop", {"frame_count": 0}),
             ("lbptop", {"fps": 0}),
             ("lbptop", {"fps": "x"}),
+            ("lbptop", {"fps": 2}),
             ("posegaze", {"fps": 0}),
             ("posegaze", {"fps": "x"}),
+            ("posegaze", {"fps": 2}),
         ],
     )
     def test_bad_manifest_exits_3(self, frame_tree, pose_tree, tmp_path, capsys, feature, edit):
         """A manifest fault is a data error naming manifest.json, for either
-        feature kind; frame_count 0 comes with an empty archive."""
+        feature kind; frame_count 0 comes with an empty archive, and fps 2
+        is below the default target rate of 6."""
         source = frame_tree / "fvid0" if feature == "lbptop" else pose_tree / "vid00"
         root = tmp_path / "raw"
         video = root / source.name
@@ -425,6 +439,31 @@ class TestExtract:
         err = capsys.readouterr().err
         assert code == 3
         assert "Traceback" not in err and "manifest.json" in err
+
+    @pytest.mark.parametrize(
+        "line,cell,message",
+        [(2, b"nan", "non-finite value"), (3, b"1e500", "non-finite value"), (4, b"0.\xff", "not UTF-8")],
+        ids=["nan", "overflow", "not-utf8"],
+    )
+    def test_bad_pose_csv_exits_3_naming_the_line(
+        self, pose_tree, tmp_path, capsys, line, cell, message
+    ):
+        root = shutil.copytree(pose_tree, tmp_path / "raw")
+        pose = root / "vid01" / "pose.csv"
+        lines = pose.read_bytes().split(b"\n")
+        lines[line - 1] = lines[line - 1].rsplit(b",", 1)[0] + b"," + cell
+        pose.write_bytes(b"\n".join(lines))
+        config = write_config(
+            tmp_path / "c.json",
+            feature="posegaze",
+            m=5,
+            input=str(root),
+            labels=str(root / "labels.csv"),
+        )
+        code = run_cli("extract", "--config", str(config), "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err and f"pose.csv:{line}: {message}" in err
 
     def test_empty_input_dir_exits_3(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
@@ -997,6 +1036,24 @@ class TestProcess:
         code = run_cli("train", "--config", str(config), "--out", str(tmp_path / "t.csv"))
         assert code == 3
         assert str(dataset / "index.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit", [lambda raw: b"\xff\xff" + raw, lambda raw: b"[" * 100_000], ids=["not-utf8", "too-deep"]
+    )
+    def test_unreadable_index_exits_3(self, split_root, tmp_path, capsys, edit):
+        dataset = shutil.copytree(split_root / "train", tmp_path / "ds")
+        index = dataset / "index.json"
+        index.write_bytes(edit(index.read_bytes()))
+        config = write_config(
+            tmp_path / "c.json",
+            model="ridge",
+            dataset=str(dataset),
+            model_path=str(tmp_path / "m.json"),
+        )
+        code = run_cli("train", "--config", str(config), "--out", str(tmp_path / "t.csv"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err and str(index) in err
 
     @pytest.mark.parametrize("value", ["no", 1, 0.0, [True]])
     def test_bad_scale_labels_exits_2_before_writing_a_model(

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,15 @@ from engage_mil.features import (
     subsample,
     write_pgm,
 )
-from oracles import lbp_code, naive_bin, naive_lbp_top, reference_plane_codes
+from oracles import (
+    RefusedAt,
+    lbp_code,
+    naive_bin,
+    naive_lbp_top,
+    reference_plane_codes,
+    reference_pose_gaze_csv,
+    reference_save_pose_gaze_csv,
+)
 
 
 def _random_seq(rng, t, h, w, fps=6.0, vid="v0", subj="s0"):
@@ -575,6 +584,240 @@ def test_pose_gaze_csv_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(ParseError):
         load_pose_gaze_csv(path)
+
+
+_POSE_HEADER = ",".join(features.POSE_GAZE_COLUMNS)
+
+
+def _values(track):
+    return np.hstack([track.head_position, track.head_rotation, track.gaze_left, track.gaze_right])
+
+
+def _assert_reads_as_the_row_loop(path):
+    """The reader returns the row loop's float64 bytes, or refuses at its
+    line for its reason; no warning escapes either."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            expected = reference_pose_gaze_csv(path)
+        except RefusedAt as refusal:
+            with pytest.raises(ParseError) as exc_info:
+                load_pose_gaze_csv(path)
+            assert (exc_info.value.line, refusal.message in str(exc_info.value)) == (refusal.line, True)
+            return
+        values = _values(load_pose_gaze_csv(path))
+    assert (values.dtype, values.shape) == (expected.dtype, expected.shape)
+    assert values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e500", "-NaN"])
+def test_pose_gaze_csv_non_finite_cell_reports_line(tmp_path, cell):
+    path = tmp_path / "n.csv"
+    row = ",".join(["0"] * 13)
+    path.write_text(f"{_POSE_HEADER}\n{row}\n\n{row[:-1]}{cell}\n{row}\n")
+    with pytest.raises(ParseError, match="non-finite") as exc_info:
+        load_pose_gaze_csv(path)
+    assert exc_info.value.line == 4
+
+
+@pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"\xed\xa0\x80"])
+def test_pose_gaze_csv_not_utf8_reports_line(tmp_path, bad):
+    """The line named is the one the bad byte sits in, also in an unused
+    column, unless an earlier row is refused first."""
+    path = tmp_path / "u.csv"
+    row = ",".join(["0"] * 13).encode()
+    head = _POSE_HEADER.encode() + b",note\n" + row + b",a\n"
+    path.write_bytes(head + row + b",x" + bad + b"y\n" + row + b"\n")
+    with pytest.raises(ParseError, match="not UTF-8") as exc_info:
+        load_pose_gaze_csv(path)
+    assert exc_info.value.line == 3
+    path.write_bytes(head + b"1,oops\n" + row + b"," + bad + b"\n")
+    with pytest.raises(ParseError, match="malformed row") as exc_info:
+        load_pose_gaze_csv(path)
+    assert exc_info.value.line == 3
+
+
+def test_pose_gaze_csv_cell_past_the_csv_field_limit_reports_line(tmp_path):
+    path = tmp_path / "long.csv"
+    row = ",".join(["0"] * 13)
+    path.write_text(f"{_POSE_HEADER}\n{row}\n{row},{'7' * 200_000}\n")
+    with pytest.raises(ParseError, match="malformed row") as exc_info:
+        load_pose_gaze_csv(path)
+    assert exc_info.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "0,1,2,3,4,5,6,7,8,9,10,11,12\n\n1,-0,2.5e-3,3,4,5,6,7,8,9,10,11,12\n",
+        "0,1,2,3,4,5,6,7,8,9,10,11,12\r\n\r\n1,1,2,3,4,5,6,7,8,9,10,11,12\r\n",
+        "0,1,2,3,4,5,6,7,8,9,10,11,12\r1,1,2,3,4,5,6,7,8,9,10,11,12",
+        "0, 1 ,2\t,3,4,5,6,7,8,9,10,11,12,,\n   \n,,\n1,1,2,3,4,5,6,7,8,9,10,11,12\n",
+        '0,"1",2,3,4,5,6,7,8,9,10,11,12\n1,1,2,3,4,5,6,7,8,9,10,11,"1""2"\n',
+        '"0\n9",1,2,3,4,5,6,7,8,9,10,11,12\n',
+        "0,\u0661,2,3,4,5,6,7,8,9,10,11,1_2\n",
+        "0,1,2,3,4,5,6,7,8,9,10,11,12\x0c\n1,1\x85,2,3,4,5,6,7,8,9,10,11,12\u2028\n",
+        "0,1,2,3,4,5,6,7,8,9,10,11,12\n0,1,2\n",
+        "\n \n",
+        "",
+    ],
+    ids=[
+        "blank-row",
+        "crlf",
+        "bare-cr",
+        "padding-and-empty-columns",
+        "quoted-cells",
+        "quoted-newline-in-frame",
+        "unicode-digit-and-underscore",
+        "breaks-csv-does-not-split-at",
+        "short-row",
+        "whitespace-only",
+        "header-only",
+    ],
+)
+def test_pose_gaze_csv_agrees_with_the_row_loop(tmp_path, body):
+    path = tmp_path / "e.csv"
+    path.write_bytes(f"{_POSE_HEADER}\n{body}".encode())
+    _assert_reads_as_the_row_loop(path)
+
+
+def test_pose_gaze_csv_quote_in_an_unused_column_is_read_as_csv(tmp_path):
+    """A quote in a column the reader skips still joins lines into one
+    record, as csv reads it."""
+    path = tmp_path / "q.csv"
+    row = ",".join(["0"] * 13)
+    path.write_text(f"{_POSE_HEADER},note\n{row},\"a\n{row},b\"\n")
+    assert len(load_pose_gaze_csv(path)) == 1
+
+
+def test_save_pose_gaze_csv_matches_the_per_scalar_writer(tmp_path):
+    rng = np.random.default_rng(23)
+    blocks = [rng.normal(scale=10.0 ** rng.integers(-8, 8), size=(40, 3)) for _ in range(4)]
+    blocks[0][:4, 0] = [0.0, -0.0, 1e-310, 1.7976931348623157e308]
+    track = _track(*blocks)
+    save_pose_gaze_csv(track, tmp_path / "new.csv")
+    reference_save_pose_gaze_csv(track, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+_POSE_BASES = (
+    b"frame,pose_Tx,pose_Ty,pose_Tz,pose_Rx,pose_Ry,pose_Rz,gaze_0_x,gaze_0_y,gaze_0_z,"
+    b"gaze_1_x,gaze_1_y,gaze_1_z\n"
+    + b"".join(
+        b"%d,%s\n" % (i, b",".join(b"%r" % v for v in row))
+        for i, row in enumerate(np.random.default_rng(24).normal(size=(8, 12)).tolist())
+    ),
+    b"gaze_1_z,frame,confidence,pose_Tx,pose_Ty,pose_Tz,pose_Rx,pose_Ry,pose_Rz,"
+    b"gaze_0_x,gaze_0_y,gaze_0_z,gaze_1_x,gaze_1_y,\n"
+    + b"".join(b"-0.5,%d,0.9,1,2,3,4,5,6,7e-1,8,9,10,-11,\n" % i for i in range(8)),
+)
+
+
+_INSERTS = {
+    "blank": st.sampled_from([b""]),
+    "spaces": st.sampled_from([b" ", b"\t \t"]),
+    "quote": st.sampled_from([b'"']),
+    "digit": st.sampled_from(["\u0661", "\u0663", "\uff17"]).map(str.encode),
+    "non-finite": st.sampled_from([b"nan", b"inf", b"-inf", b"1e500", b"-1E999"]),
+    "not-utf8": st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80\x80"]),
+}
+
+
+def _edit_pose_csv(data, raw: bytes) -> bytes:
+    """One edit: truncate, flip a byte, add or drop a column, switch line
+    ends, keep only the header, insert a row, quote a cell, make it
+    non-finite, or put a quote, Unicode digit, non-finite number or
+    non-UTF-8 bytes into it at some offset."""
+    how = data.draw(
+        st.sampled_from(
+            ["truncate", "flip", "add-column", "drop-column", "crlf", "cr", "header-only", "row"]
+            + ["quote-cell", "non-finite"]
+            + ["cell"] * 4
+        )
+    )
+    if how in ("truncate", "flip"):
+        if not raw:
+            return raw
+        i = data.draw(st.integers(0, len(raw) - 1))
+        if how == "truncate":
+            return raw[:i]
+        return raw[:i] + bytes([raw[i] ^ data.draw(st.integers(1, 255))]) + raw[i + 1 :]
+    if how in ("crlf", "cr"):
+        return raw.replace(b"\n", b"\r\n" if how == "crlf" else b"\r")
+    lines = raw.split(b"\n")
+    if how == "header-only":
+        return lines[0] + data.draw(st.sampled_from([b"", b"\n", b"\r\n"]))
+    if how == "add-column":
+        extra = data.draw(st.sampled_from([b"", b"1", b"x"]))
+        return b"\n".join(line + b"," + extra for line in lines)
+    if how == "drop-column":
+        drop = data.draw(st.integers(0, 13))
+        return b"\n".join(
+            b",".join(c for j, c in enumerate(line.split(b",")) if j != drop) for line in lines
+        )
+    row = data.draw(st.integers(0, len(lines) - 1))
+    if how == "row":
+        lines.insert(row + 1, data.draw(_INSERTS["blank"] | _INSERTS["spaces"]))
+        return b"\n".join(lines)
+    cells = lines[row].split(b",")
+    k = data.draw(st.integers(0, len(cells) - 1))
+    if how == "quote-cell":
+        cells[k] = b'"' + cells[k] + b'"'
+    elif how == "non-finite":
+        cells[k] = data.draw(_INSERTS["non-finite"])
+    else:
+        kind = data.draw(st.sampled_from(["quote", "digit", "non-finite", "not-utf8"]))
+        at = data.draw(st.sampled_from([0, len(cells[k])]) | st.integers(0, len(cells[k])))
+        cells[k] = cells[k][:at] + data.draw(_INSERTS[kind]) + cells[k][at:]
+    lines[row] = b",".join(cells)
+    return b"\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def pose_archive(tmp_path_factory):
+    """One pose/gaze video at 6 fps, its labels and an extract config."""
+    root = tmp_path_factory.mktemp("pose_fuzz")
+    (root / "v0").mkdir()
+    (root / "v0" / "manifest.json").write_text(
+        json.dumps({"video_id": "v0", "subject_id": "s0", "fps": 6.0})
+    )
+    (root / "labels.csv").write_text("video_id,label\nv0,1\n")
+    config = root / "extract.json"
+    config.write_text(
+        json.dumps(
+            {
+                "feature": "posegaze",
+                "window": 3,
+                "stride": 1,
+                "m": 2,
+                "input": str(root),
+                "labels": str(root / "labels.csv"),
+            }
+        )
+    )
+    return root, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_an_edited_pose_csv_reads_as_the_row_loop_does(pose_archive, data):
+    """After one to three edits, the reader returns the row loop's float64
+    bytes or refuses at its line for its reason, with no warning; `extract`
+    exits 0 or 3 with no traceback."""
+    root, config = pose_archive
+    raw = data.draw(st.sampled_from(_POSE_BASES))
+    for _ in range(data.draw(st.integers(1, 3))):
+        raw = _edit_pose_csv(data, raw)
+    path = root / "v0" / "pose.csv"
+    path.write_bytes(raw)
+    _assert_reads_as_the_row_loop(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["extract", "--config", str(config), "--out", str(root / "out")])
+    assert code in (0, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 # --- record validation ------------------------------------------------------
