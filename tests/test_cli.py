@@ -409,9 +409,9 @@ class TestExtract:
             ("lbptop", {"frame_count": 0}),
             ("lbptop", {"fps": 0}),
             ("lbptop", {"fps": "x"}),
-            ("lbptop", {"fps": 2}),
             ("posegaze", {"fps": 0}),
             ("posegaze", {"fps": "x"}),
+            ("lbptop", {"fps": 2}),
             ("posegaze", {"fps": 2}),
         ],
     )
