@@ -24,6 +24,7 @@ from .errors import (
     EmptyVideoError,
     ParseError,
 )
+from .textio import read_csv
 
 LABELS = (0, 1, 2, 3)
 
@@ -730,18 +731,17 @@ def save_planted_csv(dataset: Dataset, planted: np.ndarray, path) -> None:
 def load_planted_csv(path) -> dict[str, np.ndarray]:
     note_read(path)
     per_video: dict[str, list[tuple[int, float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["video_id", "instance_index", "planted_intensity"]:
-            raise ParseError(path, 1, "unexpected planted-truth header")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                per_video.setdefault(row[0], []).append((int(row[1]), float(row[2])))
-            except (ValueError, IndexError):
-                raise ParseError(path, lineno, "malformed row") from None
+    records = read_csv(path)
+    _, header = next(records, (1, None))
+    if header != ["video_id", "instance_index", "planted_intensity"]:
+        raise ParseError(path, 1, "unexpected planted-truth header")
+    for lineno, row in records:
+        if not row:
+            continue
+        try:
+            per_video.setdefault(row[0], []).append((int(row[1]), float(row[2])))
+        except (ValueError, IndexError):
+            raise ParseError(path, lineno, "malformed row") from None
     out = {}
     for video_id, pairs in per_video.items():
         pairs.sort()

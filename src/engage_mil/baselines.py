@@ -154,8 +154,10 @@ class _KernelRows:
 
     def __init__(self, points: np.ndarray, sigma: float, max_rows: int = 512):
         self._points = points
+        # 2.0 * points @ x binds as (2.0 * points) @ x: scale the matrix once
+        self._twice = 2.0 * points
         self._sq = (points**2).sum(axis=1)
-        self._den = 2.0 * sigma**2
+        self._neg_den = -(2.0 * sigma**2)  # (-d2) / den is d2 / (-den), bit for bit
         self._max_rows = max_rows
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
 
@@ -164,14 +166,37 @@ class _KernelRows:
         if cached is not None:
             self._rows.move_to_end(i)
             return cached
-        d2 = np.maximum(
-            self._sq[i] + self._sq - 2.0 * self._points @ self._points[i], 0.0
-        )
-        row = np.exp(-d2 / self._den)
+        # exp(-max(|x_i|^2 + |x|^2 - 2 x.x_i, 0) / den), one buffer
+        row = self._sq[i] + self._sq
+        row -= self._twice @ self._points[i]
+        np.maximum(row, 0.0, out=row)
+        row /= self._neg_den
+        np.exp(row, out=row)
         self._rows[i] = row
         if len(self._rows) > self._max_rows:
             self._rows.popitem(last=False)
         return row
+
+
+@dataclass
+class SvrPath:
+    """What one solve hands the next along a C path at fixed points and sigma:
+    the kernel-row cache, and the last solve's dual a and its C."""
+
+    kernel: _KernelRows
+    dual: np.ndarray | None = None
+    c: float = 0.0
+
+    def start(self, c: float) -> np.ndarray | None:
+        """The last dual scaled by c / C, None before the first solve.
+
+        Scaling keeps s.a = 0, and a variable at C lands exactly on c.
+        """
+        if self.dual is None:
+            return None
+        a = np.minimum(self.dual * (c / self.c), c)
+        a[self.dual == self.c] = c
+        return a
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +217,14 @@ def _check_training_inputs(instances, labels):
     return x, y
 
 
-def svr_train(instances, labels, config: SvrConfig, max_iter: int = 200_000) -> SvrModel:
+def svr_train(
+    instances,
+    labels,
+    config: SvrConfig,
+    max_iter: int = 200_000,
+    *,
+    warm: SvrPath | None = None,
+) -> SvrModel:
     """Solve the dual with maximal-violating-pair coordinate steps.
 
     Variables a = [alpha; alpha*] live in [0, C]^(2l) under s.a = 0 with
@@ -201,14 +233,22 @@ def svr_train(instances, labels, config: SvrConfig, max_iter: int = 200_000) -> 
     objective never worsens; iteration stops once the worst KKT violation
     drops below config.tol.
 
-    The violations -s*g are kept in two persistent vectors: up_v holds them
-    where s_k*a_k can still grow (the up set) and -inf elsewhere, low_v
-    where it can still shrink (the low set) and +inf elsewhere, so the pair
-    is up_v.argmax() and low_v.argmin().  A step moves both halves of -s*g
-    by the same vector t = s_i*d*(k_i - k_j), applied in place to g, up_v
-    and low_v; only entries i and j can change set and are refreshed.
-    Negation is exact, so this picks the same pairs and the same iterates,
-    bit for bit, as recomputing -s*g and both masks every step.
+    The solve starts from a = 0.  Given `warm`, an SvrPath over these
+    instances and sigma, it uses warm's kernel rows, starts from
+    warm.start(C) with g = Qa + p summed once over the start's nonzero
+    alpha - alpha*, and leaves its final dual in warm.  A warm solve stops
+    at another point inside the same tolerance, so its model can differ
+    from a cold solve's by tol-scale amounts.
+
+    The violations viol = -s*g are row 0 of one (3, 2l) array.  Row 1
+    (up_v) holds them where s_k*a_k can still grow (the up set) and -inf
+    elsewhere, row 2 (low_v) where it can still shrink (the low set) and
+    +inf elsewhere, so the pair is up_v.argmax() and low_v.argmin().  A
+    step moves all six halves by the same vector t = s_i*d*(k_i - k_j) in
+    one in-place subtraction; only entries i and j can change set and are
+    refreshed.  g is read back as -s*viol and a.g as (-s*a).viol.  Negation
+    is exact, so this picks the same pairs and the same iterates, bit for
+    bit, as recomputing g, -s*g and both masks every step.
     """
     x, y = _check_training_inputs(instances, labels)
     l = x.shape[0]
@@ -216,59 +256,73 @@ def svr_train(instances, labels, config: SvrConfig, max_iter: int = 200_000) -> 
         raise ValueError("need at least 2 training instances")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    c, eps = config.c, config.epsilon
-    kernel = _KernelRows(x, config.kernel.sigma)
+    c, eps, tol = config.c, config.epsilon, config.tol
+    if warm is None:
+        kernel, a = _KernelRows(x, config.kernel.sigma), None
+    else:
+        kernel, a = warm.kernel, warm.start(c)
 
-    a = np.zeros(2 * l)
     s = np.concatenate([np.ones(l), -np.ones(l)])
     p = np.concatenate([eps - y, eps + y])
-    g = p.copy()  # gradient of 1/2 a'Qa + p'a at a = 0
-    # at a = 0 the up set is the alpha half and the low set the alpha* half
-    up_v = np.concatenate([-g[:l], np.full(l, -np.inf)])
-    low_v = np.concatenate([np.full(l, np.inf), g[l:]])
-    g_a, g_b = g[:l], g[l:]
-    violation_halves = (up_v[:l], up_v[l:], low_v[:l], low_v[l:])
+    if a is None:
+        a, g = np.zeros(2 * l), p  # g: gradient of 1/2 a'Qa + p'a at a = 0
+    else:
+        theta = a[:l] - a[l:]
+        k_theta = np.zeros(l)
+        for k in np.flatnonzero(theta):
+            k_theta += theta[k] * kernel.row(k)
+        g = p + np.concatenate([k_theta, -k_theta])
+    w = np.empty((3, 2 * l))
+    viol, up_v, low_v = w
+    viol[:] = -s * g
+    below_c, above_0 = a < c, a > 0
+    up_v[:] = np.where(np.concatenate([below_c[:l], above_0[l:]]), viol, -np.inf)
+    low_v[:] = np.where(np.concatenate([above_0[:l], below_c[l:]]), viol, np.inf)
+    halves = w.reshape(6, l)
+    na = -s * a
     t = np.empty(l)
     trace = []
 
     for _ in range(max_iter):
         i = int(up_v.argmax())
         j = int(low_v.argmin())
-        m_val, big_m = up_v[i], low_v[j]
-        if m_val - big_m < config.tol:
+        m_val, big_m = up_v.item(i), low_v.item(j)
+        if m_val - big_m < tol:
             break
 
         bi, bj = i % l, j % l
+        si, sj = (1.0 if i < l else -1.0), (1.0 if j < l else -1.0)
         ki, kj = kernel.row(bi), kernel.row(bj)
-        quad = max(ki[bi] + kj[bj] - 2.0 * ki[bj], 1e-12)
-        ss = s[i] * s[j]
-        d = -(g[i] - ss * g[j]) / quad
-        d_lo = max(-a[i], (a[j] - c) if ss > 0 else -a[j])
-        d_hi = min(c - a[i], a[j] if ss > 0 else c - a[j])
+        quad = max(ki.item(bi) + kj.item(bj) - 2.0 * ki.item(bj), 1e-12)
+        ss = si * sj
+        gi, gj = -si * viol.item(i), -sj * viol.item(j)
+        d = -(gi - ss * gj) / quad
+        ai, aj = a.item(i), a.item(j)
+        d_lo = max(-ai, (aj - c) if ss > 0 else -aj)
+        d_hi = min(c - ai, aj if ss > 0 else c - aj)
         d = min(max(d, d_lo), d_hi)
 
-        a[i] += d
-        a[j] -= ss * d
+        ai, aj = ai + d, aj - ss * d
+        a[i], a[j] = ai, aj
+        na[i], na[j] = -si * ai, -sj * aj
         np.subtract(ki, kj, out=t)
-        t *= s[i] * d
-        g_a += t
-        g_b -= t
-        for half in violation_halves:
-            half -= t
-        for k in (i, j):
-            viol = -s[k] * g[k]
-            can_rise, can_fall = (a[k] < c, a[k] > 0) if k < l else (a[k] > 0, a[k] < c)
-            up_v[k] = viol if can_rise else -np.inf
-            low_v[k] = viol if can_fall else np.inf
+        t *= si * d
+        halves -= t
+        for k, ak in ((i, ai), (j, aj)):
+            can_rise, can_fall = (ak < c, ak > 0) if k < l else (ak > 0, ak < c)
+            up_v[k] = viol[k] if can_rise else -np.inf
+            low_v[k] = viol[k] if can_fall else np.inf
         # dual (maximization) objective: -(1/2 a'Qa + p'a) = -(a.g + a.p)/2
-        trace.append(float(-0.5 * (a @ g + a @ p)))
+        trace.append(float(-0.5 * (na.dot(viol) + a.dot(p))))
     else:
         raise ConvergenceError(
             f"KKT violation {m_val - big_m:.3e} after {max_iter} steps"
         )
 
+    if warm is not None:
+        warm.dual, warm.c = a, c
     theta = a[:l] - a[l:]
-    bias = float((m_val + big_m) / 2.0)
+    bias = (m_val + big_m) / 2.0
     keep = theta != 0.0
     if not keep.any():  # degenerate but legal: the bias carries everything
         keep[:1] = True
@@ -418,6 +472,11 @@ def grid_search_svr(
     Folds partition subjects, never videos, so no person straddles a fold
     boundary.  Each cell's score is the pooled video-level MSE over all
     validation videos; ties prefer smaller C, then smaller sigma.
+
+    Each (fold, sigma) column is solved as one path in ascending C over one
+    kernel-row cache: every solve after the first warm-starts from the
+    previous one's dual (see svr_train).  The table can therefore differ
+    from one of all-cold solves by amounts on the scale of `tol`.
     """
     c_grid = list(c_grid)
     sigma_grid = list(sigma_grid)
@@ -448,12 +507,13 @@ def grid_search_svr(
         fit_x = np.concatenate([train.bags[idx].instances for idx in fit_rows])
         fit_y = np.concatenate([labeling.labels[idx] for idx in fit_rows])
         n_videos += len(val_rows)
-        for ci, c in enumerate(c_grid):
-            for si, sigma in enumerate(sigma_grid):
-                config = SvrConfig(
-                    c=c, epsilon=epsilon, kernel=KernelSpec("gaussian", sigma), tol=tol
-                )
-                model = svr_train(fit_x, fit_y, config)
+        for si, sigma in enumerate(sigma_grid):
+            spec = KernelSpec("gaussian", sigma)
+            # the whole fold fits, so the C path computes each row once
+            path = SvrPath(_KernelRows(fit_x, sigma, max_rows=len(fit_x)))
+            for ci in sorted(range(len(c_grid)), key=c_grid.__getitem__):
+                config = SvrConfig(c=c_grid[ci], epsilon=epsilon, kernel=spec, tol=tol)
+                model = svr_train(fit_x, fit_y, config, warm=path)
                 for idx in val_rows:
                     bag = train.bags[idx]
                     video = aggregate_video(svr_predict_many(model, bag.instances))

@@ -191,6 +191,8 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc.msg}") from None
+        except RecursionError:
+            raise ConfigError(f"config {path} nests too deeply") from None
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
         known = {f.name for f in fields(cls)}

@@ -10,7 +10,6 @@ standard deviations of head position, head rotation and mean eye gaze).
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import sys
@@ -26,6 +25,7 @@ from .errors import (
     ParseError,
     TooShortVideoError,
 )
+from .textio import csv_records, text_lines
 
 # Circular neighborhood: radius 1, 8 samples, ordered counter-clockwise
 # starting from the positive horizontal axis.  Axis -2 of a plane array is
@@ -530,48 +530,6 @@ def save_frame_archive(seq: FrameSequence, directory) -> None:
         write_pgm(directory / "frames" / f"{i:0{digits}d}.pgm", frame)
 
 
-# str.splitlines also breaks at these; open(newline=""), and so csv, does not
-_OTHER_LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-
-
-def _text_lines(path) -> tuple[list[str], bool]:
-    """The file's lines, ends kept, split where open(newline="") splits them,
-    and whether the file is UTF-8.  A file that is not is decoded with
-    surrogateescape.  The bytes are dropped before the text is split, which
-    keeps the peak at about twice the file size."""
-    try:
-        text, clean = Path(path).read_bytes().decode("utf-8"), True
-    except UnicodeDecodeError:
-        text, clean = Path(path).read_bytes().decode("utf-8", "surrogateescape"), False
-    if any(c in text for c in _OTHER_LINE_BREAKS):
-        return io.StringIO(text, newline="").readlines(), clean
-    return text.splitlines(keepends=True), clean
-
-
-def _csv_records(path, reader, clean: bool):
-    """(line, cells) for each record of `reader`, the header being line 1.
-
-    A record the csv module refuses, or one holding a byte that was not
-    UTF-8 (decoded with surrogateescape when `clean` is false), is a
-    ParseError at its line.
-    """
-    line = 0
-    while True:
-        line += 1
-        try:
-            cells = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            raise ParseError(path, line, f"malformed row: {exc}") from None
-        if not clean:
-            try:
-                ",".join(cells).encode("utf-8")
-            except UnicodeEncodeError:
-                raise ParseError(path, line, "not UTF-8") from None
-        yield line, cells
-
-
 def load_pose_gaze_csv(path) -> PoseGazeTrack:
     """Parse a per-frame pose/gaze CSV (OpenFace column naming).
 
@@ -582,9 +540,9 @@ def load_pose_gaze_csv(path) -> PoseGazeTrack:
     non-finite value, so a fault is reported at its line.
     """
     note_read(path)
-    lines, clean = _text_lines(path)
+    lines, clean = text_lines(path)
     reader = csv.reader(iter(lines))
-    records = _csv_records(path, reader, clean)
+    records = csv_records(path, reader, clean)
     _, header = next(records, (1, None))
     if header is None:
         raise ParseError(path, 1, "empty pose/gaze file")

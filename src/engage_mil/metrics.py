@@ -25,6 +25,7 @@ from .errors import (
     ParseError,
     UndefinedCorrelationError,
 )
+from .textio import read_csv
 
 NUM_LEVELS = 4
 RELIABILITY_THRESHOLD = 0.4
@@ -278,34 +279,33 @@ def compute_report(pred, truth, num_levels: int = NUM_LEVELS) -> MetricsReport:
 
 def load_annotation_csv(path) -> AnnotationMatrix:
     note_read(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or len(header) < 3:
-            raise ParseError(path, 1, "expected video_id plus at least 2 rater columns")
-        rater_ids = [h.strip() for h in header[1:]]
-        video_ids = []
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+    records = read_csv(path)
+    _, header = next(records, (1, None))
+    if not header or len(header) < 3:
+        raise ParseError(path, 1, "expected video_id plus at least 2 rater columns")
+    rater_ids = [h.strip() for h in header[1:]]
+    video_ids = []
+    rows = []
+    for lineno, row in records:
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise ParseError(path, lineno, f"expected {len(header)} cells")
+        video_ids.append(row[0].strip())
+        values = []
+        for cell in row[1:]:
+            cell = cell.strip()
+            if not cell:
+                values.append(np.nan)
                 continue
-            if len(row) != len(header):
-                raise ParseError(path, lineno, f"expected {len(header)} cells")
-            video_ids.append(row[0].strip())
-            values = []
-            for cell in row[1:]:
-                cell = cell.strip()
-                if not cell:
-                    values.append(np.nan)
-                    continue
-                try:
-                    label = int(cell)
-                except ValueError:
-                    raise ParseError(path, lineno, f"non-integer rating {cell!r}") from None
-                if not 0 <= label <= NUM_LEVELS - 1:
-                    raise ParseError(path, lineno, f"rating {label} out of range")
-                values.append(float(label))
-            rows.append(values)
+            try:
+                label = int(cell)
+            except ValueError:
+                raise ParseError(path, lineno, f"non-integer rating {cell!r}") from None
+            if not 0 <= label <= NUM_LEVELS - 1:
+                raise ParseError(path, lineno, f"rating {label} out of range")
+            values.append(float(label))
+        rows.append(values)
     if not rows:
         raise ParseError(path, 2, "no annotation rows")
     return AnnotationMatrix(

@@ -257,14 +257,17 @@ def qp_reference_svr(kernel_matrix, y, c, epsilon, max_iter=400_000):
     return a[:l] - a[l:], float(bias), float(objective)
 
 
-def reference_smo_svr(x, y, c, epsilon, sigma, tol, max_iter=200_000):
+def reference_smo_svr(x, y, c, epsilon, sigma, tol, max_iter=200_000, start=None):
     """Maximal-violating-pair SMO that rebuilds -s*g and both masks per step.
 
     The plain vectorised form of the trainer's step loop: same pair choice
     (first index on ties), same two-variable solve and clip, same update
     and objective expressions, so the trainer must match it bit for bit.
     Kernel rows use the trainer's per-row expression; caching them changes
-    no value.  Returns (support_vectors, coef, bias, objective_trace).
+    no value.  From a = 0, or from the dual `start` with the trainer's
+    warm-start gradient (its kernel rows times alpha - alpha*, summed in
+    index order).  Returns (support_vectors, coef, bias, objective_trace,
+    final dual).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -278,10 +281,18 @@ def reference_smo_svr(x, y, c, epsilon, sigma, tol, max_iter=200_000):
             rows[i] = np.exp(-d2 / (2.0 * sigma**2))
         return rows[i]
 
-    a = np.zeros(2 * l)
     s = np.concatenate([np.ones(l), -np.ones(l)])
     p = np.concatenate([epsilon - y, epsilon + y])
-    g = p.copy()
+    if start is None:
+        a = np.zeros(2 * l)
+        g = p.copy()
+    else:
+        a = np.array(start, dtype=np.float64)
+        theta = a[:l] - a[l:]
+        k_theta = np.zeros(l)
+        for k in np.flatnonzero(theta):
+            k_theta += theta[k] * kernel_row(k)
+        g = p + np.concatenate([k_theta, -k_theta])
     trace = []
     for _ in range(max_iter):
         viol = -s * g
@@ -310,7 +321,7 @@ def reference_smo_svr(x, y, c, epsilon, sigma, tol, max_iter=200_000):
     keep = theta != 0.0
     if not keep.any():
         keep[:1] = True
-    return x[keep].copy(), theta[keep], float((m_val + big_m) / 2.0), trace
+    return x[keep].copy(), theta[keep], float((m_val + big_m) / 2.0), trace, a
 
 
 def closed_form_ridge(x, y, penalty):

@@ -175,10 +175,17 @@ def test_svr_invariants_on_random_problems(seed):
         assert (np.diff(trace) >= -1e-9).all()
 
 
-def _reference_svr_train(x, y, config):
-    sv, coef, bias, trace = reference_smo_svr(
-        x, y, config.c, config.epsilon, config.kernel.sigma, config.tol
+def _reference_svr_train(x, y, config, warm=None):
+    # the warm start: the last dual scaled by C'/C, a variable at C set to C'
+    start = None
+    if warm is not None and warm.dual is not None:
+        scaled = np.minimum(warm.dual * (config.c / warm.c), config.c)
+        start = np.where(warm.dual == warm.c, config.c, scaled)
+    sv, coef, bias, trace, dual = reference_smo_svr(
+        x, y, config.c, config.epsilon, config.kernel.sigma, config.tol, start=start
     )
+    if warm is not None:
+        warm.dual, warm.c = dual, config.c
     return baselines.SvrModel(sv, coef, bias, config, trace)
 
 
@@ -611,6 +618,77 @@ def test_grid_search_table_matches_reference_smo_exactly(monkeypatch):
     reference = grid_search_svr(*args, folds=2, seed=1)
     assert np.array_equal(result.table, reference.table)
     assert (result.c, result.sigma) == (reference.c, reference.sigma)
+
+
+def _dense_kkt_violation(x, y, config, dual):
+    """max over the up set minus min over the low set of -s*g, with
+    g = Qa + p from the full kernel matrix."""
+    l, c = len(y), config.c
+    k = gaussian_kernel(x, x, config.kernel.sigma)
+    theta = dual[:l] - dual[l:]
+    g = np.concatenate([k @ theta, -(k @ theta)]) + np.concatenate(
+        [config.epsilon - y, config.epsilon + y]
+    )
+    s = np.concatenate([np.ones(l), -np.ones(l)])
+    viol = -s * g
+    up = ((s > 0) & (dual < c)) | ((s < 0) & (dual > 0))
+    low = ((s > 0) & (dual > 0)) | ((s < 0) & (dual < c))
+    return viol[up].max() - viol[low].min()
+
+
+def test_svr_path_start_keeps_variables_at_the_bound_on_the_new_bound():
+    path = baselines.SvrPath(kernel=None, dual=np.array([0.3, 0.1, 0.0, 0.3, 0.1]), c=0.3)
+    assert path.start(0.9).tolist() == [0.9, 0.1 * (0.9 / 0.3), 0.0, 0.9, 0.1 * (0.9 / 0.3)]
+    assert 0.3 * (0.9 / 0.3) < 0.9  # plain scaling would leave them just inside the box
+
+
+@pytest.mark.parametrize("seed", [0, 4, 11])
+def test_grid_search_warm_solves_meet_kkt_at_tol(monkeypatch, seed):
+    dataset = _toy_dataset(n_subjects=4, bags_per_subject=3, m=5, seed=seed)
+    labeling = _broadcast_labeling(dataset)
+    real_train = baselines.svr_train
+    warm_solves = []
+
+    def checked_train(x, y, config, **kwargs):
+        warm = kwargs["warm"]
+        started_warm = warm.dual is not None
+        model = real_train(x, y, config, **kwargs)
+        if started_warm:
+            dual, l = warm.dual, len(y)
+            balance = abs(dual[:l].sum() - dual[l:].sum())
+            kkt = _dense_kkt_violation(x, y, config, dual)
+            warm_solves.append((kkt, balance, dual.copy(), config.c))
+        return model
+
+    monkeypatch.setattr(baselines, "svr_train", checked_train)
+    grid_search_svr(dataset, labeling, [10.0, 0.1, 1.0], [0.5, 2.0], folds=2, seed=1, tol=1e-3)
+    assert len(warm_solves) == 2 * 2 * 2  # folds x sigmas x (C values after the first)
+    for kkt, balance, dual, c in warm_solves:
+        assert kkt < 1e-3
+        assert balance < 1e-12  # s.a = 0 holds to rounding
+        assert dual.min() >= 0.0 and dual.max() <= c
+
+
+@pytest.mark.parametrize("seed", [0, 3, 4, 9])
+def test_grid_search_warm_table_agrees_with_all_cold_solves(monkeypatch, seed):
+    dataset = _toy_dataset(n_subjects=4, bags_per_subject=3, m=5, seed=seed)
+    labeling = _broadcast_labeling(dataset)
+    args = (dataset, labeling, [0.1, 1.0, 10.0], [0.5, 2.0])
+    warm = grid_search_svr(*args, folds=2, seed=1)
+    real_train = baselines.svr_train
+    monkeypatch.setattr(
+        baselines, "svr_train", lambda x, y, config, warm=None: real_train(x, y, config)
+    )
+    cold = grid_search_svr(*args, folds=2, seed=1)
+    # at tol = 1e-3 the warm solves move the table by at most 6.7e-5 on
+    # toy seeds 0-11
+    assert np.abs(warm.table - cold.table).max() <= 1e-4
+    # the same best cell, unless another cold cell lies within a fixed 1e-4
+    # of the best (seed 0: two cells 2.5e-5 apart), when either may win
+    near_best = cold.table <= cold.table.min() + 1e-4
+    assert near_best[warm.c_grid.index(warm.c), warm.sigma_grid.index(warm.sigma)]
+    if near_best.sum() == 1:
+        assert (warm.c, warm.sigma) == (cold.c, cold.sigma)
 
 
 def test_grid_search_is_deterministic():

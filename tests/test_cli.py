@@ -172,6 +172,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="JSON"):
             RunConfig.from_file(path)
 
+    def test_too_deep_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text("[" * 100_000)
+        code = run_cli("train", "--config", str(path), "--out", str(tmp_path / "t.csv"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and f"config {path} nests too deeply" in err
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             RunConfig.from_file(tmp_path / "absent.json")
@@ -991,6 +999,30 @@ class TestProcess:
         code = run_cli("localize", "--config", str(config), "--out", str(tmp_path / "l.csv"))
         assert code == 3
         assert "no 10 segments in the planted-truth file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda raw: b"\xff" + raw, "planted.csv:1: not UTF-8"),
+            (lambda raw: raw + b"v," + b"9" * 200_000 + b",0\n", "field larger than field limit"),
+        ],
+        ids=["not-utf8", "overlong-field"],
+    )
+    def test_unreadable_planted_truth_exits_3(
+        self, artifacts, synth_dir, tmp_path, capsys, edit, message
+    ):
+        planted = tmp_path / "planted.csv"
+        planted.write_bytes(edit((synth_dir / "data" / "planted.csv").read_bytes()))
+        config = write_config(
+            tmp_path / "c.json",
+            dataset=str(synth_dir / "data"),
+            model_path=str(artifacts / "model.bin"),
+            planted=str(planted),
+        )
+        code = run_cli("localize", "--config", str(config), "--out", str(tmp_path / "l.csv"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err and str(planted) in err and message in err
 
     @pytest.mark.parametrize("subjects", ["subj0", 5, [1]])
     def test_model_with_bad_train_subjects_exits_3(self, split_root, tmp_path, capsys, subjects):

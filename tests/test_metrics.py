@@ -346,6 +346,25 @@ def test_annotation_csv_rejects_non_integer(tmp_path):
         load_annotation_csv(path)
 
 
+@pytest.mark.parametrize(
+    "raw,line,message",
+    [
+        (b"\xffvideo_id,r0,r1\nv0,1,2\n", 1, "not UTF-8"),
+        (b"video_id,r0,r1\nv0,1,2\nv1,\xff1,0\n", 3, "not UTF-8"),
+        (b"video_id,r0,r1\nv0,1,2\nv1," + b"1" * 200_000 + b",0\n", 3, "field larger than"),
+    ],
+    ids=["header-not-utf8", "row-not-utf8", "overlong-field"],
+)
+def test_annotation_csv_unreadable_record_is_a_parse_error_at_its_line(
+    tmp_path, raw, line, message
+):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match=message) as exc_info:
+        load_annotation_csv(path)
+    assert exc_info.value.line == line
+
+
 def test_annotation_csv_needs_two_raters(tmp_path):
     path = tmp_path / "narrow.csv"
     path.write_text("video_id,r0\nv0,1\n")
