@@ -424,7 +424,7 @@ def relabel(
             f"assignments must cover all {n * m} instances, got {assignments.shape}"
         )
     labels = np.empty(n * m, dtype=np.float64)
-    for c in np.unique(assignments):
+    for c in sorted(set(assignments.tolist())):  # np.unique would import numpy.ma
         members = assignments == c
         member_labels = bag_labels[members]
         if strategy == "kmeans-mode":
@@ -627,7 +627,8 @@ def write_feature_file(path, instances: np.ndarray) -> None:
 
 def read_feature_file(path) -> np.ndarray:
     note_read(path)
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     if len(data) < _HEADER.size:
         raise ParseError(path, 1, "truncated feature file header")
     magic, version, m, dim = _HEADER.unpack_from(data)
@@ -693,6 +694,7 @@ def load_dataset(index_path) -> Dataset:
         raise ParseError(index_path, 1, "index must be a nonempty array")
     bags = []
     kinds = set()
+    folder = os.path.dirname(str(index_path))  # "" for a bare name, not Path's "."
     for record in index:
         check_fields(index_path, record, _INDEX_RECORD, "index record")
         if record["label"] not in LABELS:
@@ -700,7 +702,7 @@ def load_dataset(index_path) -> Dataset:
                 index_path, 1, f"label must be one of {LABELS}, got {record['label']!r}"
             )
         kinds.add(record["feature_kind"])
-        instances = read_feature_file(index_path.parent / record["path"])
+        instances = read_feature_file(os.path.join(folder, record["path"]))
         bags.append(
             Bag(
                 video_id=record["video_id"],

@@ -246,9 +246,16 @@ def svr_train(
     +inf elsewhere, so the pair is up_v.argmax() and low_v.argmin().  A
     step moves all six halves by the same vector t = s_i*d*(k_i - k_j) in
     one in-place subtraction; only entries i and j can change set and are
-    refreshed.  g is read back as -s*viol and a.g as (-s*a).viol.  Negation
-    is exact, so this picks the same pairs and the same iterates, bit for
-    bit, as recomputing g, -s*g and both masks every step.
+    refreshed.  g_i is read back as -s_i*viol_i.  Negation is exact, so
+    this picks the same pairs and the same iterates, bit for bit, as
+    recomputing g, -s*g and both masks every step.
+
+    The trace holds the dual objective -f after each step, f = 1/2 a'Qa +
+    p'a kept as a running sum: 0 at a = 0, 1/2 (a.g + a.p) once at a warm
+    start, and each step adds d*(g_i - ss*g_j) + 1/2 d^2 q with the
+    unclamped q = K_ii + K_jj - 2 K_ij, which is exact in real arithmetic
+    (Fan, Chen & Lin, JMLR 2005).  It drifts from a recomputed objective
+    only by rounding, far below tol.
     """
     x, y = _check_training_inputs(instances, labels)
     l = x.shape[0]
@@ -266,12 +273,14 @@ def svr_train(
     p = np.concatenate([eps - y, eps + y])
     if a is None:
         a, g = np.zeros(2 * l), p  # g: gradient of 1/2 a'Qa + p'a at a = 0
+        f = 0.0
     else:
         theta = a[:l] - a[l:]
         k_theta = np.zeros(l)
         for k in np.flatnonzero(theta):
             k_theta += theta[k] * kernel.row(k)
         g = p + np.concatenate([k_theta, -k_theta])
+        f = float(0.5 * (a.dot(g) + a.dot(p)))
     w = np.empty((3, 2 * l))
     viol, up_v, low_v = w
     viol[:] = -s * g
@@ -279,7 +288,6 @@ def svr_train(
     up_v[:] = np.where(np.concatenate([below_c[:l], above_0[l:]]), viol, -np.inf)
     low_v[:] = np.where(np.concatenate([above_0[:l], below_c[l:]]), viol, np.inf)
     halves = w.reshape(6, l)
-    na = -s * a
     t = np.empty(l)
     trace = []
 
@@ -293,7 +301,8 @@ def svr_train(
         bi, bj = i % l, j % l
         si, sj = (1.0 if i < l else -1.0), (1.0 if j < l else -1.0)
         ki, kj = kernel.row(bi), kernel.row(bj)
-        quad = max(ki.item(bi) + kj.item(bj) - 2.0 * ki.item(bj), 1e-12)
+        q = ki.item(bi) + kj.item(bj) - 2.0 * ki.item(bj)
+        quad = max(q, 1e-12)
         ss = si * sj
         gi, gj = -si * viol.item(i), -sj * viol.item(j)
         d = -(gi - ss * gj) / quad
@@ -304,7 +313,7 @@ def svr_train(
 
         ai, aj = ai + d, aj - ss * d
         a[i], a[j] = ai, aj
-        na[i], na[j] = -si * ai, -sj * aj
+        f += d * (gi - ss * gj) + 0.5 * d * d * q
         np.subtract(ki, kj, out=t)
         t *= si * d
         halves -= t
@@ -312,8 +321,7 @@ def svr_train(
             can_rise, can_fall = (ak < c, ak > 0) if k < l else (ak > 0, ak < c)
             up_v[k] = viol[k] if can_rise else -np.inf
             low_v[k] = viol[k] if can_fall else np.inf
-        # dual (maximization) objective: -(1/2 a'Qa + p'a) = -(a.g + a.p)/2
-        trace.append(float(-0.5 * (na.dot(viol) + a.dot(p))))
+        trace.append(-f)  # the dual (maximization) objective
     else:
         raise ConvergenceError(
             f"KKT violation {m_val - big_m:.3e} after {max_iter} steps"

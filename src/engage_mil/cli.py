@@ -388,6 +388,7 @@ def cmd_train(config: RunConfig) -> None:
     dataset = load_dataset(config.dataset)
     meta = _train_meta(config, dataset)
 
+    header = ["epoch", "loss"]
     if config.model in ("svr", "sgd", "ridge"):
         labeling = _instance_labeling(config, dataset)
         x = dataset.instance_matrix()
@@ -396,7 +397,7 @@ def cmd_train(config: RunConfig) -> None:
             settings = dict(config.svr)
             kernel = KernelSpec("gaussian", settings.pop("sigma"))
             model = svr_train(x, y, SvrConfig(kernel=kernel, **settings))
-            trace = model.objective_trace
+            trace, header = model.objective_trace, ["step", "objective"]
             save_svr(model, config.model_path, meta=meta)
         elif config.model == "sgd":
             model, trace = sgd_linear_train(x, y, seed=config.seed, **config.sgd)
@@ -426,11 +427,7 @@ def cmd_train(config: RunConfig) -> None:
         trained, trace = train(net, dataset, train_cfg)
         save_net(trained, config.model_path, meta=meta)
 
-    _write_rows(
-        config.out,
-        ["epoch", "loss"],
-        ([str(i), _fmt(v)] for i, v in enumerate(trace)),
-    )
+    _write_rows(config.out, header, ([str(i), _fmt(v)] for i, v in enumerate(trace)))
     LOGGER.info("train: %s model written to %s", config.model, config.model_path)
 
 

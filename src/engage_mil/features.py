@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -422,7 +423,8 @@ def pose_gaze_feature(track: PoseGazeTrack, window: SegmentWindow) -> np.ndarray
 def read_pgm(path) -> np.ndarray:
     """Binary (P5) PGM reader for 8-bit grayscale frames."""
     note_read(path)
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     tokens = []
     i = 0
     while len(tokens) < 4:
@@ -495,7 +497,12 @@ def load_frame_archive(directory) -> FrameSequence:
     """Read one video's manifest + numbered PGM frames."""
     directory = Path(directory)
     manifest = load_manifest(directory, frames=True)
-    paths = sorted((directory / "frames").glob("*.pgm"))
+    folder = str(directory / "frames")
+    try:
+        names = sorted(n for n in os.listdir(folder) if n.endswith(".pgm"))
+    except OSError:  # missing, or not a directory: no frames
+        names = []
+    paths = [os.path.join(folder, n) for n in names]
     if len(paths) != manifest["frame_count"]:
         message = f"manifest says {manifest['frame_count']} frames, found {len(paths)}"
         raise ParseError(directory / "manifest.json", 1, message)

@@ -391,7 +391,13 @@ def _forward(net, x: np.ndarray, intensities: bool = False):
 
 
 def _mil_batch_grads(net: MilNet, x: np.ndarray, y: np.ndarray):
-    """Mean squared-error loss and its gradients over a (B, M, D) batch."""
+    """Mean squared-error loss and its gradients over a (B, M, D) batch.
+
+    Top-k pooling with k < M gives every other instance a zero d(score)/dr,
+    so each dz row, dW term and db term it feeds is zero: the backward pass
+    runs over the B*k pooled rows only, gathered from the input and each
+    layer's output.  Mean pooling and k = M backprop all B*M rows.
+    """
     b, m, d = x.shape
     flat_in = x.reshape(b * m, d)
     out, caches = _dense_stack_forward(net.layers, flat_in)
@@ -399,9 +405,15 @@ def _mil_batch_grads(net: MilNet, x: np.ndarray, y: np.ndarray):
     scores, mask = _pool_matrix(r, net.pooling, net.k)
     losses = (scores - y) ** 2
     d_scores = 2.0 * (scores - y) / b
-    dr = d_scores[:, None] * mask
+    dr = (d_scores[:, None] * mask).reshape(b * m, 1)
+    rows = np.flatnonzero(mask)
+    if len(rows) < b * m:
+        # layer L+1's input is layer L's output: gather each activation once
+        acts = [a[rows] for _, a in caches]
+        caches = list(zip([flat_in[rows], *acts[:-1]], acts))
+        dr = dr[rows]
     grads = deque()
-    _dense_stack_backward(net.layers, caches, dr.reshape(b * m, 1), grads)
+    _dense_stack_backward(net.layers, caches, dr, grads)
     return float(losses.mean()), [g for pair in grads for g in pair], scores
 
 
@@ -421,23 +433,31 @@ def _seq_batch_grads(net: SeqNet, x: np.ndarray, y: np.ndarray):
 
     w_h_t = net.lstm.weights[:, d:].T.copy()
     sig = 3 * h_dim
+    # the step-independent derivative factors, once over all steps
+    d_tanh_c = 1.0 - tanh_cs**2
+    d_sig = gates[:, :sig] * (1.0 - gates[:, :sig])
+    d_cand = 1.0 - gates[:, sig:] ** 2
     dz = np.empty((m, 4 * h_dim, b))  # d(loss)/d(gate pre-activation)
+    dh, dc = np.empty((h_dim, b)), np.empty((h_dim, b))
     dh_next = np.zeros((h_dim, b))
     dc_next = np.zeros((h_dim, b))
     for t in range(m - 1, -1, -1):
         g = gates[t]
         gi, gf, go, gc = (g[k * h_dim : (k + 1) * h_dim] for k in range(4))
-        tanh_c = tanh_cs[t]
-        dh = d_hs[t] + dh_next
-        dc = dh * go * (1.0 - tanh_c**2) + dc_next
+        np.add(d_hs[t], dh_next, out=dh)
+        # summed as (dh * go) * (1 - tanh(c)^2) + dc_next, so the gradients stay bit for bit
+        np.multiply(dh, go, out=dc)
+        dc *= d_tanh_c[t]
+        dc += dc_next
         dzt = dz[t]
         np.multiply(dc, gc, out=dzt[:h_dim])
         np.multiply(dc, cs[t], out=dzt[h_dim : 2 * h_dim])
-        np.multiply(dh, tanh_c, out=dzt[2 * h_dim : sig])
-        dzt[:sig] *= g[:sig] * (1.0 - g[:sig])
-        dzt[sig:] = dc * gi * (1.0 - gc**2)
-        dh_next = w_h_t @ dzt
-        dc_next = dc * gf
+        np.multiply(dh, tanh_cs[t], out=dzt[2 * h_dim : sig])
+        dzt[:sig] *= d_sig[t]
+        np.multiply(dc, gi, out=dzt[sig:])
+        dzt[sig:] *= d_cand[t]
+        np.matmul(w_h_t, dzt, out=dh_next)
+        np.multiply(dc, gf, out=dc_next)
     inputs = zcat[:m].transpose(0, 2, 1).reshape(m * b, d + h_dim)
     gw = dz.transpose(1, 0, 2).reshape(4 * h_dim, m * b) @ inputs
     grads = [gw, dz.sum(axis=(0, 2)), *(g for pair in head_grads for g in pair)]

@@ -8,8 +8,16 @@ import csv
 import json
 import math
 import struct
+from collections import deque
 
 import numpy as np
+
+from engage_mil.networks import (
+    _dense_stack_backward,
+    _dense_stack_forward,
+    _pool_matrix,
+    _seq_forward,
+)
 
 # --- spatio-temporal binary-pattern histograms ------------------------------
 
@@ -262,12 +270,13 @@ def reference_smo_svr(x, y, c, epsilon, sigma, tol, max_iter=200_000, start=None
 
     The plain vectorised form of the trainer's step loop: same pair choice
     (first index on ties), same two-variable solve and clip, same update
-    and objective expressions, so the trainer must match it bit for bit.
-    Kernel rows use the trainer's per-row expression; caching them changes
-    no value.  From a = 0, or from the dual `start` with the trainer's
-    warm-start gradient (its kernel rows times alpha - alpha*, summed in
-    index order).  Returns (support_vectors, coef, bias, objective_trace,
-    final dual).
+    and running-objective expressions, so the trainer must match it bit for
+    bit.  Kernel rows use the trainer's per-row expression; caching them
+    changes no value.  From a = 0, or from the dual `start` with the
+    trainer's warm-start gradient (its kernel rows times alpha - alpha*,
+    summed in index order).  Returns (support_vectors, coef, bias,
+    objective_trace, final dual, direct_trace); direct_trace holds the dual
+    objective -(a.g + a.p)/2 recomputed at each step.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -286,6 +295,7 @@ def reference_smo_svr(x, y, c, epsilon, sigma, tol, max_iter=200_000, start=None
     if start is None:
         a = np.zeros(2 * l)
         g = p.copy()
+        f = 0.0
     else:
         a = np.array(start, dtype=np.float64)
         theta = a[:l] - a[l:]
@@ -293,7 +303,8 @@ def reference_smo_svr(x, y, c, epsilon, sigma, tol, max_iter=200_000, start=None
         for k in np.flatnonzero(theta):
             k_theta += theta[k] * kernel_row(k)
         g = p + np.concatenate([k_theta, -k_theta])
-    trace = []
+        f = float(0.5 * (a.dot(g) + a.dot(p)))
+    trace, direct = [], []
     for _ in range(max_iter):
         viol = -s * g
         up = ((s > 0) & (a < c)) | ((s < 0) & (a > 0))
@@ -305,23 +316,26 @@ def reference_smo_svr(x, y, c, epsilon, sigma, tol, max_iter=200_000, start=None
             break
         bi, bj = i % l, j % l
         ki, kj = kernel_row(bi), kernel_row(bj)
-        quad = max(ki[bi] + kj[bj] - 2.0 * ki[bj], 1e-12)
+        q = ki[bi] + kj[bj] - 2.0 * ki[bj]
+        quad = max(q, 1e-12)
         ss = s[i] * s[j]
         d = -(g[i] - ss * g[j]) / quad
         d_lo = max(-a[i], (a[j] - c) if ss > 0 else -a[j])
         d_hi = min(c - a[i], a[j] if ss > 0 else c - a[j])
         d = min(max(d, d_lo), d_hi)
+        f += d * (g[i] - ss * g[j]) + 0.5 * d * d * q
         a[i] += d
         a[j] -= ss * d
         g += s * (s[i] * d) * np.concatenate([ki - kj, ki - kj])
-        trace.append(float(-0.5 * (a @ g + a @ p)))
+        trace.append(float(-f))
+        direct.append(float(-0.5 * (a @ g + a @ p)))
     else:
         raise RuntimeError(f"reference SMO did not converge in {max_iter} steps")
     theta = a[:l] - a[l:]
     keep = theta != 0.0
     if not keep.any():
         keep[:1] = True
-    return x[keep].copy(), theta[keep], float((m_val + big_m) / 2.0), trace, a
+    return x[keep].copy(), theta[keep], float((m_val + big_m) / 2.0), trace, a, direct
 
 
 def closed_form_ridge(x, y, penalty):
@@ -458,6 +472,57 @@ def reference_seq_grads(net, x, y):
         dc_next = dc * gf
     grads = [np.concatenate([gw[g] for g in _GATES]), np.concatenate([gb[g] for g in _GATES])]
     return float(((scores - y) ** 2).mean()), grads + head_grads
+
+
+def reference_mil_batch_grads(net, x, y):
+    """MIL loss, gradients and scores over a (B, M, D) batch by the dense
+    backward pass: all B*M rows backpropagate, those outside the top k
+    with a zero d(score)/dr."""
+    b, m, d = x.shape
+    out, caches = _dense_stack_forward(net.layers, x.reshape(b * m, d))
+    scores, mask = _pool_matrix(out[:, 0].reshape(b, m), net.pooling, net.k)
+    dr = 2.0 * (scores - y)[:, None] / b * mask
+    grads = deque()
+    _dense_stack_backward(net.layers, caches, dr.reshape(b * m, 1), grads)
+    return float(((scores - y) ** 2).mean()), [g for pair in grads for g in pair], scores
+
+
+def reference_seq_batch_grads(net, x, y):
+    """SeqNet loss, gradients and scores over a (B, M, D) batch by the
+    fused-gate backprop through time with every derivative factor formed
+    inside the step loop."""
+    b, m, d = x.shape
+    h_dim = net.lstm.hidden
+    scores, _, (zcat, gates, cs, tanh_cs), dense_caches = _seq_forward(net, x)
+    d_scores = 2.0 * (scores - y) / b
+    d_out = np.repeat(d_scores[:, None], net.dense[-1].out_dim, axis=1) / net.dense[-1].out_dim
+    head_grads = deque()
+    d_flat = _dense_stack_backward(net.dense, dense_caches, d_out, head_grads)
+    d_hs = np.ascontiguousarray(d_flat.reshape(b, m, h_dim).transpose(1, 2, 0))
+
+    w_h_t = net.lstm.weights[:, d:].T.copy()
+    sig = 3 * h_dim
+    dz = np.empty((m, 4 * h_dim, b))
+    dh_next = np.zeros((h_dim, b))
+    dc_next = np.zeros((h_dim, b))
+    for t in range(m - 1, -1, -1):
+        g = gates[t]
+        gi, gf, go, gc = (g[k * h_dim : (k + 1) * h_dim] for k in range(4))
+        tanh_c = tanh_cs[t]
+        dh = d_hs[t] + dh_next
+        dc = dh * go * (1.0 - tanh_c**2) + dc_next
+        dzt = dz[t]
+        np.multiply(dc, gc, out=dzt[:h_dim])
+        np.multiply(dc, cs[t], out=dzt[h_dim : 2 * h_dim])
+        np.multiply(dh, tanh_c, out=dzt[2 * h_dim : sig])
+        dzt[:sig] *= g[:sig] * (1.0 - g[:sig])
+        dzt[sig:] = dc * gi * (1.0 - gc**2)
+        dh_next = w_h_t @ dzt
+        dc_next = dc * gf
+    inputs = zcat[:m].transpose(0, 2, 1).reshape(m * b, d + h_dim)
+    gw = dz.transpose(1, 0, 2).reshape(4 * h_dim, m * b) @ inputs
+    grads = [gw, dz.sum(axis=(0, 2)), *(g for pair in head_grads for g in pair)]
+    return float(((scores - y) ** 2).mean()), grads, scores
 
 
 def reference_bag_scores(net, instances):

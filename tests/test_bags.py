@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import engage_mil
 from engage_mil.bags import (
     Bag,
     Dataset,
@@ -344,6 +349,29 @@ def test_relabel_mean_within_member_label_range(seed):
         members = bag_labels[assignments == c]
         values = labeling.labels.reshape(-1)[assignments == c]
         assert (values >= members.min()).all() and (values <= members.max()).all()
+
+
+def test_kmeans_relabel_process_never_imports_numpy_ma():
+    # np.unique imports numpy.ma (about 9 ms and 1.6 MB in every process)
+    code = """
+import sys
+from engage_mil.bags import SyntheticSpec, kmeans, relabel, synth_generate
+dataset, _ = synth_generate(SyntheticSpec(subjects=4, videos=8, m=5, dim=3, seed=1))
+assignments = kmeans(dataset.instance_matrix(), 4, seed=0).assignments
+for strategy in ("kmeans-mode", "kmeans-mean"):
+    relabel(dataset, strategy, assignments)
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
+"""
+    src = str(Path(engage_mil.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # --- synthetic generator ----------------------------------------------------

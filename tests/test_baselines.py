@@ -175,17 +175,24 @@ def test_svr_invariants_on_random_problems(seed):
         assert (np.diff(trace) >= -1e-9).all()
 
 
-def _reference_svr_train(x, y, config, warm=None):
-    # the warm start: the last dual scaled by C'/C, a variable at C set to C'
+def _reference_smo(x, y, config, warm=None):
+    """reference_smo_svr's result for config; from `warm`'s scaled dual when
+    it holds one (the last dual x C'/C, a variable at C set to C'), and
+    leaving the final dual in `warm`."""
     start = None
     if warm is not None and warm.dual is not None:
         scaled = np.minimum(warm.dual * (config.c / warm.c), config.c)
         start = np.where(warm.dual == warm.c, config.c, scaled)
-    sv, coef, bias, trace, dual = reference_smo_svr(
+    result = reference_smo_svr(
         x, y, config.c, config.epsilon, config.kernel.sigma, config.tol, start=start
     )
     if warm is not None:
-        warm.dual, warm.c = dual, config.c
+        warm.dual, warm.c = result[4], config.c
+    return result
+
+
+def _reference_svr_train(x, y, config, warm=None):
+    sv, coef, bias, trace, _, _ = _reference_smo(x, y, config, warm)
     return baselines.SvrModel(sv, coef, bias, config, trace)
 
 
@@ -195,16 +202,24 @@ SMO_CASES = {
     "large_epsilon": (40, 3, 1.0, 1.2, 1.0),
     "kernel_cache_evicts": (600, 4, 5.0, 0.02, 0.7),  # touches > 512 rows
     "duplicate_rows_tie": (12, 2, 1.0, 0.1, 1.5),
+    # a pair of identical rows has q = 0, below quad's 1e-12 clamp
+    "split_labels_on_duplicate_rows": (15, 2, 1.0, 0.1, 1.5),
 }
 
 
-@pytest.mark.parametrize("case", sorted(SMO_CASES))
-def test_svr_matches_reference_smo_bit_for_bit(case):
+def _smo_case_problem(case):
     n, dim, c, epsilon, sigma = SMO_CASES[case]
     x, y = _random_problem(sorted(SMO_CASES).index(case) + 50, n=n, dim=dim)
     if case == "duplicate_rows_tie":  # identical rows and labels tie in argmax
         x, y = np.tile(x, (3, 1)), np.tile(np.round(y), 3)
-    config = SvrConfig(c=c, epsilon=epsilon, kernel=KernelSpec(sigma=sigma), tol=1e-4)
+    if case == "split_labels_on_duplicate_rows":  # each row twice, at y and 3 - y
+        x, y = np.tile(x, (2, 1)), np.concatenate([y, 3.0 - y])
+    return x, y, SvrConfig(c=c, epsilon=epsilon, kernel=KernelSpec(sigma=sigma), tol=1e-4)
+
+
+@pytest.mark.parametrize("case", sorted(SMO_CASES))
+def test_svr_matches_reference_smo_bit_for_bit(case):
+    x, y, config = _smo_case_problem(case)
     model = svr_train(x, y, config)
     reference = _reference_svr_train(x, y, config)
     assert len(model.objective_trace) > 0
@@ -212,6 +227,29 @@ def test_svr_matches_reference_smo_bit_for_bit(case):
     assert model.bias == reference.bias
     assert np.array_equal(model.support_vectors, reference.support_vectors)
     assert model.objective_trace == reference.objective_trace
+
+
+@pytest.mark.parametrize("case", [*sorted(SMO_CASES), "warm_c_path"])
+def test_svr_running_objective_tracks_the_recomputed_dual(case):
+    """Each trace value, summed step by step, stays within rounding of
+    -(a.g + a.p)/2 recomputed at the same iterate."""
+    if case == "warm_c_path":
+        x, y = _random_problem(61, n=120, dim=3)
+        configs = [
+            SvrConfig(c=c, epsilon=0.05, kernel=KernelSpec(sigma=1.2), tol=1e-4)
+            for c in (0.1, 1.0, 10.0)
+        ]
+    else:
+        x, y, config = _smo_case_problem(case)
+        configs = [config]
+    path = baselines.SvrPath(baselines._KernelRows(x, configs[0].kernel.sigma, len(x)))
+    reference_path = baselines.SvrPath(kernel=None)
+    for config in configs:
+        trace = svr_train(x, y, config, warm=path).objective_trace
+        direct = _reference_smo(x, y, config, reference_path)[5]
+        assert len(trace) == len(direct) > 0
+        for value, exact in zip(trace, direct):
+            assert abs(value - exact) <= 1e-9 * max(1.0, abs(value))
 
 
 def test_svr_rejects_a_step_cap_below_one():

@@ -448,6 +448,30 @@ class TestExtract:
         assert code == 3
         assert "Traceback" not in err and "manifest.json" in err
 
+    @pytest.mark.parametrize("frames", ["missing", "not-a-directory"])
+    def test_unlistable_frames_folder_holds_no_frames_and_exits_3(
+        self, frame_tree, tmp_path, capsys, frames
+    ):
+        """A frames/ that is missing or is a file lists no frames: the
+        manifest's count then disagrees, a data error rather than an OSError."""
+        root = tmp_path / "raw"
+        video = shutil.copytree(frame_tree / "fvid0", root / "fvid0")
+        shutil.rmtree(video / "frames")
+        if frames == "not-a-directory":
+            (video / "frames").write_bytes(b"P5\n")
+        (root / "labels.csv").write_text("video_id,label\nfvid0,1\n")
+        config = write_config(
+            tmp_path / "c.json",
+            feature="lbptop",
+            m=5,
+            input=str(root),
+            labels=str(root / "labels.csv"),
+        )
+        code = run_cli("extract", "--config", str(config), "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err and "found 0" in err
+
     @pytest.mark.parametrize(
         "line,cell,message",
         [(2, b"nan", "non-finite value"), (3, b"1e500", "non-finite value"), (4, b"0.\xff", "not UTF-8")],
@@ -557,7 +581,8 @@ class TestModelCommands:
             == 0
         )
         trace_lines = (tmp_path / "t.csv").read_text().splitlines()
-        assert trace_lines[0] == "epoch,loss"
+        # SMO steps and the rising dual objective; epochs and losses otherwise
+        assert trace_lines[0] == ("step,objective" if kind == "svr" else "epoch,loss")
 
         test_config = self._config(
             tmp_path, split_root, kind, dataset=str(split_root / "test")

@@ -26,6 +26,7 @@ from engage_mil.networks import (
 from engage_mil.networks import (
     _batch_grads,
     _forward,
+    _mil_batch_grads,
     _pool_matrix,
     _seq_batch_grads,
     _seq_forward,
@@ -38,6 +39,8 @@ from oracles import (
     max_relative_gradient_error,
     model_file_bytes,
     reference_bag_scores,
+    reference_mil_batch_grads,
+    reference_seq_batch_grads,
     reference_seq_forward,
     reference_seq_grads,
     split_model_file,
@@ -361,6 +364,54 @@ def test_fused_seq_pass_matches_the_per_gate_reference(in_dim, m, hidden, batch)
         assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
         for got, want in zip(grads, ref_grads):
             assert _relative_error(got, want) < 1e-12
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(1, 9),
+    st.integers(1, 10),
+    st.data(),
+    st.sampled_from(["topk", "mean"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_mil_backward_over_pooled_rows_matches_the_dense_backward(
+    batch, m, data, pooling, tied, seed
+):
+    """Backprop through the top-k rows only agrees with backprop through all
+    rows to rounding; mean pooling and k = M take the dense path bit for bit."""
+    k = data.draw(st.integers(1, m), label="k")
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 5))
+    net = build_mil_net(dim, hidden=(6, 3), pooling=pooling, k=k, seed=seed % 1000)
+    x = rng.normal(size=(batch, m, dim))
+    if tied:  # duplicate instances tie in the top-k ranking
+        x[:, m // 2 :] = x[:, : m - m // 2]
+    y = rng.uniform(0.0, 3.0, size=batch)
+    loss, grads, scores = _mil_batch_grads(net, x, y)
+    ref_loss, ref_grads, ref_scores = reference_mil_batch_grads(net, x, y)
+    assert loss == ref_loss and np.array_equal(scores, ref_scores)
+    assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
+    for got, want in zip(grads, ref_grads):
+        if pooling == "mean" or k == m:
+            assert np.array_equal(got, want)
+        else:
+            assert _relative_error(got, want) < 1e-12
+
+
+@pytest.mark.parametrize("in_dim,m,hidden,batch", [(4, 5, 4, 7), (3, 6, 1, 4), (8, 20, 16, 16)])
+def test_seq_backward_with_hoisted_factors_is_bit_identical(in_dim, m, hidden, batch):
+    for seed in range(3):
+        rng = np.random.default_rng(400 + seed)
+        net = build_seq_net(in_dim, m=m, hidden=hidden, dense=(6, 5), seed=seed)
+        x = rng.normal(size=(batch, m, in_dim)) * 2.0
+        y = rng.uniform(0.0, 1.0, size=batch)
+        loss, grads, scores = _seq_batch_grads(net, x, y)
+        ref_loss, ref_grads, ref_scores = reference_seq_batch_grads(net, x, y)
+        assert loss == ref_loss and np.array_equal(scores, ref_scores)
+        assert len(grads) == len(ref_grads)
+        for got, want in zip(grads, ref_grads):
+            assert np.array_equal(got, want)
 
 
 def _serving_dataset(rng, m, dim, bags=9):
