@@ -18,13 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .audit import note_read
 from .errors import (
     CannotSplitError,
     EmptyVideoError,
     ParseError,
 )
-from .textio import read_csv
+from .textio import JSON_NUMBER, check_fields, parse_json, read_bytes, read_csv, read_json
 
 LABELS = (0, 1, 2, 3)
 
@@ -500,22 +499,6 @@ def synth_generate(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
 # ---------------------------------------------------------------------------
 # on-disk dataset format
 
-JSON_NUMBER = (int, float)
-
-
-def check_fields(path, record, spec: dict, what: str) -> None:
-    """Raise ParseError unless `record` is a JSON object holding every key of
-    `spec` with a value of the listed type; a bool never passes as a number.
-    """
-    if not isinstance(record, dict):
-        raise ParseError(path, 1, f"{what} must be a JSON object")
-    for key, kind in spec.items():
-        if key not in record:
-            raise ParseError(path, 1, f"{what} missing {key!r}")
-        value = record[key]
-        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-            raise ParseError(path, 1, f"{what} has a bad {key!r}: {value!r}")
-
 
 MODEL_MAGIC = b"EMMF"
 MODEL_VERSION = 1
@@ -563,11 +546,8 @@ def _model_header(path, data: bytes) -> tuple[dict, int]:
     offset = _MODEL_PREFIX.size + size
     if len(data) < offset:
         raise ParseError(path, 1, "truncated model header")
-    try:
-        blob = data[_MODEL_PREFIX.size : offset]
-        header = json.loads(blob, parse_float=_finite_float, parse_constant=_finite_float)
-    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or number
-        raise ParseError(path, 1, f"bad model header: {exc}") from None
+    hooks = {"parse_float": _finite_float, "parse_constant": _finite_float}
+    header = parse_json(path, data[_MODEL_PREFIX.size : offset], "model", **hooks)
     check_fields(path, header, _MODEL_HEADER, "model header")
     for shape in header["shapes"]:
         if not (
@@ -581,8 +561,7 @@ def _model_header(path, data: bytes) -> tuple[dict, int]:
 
 def model_kind(path) -> str:
     """The kind a model file's header names; ParseError if it has no valid header."""
-    note_read(path)
-    return _model_header(path, Path(path).read_bytes())[0]["kind"]
+    return _model_header(path, read_bytes(path, "model"))[0]["kind"]
 
 
 def read_model(path, kinds: dict, build):
@@ -592,8 +571,7 @@ def read_model(path, kinds: dict, build):
     (see check_fields); `build(kind, fields, arrays)` makes the model, and
     what its constructors refuse becomes ParseError.  The payload size is
     checked against the header's shapes before any array is allocated."""
-    note_read(path)
-    data = Path(path).read_bytes()
+    data = read_bytes(path, "model")
     header, offset = _model_header(path, data)
     kind, fields = header["kind"], header["fields"]
     if kind not in kinds:
@@ -626,9 +604,8 @@ def write_feature_file(path, instances: np.ndarray) -> None:
 
 
 def read_feature_file(path) -> np.ndarray:
-    note_read(path)
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """An (m, dim) instance matrix; empty or non-finite ones are refused."""
+    data = read_bytes(path, "feature file")
     if len(data) < _HEADER.size:
         raise ParseError(path, 1, "truncated feature file header")
     magic, version, m, dim = _HEADER.unpack_from(data)
@@ -641,9 +618,12 @@ def read_feature_file(path) -> np.ndarray:
         raise ParseError(
             path, 1, f"expected {m * dim * 4} payload bytes, found {len(payload)}"
         )
-    return (
-        np.frombuffer(payload, dtype="<f4").reshape(m, dim).astype(np.float64)
-    )
+    if m * dim == 0:
+        raise ParseError(path, 1, f"empty {m} x {dim} feature matrix")
+    instances = np.frombuffer(payload, dtype="<f4")
+    if not np.isfinite(instances).all():
+        raise ParseError(path, 1, "non-finite feature values")
+    return instances.reshape(m, dim).astype(np.float64)
 
 
 def save_dataset(dataset: Dataset, directory) -> Path:
@@ -681,15 +661,7 @@ def load_dataset(index_path) -> Dataset:
     index_path = Path(index_path)
     if index_path.is_dir():
         index_path = index_path / "index.json"
-    note_read(index_path)
-    try:
-        index = json.loads(index_path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ParseError(index_path, 1, "missing dataset index") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(index_path, exc.lineno, exc.msg) from None
-    except (ValueError, RecursionError) as exc:  # not UTF-8; nested too deep
-        raise ParseError(index_path, 1, f"bad index: {exc}") from None
+    index = read_json(index_path, "dataset index")
     if not isinstance(index, list) or not index:
         raise ParseError(index_path, 1, "index must be a nonempty array")
     bags = []
@@ -713,7 +685,10 @@ def load_dataset(index_path) -> Dataset:
         )
     if len(kinds) != 1:
         raise ParseError(index_path, 1, f"mixed feature kinds {sorted(kinds)}")
-    return Dataset(bags, kinds.pop(), bags[0].m)
+    try:
+        return Dataset(bags, kinds.pop(), bags[0].m)
+    except ValueError as exc:  # bags of different sizes or dimensions
+        raise ParseError(index_path, 1, str(exc)) from None
 
 
 def save_planted_csv(dataset: Dataset, planted: np.ndarray, path) -> None:
@@ -731,9 +706,8 @@ def save_planted_csv(dataset: Dataset, planted: np.ndarray, path) -> None:
 
 
 def load_planted_csv(path) -> dict[str, np.ndarray]:
-    note_read(path)
     per_video: dict[str, list[tuple[int, float]]] = {}
-    records = read_csv(path)
+    records = read_csv(path, "planted truth")
     _, header = next(records, (1, None))
     if header != ["video_id", "instance_index", "planted_intensity"]:
         raise ParseError(path, 1, "unexpected planted-truth header")

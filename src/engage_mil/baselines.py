@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bags import JSON_NUMBER, Dataset, InstanceLabeling, read_model, write_model
+from .bags import Dataset, InstanceLabeling, read_model, write_model
 from .errors import ConvergenceError, TrainingDivergedError
+from .textio import JSON_NUMBER
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -240,15 +241,15 @@ def svr_train(
     at another point inside the same tolerance, so its model can differ
     from a cold solve's by tol-scale amounts.
 
-    The violations viol = -s*g are row 0 of one (3, 2l) array.  Row 1
-    (up_v) holds them where s_k*a_k can still grow (the up set) and -inf
-    elsewhere, row 2 (low_v) where it can still shrink (the low set) and
-    +inf elsewhere, so the pair is up_v.argmax() and low_v.argmin().  A
-    step moves all six halves by the same vector t = s_i*d*(k_i - k_j) in
-    one in-place subtraction; only entries i and j can change set and are
-    refreshed.  g_i is read back as -s_i*viol_i.  Negation is exact, so
-    this picks the same pairs and the same iterates, bit for bit, as
-    recomputing g, -s*g and both masks every step.
+    The violations -s*g live in one (2, 2l) array: row 0 (up_v) where
+    s_k*a_k can still grow (the up set), -inf elsewhere, row 1 (low_v) where
+    it can still shrink (the low set), +inf elsewhere; the pair is
+    up_v.argmax() and low_v.argmin().  As C > 0, every variable is in a set,
+    so its violation is its finite entry, and g_i = -s_i*up_v_i, g_j =
+    -s_j*low_v_j.  A step moves all four halves by t = s_i*d*(k_i - k_j) in
+    one in-place subtraction, then refreshes entries i and j, the only ones
+    that can change set.  Negation is exact, so the pairs and iterates are
+    those of recomputing g, -s*g and both masks every step, bit for bit.
 
     The trace holds the dual objective -f after each step, f = 1/2 a'Qa +
     p'a kept as a running sum: 0 at a = 0, 1/2 (a.g + a.p) once at a warm
@@ -281,13 +282,13 @@ def svr_train(
             k_theta += theta[k] * kernel.row(k)
         g = p + np.concatenate([k_theta, -k_theta])
         f = float(0.5 * (a.dot(g) + a.dot(p)))
-    w = np.empty((3, 2 * l))
-    viol, up_v, low_v = w
-    viol[:] = -s * g
+    w = np.empty((2, 2 * l))
+    up_v, low_v = w
+    viol = -s * g
     below_c, above_0 = a < c, a > 0
     up_v[:] = np.where(np.concatenate([below_c[:l], above_0[l:]]), viol, -np.inf)
     low_v[:] = np.where(np.concatenate([above_0[:l], below_c[l:]]), viol, np.inf)
-    halves = w.reshape(6, l)
+    halves = w.reshape(4, l)
     t = np.empty(l)
     trace = []
 
@@ -304,7 +305,7 @@ def svr_train(
         q = ki.item(bi) + kj.item(bj) - 2.0 * ki.item(bj)
         quad = max(q, 1e-12)
         ss = si * sj
-        gi, gj = -si * viol.item(i), -sj * viol.item(j)
+        gi, gj = -si * m_val, -sj * big_m
         d = -(gi - ss * gj) / quad
         ai, aj = a.item(i), a.item(j)
         d_lo = max(-ai, (aj - c) if ss > 0 else -aj)
@@ -318,9 +319,11 @@ def svr_train(
         t *= si * d
         halves -= t
         for k, ak in ((i, ai), (j, aj)):
+            v = up_v.item(k)
+            v = low_v.item(k) if v == -np.inf else v
             can_rise, can_fall = (ak < c, ak > 0) if k < l else (ak > 0, ak < c)
-            up_v[k] = viol[k] if can_rise else -np.inf
-            low_v[k] = viol[k] if can_fall else np.inf
+            up_v[k] = v if can_rise else -np.inf
+            low_v[k] = v if can_fall else np.inf
         trace.append(-f)  # the dual (maximization) objective
     else:
         raise ConvergenceError(

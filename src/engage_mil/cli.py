@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import logging
 import os
 import sys
@@ -20,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import features as feats
-from .audit import note_read
 from .bags import (
     Dataset,
     SyntheticSpec,
@@ -55,6 +53,7 @@ from .errors import (
     InvalidSplitError,
     NumericError,
     ParseError,
+    UndefinedCorrelationError,
 )
 from .metrics import compute_report
 from .networks import (
@@ -65,6 +64,7 @@ from .networks import (
     save_net,
     train,
 )
+from .textio import read_json, read_text
 
 LOGGER = logging.getLogger("engage_mil")
 LOG_ENV = "ENGAGE_MIL_LOG"
@@ -180,19 +180,28 @@ class RunConfig:
             raise ConfigError("grid must be two positive integers")
         self.hidden = tuple(int(h) for h in self.hidden)
         self.seq_dense = tuple(int(h) for h in self.seq_dense)
-        if not self.hidden or min(self.hidden) < 1 or len(self.seq_dense) != 2:
+        widths = (*self.hidden, *self.seq_dense, self.seq_hidden)
+        if not self.hidden or len(self.seq_dense) != 2 or min(widths) < 1:
             raise ConfigError("bad network width configuration")
+        if self.xy_frames not in ("all", "center"):
+            raise ConfigError("xy_frames must be 'all' or 'center'")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        if self.sgd["penalty"] < 0:
+            raise ConfigError("sgd penalty must be nonnegative")
+        # the other blocks are checked by the library objects they configure,
+        # built once, here, for the commands to use
+        svr = dict(self.svr)
+        self.svr_config = SvrConfig(kernel=KernelSpec("gaussian", svr.pop("sigma")), **svr)
+        self.train_config = TrainConfig(seed=self.seed, **self.train)
+        self.synth_spec = SyntheticSpec(seed=self.seed, **self.synth)
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
         try:
-            raw = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc.msg}") from None
-        except RecursionError:
-            raise ConfigError(f"config {path} nests too deeply") from None
+            raw = read_json(path, "config")
+        except ParseError as exc:  # the one input whose read faults are config faults
+            raise ConfigError(f"config {path} {exc.message}") from None
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
         known = {f.name for f in fields(cls)}
@@ -204,8 +213,8 @@ class RunConfig:
                 raw[key] = value
         try:
             return cls(**raw)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+        except (TypeError, ValueError) as exc:  # a setting of the wrong type or refused value
+            raise ConfigError(f"bad config value: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +234,7 @@ def _fmt(value: float) -> str:
 
 def load_labels_csv(path) -> dict[str, int]:
     """Two-column video_id,label file mapping each video to its 0-3 level."""
-    note_read(path)
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read labels {path}: {exc}") from None
-    lines = text.splitlines()
+    lines = read_text(path, "labels").splitlines()
     if not lines or lines[0].strip() != "video_id,label":
         raise ParseError(path, 1, "expected header 'video_id,label'")
     labels: dict[str, int] = {}
@@ -265,23 +269,21 @@ def _check_rate(folder: Path, fps: float, target_fps: float) -> None:
         )
 
 
-def _extract_one(task):
-    directory, kind, window, stride, target_fps, grid, xy_frames = task
-    folder = Path(directory)
-    if kind == "lbptop":
+def _extract_one(folder: Path, config: RunConfig):
+    if config.feature == "lbptop":
         seq = feats.load_frame_archive(folder)
-        _check_rate(folder, seq.fps, target_fps)
-        sub = feats.subsample(seq, target_fps)
-        windows = feats.segment(len(sub), window, stride)
-        hists = feats.lbp_top_many(sub, windows, xy_frames=xy_frames, grid=grid)
+        _check_rate(folder, seq.fps, config.target_fps)
+        sub = feats.subsample(seq, config.target_fps)
+        windows = feats.segment(len(sub), config.window, config.stride)
+        hists = feats.lbp_top_many(sub, windows, xy_frames=config.xy_frames, grid=config.grid)
         vectors = np.stack([h.bins for h in hists])
         return seq.video_id, seq.subject_id, vectors
     manifest = feats.load_manifest(folder, frames=False)
-    _check_rate(folder, float(manifest["fps"]), target_fps)
+    _check_rate(folder, float(manifest["fps"]), config.target_fps)
     track = feats.load_pose_gaze_csv(folder / "pose.csv")
-    step = feats.sample_step(float(manifest["fps"]), target_fps)
+    step = feats.sample_step(float(manifest["fps"]), config.target_fps)
     sub = track.every(step)
-    windows = feats.segment(len(sub), window, stride)
+    windows = feats.segment(len(sub), config.window, config.stride)
     vectors = np.stack([feats.pose_gaze_feature(sub, w) for w in windows])
     return manifest["video_id"], manifest["subject_id"], vectors
 
@@ -302,23 +304,11 @@ def cmd_extract(config: RunConfig) -> None:
     if not video_dirs:
         raise DataError(f"no videos found under {root}")
     labels = load_labels_csv(config.labels)
-    tasks = [
-        (
-            str(d),
-            config.feature,
-            config.window,
-            config.stride,
-            config.target_fps,
-            config.grid,
-            config.xy_frames,
-        )
-        for d in video_dirs
-    ]
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_extract_one, tasks))
+            results = list(pool.map(_extract_one, video_dirs, [config] * len(video_dirs)))
     else:
-        results = [_extract_one(task) for task in tasks]
+        results = [_extract_one(d, config) for d in video_dirs]
     results.sort(key=lambda item: item[0])
 
     bags = []
@@ -326,15 +316,8 @@ def cmd_extract(config: RunConfig) -> None:
         if video_id not in labels:
             raise DataError(f"{video_id}: no entry in the labels file")
         print(f"{video_id}: {len(vectors)} segments")
-        bags.append(
-            make_bags(
-                vectors,
-                config.m,
-                video_id=video_id,
-                subject_id=subject_id,
-                label=labels[video_id],
-            )
-        )
+        ids = {"video_id": video_id, "subject_id": subject_id, "label": labels[video_id]}
+        bags.append(make_bags(vectors, config.m, **ids))
     dataset = Dataset(bags, config.feature, config.m)
     index = save_dataset(dataset, config.out)
     LOGGER.info("extract: wrote %d bags to %s", len(bags), index)
@@ -347,8 +330,7 @@ def cmd_extract(config: RunConfig) -> None:
 def cmd_synth(config: RunConfig) -> None:
     if not config.out:
         raise ConfigError("synth needs an output directory ('out')")
-    spec = SyntheticSpec(seed=config.seed, **config.synth)
-    dataset, planted = synth_generate(spec)
+    dataset, planted = synth_generate(config.synth_spec)
     index = save_dataset(dataset, config.out)
     save_planted_csv(dataset, planted, Path(config.out) / "planted.csv")
     for level, count in sorted(dataset.class_counts().items()):
@@ -363,6 +345,8 @@ def cmd_synth(config: RunConfig) -> None:
 def _instance_labeling(config: RunConfig, dataset: Dataset):
     if config.relabel == "noisy":
         return relabel(dataset, "noisy")
+    if config.kmeans_k > len(dataset) * dataset.m:
+        raise ConfigError(f"kmeans_k {config.kmeans_k} exceeds the dataset's instance count")
     clusters = kmeans(dataset.instance_matrix(), config.kmeans_k, seed=config.seed)
     return relabel(dataset, config.relabel, clusters.assignments)
 
@@ -394,9 +378,9 @@ def cmd_train(config: RunConfig) -> None:
         x = dataset.instance_matrix()
         y = labeling.labels.reshape(-1)
         if config.model == "svr":
-            settings = dict(config.svr)
-            kernel = KernelSpec("gaussian", settings.pop("sigma"))
-            model = svr_train(x, y, SvrConfig(kernel=kernel, **settings))
+            if len(x) < 2:
+                raise DataError(f"{config.dataset}: svr needs at least 2 instances")
+            model = svr_train(x, y, config.svr_config)
             trace, header = model.objective_trace, ["step", "objective"]
             save_svr(model, config.model_path, meta=meta)
         elif config.model == "sgd":
@@ -408,23 +392,16 @@ def cmd_train(config: RunConfig) -> None:
             save_ridge(posterior, config.model_path, meta=meta)
     else:
         if config.model == "milnet":
+            if config.pooling == "topk" and config.pool_k > dataset.m:
+                raise ConfigError(f"pool_k {config.pool_k} exceeds the bag size {dataset.m}")
             net = build_mil_net(
-                dataset.dim,
-                hidden=config.hidden,
-                pooling=config.pooling,
-                k=config.pool_k,
-                seed=config.seed,
+                dataset.dim, config.hidden, config.pooling, config.pool_k, seed=config.seed
             )
         else:
             net = build_seq_net(
-                dataset.dim,
-                m=dataset.m,
-                hidden=config.seq_hidden,
-                dense=config.seq_dense,
-                seed=config.seed,
+                dataset.dim, dataset.m, config.seq_hidden, config.seq_dense, seed=config.seed
             )
-        train_cfg = TrainConfig(seed=config.seed, **config.train)
-        trained, trace = train(net, dataset, train_cfg)
+        trained, trace = train(net, dataset, config.train_config)
         save_net(trained, config.model_path, meta=meta)
 
     _write_rows(config.out, header, ([str(i), _fmt(v)] for i, v in enumerate(trace)))
@@ -432,9 +409,6 @@ def cmd_train(config: RunConfig) -> None:
 
 
 def _load_model(path):
-    target = Path(path)
-    if not target.exists():
-        raise DataError(f"model file not found: {target}")
     # built per call, so a loader rebound on this module (as perfbench's
     # tracer does) is the one that runs
     loaders = {
@@ -444,10 +418,10 @@ def _load_model(path):
         "linear": load_linear,
         "ridge": load_ridge,
     }
-    kind = model_kind(target)
+    kind = model_kind(path)
     if kind not in loaders:
-        raise ParseError(target, 1, f"unrecognized model kind {kind!r}")
-    return loaders[kind](target)
+        raise ParseError(path, 1, f"unrecognized model kind {kind!r}")
+    return loaders[kind](path)
 
 
 def _open_served(config: RunConfig, command: str, output: str):
@@ -539,6 +513,8 @@ def cmd_eval(config: RunConfig) -> None:
             f"train and test share subjects: {', '.join(overlap[:5])}"
         )
 
+    if len(dataset) < 2:
+        raise UndefinedCorrelationError(f"{config.dataset}: one video has no correlation to report")
     predictions = _finite(dataset, model.predict_bags(dataset))
     labels = np.array([bag.label for bag in dataset.bags], dtype=np.float64)
     report = compute_report(predictions, labels)
@@ -608,9 +584,6 @@ def main(argv=None) -> int:
     except EngageMilError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

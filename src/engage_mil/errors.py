@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all modules.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
-DataError -> 3, NumericError -> 4.  Plain ValueError (precondition
-violations on in-process calls) is treated like ConfigError.
+DataError -> 3, NumericError -> 4.  A plain ValueError is a precondition
+violation on an in-process call: the CLI validates its inputs before they
+reach one.
 """
 
 
@@ -23,10 +24,16 @@ class NumericError(EngageMilError):
 
 
 class ParseError(DataError):
-    def __init__(self, path, line, message):
-        super().__init__(f"{path}:{line}: {message}")
-        self.path = str(path)
-        self.line = line
+    """A fault at 1-based `line` of the input file `path`.  `what`, set by
+    the input boundary (textio), names the kind of file it could not read."""
+
+    def __init__(self, path, line, message, what=None):
+        where = f"{path}:{line}: {message}"
+        super().__init__(where if what is None else f"cannot read {what} {where}")
+        self.path, self.line, self.message, self.what = str(path), line, message, what
+
+    def __reduce__(self):  # rebuilt from its arguments, so it crosses a process pool
+        return type(self), (self.path, self.line, self.message, self.what)
 
 
 class TooShortVideoError(DataError):

@@ -19,14 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .audit import note_read
-from .bags import JSON_NUMBER, check_fields
 from .errors import (
     DegenerateWindowError,
     ParseError,
     TooShortVideoError,
 )
-from .textio import csv_records, text_lines
+from .textio import JSON_NUMBER, check_fields, csv_records, read_bytes, read_json, text_lines
 
 # Circular neighborhood: radius 1, 8 samples, ordered counter-clockwise
 # starting from the positive horizontal axis.  Axis -2 of a plane array is
@@ -422,9 +420,7 @@ def pose_gaze_feature(track: PoseGazeTrack, window: SegmentWindow) -> np.ndarray
 
 def read_pgm(path) -> np.ndarray:
     """Binary (P5) PGM reader for 8-bit grayscale frames."""
-    note_read(path)
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = read_bytes(path, "PGM frame")
     tokens = []
     i = 0
     while len(tokens) < 4:
@@ -474,13 +470,7 @@ def load_manifest(directory, frames: bool) -> dict:
     for a frame archive (`frames`), positive integer `width`, `height` and
     `frame_count`."""
     path = Path(directory) / "manifest.json"
-    note_read(path)
-    try:
-        manifest = json.loads(path.read_bytes())
-    except FileNotFoundError:
-        raise ParseError(path, 1, "missing manifest") from None
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; an overlong integer
-        raise ParseError(path, 1, f"bad manifest: {exc}") from None
+    manifest = read_json(path, "manifest")
     spec = {"video_id": str, "subject_id": str, "fps": JSON_NUMBER}
     if frames:
         spec.update(width=int, height=int, frame_count=int)
@@ -546,10 +536,9 @@ def load_pose_gaze_csv(path) -> PoseGazeTrack:
     could read the file differently, refuses it, finds no rows or finds a
     non-finite value, so a fault is reported at its line.
     """
-    note_read(path)
-    lines, clean = text_lines(path)
+    lines, clean = text_lines(path, "pose/gaze file")
     reader = csv.reader(iter(lines))
-    records = csv_records(path, reader, clean)
+    records = csv_records(path, reader, clean, "pose/gaze file")
     _, header = next(records, (1, None))
     if header is None:
         raise ParseError(path, 1, "empty pose/gaze file")

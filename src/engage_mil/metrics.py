@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .audit import note_read
 from .errors import (
     DegenerateMarginalsError,
     NoReliableRatersError,
@@ -25,7 +24,7 @@ from .errors import (
     ParseError,
     UndefinedCorrelationError,
 )
-from .textio import read_csv
+from .textio import JSON_NUMBER, check_fields, read_csv, read_json
 
 NUM_LEVELS = 4
 RELIABILITY_THRESHOLD = 0.4
@@ -83,13 +82,15 @@ class MetricsReport:
 
     @classmethod
     def load(cls, path) -> "MetricsReport":
-        raw = json.loads(Path(path).read_text())
-        return cls(
-            mse=raw["mse"],
-            classwise_mse={int(k): v for k, v in raw["classwise_mse"].items()},
-            pcc=raw["pcc"],
-            class_counts={int(k): v for k, v in raw["class_counts"].items()},
-        )
+        raw = read_json(path, "metrics report")
+        levels = ("classwise_mse", "class_counts")
+        spec = {"mse": JSON_NUMBER, "pcc": JSON_NUMBER, **dict.fromkeys(levels, dict)}
+        check_fields(path, raw, spec, "metrics report")
+        try:
+            by_level = {key: {int(k): v for k, v in raw[key].items()} for key in levels}
+        except ValueError:
+            raise ParseError(path, 1, "metrics report has a level that is not an integer") from None
+        return cls(mse=raw["mse"], pcc=raw["pcc"], **by_level)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +279,7 @@ def compute_report(pred, truth, num_levels: int = NUM_LEVELS) -> MetricsReport:
 
 
 def load_annotation_csv(path) -> AnnotationMatrix:
-    note_read(path)
-    records = read_csv(path)
+    records = read_csv(path, "annotations")
     _, header = next(records, (1, None))
     if not header or len(header) < 3:
         raise ParseError(path, 1, "expected video_id plus at least 2 rater columns")

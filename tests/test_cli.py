@@ -142,16 +142,31 @@ class TestRunConfig:
             RunConfig.from_file(path)
 
     @pytest.mark.parametrize(
-        "train,message",
-        [({"epochs": "x"}, "train.epochs has a bad value 'x'"), ({"step_size": -1}, "step size")],
+        "block,message",
+        [
+            # the ids these two cases had when the test covered the train block alone
+            pytest.param(
+                {"train": {"epochs": "x"}},
+                "train.epochs has a bad value 'x'",
+                id="train0-train.epochs has a bad value 'x'",
+            ),
+            pytest.param({"train": {"step_size": -1}}, "step size", id="train1-step size"),
+            ({"svr": {"c": 0}}, "C must be positive"),
+            ({"svr": {"sigma": -1}}, "sigma must be positive"),
+            ({"sgd": {"penalty": -1}}, "sgd penalty must be nonnegative"),
+            ({"ridge": {"fit_intercept": "no"}}, "ridge.fit_intercept has a bad value 'no'"),
+            ({"synth": {"rho": 2}}, "rho must be in (0, 1]"),
+        ],
     )
-    def test_bad_nested_value_exits_2(self, split_root, tmp_path, capsys, train, message):
+    def test_bad_nested_value_exits_2(self, tmp_path, capsys, block, message):
+        """One bad value per nested block exits 2 before any input is read:
+        the dataset path does not exist."""
         config = write_config(
             tmp_path / "c.json",
             hidden=[4],
-            train=train,
-            dataset=str(split_root / "train"),
+            dataset=str(tmp_path / "absent"),
             model_path=str(tmp_path / "m.bin"),
+            **block,
         )
         code = run_cli("train", "--config", str(config), "--out", str(tmp_path / "t.csv"))
         assert code == 2
@@ -447,6 +462,43 @@ class TestExtract:
         err = capsys.readouterr().err
         assert code == 3
         assert "Traceback" not in err and "manifest.json" in err
+
+    @pytest.mark.parametrize(
+        "feature,fault",
+        [
+            ("lbptop", {"frame_count": 0}),
+            ("lbptop", {"fps": "x"}),
+            ("posegaze", {"fps": 2}),
+            ("lbptop", "truncated frame"),
+        ],
+        ids=["frame-count-0", "fps-x", "fps-2", "truncated-pgm"],
+    )
+    def test_a_bad_input_exits_the_same_at_two_jobs(
+        self, frame_tree, pose_tree, tmp_path, capsys, feature, fault
+    ):
+        """A fault a pool worker finds reaches the parent as it does at one
+        job: a ParseError survives the trip back from the worker."""
+        root = shutil.copytree(frame_tree if feature == "lbptop" else pose_tree, tmp_path / "raw")
+        video = sorted(p for p in root.iterdir() if p.is_dir())[-1]
+        if isinstance(fault, dict):
+            manifest = json.loads((video / "manifest.json").read_text())
+            (video / "manifest.json").write_text(json.dumps({**manifest, **fault}))
+            if fault.get("frame_count") == 0:
+                shutil.rmtree(video / "frames")
+        else:
+            frame = sorted((video / "frames").iterdir())[3]
+            frame.write_bytes(frame.read_bytes()[:-10])
+        config = write_config(
+            tmp_path / "c.json", feature=feature, m=5, input=str(root), labels=str(root / "labels.csv")
+        )
+        outcomes = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"o{jobs}"
+            code = run_cli("extract", "--config", str(config), "--jobs", jobs, "--out", str(out))
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
+        code, err = outcomes[0]
+        assert code == 3 and "Traceback" not in err and str(video) in err
 
     @pytest.mark.parametrize("frames", ["missing", "not-a-directory"])
     def test_unlistable_frames_folder_holds_no_frames_and_exits_3(
@@ -1163,6 +1215,103 @@ class TestProcess:
             run_cli("train", "--config", str(config), "--out", str(tmp_path / "t.csv"))
             == 2
         )
+
+    @pytest.mark.parametrize("fault", ["feature-file", "planted", "model", "pose-csv", "pgm"])
+    def test_an_input_file_that_cannot_be_opened_exits_3(self, request, tmp_path, capsys, fault):
+        """A missing feature file, planted truth or pose CSV, and a model path
+        or a frame that is a directory, are data errors naming the path."""
+        config = {}
+        if fault == "feature-file":
+            dataset = shutil.copytree(request.getfixturevalue("split_root") / "train", tmp_path / "ds")
+            target = sorted((dataset / "features").glob("*.bin"))[1]
+            target.unlink()
+            command, config = "train", dict(model="ridge", dataset=str(dataset))
+        elif fault in ("planted", "model"):
+            data = request.getfixturevalue("synth_dir") / "data"
+            target = tmp_path / "absent.csv" if fault == "planted" else tmp_path
+            model = request.getfixturevalue("artifacts") / "model.bin"
+            command = "localize" if fault == "planted" else "predict"
+            config = dict(dataset=str(data), planted=str(target), model_path=str(model))
+            if fault == "model":
+                config = dict(dataset=str(data), model_path=str(target))
+        else:
+            tree = request.getfixturevalue("pose_tree" if fault == "pose-csv" else "frame_tree")
+            root = shutil.copytree(tree, tmp_path / "raw")
+            if fault == "pose-csv":
+                target = root / "vid01" / "pose.csv"
+                target.unlink()
+            else:
+                target = root / "fvid1" / "frames" / "000007.pgm"
+                target.unlink()
+                target.mkdir()
+            feature = "posegaze" if fault == "pose-csv" else "lbptop"
+            command = "extract"
+            config = dict(feature=feature, m=5, input=str(root), labels=str(root / "labels.csv"))
+        config.setdefault("model_path", str(tmp_path / "m.bin"))
+        path = write_config(tmp_path / "c.json", **config)
+        code = run_cli(command, "--config", str(path), "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err and str(target) in err
+
+    @pytest.mark.parametrize(
+        "command,keys,code,message",
+        [
+            ("train", {"model": "svr"}, 3, "svr needs at least 2 instances"),
+            ("train", {"model": "ridge", "relabel": "kmeans-mode"}, 2, "kmeans_k 4 exceeds"),
+            ("train", {"model": "milnet"}, 2, "pool_k 10 exceeds the bag size 1"),
+            ("eval", {}, 3, "one video has no correlation to report"),
+        ],
+        ids=["svr", "kmeans", "topk", "eval"],
+    )
+    def test_a_one_instance_dataset_is_refused(self, tmp_path, capsys, command, keys, code, message):
+        """A settings/data mismatch a library call would refuse with a plain
+        ValueError exits with a documented code instead."""
+        config = write_config(
+            tmp_path / "c.json",
+            synth={"subjects": 1, "videos": 1, "m": 1, "dim": 2},
+            dataset=str(tmp_path / "data"),
+            model_path=str(tmp_path / "m.bin"),
+            **keys,
+        )
+        assert run_cli("synth", "--config", str(config), "--out", str(tmp_path / "data")) == 0
+        if command == "eval":  # a model with no training subjects, so none overlap
+            save_linear(LinearModel(np.ones(2), 0.0), tmp_path / "m.bin")
+        capsys.readouterr()
+        assert run_cli(command, "--config", str(config), "--out", str(tmp_path / "out")) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and message in err
+
+    @pytest.mark.parametrize(
+        "fault,model,message",
+        [
+            ("ragged", "ridge", "instances, dataset expects"),
+            ("empty", "ridge", "empty 0 x 5 feature matrix"),
+            ("nan", "svr", "non-finite feature values"),
+            ("nan", "ridge", "non-finite feature values"),
+            ("nan", "milnet", "non-finite feature values"),
+        ],
+    )
+    def test_a_bad_feature_file_exits_3_before_writing_a_model(
+        self, split_root, tmp_path, capsys, fault, model, message
+    ):
+        """A bag with one segment too few, a feature file with no rows, or one
+        NaN: top-k pooling would never pick the NaN row, so milnet trained on it."""
+        dataset = shutil.copytree(split_root / "train", tmp_path / "ds")
+        target = sorted((dataset / "features").glob("*.bin"))[1]
+        instances = bags.read_feature_file(target)
+        if fault == "nan":
+            instances[3, 2] = np.nan
+        bags.write_feature_file(target, {"ragged": instances[:-1], "empty": instances[:0]}.get(fault, instances))
+        model_path = tmp_path / "m.bin"
+        config = write_config(
+            tmp_path / "c.json", model=model, hidden=[4], dataset=str(dataset), model_path=str(model_path)
+        )
+        code = run_cli("train", "--config", str(config), "--out", str(tmp_path / "t.csv"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err and message in err
+        assert not model_path.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,353 @@
+"""The input boundary.  One table lists every reader of an input file, a
+valid file it reads, and the command that reads it: damaged, missing or
+replaced by a directory, the file is refused (a ParseError; a config's
+fault is a ConfigError) or read, and the command exits with the reader's
+code and no traceback.  Only textio opens input files."""
+
+import ast
+import contextlib
+import io
+import json
+import pickle
+import shutil
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import engage_mil
+from engage_mil import cli
+from engage_mil.bags import (
+    SyntheticSpec,
+    load_dataset,
+    load_planted_csv,
+    read_feature_file,
+    save_dataset,
+    save_planted_csv,
+    synth_generate,
+)
+from engage_mil.baselines import (
+    LinearModel,
+    RidgePosterior,
+    SvrConfig,
+    SvrModel,
+    save_linear,
+    save_ridge,
+    save_svr,
+    svr_train,
+)
+from engage_mil.errors import ConfigError, ParseError
+from engage_mil.features import (
+    FrameSequence,
+    PoseGazeTrack,
+    load_frame_archive,
+    load_manifest,
+    load_pose_gaze_csv,
+    read_pgm,
+    save_frame_archive,
+    save_pose_gaze_csv,
+)
+from engage_mil.metrics import (
+    AnnotationMatrix,
+    MetricsReport,
+    compute_report,
+    load_annotation_csv,
+    save_annotation_csv,
+)
+from engage_mil.networks import MilNet, SeqNet, build_mil_net, build_seq_net, save_net
+
+from oracles import model_file_bytes, split_model_file
+
+DIM, M = 3, 4
+MODELS = (MilNet, SeqNet, SvrModel, LinearModel, RidgePosterior)
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """A valid file for every reader, and a config for every command."""
+    root = tmp_path_factory.mktemp("inputs")
+    rng = np.random.default_rng(0)
+    dataset, planted = synth_generate(SyntheticSpec(subjects=2, videos=4, m=M, dim=DIM, seed=1))
+    save_dataset(dataset, root / "data")
+    save_planted_csv(dataset, planted, root / "data" / "planted.csv")
+    (root / "models").mkdir()
+    meta = {"feature_kind": "synthetic"}
+    x = rng.normal(size=(12, DIM))
+    save_net(build_mil_net(DIM, hidden=(2,), k=2, seed=0), root / "models" / "mil.bin", meta)
+    seq = build_seq_net(DIM, m=M, hidden=2, dense=(3, 2), seed=0)
+    save_net(seq, root / "models" / "seq.bin", meta)
+    save_svr(svr_train(x, rng.uniform(0, 3, 12), SvrConfig()), root / "models" / "svr.bin", meta)
+    save_linear(LinearModel(rng.normal(size=DIM), 0.5), root / "models" / "linear.bin", meta)
+    ridge = RidgePosterior(rng.normal(size=DIM), 2.0, 3.0, 0.1)
+    save_ridge(ridge, root / "models" / "ridge.bin", meta)
+    shutil.copy(root / "models" / "linear.bin", root / "linear.bin")
+
+    frames = rng.integers(0, 256, size=(6, 5, 7), dtype=np.uint8)
+    save_frame_archive(FrameSequence(frames, 6.0, "s0", "v0"), root / "frames" / "v0")
+    (root / "pose" / "v0").mkdir(parents=True)
+    manifest = {"video_id": "v0", "subject_id": "s0", "fps": 6.0}
+    (root / "pose" / "v0" / "manifest.json").write_text(json.dumps(manifest))
+    track = PoseGazeTrack(*(rng.normal(size=(8, 3)) for _ in range(4)))
+    save_pose_gaze_csv(track, root / "pose" / "v0" / "pose.csv")
+    for raw in ("frames", "pose"):
+        (root / raw / "labels.csv").write_text("video_id,label\nv0,1\n")
+
+    ratings = np.array([[0, 1, np.nan], [2, 2, 3]])
+    save_annotation_csv(AnnotationMatrix(ratings, ["v0", "v1"], ["r0", "r1", "r2"]), root / "ann.csv")
+    compute_report([0.5, 1.5, 2.5, 2.0], [0, 1, 3, 2]).save(root / "report.json")
+
+    extract = {"window": 3, "stride": 1, "m": 2}
+    configs = {
+        "synth": {"synth": {"subjects": 2, "videos": 4, "m": M, "dim": DIM}},
+        "frames": {**extract, "feature": "lbptop", "input": str(root / "frames")},
+        "pose": {**extract, "feature": "posegaze", "input": str(root / "pose")},
+        "train": {"model": "ridge", "model_path": str(root / "trained.bin")},
+        "predict": {"model_path": str(root / "linear.bin")},
+        "localize": {"model_path": str(root / "linear.bin"), "planted": str(root / "data" / "planted.csv")},
+    }
+    configs["frames"]["labels"] = str(root / "frames" / "labels.csv")
+    configs["pose"]["labels"] = str(root / "pose" / "labels.csv")
+    for name, config in configs.items():
+        if name in ("train", "predict", "localize"):
+            config["dataset"] = str(root / "data")
+        (root / f"{name}.json").write_text(json.dumps(config))
+    return root
+
+
+# --- damage ------------------------------------------------------------------
+
+
+def _truncate(data, raw: bytes) -> bytes:
+    return raw[: data.draw(st.integers(0, len(raw) - 1))]
+
+
+def _flip(data, raw: bytes) -> bytes:
+    i = data.draw(st.integers(0, len(raw) - 1))
+    return raw[:i] + bytes([raw[i] ^ data.draw(st.integers(1, 255))]) + raw[i + 1 :]
+
+
+def _not_utf8(data, raw: bytes) -> bytes:
+    i = data.draw(st.integers(0, len(raw)))
+    return raw[:i] + data.draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80"])) + raw[i:]
+
+
+def _slots(node):
+    """(container, key) of every value inside a parsed JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in list(items):
+        yield node, key
+        yield from _slots(value)
+
+
+def _json_fields(data, raw: bytes) -> bytes:
+    """One value nested one level deeper, or dropped."""
+    doc = json.loads(raw)
+    node, key = data.draw(st.sampled_from(list(_slots(doc))))
+    how = data.draw(st.sampled_from(["list", "object", "drop"]))
+    if how == "drop":
+        del node[key]
+    else:
+        node[key] = [node[key]] if how == "list" else {"": node[key]}
+    return json.dumps(doc).encode()
+
+
+def _csv_fields(data, raw: bytes) -> bytes:
+    """One field dropped, or nested as a quoted field holding a comma."""
+    lines = raw.split(b"\n")
+    i = data.draw(st.integers(0, len(lines) - 1))
+    cells = lines[i].split(b",")
+    j = data.draw(st.integers(0, len(cells) - 1))
+    if data.draw(st.booleans()):
+        del cells[j]
+    else:
+        cells[j] = b'"%s,%s"' % (cells[j], cells[j])
+    lines[i] = b",".join(cells)
+    return b"\n".join(lines)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _model_header(data, raw: bytes) -> bytes:
+    """An arbitrary JSON value for the header, or for one of its entries."""
+    header, payload = split_model_file(raw)
+    fields = [f"fields.{key}" for key in header["fields"]]
+    where = data.draw(st.sampled_from(["", "kind", "fields", "meta", "shapes", *fields]))
+    value = data.draw(_JSON)
+    if not where:
+        header = value
+    elif where.startswith("fields."):
+        header["fields"][where[len("fields.") :]] = value
+    else:
+        header[where] = value
+    return model_file_bytes(header, payload)
+
+
+def _pgm_header(data, raw: bytes) -> bytes:
+    """An arbitrary number or token for one of the four 5x7 header fields."""
+    fields = [b"P5", b"7", b"5", b"255"]
+    value = st.integers(-300, 300).map(lambda v: str(v).encode()) | st.binary(min_size=1, max_size=6)
+    fields[data.draw(st.integers(0, 3))] = data.draw(value)
+    return b"%s\n%s %s\n%s\n" % tuple(fields) + raw[-35:]
+
+
+# --- the table -----------------------------------------------------------------
+
+
+def _loaded_model(path):
+    model, meta = cli._load_model(path)
+    assert isinstance(model, MODELS) and isinstance(meta, dict)
+
+
+def _manifest(path):
+    return load_manifest(Path(path).parent, frames=True)
+
+
+def _loaded_frame(path):
+    frame = read_pgm(path)
+    assert frame.dtype == np.uint8 and frame.ndim == 2 and min(frame.shape) >= 1
+    with contextlib.suppress(ParseError):
+        assert load_frame_archive(Path(path).parents[1]).frames.shape == (6, 5, 7)
+
+
+@dataclass(frozen=True)
+class Input:
+    name: str
+    files: str  # glob under the corpus; each example damages one match
+    read: object  # the reader, given the file's path
+    command: str | None  # the command that reads it; no command reads annotations or reports
+    config: str | None  # that command's config; None: the file is the config
+    edits: tuple = ()  # damage of this format, beside truncation, flips and bad UTF-8
+    code: int = 3  # the command's exit code when the reader refuses the file
+    examples: int = 40
+
+    def argv(self, corpus: Path, path: Path) -> list[str]:
+        config = path if self.config is None else corpus / self.config
+        model = ["--model", str(path)] if self.name == "model" else []
+        return [self.command, "--config", str(config), *model, "--out", str(corpus / self.command)]
+
+
+TABLE = [
+    Input("config", "synth.json", cli.RunConfig.from_file, "synth", None, (_json_fields,), code=2),
+    Input("labels", "pose/labels.csv", cli.load_labels_csv, "extract", "pose.json", (_csv_fields,)),
+    Input("index", "data/index.json", load_dataset, "train", "train.json", (_json_fields,)),
+    Input("features", "data/features/*.bin", read_feature_file, "train", "train.json"),
+    Input("model", "models/*.bin", _loaded_model, "predict", "predict.json", (_model_header,), examples=400),
+    Input("planted", "data/planted.csv", load_planted_csv, "localize", "localize.json", (_csv_fields,)),
+    Input("annotations", "ann.csv", load_annotation_csv, None, None, (_csv_fields,)),
+    Input("manifest", "frames/v0/manifest.json", _manifest, "extract", "frames.json", (_json_fields,)),
+    Input("pgm", "frames/v0/frames/*.pgm", _loaded_frame, "extract", "frames.json", (_pgm_header,), examples=200),
+    Input("pose", "pose/v0/pose.csv", load_pose_gaze_csv, "extract", "pose.json", (_csv_fields,)),
+    Input("report", "report.json", MetricsReport.load, None, None, (_json_fields,)),
+]
+
+
+def _run(row: Input, corpus: Path, path: Path) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with np.errstate(all="ignore"):  # a model read intact may hold extreme values
+            code = cli.main(row.argv(corpus, path))
+    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue()
+
+
+def _refusal(row: Input, path: Path):
+    """The reader's refusal of `path`, or None if it reads the file."""
+    try:
+        row.read(path)
+    except (ConfigError if row.name == "config" else ParseError) as exc:
+        return exc
+    return None
+
+
+@pytest.mark.parametrize("row", TABLE, ids=[row.name for row in TABLE])
+def test_a_damaged_input_is_refused_or_read(corpus, row):
+    @settings(max_examples=row.examples)
+    @given(data=st.data())
+    def damage(data):
+        path = data.draw(st.sampled_from(sorted(corpus.glob(row.files))))
+        original = path.read_bytes()
+        edit = data.draw(st.sampled_from((_truncate, _flip, _not_utf8, *row.edits)))
+        path.write_bytes(edit(data, original))
+        try:
+            refusal = _refusal(row, path)
+            if row.command is None:
+                return
+            code, err = _run(row, corpus, path)
+            if refusal is None:
+                assert code in (0, row.code)
+            else:
+                assert code == row.code
+                assert isinstance(refusal, ConfigError) or str(path) in err
+        finally:
+            path.write_bytes(original)
+
+    damage()
+
+
+@pytest.mark.parametrize("how", ["missing", "directory"])
+@pytest.mark.parametrize("row", TABLE, ids=[row.name for row in TABLE])
+def test_an_input_that_cannot_be_opened_is_refused(corpus, tmp_path, row, how):
+    path = sorted(corpus.glob(row.files))[0]
+    kept = shutil.move(path, tmp_path / path.name)
+    if how == "directory":
+        path.mkdir()
+    try:
+        refusal = _refusal(row, path)
+        assert refusal is not None and str(path) in str(refusal)
+        if row.command is not None:
+            assert _run(row, corpus, path)[0] == row.code
+    finally:
+        if how == "directory":
+            path.rmdir()
+        shutil.move(kept, path)
+
+
+def test_a_parse_error_survives_pickling():
+    """A pool worker's ParseError reaches the parent intact."""
+    exc = pickle.loads(pickle.dumps(ParseError("p.csv", 3, "bad", "labels")))
+    assert (type(exc), str(exc), exc.line, exc.message) == (
+        ParseError,
+        "cannot read labels p.csv:3: bad",
+        3,
+        "bad",
+    )
+
+
+# --- only textio opens input files ---------------------------------------------
+
+
+def _reads(call: ast.Call) -> bool:
+    """Whether `call` opens or reads a file for reading."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        if func.attr in ("read_bytes", "read_text"):
+            return True
+        if func.attr == "load" and isinstance(func.value, ast.Name) and func.value.id == "json":
+            return True
+    if not (isinstance(func, ast.Name) and func.id == "open"):
+        return False
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[1:2]
+    if not modes:
+        return True
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and set("wax") & set(mode.value) and "+" not in mode.value)
+
+
+def test_only_textio_opens_input_files():
+    package = Path(engage_mil.__file__).parent
+    found = [
+        f"{source.name}:{node.lineno}"
+        for source in sorted(package.glob("*.py"))
+        if source.name != "textio.py"
+        for node in ast.walk(ast.parse(source.read_text()))
+        if isinstance(node, ast.Call) and _reads(node)
+    ]
+    assert not found, f"input files opened outside textio: {found}"
