@@ -23,7 +23,7 @@ from .errors import (
     EmptyVideoError,
     ParseError,
 )
-from .textio import JSON_NUMBER, check_fields, parse_json, read_bytes, read_csv, read_json
+from .textio import FINITE, JSON_NUMBER, check_fields, parse_json, read_bytes, read_csv, read_json
 
 LABELS = (0, 1, 2, 3)
 
@@ -527,13 +527,6 @@ def write_model(path, kind: str, fields: dict, arrays, meta: dict | None = None)
         tmp.unlink(missing_ok=True)
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text[:24]}")
-    return value
-
-
 def _model_header(path, data: bytes) -> tuple[dict, int]:
     """A model file's checked header and the offset of its payload."""
     if not data.startswith(MODEL_MAGIC):
@@ -546,8 +539,7 @@ def _model_header(path, data: bytes) -> tuple[dict, int]:
     offset = _MODEL_PREFIX.size + size
     if len(data) < offset:
         raise ParseError(path, 1, "truncated model header")
-    hooks = {"parse_float": _finite_float, "parse_constant": _finite_float}
-    header = parse_json(path, data[_MODEL_PREFIX.size : offset], "model", **hooks)
+    header = parse_json(path, data[_MODEL_PREFIX.size : offset], "model", **FINITE)
     check_fields(path, header, _MODEL_HEADER, "model header")
     for shape in header["shapes"]:
         if not (
@@ -667,14 +659,17 @@ def load_dataset(index_path) -> Dataset:
     bags = []
     kinds = set()
     folder = os.path.dirname(str(index_path))  # "" for a bare name, not Path's "."
-    for record in index:
+    for number, record in enumerate(index, start=1):
         check_fields(index_path, record, _INDEX_RECORD, "index record")
         if record["label"] not in LABELS:
             raise ParseError(
                 index_path, 1, f"label must be one of {LABELS}, got {record['label']!r}"
             )
         kinds.add(record["feature_kind"])
-        instances = read_feature_file(os.path.join(folder, record["path"]))
+        feature_path = os.path.join(folder, record["path"])
+        if not os.path.isfile(feature_path):  # the index's fault; a damaged file is its own
+            raise ParseError(index_path, 1, f"record {number} lists {feature_path}, not a file")
+        instances = read_feature_file(feature_path)
         bags.append(
             Bag(
                 video_id=record["video_id"],

@@ -59,7 +59,7 @@ class _InstanceServing:
         return np.array([self.instance_scores(bag.instances) for bag in dataset.bags])
 
     def predict_bags(self, dataset: Dataset) -> np.ndarray:
-        return np.array([aggregate_video(r) for r in self.localize_bags(dataset)])
+        return self.localize_bags(dataset).mean(axis=1)
 
 
 @dataclass
@@ -457,15 +457,7 @@ def ridge_predict(posterior: RidgePosterior, xs) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# aggregation and model selection
-
-
-def aggregate_video(instance_predictions) -> float:
-    """Video score = arithmetic mean of its per-segment predictions."""
-    values = np.asarray(instance_predictions, dtype=np.float64)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("need a nonempty prediction vector")
-    return float(values.mean())
+# model selection
 
 
 def grid_search_svr(
@@ -475,8 +467,8 @@ def grid_search_svr(
     sigma_grid,
     folds: int = 3,
     seed: int = 0,
-    epsilon: float = 0.1,
-    tol: float = 1e-3,
+    epsilon: float = SvrConfig.epsilon,
+    tol: float = SvrConfig.tol,
 ) -> GridSearchResult:
     """Subject-independent cross-validation over a (C, sigma) grid.
 
@@ -527,7 +519,7 @@ def grid_search_svr(
                 model = svr_train(fit_x, fit_y, config, warm=path)
                 for idx in val_rows:
                     bag = train.bags[idx]
-                    video = aggregate_video(svr_predict_many(model, bag.instances))
+                    video = svr_predict_many(model, bag.instances).mean()
                     sq_errors[ci, si] += (video - bag.label) ** 2
     table = sq_errors / n_videos
     best_ci, best_si = min(

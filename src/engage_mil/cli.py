@@ -13,7 +13,6 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -64,15 +63,22 @@ from .networks import (
     save_net,
     train,
 )
-from .textio import read_json, read_text
+from .textio import FINITE, read_json, read_text
 
 LOGGER = logging.getLogger("engage_mil")
 LOG_ENV = "ENGAGE_MIL_LOG"
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
-FEATURE_KINDS = ("lbptop", "posegaze")
-MODEL_KINDS = ("svr", "sgd", "ridge", "milnet", "seqnet")
-RELABEL_STRATEGIES = ("noisy", "kmeans-mode", "kmeans-mean")
+# The values each string setting may take
+_CHOICES = {
+    "feature": ("lbptop", "posegaze"),
+    "model": ("svr", "sgd", "ridge", "milnet", "seqnet"),
+    "relabel": ("noisy", "kmeans-mode", "kmeans-mean"),
+    "pooling": ("topk", "mean"),
+    "xy_frames": ("all", "center"),
+}
+# The least value of each bounded integer setting
+_LEAST = {"seed": 0, "jobs": 1, "m": 1, "window": 2, "stride": 1, "pool_k": 1, "kmeans_k": 1}
 
 
 def _keyword_defaults(target, *skip) -> dict:
@@ -83,138 +89,122 @@ def _keyword_defaults(target, *skip) -> dict:
     }
 
 
-# Each nested block holds exactly the settings of the library object it
-# configures, with that object's defaults; `seed` is the top-level one.
-_BLOCKS = {
-    "train": _keyword_defaults(TrainConfig, "seed"),
+# Every setting, with its default, whose JSON kind is the setting's (see
+# _coerce); a type in place of a default is a setting that is null unless
+# given.  A default the library declares is read from the object that uses
+# it.  A dict is a nested block: exactly the settings of the library object
+# it configures, with that object's defaults (`seed` is the top-level one).
+_SETTINGS = {
+    "seed": 0,
+    "jobs": 1,
+    "feature": "lbptop",
+    "window": 20,
+    "stride": 10,
+    "target_fps": 6.0,
+    "grid": _keyword_defaults(feats.lbp_top_many)["grid"],
+    "xy_frames": _keyword_defaults(feats.lbp_top_many)["xy_frames"],
+    "m": 100,
+    "model": "milnet",
+    "pooling": _keyword_defaults(build_mil_net)["pooling"],
+    "pool_k": _keyword_defaults(build_mil_net)["k"],
+    "hidden": _keyword_defaults(build_mil_net)["hidden"],
+    "seq_hidden": _keyword_defaults(build_seq_net)["hidden"],
+    "seq_dense": _keyword_defaults(build_seq_net)["dense"],
+    "relabel": "noisy",
+    "kmeans_k": 4,
+    "train": {**_keyword_defaults(TrainConfig, "seed"), "scale_labels": bool},
     "svr": {**_keyword_defaults(SvrConfig, "kernel"), "sigma": KernelSpec.sigma},
     "sgd": _keyword_defaults(sgd_linear_train, "seed"),
     "ridge": _keyword_defaults(bayesian_ridge_train),
     "synth": _keyword_defaults(SyntheticSpec, "seed"),
+    **dict.fromkeys(
+        ("input", "labels", "dataset", "train_dataset", "model_path", "out", "planted"), str
+    ),
 }
 
 
 def _coerce(default, value):
-    """`value` as the type of `default`: a float or int setting, a bool one
-    (a JSON boolean only), a tuple of floats, or (default None) as given."""
-    if default is None:
-        return value
-    if isinstance(default, bool) and not isinstance(value, bool):
-        raise TypeError("not a boolean")
+    """`value` if it is a JSON value of `default`'s kind, else TypeError.  A
+    float setting also takes an integer, a type (`str` for a path) also null,
+    and a tuple takes an array of its first element's kind."""
+    if isinstance(default, type):
+        return None if value is None else _coerce(default(), value)
     if isinstance(default, tuple):
-        return tuple(float(v) for v in value)
-    return type(default)(value)
+        if not isinstance(value, list):
+            raise TypeError
+        return tuple(_coerce(default[0], v) for v in value)
+    if isinstance(default, float) and type(value) is int:
+        return float(value)
+    if type(value) is not type(default):  # a bool is never an int
+        raise TypeError
+    return value
 
 
-def _block(name: str, raw) -> dict:
-    if raw is None:
-        raw = {}
+def _checked(table: dict, raw, block: str = "") -> dict:
+    """`table`'s settings, each as given in `raw` (checked by _coerce) or its
+    default; a nested block likewise, null meaning all defaults."""
+    label = f"{block} config" if block else "config"
     if not isinstance(raw, dict):
-        raise ConfigError(f"config {name!r} must be a JSON object")
-    defaults = _BLOCKS[name]
-    unknown = sorted(set(raw) - set(defaults))
+        raise ConfigError(f"{label} must be a JSON object")
+    unknown = sorted(set(raw) - set(table))
     if unknown:
-        raise ConfigError(f"unknown {name} config keys: {', '.join(unknown)}")
-    block = dict(defaults)
-    for key, value in raw.items():
-        try:
-            block[key] = _coerce(defaults[key], value)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"config {name}.{key} has a bad value {value!r}") from None
-    return block
+        raise ConfigError(f"unknown {label} keys: {', '.join(unknown)}")
+    settings = {}
+    for key, default in table.items():
+        value = raw.get(key)
+        if isinstance(default, dict):
+            settings[key] = _checked(default, {} if value is None else value, key)
+        elif key not in raw:
+            settings[key] = None if isinstance(default, type) else default
+        else:
+            try:
+                settings[key] = _coerce(default, value)
+            except (TypeError, OverflowError):
+                name = f"{block}.{key}" if block else key
+                raise ConfigError(f"config {name} has a bad value {value!r}") from None
+    return settings
 
 
-@dataclass
 class RunConfig:
-    seed: int = 0
-    jobs: int = 1
-    feature: str = "lbptop"
-    window: int = 20
-    stride: int = 10
-    target_fps: float = 6.0
-    grid: tuple = (1, 1)
-    xy_frames: str = "all"
-    m: int = 100
-    model: str = "milnet"
-    pooling: str = "topk"
-    pool_k: int = 10
-    hidden: tuple = (128, 64, 32)
-    seq_hidden: int = 32
-    seq_dense: tuple = (64, 32)
-    relabel: str = "noisy"
-    kmeans_k: int = 4
-    train: dict | None = None
-    svr: dict | None = None
-    sgd: dict | None = None
-    ridge: dict | None = None
-    synth: dict | None = None
-    input: str | None = None
-    labels: str | None = None
-    dataset: str | None = None
-    train_dataset: str | None = None
-    model_path: str | None = None
-    out: str | None = None
-    planted: str | None = None
+    """Every setting of a run (see _SETTINGS), and the library objects that
+    the nested blocks configure, checked when the config is loaded."""
 
-    def __post_init__(self):
-        for name in _BLOCKS:
-            setattr(self, name, _block(name, getattr(self, name)))
-        if self.feature not in FEATURE_KINDS:
-            raise ConfigError(f"feature must be one of {FEATURE_KINDS}")
-        if self.model not in MODEL_KINDS:
-            raise ConfigError(f"model must be one of {MODEL_KINDS}")
-        if self.relabel not in RELABEL_STRATEGIES:
-            raise ConfigError(f"relabel must be one of {RELABEL_STRATEGIES}")
-        if self.pooling not in ("topk", "mean"):
-            raise ConfigError("pooling must be 'topk' or 'mean'")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
-        if self.m < 1 or self.window < 2 or self.stride < 1:
-            raise ConfigError("m, window, stride out of range")
+    def __init__(self, raw: dict):
+        self.__dict__.update(_checked(_SETTINGS, raw))
+        for key, choices in _CHOICES.items():
+            if getattr(self, key) not in choices:
+                raise ConfigError(f"{key} must be one of {choices}")
+        for key, least in _LEAST.items():
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be at least {least}")
         if self.target_fps <= 0:
             raise ConfigError("target_fps must be positive")
-        if self.pool_k < 1 or self.kmeans_k < 1:
-            raise ConfigError("pool_k and kmeans_k must be at least 1")
-        self.grid = tuple(int(g) for g in self.grid)
         if len(self.grid) != 2 or min(self.grid) < 1:
             raise ConfigError("grid must be two positive integers")
-        self.hidden = tuple(int(h) for h in self.hidden)
-        self.seq_dense = tuple(int(h) for h in self.seq_dense)
         widths = (*self.hidden, *self.seq_dense, self.seq_hidden)
         if not self.hidden or len(self.seq_dense) != 2 or min(widths) < 1:
             raise ConfigError("bad network width configuration")
-        if self.xy_frames not in ("all", "center"):
-            raise ConfigError("xy_frames must be 'all' or 'center'")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
         if self.sgd["penalty"] < 0:
             raise ConfigError("sgd penalty must be nonnegative")
         # the other blocks are checked by the library objects they configure,
         # built once, here, for the commands to use
         svr = dict(self.svr)
-        self.svr_config = SvrConfig(kernel=KernelSpec("gaussian", svr.pop("sigma")), **svr)
-        self.train_config = TrainConfig(seed=self.seed, **self.train)
-        self.synth_spec = SyntheticSpec(seed=self.seed, **self.synth)
+        try:
+            self.svr_config = SvrConfig(kernel=KernelSpec("gaussian", svr.pop("sigma")), **svr)
+            self.train_config = TrainConfig(seed=self.seed, **self.train)
+            self.synth_spec = SyntheticSpec(seed=self.seed, **self.synth)
+        except ValueError as exc:  # a value the library object refuses
+            raise ConfigError(f"bad config value: {exc}") from None
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
         try:
-            raw = read_json(path, "config")
+            raw = read_json(path, "config", **FINITE)
         except ParseError as exc:  # the one input whose read faults are config faults
             raise ConfigError(f"config {path} {exc.message}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        for key, value in (overrides or {}).items():
-            if value is not None:
-                raw[key] = value
-        try:
-            return cls(**raw)
-        except (TypeError, ValueError) as exc:  # a setting of the wrong type or refused value
-            raise ConfigError(f"bad config value: {exc}") from None
+        if isinstance(raw, dict):
+            raw.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+        return cls(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +332,14 @@ def cmd_synth(config: RunConfig) -> None:
 # model helpers shared by train/predict/localize/eval
 
 
+def _check_output_dirs(config: RunConfig, *keys: str) -> None:
+    """Refuse an output path whose directory does not exist."""
+    for key in keys:
+        path = Path(getattr(config, key))
+        if not path.parent.is_dir():
+            raise ConfigError(f"{key} {path}: directory {path.parent} not found")
+
+
 def _instance_labeling(config: RunConfig, dataset: Dataset):
     if config.relabel == "noisy":
         return relabel(dataset, "noisy")
@@ -369,6 +367,7 @@ def cmd_train(config: RunConfig) -> None:
         raise ConfigError("train needs a model output path ('model_path')")
     if not config.out:
         raise ConfigError("train needs a loss-trace CSV path ('out')")
+    _check_output_dirs(config, "model_path", "out")
     dataset = load_dataset(config.dataset)
     meta = _train_meta(config, dataset)
 
@@ -435,6 +434,7 @@ def _open_served(config: RunConfig, command: str, output: str):
     ):
         if not getattr(config, key):
             raise ConfigError(f"{command} needs {what}")
+    _check_output_dirs(config, "out")
     dataset = load_dataset(config.dataset)
     model, meta = _load_model(config.model_path)
     feature_kind = meta.get("feature_kind")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 
 from .errors import ParseError
@@ -67,8 +68,19 @@ def parse_json(path, data: bytes, what: str, **hooks):
         raise ParseError(path, 1, str(exc), what) from None
 
 
-def read_json(path, what: str):
-    return parse_json(path, read_bytes(path, what), what)
+def read_json(path, what: str, **hooks):
+    return parse_json(path, read_bytes(path, what), what, **hooks)
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text[:24]}")
+    return value
+
+
+# hooks refusing NaN and Infinity, which json.loads takes but JSON does not
+FINITE = {"parse_float": _finite_float, "parse_constant": _finite_float}
 
 
 def check_fields(path, record, spec: dict, what: str) -> None:

@@ -14,7 +14,6 @@ from engage_mil.baselines import (
     LinearModel,
     RidgePosterior,
     SvrConfig,
-    aggregate_video,
     bayesian_ridge_train,
     gaussian_kernel,
     grid_search_svr,
@@ -518,25 +517,23 @@ def test_json_model_load_rejects_bad_fields(tmp_path, loader, base, change):
 
 
 # ---------------------------------------------------------------------------
-# aggregation
+# serving
 
 
-def test_aggregate_video_is_the_mean():
+def test_instance_model_predict_bags_is_the_bag_mean():
+    """A video's score is the mean of its segments' predictions, the same
+    bits as the 1-D mean of its row, whatever order the segments come in."""
     rng = np.random.default_rng(5)
-    values = rng.uniform(0, 3, size=100)
-    assert aggregate_video(values) == pytest.approx(math.fsum(values) / 100, abs=1e-12)
-
-
-def test_aggregate_video_permutation_invariant():
-    rng = np.random.default_rng(6)
-    values = rng.uniform(0, 3, size=57)
-    shuffled = values[rng.permutation(57)]
-    assert aggregate_video(values) == pytest.approx(aggregate_video(shuffled), abs=1e-12)
-
-
-def test_aggregate_video_rejects_empty():
-    with pytest.raises(ValueError):
-        aggregate_video([])
+    m = 57
+    model = LinearModel(rng.normal(size=3), 0.5)
+    bags = [Bag(f"v{i}", f"s{i}", rng.uniform(0, 3, size=(m, 3)), i % 4) for i in range(5)]
+    dataset = Dataset(bags, "synthetic", m)
+    scores = model.predict_bags(dataset)
+    for row, score in zip(model.localize_bags(dataset), scores):
+        assert score == row.mean()
+        assert score == pytest.approx(math.fsum(row) / m, abs=1e-12)
+    shuffled = [Bag(b.video_id, b.subject_id, b.instances[rng.permutation(m)], b.label) for b in bags]
+    assert model.predict_bags(Dataset(shuffled, "synthetic", m)) == pytest.approx(scores, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,38 @@ def frame_tree(tmp_path_factory):
 # ---------------------------------------------------------------------------
 # config parsing
 
+# (setting, value): one value of the wrong JSON kind per kind of setting, at
+# the top level and nested
+BAD_TYPED = [
+    # int
+    ("seed", 1.5),
+    ("pool_k", 2.7),
+    ("seq_hidden", 2.5),
+    ("jobs", True),
+    ("train.epochs", "1"),
+    ("train.epochs", 1.9),
+    # float
+    ("target_fps", "6"),
+    ("svr.sigma", "2"),
+    ("sgd.eta0", True),
+    # str
+    ("model", ["ridge"]),
+    ("xy_frames", None),
+    # tuple
+    ("hidden", [2.5]),
+    ("grid", "1,1"),
+    ("synth.class_distribution", [0.5, 0.5, "0", 0]),
+    # path
+    ("dataset", 5),
+    ("model_path", ["m.bin"]),
+    # bool: only a JSON boolean
+    ("ridge.fit_intercept", "false"),
+    ("ridge.fit_intercept", 0),
+    ("ridge.fit_intercept", 1),
+    ("ridge.fit_intercept", None),
+    ("ridge.fit_intercept", [True]),
+]
+
 
 class TestRunConfig:
     def test_defaults(self, tmp_path):
@@ -173,13 +205,60 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert "Traceback" not in err and message in err
 
-    @pytest.mark.parametrize("value", ["false", 0, 1, None, [True]])
-    def test_bool_setting_takes_only_a_json_boolean(self, tmp_path, value):
-        path = write_config(tmp_path / "c.json", ridge={"fit_intercept": value})
-        with pytest.raises(ConfigError, match="config ridge.fit_intercept has a bad value"):
-            RunConfig.from_file(path)
-        path = write_config(tmp_path / "c.json", ridge={"fit_intercept": False})
-        assert RunConfig.from_file(path).ridge["fit_intercept"] is False
+    @pytest.mark.parametrize(
+        "name,value", BAD_TYPED, ids=[f"{name}={json.dumps(value)}" for name, value in BAD_TYPED]
+    )
+    def test_bad_typed_value_exits_2(self, tmp_path, capsys, name, value):
+        """A value of the wrong JSON kind exits 2 before any input is read:
+        the dataset path does not exist."""
+        block, _, key = name.rpartition(".")
+        keys = {block: {key: value}} if block else {key: value}
+        config = write_config(
+            tmp_path / "c.json",
+            **{"dataset": str(tmp_path / "absent"), "model_path": str(tmp_path / "m.bin"), **keys},
+        )
+        code = run_cli("train", "--config", str(config), "--out", str(tmp_path / "t.csv"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"config {name} has a bad value" in err
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_a_non_finite_number_exits_2(self, tmp_path, capsys, number):
+        """json.loads takes these, but JSON has no such number."""
+        keys = dict(model="svr", svr={"c": 0}, dataset=str(tmp_path / "absent"))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(keys).replace('"c": 0', f'"c": {number}'))
+        code = run_cli("train", "--config", str(path), "--out", str(tmp_path / "t.csv"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"config {path} non-finite number" in err
+
+    def test_well_typed_values_load(self, tmp_path):
+        path = write_config(
+            tmp_path / "c.json",
+            target_fps=6,
+            hidden=[4, 2],
+            dataset=None,
+            train={"scale_labels": None},
+            svr={"sigma": 2},
+            ridge={"fit_intercept": False},
+            synth={"class_distribution": [1, 0, 0, 0]},
+        )
+        config = RunConfig.from_file(path)
+        assert (config.target_fps, config.hidden, config.dataset) == (6.0, (4, 2), None)
+        assert type(config.target_fps) is float and type(config.svr["sigma"]) is float
+        assert config.train["scale_labels"] is None and config.ridge["fit_intercept"] is False
+        assert config.synth["class_distribution"] == (1.0, 0.0, 0.0, 0.0)
+
+    def test_readme_names_every_config_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Config keys (defaults)")[1].split("```")[1]
+        top = set(re.findall(r"\w+", re.sub(r"\{.*\}", "", block)))
+        nested = dict(re.findall(r"^(\w+) \{(.*)\}$", block, re.M))
+        for key, default in cli._SETTINGS.items():
+            assert key in top
+            if isinstance(default, dict):
+                assert set(default) <= set(re.findall(r"\w+", nested[key])), key
 
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -1179,8 +1258,42 @@ class TestProcess:
         code = run_cli("train", "--config", str(config), "--out", str(tmp_path / "t.csv"))
         assert code == 2
         err = capsys.readouterr().err
-        assert "Traceback" not in err and "scale_labels must be true, false or null" in err
+        assert "Traceback" not in err and "config train.scale_labels has a bad value" in err
         assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "command,key",
+        [
+            ("train", "out"),
+            ("train", "model_path"),
+            ("predict", "out"),
+            ("localize", "out"),
+            ("eval", "out"),
+        ],
+    )
+    def test_an_output_path_in_a_missing_directory_exits_2(
+        self, synth_dir, artifacts, tmp_path, capsys, monkeypatch, command, key
+    ):
+        """Before any input is read (the read trail holds only the config),
+        and with no model written."""
+        missing = tmp_path / "nodir"
+        model = tmp_path / "m.bin" if command == "train" else artifacts / "model.bin"
+        out = tmp_path / "out.csv"
+        if key == "model_path":
+            model = missing / "m.bin"
+        else:
+            out = missing / "out.csv"
+        config = write_config(
+            tmp_path / "c.json", model="ridge", dataset=str(synth_dir / "data"), model_path=str(model)
+        )
+        trail = tmp_path / "reads.log"
+        monkeypatch.setenv("ENGAGE_MIL_AUDIT", str(trail))
+        code = run_cli(command, "--config", str(config), "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and f"directory {missing} not found" in err
+        assert trail.read_text().splitlines() == [os.path.realpath(config)]
+        assert not (tmp_path / "m.bin").exists() and not missing.exists()
 
     @pytest.mark.parametrize("command", ["predict", "localize"])
     def test_non_finite_output_exits_4(self, split_root, tmp_path, capsys, command):
