@@ -520,18 +520,31 @@ def test_json_model_load_rejects_bad_fields(tmp_path, loader, base, change):
 # serving
 
 
-def test_instance_model_predict_bags_is_the_bag_mean():
-    """A video's score is the mean of its segments' predictions, the same
-    bits as the 1-D mean of its row, whatever order the segments come in."""
-    rng = np.random.default_rng(5)
-    m = 57
+def _linear_bags(rng, m):
     model = LinearModel(rng.normal(size=3), 0.5)
     bags = [Bag(f"v{i}", f"s{i}", rng.uniform(0, 3, size=(m, 3)), i % 4) for i in range(5)]
+    return model, bags
+
+
+def test_aggregate_video_is_the_mean():
+    """A video's score from predict_bags is the mean of its segments'
+    predictions, the same bits as the 1-D mean of its localize_bags row."""
+    rng = np.random.default_rng(5)
+    m = 100
+    model, bags = _linear_bags(rng, m)
     dataset = Dataset(bags, "synthetic", m)
     scores = model.predict_bags(dataset)
     for row, score in zip(model.localize_bags(dataset), scores):
         assert score == row.mean()
         assert score == pytest.approx(math.fsum(row) / m, abs=1e-12)
+
+
+def test_aggregate_video_permutation_invariant():
+    """A video's score does not move when its segments come in another order."""
+    rng = np.random.default_rng(6)
+    m = 57
+    model, bags = _linear_bags(rng, m)
+    scores = model.predict_bags(Dataset(bags, "synthetic", m))
     shuffled = [Bag(b.video_id, b.subject_id, b.instances[rng.permutation(m)], b.label) for b in bags]
     assert model.predict_bags(Dataset(shuffled, "synthetic", m)) == pytest.approx(scores, abs=1e-12)
 
