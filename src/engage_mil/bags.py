@@ -26,6 +26,7 @@ from .errors import (
 from .textio import FINITE, JSON_NUMBER, check_fields, parse_json, read_bytes, read_csv, read_json
 
 LABELS = (0, 1, 2, 3)
+RELABELINGS = ("noisy", "kmeans-mode", "kmeans-mean")
 
 FEATURE_MAGIC = b"EMIL"
 FEATURE_VERSION = 1
@@ -126,7 +127,7 @@ class InstanceLabeling:
     """Per-instance real-valued labels attached to a dataset's bags."""
 
     labels: np.ndarray  # (n_bags, m) float64
-    strategy: str  # "noisy" | "kmeans-mode" | "kmeans-mean"
+    strategy: str  # one of RELABELINGS
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.float64)
@@ -413,7 +414,7 @@ def relabel(
     bag_labels = np.repeat(dataset.labels(), m)
     if strategy == "noisy":
         return InstanceLabeling(bag_labels.astype(np.float64).reshape(n, m), strategy)
-    if strategy not in ("kmeans-mode", "kmeans-mean"):
+    if strategy not in RELABELINGS:
         raise ValueError(f"unknown relabeling strategy {strategy!r}")
     if assignments is None:
         raise ValueError(f"{strategy} needs cluster assignments")
@@ -656,11 +657,14 @@ def load_dataset(index_path) -> Dataset:
     index = read_json(index_path, "dataset index")
     if not isinstance(index, list) or not index:
         raise ParseError(index_path, 1, "index must be a nonempty array")
-    bags = []
-    kinds = set()
+    bags, kinds, ids = [], set(), set()
     folder = os.path.dirname(str(index_path))  # "" for a bare name, not Path's "."
     for number, record in enumerate(index, start=1):
         check_fields(index_path, record, _INDEX_RECORD, "index record")
+        video_id = record["video_id"]
+        if video_id in ids:
+            raise ParseError(index_path, 1, f"record {number} repeats video {video_id!r}")
+        ids.add(video_id)
         if record["label"] not in LABELS:
             raise ParseError(
                 index_path, 1, f"label must be one of {LABELS}, got {record['label']!r}"
@@ -672,7 +676,7 @@ def load_dataset(index_path) -> Dataset:
         instances = read_feature_file(feature_path)
         bags.append(
             Bag(
-                video_id=record["video_id"],
+                video_id=video_id,
                 subject_id=record["subject_id"],
                 instances=instances,
                 label=int(record["label"]),

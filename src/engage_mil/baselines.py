@@ -19,23 +19,12 @@ from .bags import Dataset, InstanceLabeling, read_model, write_model
 from .errors import ConvergenceError, TrainingDivergedError
 from .textio import JSON_NUMBER
 
-@dataclass(frozen=True)
-class KernelSpec:
-    kind: str = "gaussian"
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if self.kind != "gaussian":
-            raise ValueError(f"unsupported kernel {self.kind!r}")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-
 
 @dataclass(frozen=True)
 class SvrConfig:
     c: float = 1.0
     epsilon: float = 0.1
-    kernel: KernelSpec = field(default_factory=KernelSpec)
+    sigma: float = 1.0  # the Gaussian kernel's width
     tol: float = 1e-3
 
     def __post_init__(self):
@@ -43,6 +32,8 @@ class SvrConfig:
             raise ValueError("C must be positive")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
+        if self.sigma <= 0:
+            raise ValueError("sigma must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
 
@@ -266,7 +257,7 @@ def svr_train(
         raise ValueError("max_iter must be at least 1")
     c, eps, tol = config.c, config.epsilon, config.tol
     if warm is None:
-        kernel, a = _KernelRows(x, config.kernel.sigma), None
+        kernel, a = _KernelRows(x, config.sigma), None
     else:
         kernel, a = warm.kernel, warm.start(c)
 
@@ -350,7 +341,7 @@ def svr_predict_many(model: SvrModel, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != model.in_dim:
         raise ValueError(f"expected (n, {model.in_dim}) inputs, got {xs.shape}")
-    k = gaussian_kernel(xs, model.support_vectors, model.config.kernel.sigma)
+    k = gaussian_kernel(xs, model.support_vectors, model.config.sigma)
     return k @ model.coef + model.bias
 
 
@@ -511,11 +502,10 @@ def grid_search_svr(
         fit_y = np.concatenate([labeling.labels[idx] for idx in fit_rows])
         n_videos += len(val_rows)
         for si, sigma in enumerate(sigma_grid):
-            spec = KernelSpec("gaussian", sigma)
             # the whole fold fits, so the C path computes each row once
             path = SvrPath(_KernelRows(fit_x, sigma, max_rows=len(fit_x)))
             for ci in sorted(range(len(c_grid)), key=c_grid.__getitem__):
-                config = SvrConfig(c=c_grid[ci], epsilon=epsilon, kernel=spec, tol=tol)
+                config = SvrConfig(c_grid[ci], epsilon, sigma, tol)
                 model = svr_train(fit_x, fit_y, config, warm=path)
                 for idx in val_rows:
                     bag = train.bags[idx]
@@ -545,7 +535,7 @@ def save_svr(model: SvrModel, path, meta: dict | None = None) -> None:
         "bias": model.bias,
         "c": config.c,
         "epsilon": config.epsilon,
-        "sigma": config.kernel.sigma,
+        "sigma": config.sigma,
         "tol": config.tol,
     }
     write_model(path, "svr", fields, [model.support_vectors, model.coef], meta)
@@ -555,12 +545,7 @@ def _svr_from_file(kind: str, fields: dict, arrays: list) -> SvrModel:
     support_vectors, coef = arrays
     if support_vectors.ndim != 2 or coef.shape != (len(support_vectors),):
         raise ValueError("support vectors must be (n_sv, dim) with one coefficient each")
-    config = SvrConfig(
-        c=float(fields["c"]),
-        epsilon=float(fields["epsilon"]),
-        kernel=KernelSpec("gaussian", float(fields["sigma"])),
-        tol=float(fields["tol"]),
-    )
+    config = SvrConfig(*(float(fields[key]) for key in ("c", "epsilon", "sigma", "tol")))
     return SvrModel(support_vectors, coef, float(fields["bias"]), config)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import features as feats
 from .bags import (
+    RELABELINGS,
     Dataset,
     SyntheticSpec,
     kmeans,
@@ -32,7 +33,6 @@ from .bags import (
     synth_generate,
 )
 from .baselines import (
-    KernelSpec,
     SvrConfig,
     bayesian_ridge_train,
     load_linear,
@@ -56,6 +56,7 @@ from .errors import (
 )
 from .metrics import compute_report
 from .networks import (
+    POOLINGS,
     TrainConfig,
     build_mil_net,
     build_seq_net,
@@ -73,9 +74,9 @@ _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DE
 _CHOICES = {
     "feature": ("lbptop", "posegaze"),
     "model": ("svr", "sgd", "ridge", "milnet", "seqnet"),
-    "relabel": ("noisy", "kmeans-mode", "kmeans-mean"),
-    "pooling": ("topk", "mean"),
-    "xy_frames": ("all", "center"),
+    "relabel": RELABELINGS,
+    "pooling": POOLINGS,
+    "xy_frames": feats.XY_FRAMES,
 }
 # The least value of each bounded integer setting
 _LEAST = {"seed": 0, "jobs": 1, "m": 1, "window": 2, "stride": 1, "pool_k": 1, "kmeans_k": 1}
@@ -113,7 +114,7 @@ _SETTINGS = {
     "relabel": "noisy",
     "kmeans_k": 4,
     "train": {**_keyword_defaults(TrainConfig, "seed"), "scale_labels": bool},
-    "svr": {**_keyword_defaults(SvrConfig, "kernel"), "sigma": KernelSpec.sigma},
+    "svr": _keyword_defaults(SvrConfig),
     "sgd": _keyword_defaults(sgd_linear_train, "seed"),
     "ridge": _keyword_defaults(bayesian_ridge_train),
     "synth": _keyword_defaults(SyntheticSpec, "seed"),
@@ -188,9 +189,8 @@ class RunConfig:
             raise ConfigError("sgd penalty must be nonnegative")
         # the other blocks are checked by the library objects they configure,
         # built once, here, for the commands to use
-        svr = dict(self.svr)
         try:
-            self.svr_config = SvrConfig(kernel=KernelSpec("gaussian", svr.pop("sigma")), **svr)
+            self.svr_config = SvrConfig(**self.svr)
             self.train_config = TrainConfig(seed=self.seed, **self.train)
             self.synth_spec = SyntheticSpec(seed=self.seed, **self.synth)
         except ValueError as exc:  # a value the library object refuses
@@ -299,6 +299,10 @@ def cmd_extract(config: RunConfig) -> None:
             results = list(pool.map(_extract_one, video_dirs, [config] * len(video_dirs)))
     else:
         results = [_extract_one(d, config) for d in video_dirs]
+    folders = {}
+    for folder, (video_id, _, _) in zip(video_dirs, results):
+        if folders.setdefault(video_id, folder) != folder:
+            raise DataError(f"{folders[video_id]} and {folder} both hold video {video_id!r}")
     results.sort(key=lambda item: item[0])
 
     bags = []
@@ -332,12 +336,39 @@ def cmd_synth(config: RunConfig) -> None:
 # model helpers shared by train/predict/localize/eval
 
 
-def _check_output_dirs(config: RunConfig, *keys: str) -> None:
-    """Refuse an output path whose directory does not exist."""
-    for key in keys:
+# The paths each model command reads, may read, and writes, by config key
+_PATHS = {
+    "train": (("dataset",), (), ("model_path", "out")),
+    "predict": (("dataset", "model_path"), (), ("out",)),
+    "localize": (("dataset", "model_path"), ("planted",), ("out",)),
+    "eval": (("dataset", "model_path"), ("train_dataset",), ("out",)),
+}
+
+
+def _check_paths(config: RunConfig, command: str) -> None:
+    """Before any input is read, refuse a missing path, and an output that is
+    a directory, whose directory does not exist, or that is another path the
+    command reads or writes (a dataset directory meaning its index.json)."""
+    reads, optional, writes = _PATHS[command]
+    for key in (*reads, *writes):
+        if not getattr(config, key):
+            raise ConfigError(f"{command} needs a '{key}' path")
+
+    def real(key):
+        path = getattr(config, key)
+        if key.endswith("dataset") and os.path.isdir(path):
+            path = os.path.join(path, "index.json")
+        return os.path.realpath(path)
+
+    for key in writes:
         path = Path(getattr(config, key))
         if not path.parent.is_dir():
             raise ConfigError(f"{key} {path}: directory {path.parent} not found")
+        if path.is_dir():
+            raise ConfigError(f"{key} {path} is a directory")
+        for other in (*reads, *optional, *writes):
+            if other != key and getattr(config, other) and real(other) == real(key):
+                raise ConfigError(f"{key} {path} is also the command's {other}")
 
 
 def _instance_labeling(config: RunConfig, dataset: Dataset):
@@ -361,13 +392,7 @@ def _train_meta(config: RunConfig, dataset: Dataset) -> dict:
 
 
 def cmd_train(config: RunConfig) -> None:
-    if not config.dataset:
-        raise ConfigError("train needs a 'dataset' index path")
-    if not config.model_path:
-        raise ConfigError("train needs a model output path ('model_path')")
-    if not config.out:
-        raise ConfigError("train needs a loss-trace CSV path ('out')")
-    _check_output_dirs(config, "model_path", "out")
+    _check_paths(config, "train")
     dataset = load_dataset(config.dataset)
     meta = _train_meta(config, dataset)
 
@@ -423,18 +448,11 @@ def _load_model(path):
     return loaders[kind](path)
 
 
-def _open_served(config: RunConfig, command: str, output: str):
+def _open_served(config: RunConfig, command: str):
     """(dataset, model, meta) of predict/localize/eval, checked against each
     other.  Every model kind serves through the same surface: in_dim,
     check(dataset), predict_bags(dataset) and localize_bags(dataset)."""
-    for key, what in (
-        ("dataset", "a 'dataset' index path"),
-        ("model_path", "a model path ('model_path')"),
-        ("out", f"an output {output} path ('out')"),
-    ):
-        if not getattr(config, key):
-            raise ConfigError(f"{command} needs {what}")
-    _check_output_dirs(config, "out")
+    _check_paths(config, command)
     dataset = load_dataset(config.dataset)
     model, meta = _load_model(config.model_path)
     feature_kind = meta.get("feature_kind")
@@ -463,7 +481,7 @@ def _finite(dataset: Dataset, values: np.ndarray) -> np.ndarray:
 
 
 def cmd_predict(config: RunConfig) -> None:
-    dataset, model, _ = _open_served(config, "predict", "CSV")
+    dataset, model, _ = _open_served(config, "predict")
     predictions = _finite(dataset, model.predict_bags(dataset))
     order = np.argsort([bag.video_id for bag in dataset.bags])
     _write_rows(
@@ -478,7 +496,7 @@ def cmd_predict(config: RunConfig) -> None:
 
 
 def cmd_localize(config: RunConfig) -> None:
-    dataset, model, _ = _open_served(config, "localize", "CSV")
+    dataset, model, _ = _open_served(config, "localize")
     planted = load_planted_csv(config.planted) if config.planted else None
 
     intensities = _finite(dataset, model.localize_bags(dataset))
@@ -498,7 +516,7 @@ def cmd_localize(config: RunConfig) -> None:
 
 
 def cmd_eval(config: RunConfig) -> None:
-    dataset, model, meta = _open_served(config, "eval", "JSON")
+    dataset, model, meta = _open_served(config, "eval")
 
     test_subjects = set(dataset.subjects())
     train_subjects = meta.get("train_subjects", [])

@@ -45,6 +45,7 @@ PLANE_BINS = 59
 N_PLANES = 3
 LBP_TOP_DIM = PLANE_BINS * N_PLANES
 POSE_GAZE_DIM = 9
+XY_FRAMES = ("all", "center")  # which frames of a window give XY codes
 
 POSE_GAZE_COLUMNS = (
     "frame",
@@ -329,29 +330,6 @@ def _normalize_counts(counts: np.ndarray) -> np.ndarray:
     return (counts / totals[:, :, None]).reshape(-1)
 
 
-def lbp_top(
-    seq: FrameSequence,
-    window: SegmentWindow,
-    *,
-    xy_frames: str = "all",
-    grid=(1, 1),
-) -> LbpTopHistogram:
-    """Texture histogram of one window volume.
-
-    Codes are computed on every voxel whose circular neighborhood fits the
-    volume; spatial XY codes come from every frame of the window by default
-    (`xy_frames="center"` restricts them to the middle frame).  Each plane
-    histogram is normalized to sum 1 per spatial block, then blocks are
-    concatenated row-major as [XY | XT | YT] chunks of 59 bins.
-    """
-    if window.stop > len(seq):
-        raise ValueError(f"window {window} outside sequence of {len(seq)} frames")
-    frames = seq.frames[window.start : window.stop]
-    part = FrameSequence(frames, seq.fps, seq.subject_id, seq.video_id)
-    local = SegmentWindow(0, window.length, window.stride)
-    return lbp_top_many(part, [local], xy_frames=xy_frames, grid=grid)[0]
-
-
 def lbp_top_many(
     seq: FrameSequence,
     windows,
@@ -359,10 +337,13 @@ def lbp_top_many(
     xy_frames: str = "all",
     grid=(1, 1),
 ) -> list[LbpTopHistogram]:
-    """Histograms for many windows of one video, sharing one code pass; each
-    window's counts are a difference of two prefix-sum rows per plane."""
-    if xy_frames not in ("all", "center"):
-        raise ValueError("xy_frames must be 'all' or 'center'")
+    """Texture histograms of many windows of one video, sharing one code pass.
+    XY codes come from every frame of a window (`xy_frames="center"`: the
+    middle one).  Each plane sums to 1 per `grid` block, blocks row-major as
+    [XY | XT | YT] chunks of 59 bins; a window's counts are a difference of
+    two prefix-sum rows per plane."""
+    if xy_frames not in XY_FRAMES:
+        raise ValueError(f"xy_frames must be one of {XY_FRAMES}")
     maps = _PlaneCodeMaps(seq.frames)
     t, h, w = seq.frames.shape
     gy, gx = grid

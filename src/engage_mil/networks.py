@@ -19,6 +19,7 @@ from .bags import Dataset, read_model, write_model
 from .errors import IncompatibleArtifactsError, TrainingDivergedError
 
 _ACTIVATIONS = ("relu", "sigmoid", "linear")
+POOLINGS = ("topk", "mean")
 
 
 def _sigmoid(z):
@@ -123,8 +124,8 @@ class MilNet(_NetServing):
     """Shared dense stack scoring each instance, then top-k or mean pooling."""
 
     layers: list[DenseLayer]
-    pooling: str = "topk"
-    k: int = 10
+    pooling: str
+    k: int
     label_scaling: bool = False
 
     def __post_init__(self):
@@ -133,7 +134,7 @@ class MilNet(_NetServing):
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if nxt.in_dim != prev.out_dim:
                 raise ValueError("consecutive layer dimensions must chain")
-        if self.pooling not in ("topk", "mean"):
+        if self.pooling not in POOLINGS:
             raise ValueError(f"unknown pooling {self.pooling!r}")
         if self.pooling == "topk" and self.k < 1:
             raise ValueError("k must be at least 1")
@@ -231,7 +232,6 @@ def build_mil_net(
     pooling: str = "topk",
     k: int = 10,
     seed: int = 0,
-    label_scaling: bool = False,
 ) -> MilNet:
     rng = np.random.default_rng(seed)
     sizes = [in_dim, *hidden, 1]
@@ -245,7 +245,7 @@ def build_mil_net(
                 activation=activation,
             )
         )
-    return MilNet(layers=layers, pooling=pooling, k=k, label_scaling=label_scaling)
+    return MilNet(layers, pooling, k)
 
 
 def build_seq_net(
@@ -254,7 +254,6 @@ def build_seq_net(
     hidden: int = 32,
     dense=(64, 32),
     seed: int = 0,
-    label_scaling: bool = True,
 ) -> SeqNet:
     rng = np.random.default_rng(seed)
     gate_in = in_dim + hidden
@@ -271,7 +270,7 @@ def build_seq_net(
                 activation="sigmoid",
             )
         )
-    return SeqNet(lstm=lstm, dense=head, m=m, label_scaling=label_scaling)
+    return SeqNet(lstm, head, m)
 
 
 # ---------------------------------------------------------------------------

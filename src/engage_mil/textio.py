@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import re
 
 from .errors import ParseError
 
@@ -24,6 +25,9 @@ from .errors import ParseError
 AUDIT_ENV = "ENGAGE_MIL_AUDIT"
 
 JSON_NUMBER = (int, float)
+
+# A video id names its feature file and fills one CSV cell: a plain file name
+_VIDEO_ID = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
 
 # str.splitlines also breaks at these; open(newline=""), and so csv, does not
 _OTHER_LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
@@ -85,7 +89,8 @@ FINITE = {"parse_float": _finite_float, "parse_constant": _finite_float}
 
 def check_fields(path, record, spec: dict, what: str) -> None:
     """Raise ParseError unless `record` is a JSON object holding every key of
-    `spec` with a value of the listed type; a bool never passes as a number.
+    `spec` with a value of the listed type; a bool never passes as a number,
+    and a `video_id` must be a plain file name (see _VIDEO_ID).
     """
     if not isinstance(record, dict):
         raise ParseError(path, 1, f"{what} must be a JSON object")
@@ -95,6 +100,9 @@ def check_fields(path, record, spec: dict, what: str) -> None:
         value = record[key]
         if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
             raise ParseError(path, 1, f"{what} has a bad {key!r}: {value!r}")
+    if "video_id" in spec and not _VIDEO_ID.fullmatch(record["video_id"]):
+        rule = "letters, digits, '.', '_' and '-', not starting with '.'"
+        raise ParseError(path, 1, f"{what} has a bad 'video_id': {record['video_id']!r} ({rule})")
 
 
 def text_lines(path, what: str) -> tuple[list[str], bool]:

@@ -26,14 +26,13 @@ from engage_mil.bags import (
     synth_generate,
 )
 from engage_mil.baselines import (
-    KernelSpec,
     SvrConfig,
     gaussian_kernel,
     svr_predict_many,
     svr_train,
 )
 from engage_mil.cli import main as cli_main
-from engage_mil.features import FrameSequence, SegmentWindow, lbp_top
+from engage_mil.features import FrameSequence, SegmentWindow, lbp_top_many
 from engage_mil.metrics import (
     AnnotationMatrix,
     fuse_labels,
@@ -162,7 +161,7 @@ def test_criterion_3_lbp_top_matches_naive_oracle():
             w = int(rng.integers(3, 20))
         frames = rng.integers(0, 256, (t, h, w)).astype(np.uint8)
         seq = FrameSequence(frames, 30.0, "s", f"v{i}")
-        got = lbp_top(seq, SegmentWindow(0, t)).bins
+        got = lbp_top_many(seq, [SegmentWindow(0, t)])[0].bins
         np.testing.assert_array_equal(got, naive_lbp_top(frames))
         sums = got.reshape(3, 59).sum(axis=1)
         worst_sum_err = max(worst_sum_err, float(np.abs(sums - 1.0).max()))
@@ -194,9 +193,7 @@ def test_criterion_4_svr_matches_qp_oracle():
         epsilon = float(rng.uniform(0.01, 0.3))
         sigma = float(rng.uniform(0.7, 3.0))
 
-        config = SvrConfig(
-            c=c, epsilon=epsilon, kernel=KernelSpec("gaussian", sigma), tol=1e-5
-        )
+        config = SvrConfig(c=c, epsilon=epsilon, sigma=sigma, tol=1e-5)
         tick = time.perf_counter()
         model = svr_train(x, y, config)
         train_s += time.perf_counter() - tick

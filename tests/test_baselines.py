@@ -10,7 +10,6 @@ from engage_mil import baselines
 from engage_mil.bags import Bag, Dataset, InstanceLabeling
 from engage_mil.baselines import (
     GridSearchResult,
-    KernelSpec,
     LinearModel,
     RidgePosterior,
     SvrConfig,
@@ -68,7 +67,7 @@ def test_svr_fits_a_smooth_curve_within_the_tube():
     rng = np.random.default_rng(3)
     x = np.linspace(0.0, 2.0 * math.pi, 30)[:, None]
     y = np.sin(x[:, 0])
-    model = svr_train(x, y, SvrConfig(c=100.0, epsilon=0.05, kernel=KernelSpec(sigma=1.0)))
+    model = svr_train(x, y, SvrConfig(c=100.0, epsilon=0.05, sigma=1.0))
     preds = svr_predict_many(model, x)
     assert np.abs(preds - y).max() < 0.05 + 1e-3
     fresh = rng.uniform(0.5, 5.5, size=(20, 1))
@@ -96,7 +95,7 @@ def test_svr_agrees_with_dense_qp_reference(seed):
     c = float(rng.choice([0.5, 1.0, 5.0]))
     epsilon = float(rng.choice([0.05, 0.1, 0.3]))
     sigma = float(rng.uniform(0.6, 2.5))
-    config = SvrConfig(c=c, epsilon=epsilon, kernel=KernelSpec(sigma=sigma), tol=1e-4)
+    config = SvrConfig(c=c, epsilon=epsilon, sigma=sigma, tol=1e-4)
     model = svr_train(x, y, config)
     theta, bias, objective = qp_reference_svr(gaussian_kernel(x, x, sigma), y, c, epsilon)
     assert model.objective_trace[-1] == pytest.approx(objective, abs=1e-3)
@@ -123,7 +122,7 @@ def test_svr_dual_coefficients_respect_the_box_and_sum_to_zero():
 
 def test_svr_huge_sigma_collapses_to_the_bias():
     x, y = _random_problem(5, n=15, dim=3)
-    model = svr_train(x, y, SvrConfig(c=1.0, epsilon=0.1, kernel=KernelSpec(sigma=1e6)))
+    model = svr_train(x, y, SvrConfig(c=1.0, epsilon=0.1, sigma=1e6))
     probe = np.random.default_rng(9).normal(size=(6, 3))
     assert np.allclose(svr_predict_many(model, probe), model.bias, atol=1e-4)
 
@@ -153,9 +152,7 @@ def test_svr_config_validation():
     with pytest.raises(ValueError):
         SvrConfig(epsilon=-0.1)
     with pytest.raises(ValueError):
-        KernelSpec(sigma=0.0)
-    with pytest.raises(ValueError):
-        KernelSpec(kind="linear")
+        SvrConfig(sigma=0.0)
     SvrConfig(epsilon=0.0)  # a zero-width tube is legal
 
 
@@ -183,7 +180,7 @@ def _reference_smo(x, y, config, warm=None):
         scaled = np.minimum(warm.dual * (config.c / warm.c), config.c)
         start = np.where(warm.dual == warm.c, config.c, scaled)
     result = reference_smo_svr(
-        x, y, config.c, config.epsilon, config.kernel.sigma, config.tol, start=start
+        x, y, config.c, config.epsilon, config.sigma, config.tol, start=start
     )
     if warm is not None:
         warm.dual, warm.c = result[4], config.c
@@ -213,7 +210,7 @@ def _smo_case_problem(case):
         x, y = np.tile(x, (3, 1)), np.tile(np.round(y), 3)
     if case == "split_labels_on_duplicate_rows":  # each row twice, at y and 3 - y
         x, y = np.tile(x, (2, 1)), np.concatenate([y, 3.0 - y])
-    return x, y, SvrConfig(c=c, epsilon=epsilon, kernel=KernelSpec(sigma=sigma), tol=1e-4)
+    return x, y, SvrConfig(c=c, epsilon=epsilon, sigma=sigma, tol=1e-4)
 
 
 @pytest.mark.parametrize("case", sorted(SMO_CASES))
@@ -235,13 +232,13 @@ def test_svr_running_objective_tracks_the_recomputed_dual(case):
     if case == "warm_c_path":
         x, y = _random_problem(61, n=120, dim=3)
         configs = [
-            SvrConfig(c=c, epsilon=0.05, kernel=KernelSpec(sigma=1.2), tol=1e-4)
+            SvrConfig(c=c, epsilon=0.05, sigma=1.2, tol=1e-4)
             for c in (0.1, 1.0, 10.0)
         ]
     else:
         x, y, config = _smo_case_problem(case)
         configs = [config]
-    path = baselines.SvrPath(baselines._KernelRows(x, configs[0].kernel.sigma, len(x)))
+    path = baselines.SvrPath(baselines._KernelRows(x, configs[0].sigma, len(x)))
     reference_path = baselines.SvrPath(kernel=None)
     for config in configs:
         trace = svr_train(x, y, config, warm=path).objective_trace
@@ -268,7 +265,7 @@ def test_svr_raises_convergence_error_at_its_step_cap():
 
 def test_svr_round_trip_preserves_predictions(tmp_path):
     x, y = _random_problem(21, n=14, dim=3)
-    model = svr_train(x, y, SvrConfig(c=1.5, epsilon=0.05, kernel=KernelSpec(sigma=1.3)))
+    model = svr_train(x, y, SvrConfig(c=1.5, epsilon=0.05, sigma=1.3))
     path = tmp_path / "model.svr"
     save_svr(model, path, meta={"feature_kind": "synthetic", "dim": 3})
     loaded, meta = load_svr(path)
@@ -672,7 +669,7 @@ def _dense_kkt_violation(x, y, config, dual):
     """max over the up set minus min over the low set of -s*g, with
     g = Qa + p from the full kernel matrix."""
     l, c = len(y), config.c
-    k = gaussian_kernel(x, x, config.kernel.sigma)
+    k = gaussian_kernel(x, x, config.sigma)
     theta = dual[:l] - dual[l:]
     g = np.concatenate([k @ theta, -(k @ theta)]) + np.concatenate(
         [config.epsilon - y, config.epsilon + y]

@@ -628,6 +628,40 @@ class TestExtract:
         assert code == 3
         assert "Traceback" not in err and f"pose.csv:{line}: {message}" in err
 
+    @staticmethod
+    def _extract_renamed(pose_tree, tmp_path, video_id) -> tuple[int, Path]:
+        """Extract a copy of pose_tree whose vid01 manifest names `video_id`,
+        labeled; the exit code and the copy's root."""
+        root = shutil.copytree(pose_tree, tmp_path / "raw")
+        manifest = root / "vid01" / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "video_id": video_id}))
+        labels = {"vid00": 0, video_id: 1, "vid02": 2}
+        (root / "labels.csv").write_text(
+            "video_id,label\n" + "".join(f"{v},{y}\n" for v, y in labels.items())
+        )
+        keys = {"feature": "posegaze", "input": str(root), "labels": str(root / "labels.csv")}
+        config = write_config(tmp_path / "c.json", **keys)
+        return run_cli("extract", "--config", str(config), "--out", str(tmp_path / "o")), root
+
+    @pytest.mark.parametrize("video_id", ["a/b", "../../escaped", "", ".x", "a b", "vid\u00e9"])
+    def test_a_bad_video_id_exits_3(self, pose_tree, tmp_path, capsys, video_id):
+        """A video id names its feature file, so one that is not a plain file
+        name is refused, naming the manifest, before anything is written."""
+        code, root = self._extract_renamed(pose_tree, tmp_path, video_id)
+        err = capsys.readouterr().err
+        assert code == 3
+        manifest = root / "vid01" / "manifest.json"
+        assert "Traceback" not in err and f"{manifest}:1: manifest has a bad 'video_id'" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "raw"]
+
+    def test_two_videos_with_one_id_exit_3(self, pose_tree, tmp_path, capsys):
+        code, root = self._extract_renamed(pose_tree, tmp_path, "vid00")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err
+        assert f"{root / 'vid00'} and {root / 'vid01'} both hold video 'vid00'" in err
+        assert not (tmp_path / "o").exists()
+
     def test_empty_input_dir_exits_3(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
         config = write_config(
@@ -1225,6 +1259,26 @@ class TestProcess:
         assert code == 3
         assert str(dataset / "index.json") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("video_id", ["a,b", "../x", "", ".x", None], ids=str)
+    def test_an_index_with_a_bad_or_repeated_video_id_exits_3(
+        self, split_root, trained, tmp_path, capsys, video_id
+    ):
+        """A comma would add a field to predict's rows, a path part would
+        read a feature file the id does not name; None repeats an id."""
+        dataset = shutil.copytree(split_root / "test", tmp_path / "ds")
+        index = json.loads((dataset / "index.json").read_text())
+        index[1]["video_id"] = index[0]["video_id"] if video_id is None else video_id
+        (dataset / "index.json").write_text(json.dumps(index))
+        config = write_config(
+            tmp_path / "c.json", dataset=str(dataset), model_path=str(trained / "model.json")
+        )
+        code = run_cli("predict", "--config", str(config), "--out", str(tmp_path / "p.csv"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err and str(dataset / "index.json") in err
+        assert ("record 2 repeats video" if video_id is None else "has a bad 'video_id'") in err
+        assert not (tmp_path / "p.csv").exists()
+
     @pytest.mark.parametrize(
         "edit", [lambda raw: b"\xff\xff" + raw, lambda raw: b"[" * 100_000], ids=["not-utf8", "too-deep"]
     )
@@ -1294,6 +1348,60 @@ class TestProcess:
         assert "Traceback" not in err and f"directory {missing} not found" in err
         assert trail.read_text().splitlines() == [os.path.realpath(config)]
         assert not (tmp_path / "m.bin").exists() and not missing.exists()
+
+    @pytest.mark.parametrize(
+        "command,key,target",
+        [
+            ("train", "out", "model_path"),
+            ("train", "model_path", "dataset"),
+            ("train", "out", "dataset"),
+            ("predict", "out", "dataset"),
+            ("predict", "out", "model_path"),
+            ("localize", "out", "planted"),
+            ("eval", "out", "train_dataset"),
+            ("predict", "out", "symlink"),
+            ("predict", "out", "directory"),
+        ],
+    )
+    def test_an_output_that_is_an_input_exits_2(
+        self, split_root, trained, tmp_path, capsys, monkeypatch, command, key, target
+    ):
+        """An output that resolves to another path the command reads or writes
+        (a dataset directory meaning its index.json), or is a directory, exits
+        2 before any input is read, and every input is left as it was."""
+        work = shutil.copytree(split_root, tmp_path / "work")
+        shutil.copy(trained / "model.json", work / "model.bin")
+        (work / "planted.csv").write_text("planted\n")
+        (work / "link.csv").symlink_to(work / "test" / "index.json")
+        keys = {
+            "dataset": str(work / "test"),
+            "train_dataset": str(work / "train"),
+            "model_path": str(work / "model.bin"),
+            "planted": str(work / "planted.csv"),
+            "out": str(tmp_path / "out.csv"),
+        }
+        named = {
+            "dataset": work / "test" / "index.json",
+            "train_dataset": work / "train" / "index.json",
+            "symlink": work / "link.csv",
+            "directory": work / "test",
+        }
+        keys[key] = str(named.get(target, keys.get(target)))
+        out = keys.pop("out")
+        config = write_config(tmp_path / "c.json", model="ridge", **keys)
+        before = {p: p.read_bytes() for p in work.rglob("*") if p.is_file()}
+        trail = tmp_path / "reads.log"
+        monkeypatch.setenv("ENGAGE_MIL_AUDIT", str(trail))
+        code = run_cli(command, "--config", str(config), "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        if target == "directory":
+            assert f"{key} {out} is a directory" in err
+        else:
+            clash = re.search(r"^error: (\w+) \S+ is also the command's (\w+)$", err, re.M)
+            assert {*clash.groups()} == {key, "dataset" if target == "symlink" else target}
+        assert trail.read_text().splitlines() == [os.path.realpath(config)]
+        assert {p: p.read_bytes() for p in work.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize("command", ["predict", "localize"])
     def test_non_finite_output_exits_4(self, split_root, tmp_path, capsys, command):

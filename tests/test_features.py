@@ -21,7 +21,6 @@ from engage_mil.features import (
     FrameSequence,
     PoseGazeTrack,
     SegmentWindow,
-    lbp_top,
     lbp_top_many,
     load_frame_archive,
     load_pose_gaze_csv,
@@ -48,6 +47,12 @@ from oracles import (
 def _random_seq(rng, t, h, w, fps=6.0, vid="v0", subj="s0"):
     frames = rng.integers(0, 256, size=(t, h, w), dtype=np.uint8)
     return FrameSequence(frames=frames, fps=fps, subject_id=subj, video_id=vid)
+
+
+def _alone(seq, window, **options):
+    """The histogram of `window` computed on its own frames only."""
+    part = FrameSequence(seq.frames[window.start : window.stop], seq.fps, "s0", "v0")
+    return lbp_top_many(part, [SegmentWindow(0, window.length)], **options)[0]
 
 
 # --- pattern codes ----------------------------------------------------------
@@ -90,7 +95,7 @@ def test_uniform_lut_bin_count():
 def test_lbp_top_matches_naive_exactly():
     rng = np.random.default_rng(7)
     seq = _random_seq(rng, 6, 9, 8)
-    got = lbp_top(seq, SegmentWindow(0, 6))
+    got = lbp_top_many(seq, [SegmentWindow(0, 6)])[0]
     want = naive_lbp_top(seq.frames)
     assert got.bins.shape == (LBP_TOP_DIM,)
     np.testing.assert_array_equal(got.bins, want)
@@ -99,7 +104,7 @@ def test_lbp_top_matches_naive_exactly():
 def test_lbp_top_interior_window_matches_naive():
     rng = np.random.default_rng(8)
     seq = _random_seq(rng, 12, 7, 7)
-    got = lbp_top(seq, SegmentWindow(4, 5))
+    got = lbp_top_many(seq, [SegmentWindow(4, 5)])[0]
     want = naive_lbp_top(seq.frames[4:9])
     np.testing.assert_array_equal(got.bins, want)
 
@@ -107,7 +112,7 @@ def test_lbp_top_interior_window_matches_naive():
 def test_lbp_top_center_frame_mode_matches_naive():
     rng = np.random.default_rng(9)
     seq = _random_seq(rng, 7, 8, 9)
-    got = lbp_top(seq, SegmentWindow(0, 7), xy_frames="center")
+    got = lbp_top_many(seq, [SegmentWindow(0, 7)], xy_frames="center")[0]
     want = naive_lbp_top(seq.frames, xy_frames="center")
     np.testing.assert_array_equal(got.bins, want)
 
@@ -115,7 +120,7 @@ def test_lbp_top_center_frame_mode_matches_naive():
 def test_lbp_top_spatial_grid_matches_naive():
     rng = np.random.default_rng(10)
     seq = _random_seq(rng, 5, 12, 10)
-    got = lbp_top(seq, SegmentWindow(0, 5), grid=(2, 2))
+    got = lbp_top_many(seq, [SegmentWindow(0, 5)], grid=(2, 2))[0]
     want = naive_lbp_top(seq.frames, grid=(2, 2))
     assert got.bins.shape == (4 * LBP_TOP_DIM,)
     np.testing.assert_array_equal(got.bins, want)
@@ -124,7 +129,7 @@ def test_lbp_top_spatial_grid_matches_naive():
 def test_lbp_top_each_plane_sums_to_one():
     rng = np.random.default_rng(11)
     seq = _random_seq(rng, 8, 10, 10)
-    hist = lbp_top(seq, SegmentWindow(0, 8), grid=(1, 2))
+    hist = lbp_top_many(seq, [SegmentWindow(0, 8)], grid=(1, 2))[0]
     sums = hist.blocks().sum(axis=2)
     np.testing.assert_allclose(sums, 1.0, atol=1e-12, rtol=0)
 
@@ -136,7 +141,7 @@ def test_lbp_top_constant_volume_is_all_ties():
         subject_id="s",
         video_id="v",
     )
-    hist = lbp_top(seq, SegmentWindow(0, 5))
+    hist = lbp_top_many(seq, [SegmentWindow(0, 5)])[0]
     # every comparison ties, so every pixel lands in the bin of code 255
     bins = hist.blocks()[0]
     code255_bin = UNIFORM_LUT[255]
@@ -151,7 +156,7 @@ def test_lbp_top_many_is_bit_identical_to_standalone():
     batch = lbp_top_many(seq, windows)
     assert len(batch) == len(windows)
     for window, hist in zip(windows, batch):
-        np.testing.assert_array_equal(hist.bins, lbp_top(seq, window).bins)
+        np.testing.assert_array_equal(hist.bins, _alone(seq, window).bins)
 
 
 def test_lbp_top_many_center_mode_matches_standalone():
@@ -161,32 +166,32 @@ def test_lbp_top_many_center_mode_matches_standalone():
     batch = lbp_top_many(seq, windows, xy_frames="center")
     for window, hist in zip(windows, batch):
         np.testing.assert_array_equal(
-            hist.bins, lbp_top(seq, window, xy_frames="center").bins
+            hist.bins, _alone(seq, window, xy_frames="center").bins
         )
 
 
 def test_lbp_top_rejects_short_windows_and_thin_frames():
     rng = np.random.default_rng(14)
     with pytest.raises(DegenerateWindowError):
-        lbp_top(_random_seq(rng, 2, 8, 8), SegmentWindow(0, 2))
+        lbp_top_many(_random_seq(rng, 2, 8, 8), [SegmentWindow(0, 2)])
     with pytest.raises(DegenerateWindowError):
-        lbp_top(_random_seq(rng, 8, 2, 8), SegmentWindow(0, 8))
+        lbp_top_many(_random_seq(rng, 8, 2, 8), [SegmentWindow(0, 8)])
     with pytest.raises(DegenerateWindowError):
-        lbp_top(_random_seq(rng, 8, 8, 2), SegmentWindow(0, 8))
+        lbp_top_many(_random_seq(rng, 8, 8, 2), [SegmentWindow(0, 8)])
 
 
 def test_lbp_top_rejects_window_past_end():
     rng = np.random.default_rng(15)
     seq = _random_seq(rng, 10, 6, 6)
     with pytest.raises(ValueError):
-        lbp_top(seq, SegmentWindow(5, 6))
+        lbp_top_many(seq, [SegmentWindow(5, 6)])
 
 
 def test_lbp_top_empty_grid_block_is_an_error():
     rng = np.random.default_rng(16)
     seq = _random_seq(rng, 5, 4, 8)  # 4 rows cannot feed 4 interior row-bands
     with pytest.raises(DegenerateWindowError):
-        lbp_top(seq, SegmentWindow(0, 5), grid=(4, 1))
+        lbp_top_many(seq, [SegmentWindow(0, 5)], grid=(4, 1))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -196,7 +201,7 @@ def test_lbp_top_histograms_are_distributions(seed):
     h = int(rng.integers(3, 9))
     w = int(rng.integers(3, 9))
     seq = _random_seq(rng, t, h, w)
-    hist = lbp_top(seq, SegmentWindow(0, t))
+    hist = lbp_top_many(seq, [SegmentWindow(0, t)])[0]
     assert (hist.bins >= 0).all() and (hist.bins <= 1).all()
     np.testing.assert_allclose(hist.blocks().sum(axis=2), 1.0, atol=1e-12, rtol=0)
 
@@ -206,7 +211,7 @@ def test_lbp_top_histograms_are_distributions(seed):
 def test_chunked_code_maps_and_histograms_match_the_references(data):
     """With chunks of 1-3 frames, the uint8 code maps equal the whole-volume
     float64 reference, and every window's histogram equals the triple loop,
-    from `lbp_top_many` and `lbp_top` alike."""
+    from one `lbp_top_many` call and from each window computed alone."""
     grid = data.draw(st.sampled_from([(1, 1), (2, 3)]), label="grid")
     t = data.draw(st.integers(3, 8), label="t")
     h = data.draw(st.integers(3 if grid == (1, 1) else 4, 8), label="h")
@@ -227,7 +232,7 @@ def test_chunked_code_maps_and_histograms_match_the_references(data):
         mp.setattr(features, "_CHUNK_BYTES", chunk * 8 * h * w)
         maps = features._PlaneCodeMaps(frames)
         many = lbp_top_many(seq, windows, xy_frames=mode, grid=grid)
-        single = [lbp_top(seq, win, xy_frames=mode, grid=grid) for win in windows]
+        single = [_alone(seq, win, xy_frames=mode, grid=grid) for win in windows]
     for got, want in zip((maps.xy, maps.xt, maps.yt), reference_plane_codes(frames)):
         assert got.dtype == np.uint8
         np.testing.assert_array_equal(got, want)

@@ -1,6 +1,6 @@
 """The one model file format: every model kind round-trips through it,
-writes are atomic, and a header whose meta is not an object is refused.
-Damaged model files are fuzzed in test_inputs."""
+writes the bytes pinned here, writes atomically, and a header whose meta is
+not an object is refused.  Damaged model files are fuzzed in test_inputs."""
 
 import dataclasses
 
@@ -12,6 +12,7 @@ from engage_mil.baselines import (
     LinearModel,
     RidgePosterior,
     SvrConfig,
+    SvrModel,
     load_linear,
     load_ridge,
     load_svr,
@@ -22,6 +23,10 @@ from engage_mil.baselines import (
 )
 from engage_mil.errors import ParseError
 from engage_mil.networks import (
+    DenseLayer,
+    LstmLayer,
+    MilNet,
+    SeqNet,
     build_mil_net,
     build_seq_net,
     load_net,
@@ -68,6 +73,70 @@ def _same(a, b) -> bool:
         names = [f.name for f in dataclasses.fields(a) if f.name != "objective_trace"]
         return type(a) is type(b) and all(_same(getattr(a, n), getattr(b, n)) for n in names)
     return a == b
+
+
+def _fixed(*shape):
+    return (np.arange(np.prod(shape), dtype=np.float64).reshape(shape) - 2) / 8
+
+
+def _pinned_models():
+    """One model of each kind from fixed arrays and fields, with the arrays
+    its file holds, in order."""
+    ranking = [DenseLayer(_fixed(2, 3), _fixed(2), "relu"), DenseLayer(_fixed(1, 2), _fixed(1))]
+    mil = MilNet(ranking, "topk", 2)
+    head = [DenseLayer(_fixed(*s), _fixed(s[0]), "sigmoid") for s in ((3, 4), (2, 3), (2, 2))]
+    seq = SeqNet(LstmLayer(_fixed(8, 5), _fixed(8)), head, 2)
+    config = SvrConfig(c=2.0, epsilon=0.125, sigma=1.5, tol=1e-3)
+    svr = SvrModel(_fixed(2, 3), _fixed(2), 0.25, config)
+    return {
+        "mil": (save_net, mil, mil.parameters()),
+        "seq": (save_net, seq, seq.parameters()),
+        "svr": (save_svr, svr, [svr.support_vectors, svr.coef]),
+        "linear": (save_linear, LinearModel(_fixed(3), 0.5), [_fixed(3)]),
+        "ridge": (save_ridge, RidgePosterior(_fixed(3), 2.0, 3.0, 0.1), [_fixed(3)]),
+    }
+
+
+# What each model above writes, "meta" given unsorted
+PINNED_HEADERS = {
+    "mil": (
+        '{"fields": {"activations": ["relu", "linear"], "k": 2, "label_scaling": false, '
+        '"pooling": "topk"}, "kind": "mil", "meta": {"feature_kind": "synthetic", '
+        '"train_subjects": ["s1"]}, "shapes": [[2, 3], [2], [1, 2], [1]]}'
+    ),
+    "seq": (
+        '{"fields": {"activations": ["sigmoid", "sigmoid", "sigmoid"], "label_scaling": true, '
+        '"m": 2}, "kind": "seq", "meta": {"feature_kind": "synthetic", "train_subjects": ["s1"]}, '
+        '"shapes": [[8, 5], [8], [3, 4], [3], [2, 3], [2], [2, 2], [2]]}'
+    ),
+    "svr": (
+        '{"fields": {"bias": 0.25, "c": 2.0, "epsilon": 0.125, "sigma": 1.5, "tol": 0.001}, '
+        '"kind": "svr", "meta": {"feature_kind": "synthetic", "train_subjects": ["s1"]}, '
+        '"shapes": [[2, 3], [2]]}'
+    ),
+    "linear": (
+        '{"fields": {"bias": 0.5}, "kind": "linear", "meta": {"feature_kind": "synthetic", '
+        '"train_subjects": ["s1"]}, "shapes": [[3]]}'
+    ),
+    "ridge": (
+        '{"fields": {"alpha": 2.0, "beta": 3.0, "intercept": 0.1}, "kind": "ridge", '
+        '"meta": {"feature_kind": "synthetic", "train_subjects": ["s1"]}, "shapes": [[3]]}'
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_writes_its_pinned_bytes(tmp_path, kind):
+    """The EMMF prefix (magic, version 1, header length, little-endian), the
+    JSON header byte for byte, then each array as little-endian float64;
+    a round trip alone cannot see a renamed field."""
+    save, model, arrays = _pinned_models()[kind]
+    path = tmp_path / "model.bin"
+    save(model, path, meta={"train_subjects": ["s1"], "feature_kind": "synthetic"})
+    header = PINNED_HEADERS[kind].encode("ascii")
+    prefix = b"EMMF" + (1).to_bytes(4, "little") + len(header).to_bytes(4, "little")
+    payload = b"".join(a.astype("<f8").tobytes() for a in arrays)
+    assert path.read_bytes() == prefix + header + payload
 
 
 @pytest.mark.parametrize("kind", KINDS)

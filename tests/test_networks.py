@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -429,9 +430,9 @@ def _serving_dataset(rng, m, dim, bags=9):
     [
         lambda: build_mil_net(5, hidden=(7, 4), pooling="topk", k=3, seed=1),
         lambda: build_mil_net(5, hidden=(6,), pooling="topk", k=8, seed=2),
-        lambda: build_mil_net(5, hidden=(6,), pooling="mean", seed=3, label_scaling=True),
+        lambda: replace(build_mil_net(5, hidden=(6,), pooling="mean", seed=3), label_scaling=True),
         lambda: build_seq_net(5, m=8, hidden=3, dense=(6, 5), seed=4),
-        lambda: build_seq_net(5, m=8, hidden=1, dense=(4, 3), seed=5, label_scaling=False),
+        lambda: replace(build_seq_net(5, m=8, hidden=1, dense=(4, 3), seed=5), label_scaling=False),
     ],
 )
 def test_batched_serving_matches_per_bag_reference(make):
@@ -535,18 +536,19 @@ def test_train_scale_labels_override_is_stamped_on_the_copy():
     net = build_seq_net(5, m=8, hidden=4, dense=(6, 5), seed=0)
     trained, _ = train(net, dataset, TrainConfig(epochs=1, scale_labels=True))
     assert trained.label_scaling is True
-    assert net.label_scaling is True  # builder default, original untouched
+    assert net.label_scaling is True  # SeqNet default, original untouched
     trained2, _ = train(net, dataset, TrainConfig(epochs=1, scale_labels=False))
     assert trained2.label_scaling is False
     assert net.label_scaling is True
 
 
 def test_predict_score_rescales_when_label_scaling_is_active():
-    net = build_seq_net(3, m=4, hidden=3, dense=(5, 4), seed=1, label_scaling=True)
+    net = build_seq_net(3, m=4, hidden=3, dense=(5, 4), seed=1)
     bag = np.random.default_rng(10).normal(size=(4, 3))
     raw, _ = _seq_score(net, bag)
     assert predict_dataset(net, _one_bag(bag))[0] == pytest.approx(3.0 * raw, abs=1e-12)
-    net_mil = build_mil_net(3, hidden=(4,), k=3, seed=1, label_scaling=False)
+    net_mil = build_mil_net(3, hidden=(4,), k=3, seed=1)
+    assert net.label_scaling and not net_mil.label_scaling  # the class defaults
     mil_bag = np.random.default_rng(11).normal(size=(6, 3))
     assert predict_dataset(net_mil, _one_bag(mil_bag))[0] == _mil_forward(net_mil, mil_bag)[0]
 
@@ -564,13 +566,13 @@ def test_localize_milnet_returns_the_ranking_outputs():
     assert np.array_equal(located, intensities)
     assert len(located) == 9
 
-    scaled = build_mil_net(4, hidden=(6, 5), pooling="topk", k=3, seed=5, label_scaling=True)
+    scaled = replace(net, label_scaling=True)
     assert np.allclose(localize_dataset(scaled, _one_bag(bag))[0], 3.0 * intensities)
 
 
 def test_localize_seqnet_matches_manual_zeroed_attribution():
     rng = np.random.default_rng(13)
-    net = build_seq_net(3, m=5, hidden=4, dense=(6, 5), seed=3, label_scaling=False)
+    net = replace(build_seq_net(3, m=5, hidden=4, dense=(6, 5), seed=3), label_scaling=False)
     bag = rng.normal(size=(5, 3))
     _, hs = _seq_score(net, bag)
     located = localize_dataset(net, _one_bag(bag))[0]
@@ -586,9 +588,9 @@ def test_localize_seqnet_matches_manual_zeroed_attribution():
 
 def test_localize_seqnet_rescales_with_label_scaling():
     rng = np.random.default_rng(14)
-    net = build_seq_net(3, m=4, hidden=3, dense=(5, 4), seed=6, label_scaling=True)
+    net = build_seq_net(3, m=4, hidden=3, dense=(5, 4), seed=6)
     bag = _one_bag(rng.normal(size=(4, 3)))
-    plain = build_seq_net(3, m=4, hidden=3, dense=(5, 4), seed=6, label_scaling=False)
+    plain = replace(net, label_scaling=False)
     assert np.allclose(localize_dataset(net, bag), 3.0 * localize_dataset(plain, bag))
 
 
@@ -598,7 +600,7 @@ def test_localize_seqnet_rescales_with_label_scaling():
 
 def test_mil_net_round_trip(tmp_path):
     rng = np.random.default_rng(15)
-    net = build_mil_net(5, hidden=(8, 6), pooling="topk", k=4, seed=8, label_scaling=True)
+    net = replace(build_mil_net(5, hidden=(8, 6), pooling="topk", k=4, seed=8), label_scaling=True)
     save_net(net, tmp_path / "net.emnn", meta={"feature_kind": "synthetic"})
     loaded, meta = load_net(tmp_path / "net.emnn")
     assert meta == {"feature_kind": "synthetic"}
@@ -720,13 +722,15 @@ def test_load_net_checks_the_payload_size_before_allocating(tmp_path, edit):
 
 def test_net_construction_validation():
     with pytest.raises(ValueError, match="ranking"):
-        MilNet(layers=[DenseLayer(np.zeros((2, 3)), np.zeros(2), "relu")])
+        MilNet([DenseLayer(np.zeros((2, 3)), np.zeros(2), "relu")], "topk", 1)
     with pytest.raises(ValueError, match="chain"):
         MilNet(
             layers=[
                 DenseLayer(np.zeros((4, 3)), np.zeros(4), "relu"),
                 DenseLayer(np.zeros((1, 5)), np.zeros(1), "linear"),
-            ]
+            ],
+            pooling="topk",
+            k=1,
         )
     with pytest.raises(ValueError, match="pooling"):
         build_mil_net(3, pooling="max")
