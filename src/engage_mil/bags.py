@@ -80,6 +80,7 @@ class Dataset:
     bags: list[Bag]
     feature_kind: str
     m: int
+    files: list[str] = field(default_factory=list)  # the feature files it was read from
 
     def __post_init__(self):
         if not self.bags:
@@ -120,23 +121,6 @@ class Dataset:
     def tensor(self) -> np.ndarray:
         """Instances as one (n_bags, m, dim) array."""
         return np.stack([bag.instances for bag in self.bags])
-
-
-@dataclass
-class InstanceLabeling:
-    """Per-instance real-valued labels attached to a dataset's bags."""
-
-    labels: np.ndarray  # (n_bags, m) float64
-    strategy: str  # one of RELABELINGS
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.float64)
-        if self.labels.ndim != 2:
-            raise ValueError("labels must be (n_bags, m)")
-        if self.labels.size and (
-            self.labels.min() < LABELS[0] or self.labels.max() > LABELS[-1]
-        ):
-            raise ValueError("instance labels must lie in [0, 3]")
 
 
 @dataclass
@@ -403,8 +387,9 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 300) -> KMeans
 
 def relabel(
     dataset: Dataset, strategy: str, assignments: np.ndarray | None = None
-) -> InstanceLabeling:
-    """Per-instance labels under one of the weak-supervision readings.
+) -> np.ndarray:
+    """Per-instance labels, an (n_bags, m) float64 array, under one of the
+    weak-supervision readings.
 
     noisy: every instance inherits its bag's label.  kmeans-mode /
     kmeans-mean: instances of one cluster all get the mode (ties toward the
@@ -413,7 +398,7 @@ def relabel(
     n, m = len(dataset), dataset.m
     bag_labels = np.repeat(dataset.labels(), m)
     if strategy == "noisy":
-        return InstanceLabeling(bag_labels.astype(np.float64).reshape(n, m), strategy)
+        return bag_labels.astype(np.float64).reshape(n, m)
     if strategy not in RELABELINGS:
         raise ValueError(f"unknown relabeling strategy {strategy!r}")
     if assignments is None:
@@ -432,7 +417,7 @@ def relabel(
         else:
             value = float(member_labels.mean())
         labels[members] = value
-    return InstanceLabeling(labels.reshape(n, m), strategy)
+    return labels.reshape(n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +642,7 @@ def load_dataset(index_path) -> Dataset:
     index = read_json(index_path, "dataset index")
     if not isinstance(index, list) or not index:
         raise ParseError(index_path, 1, "index must be a nonempty array")
-    bags, kinds, ids = [], set(), set()
+    bags, kinds, ids, files = [], set(), set(), []
     folder = os.path.dirname(str(index_path))  # "" for a bare name, not Path's "."
     for number, record in enumerate(index, start=1):
         check_fields(index_path, record, _INDEX_RECORD, "index record")
@@ -674,6 +659,7 @@ def load_dataset(index_path) -> Dataset:
         if not os.path.isfile(feature_path):  # the index's fault; a damaged file is its own
             raise ParseError(index_path, 1, f"record {number} lists {feature_path}, not a file")
         instances = read_feature_file(feature_path)
+        files.append(feature_path)
         bags.append(
             Bag(
                 video_id=video_id,
@@ -685,7 +671,7 @@ def load_dataset(index_path) -> Dataset:
     if len(kinds) != 1:
         raise ParseError(index_path, 1, f"mixed feature kinds {sorted(kinds)}")
     try:
-        return Dataset(bags, kinds.pop(), bags[0].m)
+        return Dataset(bags, kinds.pop(), bags[0].m, files)
     except ValueError as exc:  # bags of different sizes or dimensions
         raise ParseError(index_path, 1, str(exc)) from None
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bags import Dataset, InstanceLabeling, read_model, write_model
+from .bags import Dataset, read_model, write_model
 from .errors import ConvergenceError, TrainingDivergedError
 from .textio import JSON_NUMBER
 
@@ -179,13 +179,13 @@ class SvrPath:
     dual: np.ndarray | None = None
     c: float = 0.0
 
-    def start(self, c: float) -> np.ndarray | None:
-        """The last dual scaled by c / C, None before the first solve.
+    def start(self, c: float, l: int) -> np.ndarray:
+        """The last dual scaled by c / C, the 2l zeros before the first solve.
 
         Scaling keeps s.a = 0, and a variable at C lands exactly on c.
         """
         if self.dual is None:
-            return None
+            return np.zeros(2 * l)
         a = np.minimum(self.dual * (c / self.c), c)
         a[self.dual == self.c] = c
         return a
@@ -225,12 +225,12 @@ def svr_train(
     objective never worsens; iteration stops once the worst KKT violation
     drops below config.tol.
 
-    The solve starts from a = 0.  Given `warm`, an SvrPath over these
-    instances and sigma, it uses warm's kernel rows, starts from
-    warm.start(C) with g = Qa + p summed once over the start's nonzero
-    alpha - alpha*, and leaves its final dual in warm.  A warm solve stops
-    at another point inside the same tolerance, so its model can differ
-    from a cold solve's by tol-scale amounts.
+    The solve runs on `warm`, an SvrPath over these instances and sigma, or
+    on a new one: it uses the path's kernel rows, starts from its start(C)
+    (a = 0 on a new path) with g = Qa + p summed once over the start's
+    nonzero alpha - alpha*, and leaves its final dual in the path.  A warm
+    solve stops at another point inside the same tolerance, so its model can
+    differ from a cold solve's by tol-scale amounts.
 
     The violations -s*g live in one (2, 2l) array: row 0 (up_v) where
     s_k*a_k can still grow (the up set), -inf elsewhere, row 1 (low_v) where
@@ -243,8 +243,8 @@ def svr_train(
     those of recomputing g, -s*g and both masks every step, bit for bit.
 
     The trace holds the dual objective -f after each step, f = 1/2 a'Qa +
-    p'a kept as a running sum: 0 at a = 0, 1/2 (a.g + a.p) once at a warm
-    start, and each step adds d*(g_i - ss*g_j) + 1/2 d^2 q with the
+    p'a kept as a running sum: 1/2 (a.g + a.p) at the start, exactly 0 at
+    a = 0, and each step adds d*(g_i - ss*g_j) + 1/2 d^2 q with the
     unclamped q = K_ii + K_jj - 2 K_ij, which is exact in real arithmetic
     (Fan, Chen & Lin, JMLR 2005).  It drifts from a recomputed objective
     only by rounding, far below tol.
@@ -256,23 +256,17 @@ def svr_train(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     c, eps, tol = config.c, config.epsilon, config.tol
-    if warm is None:
-        kernel, a = _KernelRows(x, config.sigma), None
-    else:
-        kernel, a = warm.kernel, warm.start(c)
+    path = SvrPath(_KernelRows(x, config.sigma)) if warm is None else warm
+    kernel, a = path.kernel, path.start(c, l)
 
     s = np.concatenate([np.ones(l), -np.ones(l)])
     p = np.concatenate([eps - y, eps + y])
-    if a is None:
-        a, g = np.zeros(2 * l), p  # g: gradient of 1/2 a'Qa + p'a at a = 0
-        f = 0.0
-    else:
-        theta = a[:l] - a[l:]
-        k_theta = np.zeros(l)
-        for k in np.flatnonzero(theta):
-            k_theta += theta[k] * kernel.row(k)
-        g = p + np.concatenate([k_theta, -k_theta])
-        f = float(0.5 * (a.dot(g) + a.dot(p)))
+    theta = a[:l] - a[l:]
+    k_theta = np.zeros(l)
+    for k in np.flatnonzero(theta):
+        k_theta += theta[k] * kernel.row(k)
+    g = p + np.concatenate([k_theta, -k_theta])  # gradient of 1/2 a'Qa + p'a
+    f = float(0.5 * (a.dot(g) + a.dot(p)))
     w = np.empty((2, 2 * l))
     up_v, low_v = w
     viol = -s * g
@@ -321,8 +315,7 @@ def svr_train(
             f"KKT violation {m_val - big_m:.3e} after {max_iter} steps"
         )
 
-    if warm is not None:
-        warm.dual, warm.c = a, c
+    path.dual, path.c = a, c
     theta = a[:l] - a[l:]
     bias = (m_val + big_m) / 2.0
     keep = theta != 0.0
@@ -453,7 +446,7 @@ def ridge_predict(posterior: RidgePosterior, xs) -> np.ndarray:
 
 def grid_search_svr(
     train: Dataset,
-    labeling: InstanceLabeling,
+    labels: np.ndarray,
     c_grid,
     sigma_grid,
     folds: int = 3,
@@ -463,7 +456,8 @@ def grid_search_svr(
 ) -> GridSearchResult:
     """Subject-independent cross-validation over a (C, sigma) grid.
 
-    Folds partition subjects, never videos, so no person straddles a fold
+    `labels` are the (n_bags, m) instance labels (see bags.relabel).  Folds
+    partition subjects, never videos, so no person straddles a fold
     boundary.  Each cell's score is the pooled video-level MSE over all
     validation videos; ties prefer smaller C, then smaller sigma.
 
@@ -476,8 +470,8 @@ def grid_search_svr(
     sigma_grid = list(sigma_grid)
     if not c_grid or not sigma_grid:
         raise ValueError("parameter grids must be nonempty")
-    if labeling.labels.shape != (len(train), train.m):
-        raise ValueError("labeling does not match the dataset")
+    if np.shape(labels) != (len(train), train.m):
+        raise ValueError("instance labeling does not match the dataset")
     subjects = sorted(train.subjects())
     if not 2 <= folds <= len(subjects):
         raise ValueError(
@@ -499,7 +493,7 @@ def grid_search_svr(
         if not fit_rows or not val_rows:
             continue
         fit_x = np.concatenate([train.bags[idx].instances for idx in fit_rows])
-        fit_y = np.concatenate([labeling.labels[idx] for idx in fit_rows])
+        fit_y = np.concatenate([labels[idx] for idx in fit_rows])
         n_videos += len(val_rows)
         for si, sigma in enumerate(sigma_grid):
             # the whole fold fits, so the C path computes each row once

@@ -265,8 +265,7 @@ def _extract_one(folder: Path, config: RunConfig):
         _check_rate(folder, seq.fps, config.target_fps)
         sub = feats.subsample(seq, config.target_fps)
         windows = feats.segment(len(sub), config.window, config.stride)
-        hists = feats.lbp_top_many(sub, windows, xy_frames=config.xy_frames, grid=config.grid)
-        vectors = np.stack([h.bins for h in hists])
+        vectors = feats.lbp_top_many(sub, windows, xy_frames=config.xy_frames, grid=config.grid)
         return seq.video_id, seq.subject_id, vectors
     manifest = feats.load_manifest(folder, frames=False)
     _check_rate(folder, float(manifest["fps"]), config.target_fps)
@@ -279,12 +278,7 @@ def _extract_one(folder: Path, config: RunConfig):
 
 
 def cmd_extract(config: RunConfig) -> None:
-    if not config.input:
-        raise ConfigError("extract needs an 'input' directory")
-    if not config.out:
-        raise ConfigError("extract needs an output directory ('out')")
-    if not config.labels:
-        raise ConfigError("extract needs a 'labels' CSV")
+    _check_paths(config, "extract")
     root = Path(config.input)
     if not root.is_dir():
         raise DataError(f"input directory not found: {root}")
@@ -322,8 +316,7 @@ def cmd_extract(config: RunConfig) -> None:
 
 
 def cmd_synth(config: RunConfig) -> None:
-    if not config.out:
-        raise ConfigError("synth needs an output directory ('out')")
+    _check_paths(config, "synth")
     dataset, planted = synth_generate(config.synth_spec)
     index = save_dataset(dataset, config.out)
     save_planted_csv(dataset, planted, Path(config.out) / "planted.csv")
@@ -333,11 +326,15 @@ def cmd_synth(config: RunConfig) -> None:
 
 
 # ---------------------------------------------------------------------------
-# model helpers shared by train/predict/localize/eval
+# the paths of every command, and model helpers shared by
+# train/predict/localize/eval
 
 
-# The paths each model command reads, may read, and writes, by config key
+# The paths each command reads, may read, and writes, by config key; the
+# `out` of extract and synth is a directory, made if missing
 _PATHS = {
+    "extract": (("input", "labels"), (), ("out",)),
+    "synth": ((), (), ("out",)),
     "train": (("dataset",), (), ("model_path", "out")),
     "predict": (("dataset", "model_path"), (), ("out",)),
     "localize": (("dataset", "model_path"), ("planted",), ("out",)),
@@ -346,13 +343,21 @@ _PATHS = {
 
 
 def _check_paths(config: RunConfig, command: str) -> None:
-    """Before any input is read, refuse a missing path, and an output that is
-    a directory, whose directory does not exist, or that is another path the
-    command reads or writes (a dataset directory meaning its index.json)."""
+    """Before any input is read, refuse a missing path; an output directory
+    that is, or lies below, something other than a directory; and an output
+    file that is a directory, whose directory does not exist, or that is
+    another path the command reads or writes (a dataset directory meaning
+    its index.json)."""
     reads, optional, writes = _PATHS[command]
     for key in (*reads, *writes):
         if not getattr(config, key):
             raise ConfigError(f"{command} needs a '{key}' path")
+    if command in ("extract", "synth"):
+        path = Path(config.out)
+        found = next(p for p in (path, *path.parents) if os.path.lexists(p))
+        if not found.is_dir():
+            raise ConfigError(f"out {path}: {found} is not a directory")
+        return
 
     def real(key):
         path = getattr(config, key)
@@ -371,13 +376,15 @@ def _check_paths(config: RunConfig, command: str) -> None:
                 raise ConfigError(f"{key} {path} is also the command's {other}")
 
 
-def _instance_labeling(config: RunConfig, dataset: Dataset):
-    if config.relabel == "noisy":
-        return relabel(dataset, "noisy")
-    if config.kmeans_k > len(dataset) * dataset.m:
-        raise ConfigError(f"kmeans_k {config.kmeans_k} exceeds the dataset's instance count")
-    clusters = kmeans(dataset.instance_matrix(), config.kmeans_k, seed=config.seed)
-    return relabel(dataset, config.relabel, clusters.assignments)
+def _load_checked(config: RunConfig, command: str, key: str = "dataset") -> Dataset:
+    """The dataset that the config's `key` names, once no output of `command`
+    is one of its feature files."""
+    dataset = load_dataset(getattr(config, key))
+    files = {os.path.realpath(path) for path in dataset.files}
+    for out in _PATHS[command][2]:
+        if os.path.realpath(getattr(config, out)) in files:
+            raise ConfigError(f"{out} {getattr(config, out)} is a feature file of the {key}")
+    return dataset
 
 
 def _train_meta(config: RunConfig, dataset: Dataset) -> dict:
@@ -393,14 +400,17 @@ def _train_meta(config: RunConfig, dataset: Dataset) -> dict:
 
 def cmd_train(config: RunConfig) -> None:
     _check_paths(config, "train")
-    dataset = load_dataset(config.dataset)
+    dataset = _load_checked(config, "train")
     meta = _train_meta(config, dataset)
 
     header = ["epoch", "loss"]
     if config.model in ("svr", "sgd", "ridge"):
-        labeling = _instance_labeling(config, dataset)
-        x = dataset.instance_matrix()
-        y = labeling.labels.reshape(-1)
+        x, assignments = dataset.instance_matrix(), None
+        if config.relabel != "noisy":
+            if config.kmeans_k > len(x):
+                raise ConfigError(f"kmeans_k {config.kmeans_k} exceeds the instance count {len(x)}")
+            assignments = kmeans(x, config.kmeans_k, seed=config.seed).assignments
+        y = relabel(dataset, config.relabel, assignments).reshape(-1)
         if config.model == "svr":
             if len(x) < 2:
                 raise DataError(f"{config.dataset}: svr needs at least 2 instances")
@@ -453,7 +463,7 @@ def _open_served(config: RunConfig, command: str):
     other.  Every model kind serves through the same surface: in_dim,
     check(dataset), predict_bags(dataset) and localize_bags(dataset)."""
     _check_paths(config, command)
-    dataset = load_dataset(config.dataset)
+    dataset = _load_checked(config, command)
     model, meta = _load_model(config.model_path)
     feature_kind = meta.get("feature_kind")
     if feature_kind is not None and feature_kind != dataset.feature_kind:
@@ -524,7 +534,7 @@ def cmd_eval(config: RunConfig) -> None:
         raise ParseError(config.model_path, 1, "meta 'train_subjects' must list subject ids")
     train_subjects = set(train_subjects)
     if config.train_dataset:
-        train_subjects |= set(load_dataset(config.train_dataset).subjects())
+        train_subjects |= set(_load_checked(config, "eval", "train_dataset").subjects())
     overlap = sorted(test_subjects & train_subjects)
     if overlap:
         raise InvalidSplitError(

@@ -98,23 +98,6 @@ class FrameSequence:
         return self.frames.shape[2]
 
 
-@dataclass(frozen=True)
-class SegmentWindow:
-    """Half-open frame range [start, start + length) with its stride."""
-
-    start: int
-    length: int
-    stride: int = 1
-
-    def __post_init__(self):
-        if self.start < 0 or self.length < 1 or self.stride < 1:
-            raise ValueError(f"bad window: {self}")
-
-    @property
-    def stop(self):
-        return self.start + self.length
-
-
 @dataclass
 class PoseGazeTrack:
     """Per-frame head pose and eye gaze, aligned with a frame sequence.
@@ -149,16 +132,6 @@ class PoseGazeTrack:
         )
 
 
-@dataclass
-class LbpTopHistogram:
-    """Concatenated per-plane histograms: [XY | XT | YT] per spatial block."""
-
-    bins: np.ndarray  # (177 * n_blocks,)
-
-    def blocks(self) -> np.ndarray:
-        return self.bins.reshape(-1, N_PLANES, PLANE_BINS)
-
-
 # ---------------------------------------------------------------------------
 # temporal subsampling and windowing
 
@@ -184,8 +157,8 @@ def subsample(seq: FrameSequence, target_fps: float) -> FrameSequence:
     return FrameSequence(seq.frames[::step], seq.fps / step, seq.subject_id, seq.video_id)
 
 
-def segment(source, length: int, stride: int) -> list[SegmentWindow]:
-    """Sliding windows over a frame sequence or track.
+def segment(n: int, length: int, stride: int) -> list[slice]:
+    """Sliding windows over n frames, as slices of frame indices.
 
     Starts at 0 and advances by `stride` while a full window still fits,
     giving floor((n - length) / stride) + 1 windows.
@@ -194,15 +167,11 @@ def segment(source, length: int, stride: int) -> list[SegmentWindow]:
         raise ValueError("window length must be at least 2")
     if stride < 1:
         raise ValueError("stride must be at least 1")
-    n = source if isinstance(source, int) else len(source)
     if n < length:
         raise TooShortVideoError(
             f"{n} frames cannot fit one window of length {length}"
         )
-    return [
-        SegmentWindow(start, length, stride)
-        for start in range(0, n - length + 1, stride)
-    ]
+    return [slice(start, start + length) for start in range(0, n - length + 1, stride)]
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +305,13 @@ def lbp_top_many(
     *,
     xy_frames: str = "all",
     grid=(1, 1),
-) -> list[LbpTopHistogram]:
-    """Texture histograms of many windows of one video, sharing one code pass.
-    XY codes come from every frame of a window (`xy_frames="center"`: the
-    middle one).  Each plane sums to 1 per `grid` block, blocks row-major as
-    [XY | XT | YT] chunks of 59 bins; a window's counts are a difference of
-    two prefix-sum rows per plane."""
+) -> np.ndarray:
+    """Texture histograms of many windows (frame slices) of one video,
+    sharing one code pass: one row per window.  XY codes come from every
+    frame of a window (`xy_frames="center"`: the middle one).  Each plane
+    sums to 1 per `grid` block, blocks row-major as [XY | XT | YT] chunks of
+    59 bins; a window's counts are a difference of two prefix-sum rows per
+    plane."""
     if xy_frames not in XY_FRAMES:
         raise ValueError(f"xy_frames must be one of {XY_FRAMES}")
     maps = _PlaneCodeMaps(seq.frames)
@@ -355,19 +325,19 @@ def lbp_top_many(
         _prefix_counts(maps.xt, ys + xs[1:-1], n_blocks, maps.step),
         _prefix_counts(maps.yt, ys[1:-1] + xs, n_blocks, maps.step),
     )
-    out = []
-    for window in windows:
-        s, k = window.start, window.length
+    out = np.empty((len(windows), n_blocks * LBP_TOP_DIM))
+    for i, window in enumerate(windows):
+        if window.step is not None or not 0 <= window.start < window.stop <= t:
+            raise ValueError(f"window {window} is not a range within {t} frames")
+        s, k = window.start, window.stop - window.start
         if k < 3:
             raise DegenerateWindowError("window shorter than 3 frames")
-        if s + k > t:
-            raise ValueError(f"window {window} outside {t} frames")
         # the window's interior voxels occupy rows [s, s+k-2) of XT and YT
         xy = (s + k // 2, s + k // 2 + 1) if xy_frames == "center" else (s, s + k)
         spans = (xy, (s, s + k - 2), (s, s + k - 2))
         counts = np.stack([p[hi] - p[lo] for p, (lo, hi) in zip(prefix, spans)])
         counts = counts.reshape(N_PLANES, n_blocks, PLANE_BINS).transpose(1, 0, 2)
-        out.append(LbpTopHistogram(_normalize_counts(counts)))
+        out[i] = _normalize_counts(counts)
     return out
 
 
@@ -375,21 +345,20 @@ def lbp_top_many(
 # pose / gaze features
 
 
-def pose_gaze_feature(track: PoseGazeTrack, window: SegmentWindow) -> np.ndarray:
-    """9-dim motion descriptor of one window.
+def pose_gaze_feature(track: PoseGazeTrack, window: slice) -> np.ndarray:
+    """9-dim motion descriptor of one window, a `slice(start, stop)` of frames.
 
     Population standard deviations over the window's frames of: head x, y,
     z position, the three head rotation channels, and the per-frame mean of
     the two eyes' gaze vector.  Length-1 windows yield all zeros.
     """
-    if window.stop > len(track):
-        raise ValueError(f"window {window} outside track of {len(track)} frames")
-    rows = slice(window.start, window.stop)
-    gaze = (track.gaze_left[rows] + track.gaze_right[rows]) / 2.0
+    if window.step is not None or not 0 <= window.start < window.stop <= len(track):
+        raise ValueError(f"window {window} is not a range within {len(track)} frames")
+    gaze = (track.gaze_left[window] + track.gaze_right[window]) / 2.0
     return np.concatenate(
         [
-            track.head_position[rows].std(axis=0),
-            track.head_rotation[rows].std(axis=0),
+            track.head_position[window].std(axis=0),
+            track.head_rotation[window].std(axis=0),
             gaze.std(axis=0),
         ]
     )

@@ -32,7 +32,7 @@ from engage_mil.baselines import (
     svr_train,
 )
 from engage_mil.cli import main as cli_main
-from engage_mil.features import FrameSequence, SegmentWindow, lbp_top_many
+from engage_mil.features import FrameSequence, lbp_top_many
 from engage_mil.metrics import (
     AnnotationMatrix,
     fuse_labels,
@@ -161,7 +161,7 @@ def test_criterion_3_lbp_top_matches_naive_oracle():
             w = int(rng.integers(3, 20))
         frames = rng.integers(0, 256, (t, h, w)).astype(np.uint8)
         seq = FrameSequence(frames, 30.0, "s", f"v{i}")
-        got = lbp_top_many(seq, [SegmentWindow(0, t)])[0].bins
+        got = lbp_top_many(seq, [slice(0, t)])[0]
         np.testing.assert_array_equal(got, naive_lbp_top(frames))
         sums = got.reshape(3, 59).sum(axis=1)
         worst_sum_err = max(worst_sum_err, float(np.abs(sums - 1.0).max()))

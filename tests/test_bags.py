@@ -307,9 +307,9 @@ def test_kmeans_trace_never_increases(seed, k):
 
 def test_relabel_noisy_broadcasts_bag_label():
     dataset = _toy_dataset({"a": [2]}, m=5)
-    labeling = relabel(dataset, "noisy")
-    np.testing.assert_array_equal(labeling.labels, np.full((1, 5), 2.0))
-    assert labeling.strategy == "noisy"
+    labels = relabel(dataset, "noisy")
+    np.testing.assert_array_equal(labels, np.full((1, 5), 2.0))
+    assert labels.dtype == np.float64
 
 
 def test_relabel_mode_and_mean_on_known_cluster():
@@ -317,14 +317,14 @@ def test_relabel_mode_and_mean_on_known_cluster():
     assignments = np.zeros(3, dtype=int)  # one cluster holding labels {1,1,3}
     mode = relabel(dataset, "kmeans-mode", assignments)
     mean = relabel(dataset, "kmeans-mean", assignments)
-    np.testing.assert_array_equal(mode.labels, np.full((3, 1), 1.0))
-    np.testing.assert_allclose(mean.labels, np.full((3, 1), 5.0 / 3.0))
+    np.testing.assert_array_equal(mode, np.full((3, 1), 1.0))
+    np.testing.assert_allclose(mean, np.full((3, 1), 5.0 / 3.0))
 
 
 def test_relabel_mode_tie_breaks_to_smaller_label():
     dataset = _toy_dataset({"a": [2], "b": [3]}, m=1)
-    labeling = relabel(dataset, "kmeans-mode", np.zeros(2, dtype=int))
-    np.testing.assert_array_equal(labeling.labels, np.full((2, 1), 2.0))
+    labels = relabel(dataset, "kmeans-mode", np.zeros(2, dtype=int))
+    np.testing.assert_array_equal(labels, np.full((2, 1), 2.0))
 
 
 def test_relabel_requires_assignments_for_cluster_strategies():
@@ -343,11 +343,11 @@ def test_relabel_mean_within_member_label_range(seed):
     labels = {f"s{i}": [int(rng.integers(0, 4))] for i in range(6)}
     dataset = _toy_dataset(labels, m=3)
     assignments = rng.integers(0, 4, size=18)
-    labeling = relabel(dataset, "kmeans-mean", assignments)
+    instance_labels = relabel(dataset, "kmeans-mean", assignments)
     bag_labels = np.repeat(dataset.labels(), 3)
     for c in np.unique(assignments):
         members = bag_labels[assignments == c]
-        values = labeling.labels.reshape(-1)[assignments == c]
+        values = instance_labels.reshape(-1)[assignments == c]
         assert (values >= members.min()).all() and (values <= members.max()).all()
 
 

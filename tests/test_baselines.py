@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engage_mil import baselines
-from engage_mil.bags import Bag, Dataset, InstanceLabeling
+from engage_mil.bags import Bag, Dataset
 from engage_mil.baselines import (
     GridSearchResult,
     LinearModel,
@@ -569,12 +569,11 @@ def _toy_dataset(n_subjects=4, bags_per_subject=2, m=4, dim=2, seed=0):
 
 
 def _broadcast_labeling(dataset):
-    labels = np.repeat(
+    return np.repeat(
         np.array([bag.label for bag in dataset.bags], dtype=np.float64)[:, None],
         dataset.m,
         axis=1,
     )
-    return InstanceLabeling(labels=labels, strategy="noisy")
 
 
 def test_grid_search_prefers_an_informative_kernel_width():
@@ -589,8 +588,7 @@ def test_grid_search_prefers_an_informative_kernel_width():
 def test_grid_search_breaks_ties_toward_smaller_parameters():
     dataset = _toy_dataset(seed=1)
     # constant labels => every cell scores identically (zero error)
-    labels = np.full((len(dataset), dataset.m), 2.0)
-    labeling = InstanceLabeling(labels=labels, strategy="noisy")
+    labeling = np.full((len(dataset), dataset.m), 2.0)
     constant_bags = [
         Bag(bag.video_id, bag.subject_id, bag.instances, 2) for bag in dataset.bags
     ]
@@ -611,7 +609,7 @@ def test_grid_search_validates_fold_count():
 
 def test_grid_search_rejects_mismatched_labeling():
     dataset = _toy_dataset()
-    bad = InstanceLabeling(labels=np.zeros((len(dataset), dataset.m + 1)), strategy="noisy")
+    bad = np.zeros((len(dataset), dataset.m + 1))
     with pytest.raises(ValueError, match="labeling"):
         grid_search_svr(dataset, bad, [1.0], [1.0], folds=2)
 
@@ -683,7 +681,7 @@ def _dense_kkt_violation(x, y, config, dual):
 
 def test_svr_path_start_keeps_variables_at_the_bound_on_the_new_bound():
     path = baselines.SvrPath(kernel=None, dual=np.array([0.3, 0.1, 0.0, 0.3, 0.1]), c=0.3)
-    assert path.start(0.9).tolist() == [0.9, 0.1 * (0.9 / 0.3), 0.0, 0.9, 0.1 * (0.9 / 0.3)]
+    assert path.start(0.9, 2).tolist() == [0.9, 0.1 * (0.9 / 0.3), 0.0, 0.9, 0.1 * (0.9 / 0.3)]
     assert 0.3 * (0.9 / 0.3) < 0.9  # plain scaling would leave them just inside the box
 
 

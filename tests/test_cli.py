@@ -1403,6 +1403,76 @@ class TestProcess:
         assert trail.read_text().splitlines() == [os.path.realpath(config)]
         assert {p: p.read_bytes() for p in work.rglob("*") if p.is_file()} == before
 
+    @pytest.mark.parametrize("command", ["synth", "extract"])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_an_output_directory_that_is_a_file_exits_2(
+        self, pose_tree, tmp_path, capsys, monkeypatch, command, below
+    ):
+        """An `out` that is a file, or lies below one, exits 2 before any
+        input is read, and the file is left as it was."""
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        out = afile / "sub" if below else afile
+        keys = {"input": str(pose_tree), "labels": str(pose_tree / "labels.csv")}
+        config = write_config(tmp_path / "c.json", **(keys if command == "extract" else {}))
+        trail = tmp_path / "reads.log"
+        monkeypatch.setenv("ENGAGE_MIL_AUDIT", str(trail))
+        code = run_cli(command, "--config", str(config), "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert f"out {out}: {afile} is not a directory" in err
+        assert trail.read_text().splitlines() == [os.path.realpath(config)]
+        assert afile.read_text() == "keep\n"
+
+    @pytest.mark.parametrize(
+        "command,key",
+        [("extract", "input"), ("extract", "labels"), ("extract", "out"), ("synth", "out")],
+    )
+    def test_extract_and_synth_name_a_missing_path(self, tmp_path, capsys, command, key):
+        keys = {"input": str(tmp_path), "labels": str(tmp_path / "labels.csv")}
+        keys.pop(key, None)
+        config = write_config(tmp_path / "c.json", **(keys if command == "extract" else {}))
+        out = [] if key == "out" else ["--out", str(tmp_path / "o")]
+        assert run_cli(command, "--config", str(config), *out) == 2
+        assert f"error: {command} needs a '{key}' path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,key,dataset",
+        [
+            ("train", "out", "dataset"),
+            ("train", "model_path", "dataset"),
+            ("predict", "out", "dataset"),
+            ("localize", "out", "dataset"),
+            ("eval", "out", "dataset"),
+            ("eval", "out", "train_dataset"),
+        ],
+    )
+    def test_an_output_that_is_a_feature_file_exits_2(
+        self, split_root, trained, tmp_path, capsys, command, key, dataset
+    ):
+        """An output that resolves to a feature file of a dataset the command
+        loads exits 2 before anything is written, and the file is unchanged."""
+        work = shutil.copytree(split_root, tmp_path / "work")
+        shutil.copy(trained / "model.json", work / "model.bin")
+        keys = {
+            "dataset": str(work / "test"),
+            "train_dataset": str(work / "train"),
+            "model_path": str(work / ("m.bin" if command == "train" else "model.bin")),
+            "out": str(tmp_path / "out.csv"),
+        }
+        side = "test" if dataset == "dataset" else "train"
+        target = sorted((work / side / "features").iterdir())[0]
+        keys[key] = str(work / side / "." / "features" / target.name)  # another spelling
+        out = keys.pop("out")
+        config = write_config(tmp_path / "c.json", model="ridge", **keys)
+        before = {p: p.read_bytes() for p in work.rglob("*") if p.is_file()}
+        code = run_cli(command, "--config", str(config), "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert f"error: {key} {keys.get(key, out)} is a feature file of the {dataset}" in err
+        assert {p: p.read_bytes() for p in work.rglob("*") if p.is_file()} == before
+        assert not (work / "m.bin").exists()
+
     @pytest.mark.parametrize("command", ["predict", "localize"])
     def test_non_finite_output_exits_4(self, split_root, tmp_path, capsys, command):
         model = tmp_path / "model.bin"
@@ -1588,6 +1658,18 @@ class TestBenchmarkNames:
         assert run_cli("extract", "--config", str(config), "--out", str(tmp_path / "o")) == 0
         segments = re.findall(r": (\d+) segments", capsys.readouterr().out)
         assert len(calls) == sum(int(n) for n in segments) > 0
+
+    def test_values_the_tracer_reads(self, split_root):
+        """The tracer counts one window per row of lbp_top_many's result, and
+        perfbench passes relabel's labels to grid_search_svr second."""
+        frames = np.random.default_rng(0).integers(0, 256, (12, 6, 6), dtype=np.uint8)
+        windows = features.segment(12, 5, 3)
+        assert len(features.lbp_top_many(FrameSequence(frames, 6.0, "s", "v"), windows)) == 3
+        train_ds = load_dataset(split_root / "train")
+        result = baselines.grid_search_svr(
+            train_ds, bags.relabel(train_ds, "noisy"), [1.0], [1.0], folds=2, seed=0
+        )
+        assert result.table.shape == (1, 1) and np.isfinite(result.table).all()
 
     @pytest.mark.parametrize(
         "fn,names",

@@ -20,7 +20,6 @@ from engage_mil.features import (
     UNIFORM_LUT,
     FrameSequence,
     PoseGazeTrack,
-    SegmentWindow,
     lbp_top_many,
     load_frame_archive,
     load_pose_gaze_csv,
@@ -51,8 +50,8 @@ def _random_seq(rng, t, h, w, fps=6.0, vid="v0", subj="s0"):
 
 def _alone(seq, window, **options):
     """The histogram of `window` computed on its own frames only."""
-    part = FrameSequence(seq.frames[window.start : window.stop], seq.fps, "s0", "v0")
-    return lbp_top_many(part, [SegmentWindow(0, window.length)], **options)[0]
+    part = FrameSequence(seq.frames[window], seq.fps, "s0", "v0")
+    return lbp_top_many(part, [slice(0, window.stop - window.start)], **options)[0]
 
 
 # --- pattern codes ----------------------------------------------------------
@@ -95,42 +94,42 @@ def test_uniform_lut_bin_count():
 def test_lbp_top_matches_naive_exactly():
     rng = np.random.default_rng(7)
     seq = _random_seq(rng, 6, 9, 8)
-    got = lbp_top_many(seq, [SegmentWindow(0, 6)])[0]
+    got = lbp_top_many(seq, [slice(0, 6)])[0]
     want = naive_lbp_top(seq.frames)
-    assert got.bins.shape == (LBP_TOP_DIM,)
-    np.testing.assert_array_equal(got.bins, want)
+    assert got.shape == (LBP_TOP_DIM,)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_lbp_top_interior_window_matches_naive():
     rng = np.random.default_rng(8)
     seq = _random_seq(rng, 12, 7, 7)
-    got = lbp_top_many(seq, [SegmentWindow(4, 5)])[0]
+    got = lbp_top_many(seq, [slice(4, 9)])[0]
     want = naive_lbp_top(seq.frames[4:9])
-    np.testing.assert_array_equal(got.bins, want)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_lbp_top_center_frame_mode_matches_naive():
     rng = np.random.default_rng(9)
     seq = _random_seq(rng, 7, 8, 9)
-    got = lbp_top_many(seq, [SegmentWindow(0, 7)], xy_frames="center")[0]
+    got = lbp_top_many(seq, [slice(0, 7)], xy_frames="center")[0]
     want = naive_lbp_top(seq.frames, xy_frames="center")
-    np.testing.assert_array_equal(got.bins, want)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_lbp_top_spatial_grid_matches_naive():
     rng = np.random.default_rng(10)
     seq = _random_seq(rng, 5, 12, 10)
-    got = lbp_top_many(seq, [SegmentWindow(0, 5)], grid=(2, 2))[0]
+    got = lbp_top_many(seq, [slice(0, 5)], grid=(2, 2))[0]
     want = naive_lbp_top(seq.frames, grid=(2, 2))
-    assert got.bins.shape == (4 * LBP_TOP_DIM,)
-    np.testing.assert_array_equal(got.bins, want)
+    assert got.shape == (4 * LBP_TOP_DIM,)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_lbp_top_each_plane_sums_to_one():
     rng = np.random.default_rng(11)
     seq = _random_seq(rng, 8, 10, 10)
-    hist = lbp_top_many(seq, [SegmentWindow(0, 8)], grid=(1, 2))[0]
-    sums = hist.blocks().sum(axis=2)
+    hist = lbp_top_many(seq, [slice(0, 8)], grid=(1, 2))[0]
+    sums = hist.reshape(-1, 3, PLANE_BINS).sum(axis=2)
     np.testing.assert_allclose(sums, 1.0, atol=1e-12, rtol=0)
 
 
@@ -141,9 +140,9 @@ def test_lbp_top_constant_volume_is_all_ties():
         subject_id="s",
         video_id="v",
     )
-    hist = lbp_top_many(seq, [SegmentWindow(0, 5)])[0]
+    hist = lbp_top_many(seq, [slice(0, 5)])[0]
     # every comparison ties, so every pixel lands in the bin of code 255
-    bins = hist.blocks()[0]
+    bins = hist.reshape(-1, 3, PLANE_BINS)[0]
     code255_bin = UNIFORM_LUT[255]
     for plane in range(3):
         assert bins[plane, code255_bin] == 1.0
@@ -152,46 +151,44 @@ def test_lbp_top_constant_volume_is_all_ties():
 def test_lbp_top_many_is_bit_identical_to_standalone():
     rng = np.random.default_rng(12)
     seq = _random_seq(rng, 40, 9, 9)
-    windows = segment(seq, length=10, stride=6)
+    windows = segment(len(seq), length=10, stride=6)
     batch = lbp_top_many(seq, windows)
     assert len(batch) == len(windows)
     for window, hist in zip(windows, batch):
-        np.testing.assert_array_equal(hist.bins, _alone(seq, window).bins)
+        np.testing.assert_array_equal(hist, _alone(seq, window))
 
 
 def test_lbp_top_many_center_mode_matches_standalone():
     rng = np.random.default_rng(13)
     seq = _random_seq(rng, 25, 8, 8)
-    windows = segment(seq, length=7, stride=4)
+    windows = segment(len(seq), length=7, stride=4)
     batch = lbp_top_many(seq, windows, xy_frames="center")
     for window, hist in zip(windows, batch):
-        np.testing.assert_array_equal(
-            hist.bins, _alone(seq, window, xy_frames="center").bins
-        )
+        np.testing.assert_array_equal(hist, _alone(seq, window, xy_frames="center"))
 
 
 def test_lbp_top_rejects_short_windows_and_thin_frames():
     rng = np.random.default_rng(14)
     with pytest.raises(DegenerateWindowError):
-        lbp_top_many(_random_seq(rng, 2, 8, 8), [SegmentWindow(0, 2)])
+        lbp_top_many(_random_seq(rng, 2, 8, 8), [slice(0, 2)])
     with pytest.raises(DegenerateWindowError):
-        lbp_top_many(_random_seq(rng, 8, 2, 8), [SegmentWindow(0, 8)])
+        lbp_top_many(_random_seq(rng, 8, 2, 8), [slice(0, 8)])
     with pytest.raises(DegenerateWindowError):
-        lbp_top_many(_random_seq(rng, 8, 8, 2), [SegmentWindow(0, 8)])
+        lbp_top_many(_random_seq(rng, 8, 8, 2), [slice(0, 8)])
 
 
 def test_lbp_top_rejects_window_past_end():
     rng = np.random.default_rng(15)
     seq = _random_seq(rng, 10, 6, 6)
     with pytest.raises(ValueError):
-        lbp_top_many(seq, [SegmentWindow(5, 6)])
+        lbp_top_many(seq, [slice(5, 11)])
 
 
 def test_lbp_top_empty_grid_block_is_an_error():
     rng = np.random.default_rng(16)
     seq = _random_seq(rng, 5, 4, 8)  # 4 rows cannot feed 4 interior row-bands
     with pytest.raises(DegenerateWindowError):
-        lbp_top_many(seq, [SegmentWindow(0, 5)], grid=(4, 1))
+        lbp_top_many(seq, [slice(0, 5)], grid=(4, 1))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -201,9 +198,10 @@ def test_lbp_top_histograms_are_distributions(seed):
     h = int(rng.integers(3, 9))
     w = int(rng.integers(3, 9))
     seq = _random_seq(rng, t, h, w)
-    hist = lbp_top_many(seq, [SegmentWindow(0, t)])[0]
-    assert (hist.bins >= 0).all() and (hist.bins <= 1).all()
-    np.testing.assert_allclose(hist.blocks().sum(axis=2), 1.0, atol=1e-12, rtol=0)
+    hist = lbp_top_many(seq, [slice(0, t)])[0]
+    assert (hist >= 0).all() and (hist <= 1).all()
+    sums = hist.reshape(-1, 3, PLANE_BINS).sum(axis=2)
+    np.testing.assert_allclose(sums, 1.0, atol=1e-12, rtol=0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -223,8 +221,8 @@ def test_chunked_code_maps_and_histograms_match_the_references(data):
         frames[...] = rng.integers(0, 256)
     seq = FrameSequence(frames, 6.0, "s0", "v0")
     length = data.draw(st.integers(3, t), label="length")
-    windows = segment(seq, length, data.draw(st.integers(1, 3), label="stride"))
-    windows.append(SegmentWindow(t - length, length))  # ends on the last frame
+    windows = segment(t, length, data.draw(st.integers(1, 3), label="stride"))
+    windows.append(slice(t - length, t))  # ends on the last frame
     mode = data.draw(st.sampled_from(["all", "center"]), label="xy_frames")
     chunk = data.draw(st.integers(1, 3), label="chunk frames")
 
@@ -237,8 +235,8 @@ def test_chunked_code_maps_and_histograms_match_the_references(data):
         assert got.dtype == np.uint8
         np.testing.assert_array_equal(got, want)
     for window, a, b in zip(windows, many, single):
-        want = naive_lbp_top(frames[window.start : window.stop], xy_frames=mode, grid=grid)
-        assert a.bins.tobytes() == want.tobytes() == b.bins.tobytes()
+        want = naive_lbp_top(frames[window], xy_frames=mode, grid=grid)
+        assert a.tobytes() == want.tobytes() == b.tobytes()
 
 
 # --- subsampling and windowing ----------------------------------------------
@@ -276,7 +274,7 @@ def test_segment_window_count_and_starts():
     windows = segment(100, length=20, stride=10)
     assert len(windows) == 9  # floor((100 - 20) / 10) + 1
     assert [w.start for w in windows] == [0, 10, 20, 30, 40, 50, 60, 70, 80]
-    assert all(w.length == 20 and w.stride == 10 for w in windows)
+    assert all(w.stop - w.start == 20 for w in windows)
 
 
 def test_segment_exact_fit_yields_single_window():
@@ -316,11 +314,16 @@ def test_segment_count_formula_and_coverage(n, length, stride):
 
 
 def test_segment_window_validation():
-    with pytest.raises(ValueError):
-        SegmentWindow(-1, 5)
-    with pytest.raises(ValueError):
-        SegmentWindow(0, 0)
-    assert SegmentWindow(0, 1).stop == 1  # length-1 windows are representable
+    """Both window readers refuse a window with a negative start, no frames
+    or a step."""
+    seq = _random_seq(np.random.default_rng(19), 8, 6, 6)
+    track = _track(*(np.zeros((8, 3)) for _ in range(4)))
+    for window in (slice(-1, 4), slice(0, 0), slice(3, 3), slice(5, 2), slice(0, 6, 2)):
+        with pytest.raises(ValueError, match="is not a range within 8 frames"):
+            lbp_top_many(seq, [window])
+        with pytest.raises(ValueError, match="is not a range within 8 frames"):
+            pose_gaze_feature(track, window)
+    assert not pose_gaze_feature(track, slice(0, 1)).any()  # length-1 windows are read
 
 
 # --- pose / gaze descriptor -------------------------------------------------
@@ -341,7 +344,7 @@ def test_pose_gaze_feature_constant_track_is_zero():
         np.ones((n, 3)), np.full((n, 3), 0.5), np.tile([0.0, 0.0, -1.0], (n, 1)),
         np.tile([0.0, 0.0, -1.0], (n, 1)),
     )
-    feat = pose_gaze_feature(track, SegmentWindow(0, n))
+    feat = pose_gaze_feature(track, slice(0, n))
     np.testing.assert_array_equal(feat, np.zeros(9))
 
 
@@ -351,7 +354,7 @@ def test_pose_gaze_feature_known_deviations():
     position = np.zeros((n, 3))
     position[:, 0] = [0, 2, 0, 2, 0, 2]
     track = _track(position, np.zeros((n, 3)), np.zeros((n, 3)), np.zeros((n, 3)))
-    feat = pose_gaze_feature(track, SegmentWindow(0, n))
+    feat = pose_gaze_feature(track, slice(0, n))
     np.testing.assert_allclose(feat[0], 1.0)
     np.testing.assert_array_equal(feat[1:], np.zeros(8))
 
@@ -362,7 +365,7 @@ def test_pose_gaze_feature_uses_mean_of_both_eyes():
     left = np.tile([1.0, 0.0, 0.0], (n, 1)) * np.arange(n)[:, None]
     right = -left + np.array([0.4, 0.0, 0.0])
     track = _track(np.zeros((n, 3)), np.zeros((n, 3)), left, right)
-    feat = pose_gaze_feature(track, SegmentWindow(0, n))
+    feat = pose_gaze_feature(track, slice(0, n))
     np.testing.assert_allclose(feat[6:], np.zeros(3), atol=1e-15)
 
 
@@ -371,9 +374,9 @@ def test_pose_gaze_feature_windowed_slice():
     position = np.zeros((n, 3))
     position[4:, 1] = 10.0  # the jump sits outside the first window
     track = _track(position, np.zeros((n, 3)), np.zeros((n, 3)), np.zeros((n, 3)))
-    first = pose_gaze_feature(track, SegmentWindow(0, 4))
+    first = pose_gaze_feature(track, slice(0, 4))
     np.testing.assert_array_equal(first, np.zeros(9))
-    spanning = pose_gaze_feature(track, SegmentWindow(2, 4))
+    spanning = pose_gaze_feature(track, slice(2, 6))
     assert spanning[1] == 5.0  # two 0s and two 10s
 
 
@@ -382,7 +385,7 @@ def test_pose_gaze_feature_population_not_sample_std():
     position = np.zeros((n, 3))
     position[:, 2] = [0.0, 2.0]
     track = _track(position, np.zeros((n, 3)), np.zeros((n, 3)), np.zeros((n, 3)))
-    feat = pose_gaze_feature(track, SegmentWindow(0, 2))
+    feat = pose_gaze_feature(track, slice(0, 2))
     assert feat[2] == 1.0  # sample std would be sqrt(2)
 
 
@@ -390,14 +393,14 @@ def test_pose_gaze_feature_single_frame_window_is_zero():
     track = _track(
         [[1.0, 2.0, 3.0]], [[0.1, 0.2, 0.3]], [[0.0, 0.0, 1.0]], [[0.0, 1.0, 0.0]]
     )
-    feat = pose_gaze_feature(track, SegmentWindow(0, 1))
+    feat = pose_gaze_feature(track, slice(0, 1))
     np.testing.assert_array_equal(feat, np.zeros(9))
 
 
 def test_pose_gaze_feature_window_past_end():
     track = _track(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3)))
     with pytest.raises(ValueError):
-        pose_gaze_feature(track, SegmentWindow(1, 3))
+        pose_gaze_feature(track, slice(1, 4))
 
 
 def test_track_every_matches_frame_subsampling():
