@@ -9,6 +9,7 @@ synthetic generator exists to probe.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -247,47 +248,20 @@ def split_subject_independent(
         test_count -= counts[test_subjects.pop()]
 
     test_set = set(test_subjects)
-    train_subjects = [s for s in order if s not in test_set]
-
-    def gap(c):
-        return abs(c - target)
-
-    improved = True
-    while gap(test_count) > 0 and improved:
-        improved = False
-        # move one subject across
-        for subject in order:
-            delta = counts[subject] if subject not in test_set else -counts[subject]
-            if gap(test_count + delta) < gap(test_count):
-                sides_ok = (
-                    len(test_set) > 1 or delta > 0
-                ) and (len(test_set) < len(counts) - 1 or delta < 0)
-                if sides_ok:
-                    if delta > 0:
-                        test_set.add(subject)
-                    else:
-                        test_set.remove(subject)
-                    test_count += delta
-                    improved = True
-                    break
-        if improved:
-            continue
-        # exchange a test subject for a train subject
-        for t in order:
-            if t not in test_set:
-                continue
-            for s in order:
-                if s in test_set:
-                    continue
-                delta = counts[s] - counts[t]
-                if gap(test_count + delta) < gap(test_count):
-                    test_set.remove(t)
-                    test_set.add(s)
-                    test_count += delta
-                    improved = True
-                    break
-            if improved:
+    while test_count != target:
+        # the first change that shrinks the gap and leaves both sides nonempty,
+        # trying each subject moved across, then each (test, train) pair swapped
+        gap = abs(test_count - target)
+        moves = ({s} for s in order)
+        swaps = ({t, s} for t in order if t in test_set for s in order if s not in test_set)
+        for flip in itertools.chain(moves, swaps):
+            count = test_count + sum(-counts[s] if s in test_set else counts[s] for s in flip)
+            if abs(count - target) < gap and 0 < len(test_set ^ flip) < len(counts):
+                test_set ^= flip
+                test_count = count
                 break
+        else:
+            break
 
     train = [bag for bag in dataset.bags if bag.subject_id not in test_set]
     test = [bag for bag in dataset.bags if bag.subject_id in test_set]
@@ -700,9 +674,12 @@ def load_planted_csv(path) -> dict[str, np.ndarray]:
         if not row:
             continue
         try:
-            per_video.setdefault(row[0], []).append((int(row[1]), float(row[2])))
+            index, value = int(row[1]), float(row[2])
         except (ValueError, IndexError):
             raise ParseError(path, lineno, "malformed row") from None
+        if not math.isfinite(value):
+            raise ParseError(path, lineno, "non-finite planted intensity")
+        per_video.setdefault(row[0], []).append((index, value))
     out = {}
     for video_id, pairs in per_video.items():
         pairs.sort()

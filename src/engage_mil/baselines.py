@@ -86,7 +86,8 @@ class LinearModel(_InstanceServing):
         return self.weights.shape[0]
 
     def instance_scores(self, xs) -> np.ndarray:
-        return linear_predict(self, xs)
+        xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+        return xs @ self.weights + self.bias
 
 
 @dataclass
@@ -110,7 +111,8 @@ class RidgePosterior(_InstanceServing):
         return self.mean.shape[0]
 
     def instance_scores(self, xs) -> np.ndarray:
-        return ridge_predict(self, xs)
+        xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+        return xs @ self.mean + self.intercept
 
 
 @dataclass
@@ -384,11 +386,6 @@ def sgd_linear_train(
     return LinearModel(weights=w, bias=b), trace
 
 
-def linear_predict(model: LinearModel, xs) -> np.ndarray:
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    return xs @ model.weights + model.bias
-
-
 def bayesian_ridge_train(
     instances,
     labels,
@@ -433,11 +430,6 @@ def bayesian_ridge_train(
     m = np.linalg.solve(beta * gram + alpha * identity, beta * xty)
     intercept = y_mean - float(x_mean @ m)
     return RidgePosterior(mean=m, alpha=alpha, beta=beta, intercept=intercept)
-
-
-def ridge_predict(posterior: RidgePosterior, xs) -> np.ndarray:
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    return xs @ posterior.mean + posterior.intercept
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,8 @@ class RunConfig:
         for key, least in _LEAST.items():
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be at least {least}")
+        if self.feature == "lbptop" and self.window < 3:  # LBP-TOP needs an interior frame
+            raise ConfigError("an lbptop window must be at least 3 frames")
         if self.target_fps <= 0:
             raise ConfigError("target_fps must be positive")
         if len(self.grid) != 2 or min(self.grid) < 1:

@@ -108,93 +108,6 @@ class LstmLayer:
         return self.weights.shape[1] - self.hidden
 
 
-class _NetServing:
-    """predict_bags/localize_bags of the model serving surface (see cli),
-    each one batched pass over the whole dataset."""
-
-    def predict_bags(self, dataset: Dataset) -> np.ndarray:
-        return predict_dataset(self, dataset)
-
-    def localize_bags(self, dataset: Dataset) -> np.ndarray:
-        return localize_dataset(self, dataset)
-
-
-@dataclass
-class MilNet(_NetServing):
-    """Shared dense stack scoring each instance, then top-k or mean pooling."""
-
-    layers: list[DenseLayer]
-    pooling: str
-    k: int
-    label_scaling: bool = False
-
-    def __post_init__(self):
-        if not self.layers or self.layers[-1].out_dim != 1:
-            raise ValueError("the final (ranking) stage must output one value")
-        for prev, nxt in zip(self.layers, self.layers[1:]):
-            if nxt.in_dim != prev.out_dim:
-                raise ValueError("consecutive layer dimensions must chain")
-        if self.pooling not in POOLINGS:
-            raise ValueError(f"unknown pooling {self.pooling!r}")
-        if self.pooling == "topk" and self.k < 1:
-            raise ValueError("k must be at least 1")
-
-    @property
-    def in_dim(self):
-        return self.layers[0].in_dim
-
-    def check(self, dataset: Dataset) -> None:
-        if self.pooling == "topk" and self.k > dataset.m:
-            raise IncompatibleArtifactsError(
-                f"model pools the top {self.k} segments, dataset bags have {dataset.m}"
-            )
-
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.layers:
-            out.extend((layer.weights, layer.bias))
-        return out
-
-
-@dataclass
-class SeqNet(_NetServing):
-    """LSTM over the segment sequence, flattened into a sigmoid dense head."""
-
-    lstm: LstmLayer
-    dense: list[DenseLayer]
-    m: int
-    label_scaling: bool = True
-
-    def __post_init__(self):
-        if len(self.dense) != 3:
-            raise ValueError("the head must have exactly three dense stages")
-        if any(layer.activation != "sigmoid" for layer in self.dense):
-            raise ValueError("head stages must use sigmoid activations")
-        if self.dense[0].in_dim != self.m * self.lstm.hidden:
-            raise ValueError("head input must be the flattened M x H states")
-        if self.dense[-1].out_dim != self.m:
-            raise ValueError("head output must have one value per segment")
-        for prev, nxt in zip(self.dense, self.dense[1:]):
-            if nxt.in_dim != prev.out_dim:
-                raise ValueError("consecutive layer dimensions must chain")
-
-    @property
-    def in_dim(self):
-        return self.lstm.in_dim
-
-    def check(self, dataset: Dataset) -> None:
-        if self.m != dataset.m:
-            raise IncompatibleArtifactsError(
-                f"model expects {self.m} segments per bag, dataset has {dataset.m}"
-            )
-
-    def parameters(self) -> list[np.ndarray]:
-        out = [self.lstm.weights, self.lstm.bias]
-        for layer in self.dense:
-            out.extend((layer.weights, layer.bias))
-        return out
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     step_size: float = 0.01
@@ -293,7 +206,7 @@ def _pool_matrix(r: np.ndarray, pooling: str, k: int) -> tuple[np.ndarray, np.nd
 
 
 # ---------------------------------------------------------------------------
-# forward passes (batched internally over bags)
+# passes (batched internally over bags) and the nets
 
 
 def _dense_stack_forward(layers, h):
@@ -371,106 +284,199 @@ def _seq_intensities(net: SeqNet, hs: np.ndarray) -> np.ndarray:
     return out.mean(axis=1).reshape(m, b).T
 
 
-def _forward(net, x: np.ndarray, intensities: bool = False):
-    """Bag scores (B,) and, if asked, per-segment intensities (B, M) of a
-    (B, M, D) batch, both in the label space the net trains in."""
-    b, m, d = x.shape
-    if d != net.in_dim:
-        raise ValueError(f"expected {net.in_dim}-dimensional instances, got {d}")
-    if isinstance(net, MilNet):
-        out, _ = _dense_stack_forward(net.layers, x.reshape(b * m, d))
+class _NetServing:
+    """A net's forward pass, and its predict_bags/localize_bags (see cli)."""
+
+    def forward(self, x: np.ndarray, intensities: bool = False):
+        """Bag scores (B,) and, if asked, per-segment intensities (B, M) of a
+        (B, M, D) batch, both in the label space the net trains in."""
+        _, _, d = x.shape
+        if d != self.in_dim:
+            raise ValueError(f"expected {self.in_dim}-dimensional instances, got {d}")
+        return self._pass(x, intensities)
+
+    def predict_bags(self, dataset: Dataset) -> np.ndarray:
+        """Every bag's score in the 0-3 label range, from one batched pass."""
+        scores, _ = self.forward(dataset.tensor())
+        return scores * (3.0 if self.label_scaling else 1.0)
+
+    def localize_bags(self, dataset: Dataset) -> np.ndarray:
+        """(n_bags, M) per-segment intensities in the 0-3 label range.
+
+        MilNet exposes its ranking-layer outputs directly.  For SeqNet each
+        segment is attributed the head's response to the flattened state vector
+        with every other segment's activations zeroed.
+        """
+        _, r = self.forward(dataset.tensor(), intensities=True)
+        return r * (3.0 if self.label_scaling else 1.0)
+
+
+@dataclass
+class MilNet(_NetServing):
+    """Shared dense stack scoring each instance, then top-k or mean pooling."""
+
+    layers: list[DenseLayer]
+    pooling: str
+    k: int
+    label_scaling: bool = False
+
+    def __post_init__(self):
+        if not self.layers or self.layers[-1].out_dim != 1:
+            raise ValueError("the final (ranking) stage must output one value")
+        for prev, nxt in zip(self.layers, self.layers[1:]):
+            if nxt.in_dim != prev.out_dim:
+                raise ValueError("consecutive layer dimensions must chain")
+        if self.pooling not in POOLINGS:
+            raise ValueError(f"unknown pooling {self.pooling!r}")
+        if self.pooling == "topk" and self.k < 1:
+            raise ValueError("k must be at least 1")
+
+    @property
+    def in_dim(self):
+        return self.layers[0].in_dim
+
+    def check(self, dataset: Dataset) -> None:
+        if self.pooling == "topk" and self.k > dataset.m:
+            raise IncompatibleArtifactsError(
+                f"model pools the top {self.k} segments, dataset bags have {dataset.m}"
+            )
+
+    def parameters(self) -> list[np.ndarray]:
+        out = []
+        for layer in self.layers:
+            out.extend((layer.weights, layer.bias))
+        return out
+
+    def layout(self):
+        return "mil", self.layers, {"pooling": self.pooling, "k": self.k}
+
+    def _pass(self, x, intensities):
+        b, m, d = x.shape
+        out, _ = _dense_stack_forward(self.layers, x.reshape(b * m, d))
         r = out[:, 0].reshape(b, m)
-        return _pool_matrix(r, net.pooling, net.k)[0], r
-    scores, hs, _, _ = _seq_forward(net, x)
-    return scores, _seq_intensities(net, hs) if intensities else None
+        return _pool_matrix(r, self.pooling, self.k)[0], r
+
+    def batch_grads(self, x: np.ndarray, y: np.ndarray):
+        """Mean squared-error loss and its gradients over a (B, M, D) batch.
+
+        Top-k pooling with k < M gives every other instance a zero d(score)/dr,
+        so each dz row, dW term and db term it feeds is zero: the backward pass
+        runs over the B*k pooled rows only, gathered from the input and each
+        layer's output.  Mean pooling and k = M backprop all B*M rows.
+        """
+        b, m, d = x.shape
+        flat_in = x.reshape(b * m, d)
+        out, caches = _dense_stack_forward(self.layers, flat_in)
+        r = out[:, 0].reshape(b, m)
+        scores, mask = _pool_matrix(r, self.pooling, self.k)
+        losses = (scores - y) ** 2
+        d_scores = 2.0 * (scores - y) / b
+        dr = (d_scores[:, None] * mask).reshape(b * m, 1)
+        rows = np.flatnonzero(mask)
+        if len(rows) < b * m:
+            # layer L+1's input is layer L's output: gather each activation once
+            acts = [a[rows] for _, a in caches]
+            caches = list(zip([flat_in[rows], *acts[:-1]], acts))
+            dr = dr[rows]
+        grads = deque()
+        _dense_stack_backward(self.layers, caches, dr, grads)
+        return float(losses.mean()), [g for pair in grads for g in pair], scores
 
 
-# ---------------------------------------------------------------------------
-# backward passes
+@dataclass
+class SeqNet(_NetServing):
+    """LSTM over the segment sequence, flattened into a sigmoid dense head."""
 
+    lstm: LstmLayer
+    dense: list[DenseLayer]
+    m: int
+    label_scaling: bool = True
 
-def _mil_batch_grads(net: MilNet, x: np.ndarray, y: np.ndarray):
-    """Mean squared-error loss and its gradients over a (B, M, D) batch.
+    def __post_init__(self):
+        if len(self.dense) != 3:
+            raise ValueError("the head must have exactly three dense stages")
+        if any(layer.activation != "sigmoid" for layer in self.dense):
+            raise ValueError("head stages must use sigmoid activations")
+        if self.dense[0].in_dim != self.m * self.lstm.hidden:
+            raise ValueError("head input must be the flattened M x H states")
+        if self.dense[-1].out_dim != self.m:
+            raise ValueError("head output must have one value per segment")
+        for prev, nxt in zip(self.dense, self.dense[1:]):
+            if nxt.in_dim != prev.out_dim:
+                raise ValueError("consecutive layer dimensions must chain")
 
-    Top-k pooling with k < M gives every other instance a zero d(score)/dr,
-    so each dz row, dW term and db term it feeds is zero: the backward pass
-    runs over the B*k pooled rows only, gathered from the input and each
-    layer's output.  Mean pooling and k = M backprop all B*M rows.
-    """
-    b, m, d = x.shape
-    flat_in = x.reshape(b * m, d)
-    out, caches = _dense_stack_forward(net.layers, flat_in)
-    r = out[:, 0].reshape(b, m)
-    scores, mask = _pool_matrix(r, net.pooling, net.k)
-    losses = (scores - y) ** 2
-    d_scores = 2.0 * (scores - y) / b
-    dr = (d_scores[:, None] * mask).reshape(b * m, 1)
-    rows = np.flatnonzero(mask)
-    if len(rows) < b * m:
-        # layer L+1's input is layer L's output: gather each activation once
-        acts = [a[rows] for _, a in caches]
-        caches = list(zip([flat_in[rows], *acts[:-1]], acts))
-        dr = dr[rows]
-    grads = deque()
-    _dense_stack_backward(net.layers, caches, dr, grads)
-    return float(losses.mean()), [g for pair in grads for g in pair], scores
+    @property
+    def in_dim(self):
+        return self.lstm.in_dim
 
+    def check(self, dataset: Dataset) -> None:
+        if self.m != dataset.m:
+            raise IncompatibleArtifactsError(
+                f"model expects {self.m} segments per bag, dataset has {dataset.m}"
+            )
 
-def _seq_batch_grads(net: SeqNet, x: np.ndarray, y: np.ndarray):
-    """Loss and gradients as _mil_batch_grads, by backprop through time over
-    the fused gates; the gate weight gradient is one matmul over all steps."""
-    b, m, d = x.shape
-    h_dim = net.lstm.hidden
-    scores, _, (zcat, gates, cs, tanh_cs), dense_caches = _seq_forward(net, x)
-    losses = (scores - y) ** 2
-    d_scores = 2.0 * (scores - y) / b
-    d_out = np.repeat(d_scores[:, None], net.dense[-1].out_dim, axis=1) / net.dense[-1].out_dim
+    def parameters(self) -> list[np.ndarray]:
+        out = [self.lstm.weights, self.lstm.bias]
+        for layer in self.dense:
+            out.extend((layer.weights, layer.bias))
+        return out
 
-    head_grads = deque()
-    d_flat = _dense_stack_backward(net.dense, dense_caches, d_out, head_grads)
-    d_hs = np.ascontiguousarray(d_flat.reshape(b, m, h_dim).transpose(1, 2, 0))
+    def layout(self):
+        return "seq", self.dense, {"m": self.m}
 
-    w_h_t = net.lstm.weights[:, d:].T.copy()
-    sig = 3 * h_dim
-    # the step-independent derivative factors, once over all steps
-    d_tanh_c = 1.0 - tanh_cs**2
-    d_sig = gates[:, :sig] * (1.0 - gates[:, :sig])
-    d_cand = 1.0 - gates[:, sig:] ** 2
-    dz = np.empty((m, 4 * h_dim, b))  # d(loss)/d(gate pre-activation)
-    dh, dc = np.empty((h_dim, b)), np.empty((h_dim, b))
-    dh_next = np.zeros((h_dim, b))
-    dc_next = np.zeros((h_dim, b))
-    for t in range(m - 1, -1, -1):
-        g = gates[t]
-        gi, gf, go, gc = (g[k * h_dim : (k + 1) * h_dim] for k in range(4))
-        np.add(d_hs[t], dh_next, out=dh)
-        # summed as (dh * go) * (1 - tanh(c)^2) + dc_next, so the gradients stay bit for bit
-        np.multiply(dh, go, out=dc)
-        dc *= d_tanh_c[t]
-        dc += dc_next
-        dzt = dz[t]
-        np.multiply(dc, gc, out=dzt[:h_dim])
-        np.multiply(dc, cs[t], out=dzt[h_dim : 2 * h_dim])
-        np.multiply(dh, tanh_cs[t], out=dzt[2 * h_dim : sig])
-        dzt[:sig] *= d_sig[t]
-        np.multiply(dc, gi, out=dzt[sig:])
-        dzt[sig:] *= d_cand[t]
-        np.matmul(w_h_t, dzt, out=dh_next)
-        np.multiply(dc, gf, out=dc_next)
-    inputs = zcat[:m].transpose(0, 2, 1).reshape(m * b, d + h_dim)
-    gw = dz.transpose(1, 0, 2).reshape(4 * h_dim, m * b) @ inputs
-    grads = [gw, dz.sum(axis=(0, 2)), *(g for pair in head_grads for g in pair)]
-    return float(losses.mean()), grads, scores
+    def _pass(self, x, intensities):
+        scores, hs, _, _ = _seq_forward(self, x)
+        return scores, _seq_intensities(self, hs) if intensities else None
+
+    def batch_grads(self, x: np.ndarray, y: np.ndarray):
+        """Loss and gradients as MilNet.batch_grads, by backprop through time over
+        the fused gates; the gate weight gradient is one matmul over all steps."""
+        b, m, d = x.shape
+        h_dim = self.lstm.hidden
+        scores, _, (zcat, gates, cs, tanh_cs), dense_caches = _seq_forward(self, x)
+        losses = (scores - y) ** 2
+        d_scores = 2.0 * (scores - y) / b
+        d_out = np.repeat(d_scores[:, None], m, axis=1) / m  # the head has M outputs
+
+        head_grads = deque()
+        d_flat = _dense_stack_backward(self.dense, dense_caches, d_out, head_grads)
+        d_hs = np.ascontiguousarray(d_flat.reshape(b, m, h_dim).transpose(1, 2, 0))
+
+        w_h_t = self.lstm.weights[:, d:].T.copy()
+        sig = 3 * h_dim
+        # the step-independent derivative factors, once over all steps
+        d_tanh_c = 1.0 - tanh_cs**2
+        d_sig = gates[:, :sig] * (1.0 - gates[:, :sig])
+        d_cand = 1.0 - gates[:, sig:] ** 2
+        dz = np.empty((m, 4 * h_dim, b))  # d(loss)/d(gate pre-activation)
+        dh, dc = np.empty((h_dim, b)), np.empty((h_dim, b))
+        dh_next = np.zeros((h_dim, b))
+        dc_next = np.zeros((h_dim, b))
+        for t in range(m - 1, -1, -1):
+            g = gates[t]
+            gi, gf, go, gc = (g[k * h_dim : (k + 1) * h_dim] for k in range(4))
+            np.add(d_hs[t], dh_next, out=dh)
+            # summed as (dh * go) * (1 - tanh(c)^2) + dc_next, so the gradients stay bit for bit
+            np.multiply(dh, go, out=dc)
+            dc *= d_tanh_c[t]
+            dc += dc_next
+            dzt = dz[t]
+            np.multiply(dc, gc, out=dzt[:h_dim])
+            np.multiply(dc, cs[t], out=dzt[h_dim : 2 * h_dim])
+            np.multiply(dh, tanh_cs[t], out=dzt[2 * h_dim : sig])
+            dzt[:sig] *= d_sig[t]
+            np.multiply(dc, gi, out=dzt[sig:])
+            dzt[sig:] *= d_cand[t]
+            np.matmul(w_h_t, dzt, out=dh_next)
+            np.multiply(dc, gf, out=dc_next)
+        inputs = zcat[:m].transpose(0, 2, 1).reshape(m * b, d + h_dim)
+        gw = dz.transpose(1, 0, 2).reshape(4 * h_dim, m * b) @ inputs
+        grads = [gw, dz.sum(axis=(0, 2)), *(g for pair in head_grads for g in pair)]
+        return float(losses.mean()), grads, scores
 
 
 # ---------------------------------------------------------------------------
 # training
-
-
-def _batch_grads(net, x, y):
-    if isinstance(net, MilNet):
-        return _mil_batch_grads(net, x, y)
-    return _seq_batch_grads(net, x, y)
 
 
 def train(net, dataset: Dataset, config: TrainConfig):
@@ -498,7 +504,7 @@ def train(net, dataset: Dataset, config: TrainConfig):
         epoch_losses = []
         for start in range(0, n, config.batch_size):
             rows = order[start : start + config.batch_size]
-            loss, grads, _ = _batch_grads(net, x_all[rows], y_all[rows])
+            loss, grads, _ = net.batch_grads(x_all[rows], y_all[rows])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {len(trace)}", trace=trace
@@ -515,31 +521,6 @@ def train(net, dataset: Dataset, config: TrainConfig):
 
 
 # ---------------------------------------------------------------------------
-# prediction and localization
-
-
-def _label_scale(net) -> float:
-    return 3.0 if net.label_scaling else 1.0
-
-
-def predict_dataset(net, dataset: Dataset) -> np.ndarray:
-    """Every bag's score in the 0-3 label range, from one batched pass."""
-    scores, _ = _forward(net, dataset.tensor())
-    return scores * _label_scale(net)
-
-
-def localize_dataset(net, dataset: Dataset) -> np.ndarray:
-    """(n_bags, M) per-segment intensities in the 0-3 label range.
-
-    MilNet exposes its ranking-layer outputs directly.  For SeqNet each
-    segment is attributed the head's response to the flattened state vector
-    with every other segment's activations zeroed.
-    """
-    _, r = _forward(net, dataset.tensor(), intensities=True)
-    return r * _label_scale(net)
-
-
-# ---------------------------------------------------------------------------
 # persistence
 
 
@@ -550,12 +531,9 @@ _NET_FIELDS = {
 
 
 def save_net(net, path, meta: dict | None = None) -> None:
-    """One model file holding net.parameters() in order; layer sizes are
-    their shapes."""
-    if isinstance(net, MilNet):
-        kind, layers, fields = "mil", net.layers, {"pooling": net.pooling, "k": net.k}
-    else:
-        kind, layers, fields = "seq", net.dense, {"m": net.m}
+    """One model file holding net.parameters() in order, of the kind, dense
+    layers and kind fields net.layout() gives; layer sizes are their shapes."""
+    kind, layers, fields = net.layout()
     fields["activations"] = [layer.activation for layer in layers]
     fields["label_scaling"] = net.label_scaling
     write_model(path, kind, fields, net.parameters(), meta)

@@ -44,11 +44,9 @@ from engage_mil.networks import (
     TrainConfig,
     build_mil_net,
     build_seq_net,
-    localize_dataset,
-    predict_dataset,
     train,
 )
-from engage_mil.networks import _batch_grads, _forward, _pool_matrix
+from engage_mil.networks import _pool_matrix
 
 from oracles import (
     finite_difference_gradients,
@@ -70,7 +68,7 @@ def _report(number: int, ok: bool, detail: str) -> None:
 
 def _one_bag_grads(net, bag, label):
     """Gradients of one bag's (score - label)^2, aligned with net.parameters()."""
-    return _batch_grads(net, bag[None], np.array([label]))[1]
+    return net.batch_grads(bag[None], np.array([label]))[1]
 
 
 def test_criterion_1_gradients_match_finite_differences():
@@ -92,7 +90,7 @@ def test_criterion_1_gradients_match_finite_differences():
         label = float(rng.integers(0, 4))
         analytic = _one_bag_grads(net, bag, label)
         numeric = finite_difference_gradients(
-            lambda: (_forward(net, bag[None])[0][0] - label) ** 2, net.parameters()
+            lambda: (net.forward(bag[None])[0][0] - label) ** 2, net.parameters()
         )
         worst = max(worst, max_relative_gradient_error(analytic, numeric))
 
@@ -108,7 +106,7 @@ def test_criterion_1_gradients_match_finite_differences():
         label = float(rng.uniform(0, 1))  # scaled-space target
         analytic = _one_bag_grads(net, bag, label)
         numeric = finite_difference_gradients(
-            lambda: (_forward(net, bag[None])[0][0] - label) ** 2, net.parameters()
+            lambda: (net.forward(bag[None])[0][0] - label) ** 2, net.parameters()
         )
         worst = max(worst, max_relative_gradient_error(analytic, numeric))
 
@@ -355,8 +353,8 @@ def planted_runs():
             train_ds,
             TrainConfig(step_size=0.02, epochs=300, batch_size=16, seed=seed),
         )
-        mil_preds = predict_dataset(mil, test_ds)
-        loc_pred = localize_dataset(mil, test_ds).ravel()
+        mil_preds = mil.predict_bags(test_ds)
+        loc_pred = mil.localize_bags(test_ds).ravel()
         loc_true = np.concatenate(
             [planted[index_of[b.video_id]] for b in test_ds.bags]
         )
@@ -369,7 +367,7 @@ def planted_runs():
             train_ds,
             TrainConfig(step_size=2.0, epochs=500, batch_size=16, seed=seed),
         )
-        seq_preds = predict_dataset(seq, test_ds)
+        seq_preds = seq.predict_bags(test_ds)
         seq_elapsed += time.perf_counter() - t0
         runs.append(
             {

@@ -175,6 +175,23 @@ def test_split_is_deterministic_per_seed():
     assert [b.video_id for b in first[1].bags] == [b.video_id for b in second[1].bags]
 
 
+@pytest.mark.parametrize(
+    "counts, fraction, seed, test_subjects",
+    [
+        ({"s0": 3, "s1": 3, "s2": 5}, 0.5, 8, ["s2"]),  # a move
+        ({"s0": 3, "s1": 4}, 0.3, 6, ["s0"]),  # a swap
+        ({"s0": 1, "s1": 4}, 0.2, 4, ["s0"]),  # a move that would empty a side, then a swap
+        ({"s0": 2, "s1": 5}, 0.9, 6, ["s1"]),  # the draft takes everyone: one goes back
+        # the pop, then a move, then a swap
+        ({"s0": 4, "s1": 3, "s2": 1, "s3": 1, "s4": 1}, 0.75, 5, ["s0", "s1", "s2"]),
+    ],
+)
+def test_split_improvement_pins_the_test_side(counts, fraction, seed, test_subjects):
+    dataset = _toy_dataset({s: [0] * n for s, n in counts.items()})
+    _, test = split_subject_independent(dataset, fraction, seed)
+    assert sorted(test.subjects()) == test_subjects
+
+
 @given(
     st.dictionaries(
         st.sampled_from([f"s{i}" for i in range(9)]),

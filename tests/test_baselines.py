@@ -16,11 +16,9 @@ from engage_mil.baselines import (
     bayesian_ridge_train,
     gaussian_kernel,
     grid_search_svr,
-    linear_predict,
     load_linear,
     load_ridge,
     load_svr,
-    ridge_predict,
     save_linear,
     save_ridge,
     save_svr,
@@ -397,11 +395,11 @@ def test_sgd_rejects_negative_penalty():
         sgd_linear_train(x, y, penalty=-1.0)
 
 
-def test_linear_predict_shapes():
+def test_linear_instance_scores_shapes():
     model = LinearModel(weights=np.array([1.0, -2.0]), bias=0.5)
-    out = linear_predict(model, np.array([[1.0, 1.0], [0.0, 0.0]]))
+    out = model.instance_scores(np.array([[1.0, 1.0], [0.0, 0.0]]))
     assert np.allclose(out, [-0.5, 0.5])
-    assert linear_predict(model, np.array([2.0, 0.5])).shape == (1,)
+    assert model.instance_scores(np.array([2.0, 0.5])).shape == (1,)
 
 
 def test_linear_model_rejects_nonfinite_parameters():
@@ -427,7 +425,7 @@ def test_ridge_noise_precision_grows_on_noiseless_data():
     y = x @ np.array([1.0, -0.5, 2.0]) + 0.3
     posterior = bayesian_ridge_train(x, y)
     assert posterior.beta > 1e3
-    assert np.abs(ridge_predict(posterior, x) - y).max() < 1e-3
+    assert np.abs(posterior.instance_scores(x) - y).max() < 1e-3
 
 
 def test_ridge_mean_solves_the_normal_equations_at_converged_precisions():

@@ -486,6 +486,25 @@ class TestExtract:
         assert dataset.feature_kind == "lbptop"
         assert (len(dataset), dataset.m, dataset.dim) == (2, 5, 177)
 
+    def test_lbptop_window_of_2_exits_2_before_any_read(
+        self, frame_tree, tmp_path, capsys, monkeypatch
+    ):
+        config = write_config(
+            tmp_path / "c.json",
+            feature="lbptop",
+            window=2,
+            input=str(frame_tree),
+            labels=str(frame_tree / "labels.csv"),
+        )
+        trail = tmp_path / "reads.log"
+        monkeypatch.setenv("ENGAGE_MIL_AUDIT", str(trail))
+        code = run_cli("extract", "--config", str(config), "--out", str(tmp_path / "ds"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and "an lbptop window must be at least 3 frames" in err
+        assert trail.read_text().splitlines() == [os.path.realpath(config)]
+        assert not (tmp_path / "ds").exists()
+
     def test_parallel_extraction_is_byte_identical(self, pose_tree, tmp_path):
         config = write_config(
             tmp_path / "c.json",
@@ -838,7 +857,7 @@ class TestLocalizeCsv:
 
     def test_group_average_matches_per_video_mean(self, artifacts, synth_dir):
         """Averaging the CSV per video reproduces the per-bag mean curve."""
-        from engage_mil.networks import load_net, localize_dataset
+        from engage_mil.networks import load_net
 
         net, _ = load_net(artifacts / "model.bin")
         dataset = load_dataset(synth_dir / "data")
@@ -846,7 +865,7 @@ class TestLocalizeCsv:
         for row in (artifacts / "l.csv").read_text().splitlines()[1:]:
             video_id, _, value, _ = row.split(",")
             per_video.setdefault(video_id, []).append(float(value))
-        for bag, expected in zip(dataset.bags, localize_dataset(net, dataset)):
+        for bag, expected in zip(dataset.bags, net.localize_bags(dataset)):
             got = per_video[bag.video_id]
             assert np.allclose(got, expected, rtol=0, atol=0)
             assert np.isclose(np.mean(got), expected.mean())
@@ -854,11 +873,11 @@ class TestLocalizeCsv:
     def test_label_group_curve_is_mean_of_video_curves(self, artifacts, synth_dir):
         """Per-label average curves from the CSV equal the mean of the
         per-video localization curves computed directly."""
-        from engage_mil.networks import load_net, localize_dataset
+        from engage_mil.networks import load_net
 
         net, _ = load_net(artifacts / "model.bin")
         dataset = load_dataset(synth_dir / "data")
-        curves = localize_dataset(net, dataset)
+        curves = net.localize_bags(dataset)
         label_of = {bag.video_id: bag.label for bag in dataset.bags}
         csv_curves = {}
         for row in (artifacts / "l.csv").read_text().splitlines()[1:]:
@@ -1213,6 +1232,27 @@ class TestProcess:
         err = capsys.readouterr().err
         assert code == 3
         assert "Traceback" not in err and str(planted) in err and message in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e500"])
+    def test_non_finite_planted_intensity_exits_3(
+        self, artifacts, synth_dir, tmp_path, capsys, value
+    ):
+        planted = tmp_path / "planted.csv"
+        lines = (synth_dir / "data" / "planted.csv").read_text().splitlines()
+        video_id, index, _ = lines[3].split(",")
+        lines[3] = f"{video_id},{index},{value}"
+        planted.write_text("\n".join(lines) + "\n")
+        config = write_config(
+            tmp_path / "c.json",
+            dataset=str(synth_dir / "data"),
+            model_path=str(artifacts / "model.bin"),
+            planted=str(planted),
+        )
+        out = tmp_path / "l.csv"
+        code = run_cli("localize", "--config", str(config), "--out", str(out))
+        assert code == 3
+        assert f"{planted}:4: non-finite planted intensity" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("subjects", ["subj0", 5, [1]])
     def test_model_with_bad_train_subjects_exits_3(self, split_root, tmp_path, capsys, subjects):

@@ -19,17 +19,11 @@ from engage_mil.networks import (
     build_mil_net,
     build_seq_net,
     load_net,
-    localize_dataset,
-    predict_dataset,
     save_net,
     train,
 )
 from engage_mil.networks import (
-    _batch_grads,
-    _forward,
-    _mil_batch_grads,
     _pool_matrix,
-    _seq_batch_grads,
     _seq_forward,
     _sigmoid,
 )
@@ -68,7 +62,7 @@ def _pool(r, pooling, k=1) -> float:
 
 def _mil_forward(net, x):
     """One bag's score and its ranking-layer outputs."""
-    scores, r = _forward(net, np.asarray(x)[None])
+    scores, r = net.forward(np.asarray(x)[None])
     return float(scores[0]), r[0]
 
 
@@ -80,7 +74,7 @@ def _seq_score(net, x):
 
 def _grads(net, x, label):
     """Gradients of one bag's (score - label)^2, aligned with net.parameters()."""
-    return _batch_grads(net, np.asarray(x)[None], np.array([float(label)]))[1]
+    return net.batch_grads(np.asarray(x)[None], np.array([float(label)]))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +143,7 @@ def test_mil_loss_examples():
     bag = np.random.default_rng(19).normal(size=(5, 3))
     for score, label, loss in ((2.0, 2.0, 0.0), (1.0, 3.0, 4.0)):
         net.layers[-1].bias[:] = score
-        assert _batch_grads(net, bag[None], np.array([label]))[0] == loss
+        assert net.batch_grads(bag[None], np.array([label]))[0] == loss
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +269,9 @@ def test_forward_seq_score_within_unit_interval():
 def test_forward_seq_rejects_wrong_sizes():
     net = build_seq_net(4, m=5, hidden=3, seed=0)
     with pytest.raises(ValueError):
-        _forward(net, np.zeros((1, 4, 4)))  # wrong segment count
+        net.forward(np.zeros((1, 4, 4)))  # wrong segment count
     with pytest.raises(ValueError):
-        _forward(net, np.zeros((1, 5, 3)))  # wrong feature dim
+        net.forward(np.zeros((1, 5, 3)))  # wrong feature dim
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +353,7 @@ def test_fused_seq_pass_matches_the_per_gate_reference(in_dim, m, hidden, batch)
         ref_scores, ref_hs, _, _ = reference_seq_forward(net, x)
         assert _relative_error(scores, ref_scores) < 1e-12
         assert _relative_error(hs, ref_hs) < 1e-12
-        loss, grads, _ = _seq_batch_grads(net, x, y)
+        loss, grads, _ = net.batch_grads(x, y)
         ref_loss, ref_grads = reference_seq_grads(net, x, y)
         assert abs(loss - ref_loss) <= 1e-12 * ref_loss
         assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
@@ -389,7 +383,7 @@ def test_mil_backward_over_pooled_rows_matches_the_dense_backward(
     if tied:  # duplicate instances tie in the top-k ranking
         x[:, m // 2 :] = x[:, : m - m // 2]
     y = rng.uniform(0.0, 3.0, size=batch)
-    loss, grads, scores = _mil_batch_grads(net, x, y)
+    loss, grads, scores = net.batch_grads(x, y)
     ref_loss, ref_grads, ref_scores = reference_mil_batch_grads(net, x, y)
     assert loss == ref_loss and np.array_equal(scores, ref_scores)
     assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
@@ -407,7 +401,7 @@ def test_seq_backward_with_hoisted_factors_is_bit_identical(in_dim, m, hidden, b
         net = build_seq_net(in_dim, m=m, hidden=hidden, dense=(6, 5), seed=seed)
         x = rng.normal(size=(batch, m, in_dim)) * 2.0
         y = rng.uniform(0.0, 1.0, size=batch)
-        loss, grads, scores = _seq_batch_grads(net, x, y)
+        loss, grads, scores = net.batch_grads(x, y)
         ref_loss, ref_grads, ref_scores = reference_seq_batch_grads(net, x, y)
         assert loss == ref_loss and np.array_equal(scores, ref_scores)
         assert len(grads) == len(ref_grads)
@@ -439,15 +433,15 @@ def test_batched_serving_matches_per_bag_reference(make):
     net = make()
     dataset = _serving_dataset(np.random.default_rng(17), m=8, dim=5)
     want = [reference_bag_scores(net, bag.instances) for bag in dataset.bags]
-    scores = predict_dataset(net, dataset)
-    curves = localize_dataset(net, dataset)
+    scores = net.predict_bags(dataset)
+    curves = net.localize_bags(dataset)
     assert curves.shape == (len(dataset), 8)
     for bag, score, curve, (ref_score, ref_curve) in zip(dataset.bags, scores, curves, want):
         assert abs(score - ref_score) <= 1e-12 * max(1.0, abs(ref_score))
         assert _relative_error(curve, ref_curve) < 1e-12
         alone = _one_bag(bag.instances)
-        assert abs(predict_dataset(net, alone)[0] - ref_score) <= 1e-12 * max(1.0, abs(ref_score))
-        assert _relative_error(localize_dataset(net, alone)[0], ref_curve) < 1e-12
+        assert abs(net.predict_bags(alone)[0] - ref_score) <= 1e-12 * max(1.0, abs(ref_score))
+        assert _relative_error(net.localize_bags(alone)[0], ref_curve) < 1e-12
 
 
 def test_sigmoid_is_bit_identical_to_the_masked_form():
@@ -546,11 +540,11 @@ def test_predict_score_rescales_when_label_scaling_is_active():
     net = build_seq_net(3, m=4, hidden=3, dense=(5, 4), seed=1)
     bag = np.random.default_rng(10).normal(size=(4, 3))
     raw, _ = _seq_score(net, bag)
-    assert predict_dataset(net, _one_bag(bag))[0] == pytest.approx(3.0 * raw, abs=1e-12)
+    assert net.predict_bags(_one_bag(bag))[0] == pytest.approx(3.0 * raw, abs=1e-12)
     net_mil = build_mil_net(3, hidden=(4,), k=3, seed=1)
     assert net.label_scaling and not net_mil.label_scaling  # the class defaults
     mil_bag = np.random.default_rng(11).normal(size=(6, 3))
-    assert predict_dataset(net_mil, _one_bag(mil_bag))[0] == _mil_forward(net_mil, mil_bag)[0]
+    assert net_mil.predict_bags(_one_bag(mil_bag))[0] == _mil_forward(net_mil, mil_bag)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +556,12 @@ def test_localize_milnet_returns_the_ranking_outputs():
     net = build_mil_net(4, hidden=(6, 5), pooling="topk", k=3, seed=5)
     bag = rng.normal(size=(9, 4))
     _, intensities = _mil_forward(net, bag)
-    located = localize_dataset(net, _one_bag(bag))[0]
+    located = net.localize_bags(_one_bag(bag))[0]
     assert np.array_equal(located, intensities)
     assert len(located) == 9
 
     scaled = replace(net, label_scaling=True)
-    assert np.allclose(localize_dataset(scaled, _one_bag(bag))[0], 3.0 * intensities)
+    assert np.allclose(scaled.localize_bags(_one_bag(bag))[0], 3.0 * intensities)
 
 
 def test_localize_seqnet_matches_manual_zeroed_attribution():
@@ -575,7 +569,7 @@ def test_localize_seqnet_matches_manual_zeroed_attribution():
     net = replace(build_seq_net(3, m=5, hidden=4, dense=(6, 5), seed=3), label_scaling=False)
     bag = rng.normal(size=(5, 3))
     _, hs = _seq_score(net, bag)
-    located = localize_dataset(net, _one_bag(bag))[0]
+    located = net.localize_bags(_one_bag(bag))[0]
     assert len(located) == 5
     for j in range(5):
         flat = np.zeros(5 * 4)
@@ -591,7 +585,7 @@ def test_localize_seqnet_rescales_with_label_scaling():
     net = build_seq_net(3, m=4, hidden=3, dense=(5, 4), seed=6)
     bag = _one_bag(rng.normal(size=(4, 3)))
     plain = replace(net, label_scaling=False)
-    assert np.allclose(localize_dataset(net, bag), 3.0 * localize_dataset(plain, bag))
+    assert np.allclose(net.localize_bags(bag), 3.0 * plain.localize_bags(bag))
 
 
 # ---------------------------------------------------------------------------
