@@ -275,7 +275,13 @@ def _extract_one(folder: Path, config: RunConfig):
     step = feats.sample_step(float(manifest["fps"]), config.target_fps)
     sub = track.every(step)
     windows = feats.segment(len(sub), config.window, config.stride)
-    vectors = np.stack([feats.pose_gaze_feature(sub, w) for w in windows])
+    # A feature file holds float32: deviations past its range (from finite but
+    # huge track values) are refused here rather than written as inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        vectors = np.stack([feats.pose_gaze_feature(sub, w) for w in windows])
+        fits = np.isfinite(vectors.astype(np.float32)).all()
+    if not fits:
+        raise DataError(f"{folder / 'pose.csv'}: a pose/gaze deviation exceeds the float32 range")
     return manifest["video_id"], manifest["subject_id"], vectors
 
 
@@ -382,8 +388,10 @@ def _load_checked(config: RunConfig, command: str, key: str = "dataset") -> Data
     """The dataset that the config's `key` names, once no output of `command`
     is one of its feature files."""
     dataset = load_dataset(getattr(config, key))
-    files = {os.path.realpath(path) for path in dataset.files}
-    for out in _PATHS[command][2]:
+    # only an output that exists can be a file just read
+    existing = [out for out in _PATHS[command][2] if os.path.exists(getattr(config, out))]
+    files = {os.path.realpath(path) for path in dataset.files} if existing else set()
+    for out in existing:
         if os.path.realpath(getattr(config, out)) in files:
             raise ConfigError(f"{out} {getattr(config, out)} is a feature file of the {key}")
     return dataset

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    DataError,
     DegenerateWindowError,
     ParseError,
     TooShortVideoError,
@@ -216,34 +218,56 @@ _NEIGHBOR_TAPS = tuple(_bilinear_taps(dx, dy) for dx, dy in NEIGHBOR_OFFSETS)
 
 
 # Size of a code-map chunk's float64 frames (8 frames at 64x64), so that the
-# chunk and its tap temporaries stay in L2.
+# chunk, its tap products and temporaries stay near L2; at 64x64, 192-256 KB
+# ran fastest among 64-384 KB on a 2-core x86 host.
 _CHUNK_BYTES = 256 * 1024
 
+# The distinct bilinear weights of the diagonal neighbors (three of them):
+# a chunk is multiplied by each once, and every diagonal sums those products.
+_DIAGONAL_WEIGHTS = sorted({w for taps in _NEIGHBOR_TAPS if len(taps) > 1 for *_, w in taps})
 
-def _plane_codes(out, u8, f64, ay, ax, scratch) -> None:
-    """OR into `out` the 8 neighbor bits of the chunk planes on axes `ay` (the
-    circle's vertical axis) and `ax`.  Axial neighbors compare exactly in
-    uint8 `u8`; diagonal ones sum their bilinear taps in float64 `f64`, in order."""
-    def at(ro, co):
-        idx = [slice(None)] * 3
-        idx[ay] = slice(1 + ro, u8.shape[ay] - 1 + ro)
-        idx[ax] = slice(1 + co, u8.shape[ax] - 1 + co)
-        return tuple(idx)
+# UNIFORM_LUT as a gather and one reduceat: codes in bin order, and the
+# position of each bin's first code in that order.
+_CODES_BY_BIN = np.argsort(UNIFORM_LUT, kind="stable")
+_BIN_STARTS = np.searchsorted(UNIFORM_LUT[_CODES_BY_BIN], np.arange(PLANE_BINS))
 
-    value, term, hit = (s[: out.size].reshape(out.shape) for s in scratch)
-    bits = hit.view(np.uint8)
-    center = at(0, 0)
+
+def _plane_codes(acc, u8, f64, products, sy, sx, scratch) -> None:
+    """Pattern codes of the flat chunk `u8` on the plane whose circle's
+    vertical and horizontal axes have element strides `sy` and `sx`, for the
+    flat positions p in [sy+sx, size-sy-sx), written to `acc[p - sy - sx]`.
+    The neighbor at (ro, co) sits ro*sy + co*sx further on; positions off the
+    plane's interior get codes that the caller drops.  Axial neighbors compare
+    exactly in uint8; diagonal ones sum their bilinear taps in order, each tap
+    read from `products[weight]`, the float64 chunk `f64` times that weight,
+    so every voxel's sum is the same float64 operations as tap by tap."""
+    lo, hi = sy + sx, u8.size - sy - sx
+    n = hi - lo
+    value, hits = scratch
+    value = value[:n]
+    # The bits are shifted and merged 8 bytes at a time: every hit byte is 0
+    # or 1, so a shift by at most 7 stays within its byte.
+    words = -(-n // 8)
+    hits[n : 8 * words] = False
+    hit_words, acc_words = hits[: 8 * words].view(np.uint64), acc[: 8 * words].view(np.uint64)
+
+    def at(source, ro, co):
+        shift = ro * sy + co * sx
+        return source[lo + shift : hi + shift]
+
     for bit, taps in enumerate(_NEIGHBOR_TAPS):
+        hit = acc[:n].view(bool) if bit == 0 else hits[:n]
         if len(taps) == 1:
-            ro, co, _ = taps[0]
-            np.greater_equal(u8[at(ro, co)], u8[center], out=hit)
+            np.greater_equal(at(u8, *taps[0][:2]), u8[lo:hi], out=hit)
         else:
-            np.multiply(taps[0][2], f64[at(*taps[0][:2])], out=value)
-            for ro, co, w in taps[1:]:
-                np.add(value, np.multiply(w, f64[at(ro, co)], out=term), out=value)
-            np.greater_equal(value, f64[center], out=hit)
-        np.left_shift(bits, bit, out=bits)
-        np.bitwise_or(out, bits, out=out)
+            (r0, c0, w0), (r1, c1, w1), *rest = taps
+            np.add(at(products[w0], r0, c0), at(products[w1], r1, c1), out=value)
+            for ro, co, w in rest:
+                np.add(value, at(products[w], ro, co), out=value)
+            np.greater_equal(value, f64[lo:hi], out=hit)
+        if bit:
+            np.left_shift(hit_words, bit, out=hit_words)
+            np.bitwise_or(acc_words, hit_words, out=acc_words)
 
 
 class _PlaneCodeMaps:
@@ -254,6 +278,11 @@ class _PlaneCodeMaps:
     image row and the time-by-y codes of every image column, centered on frame
     i + 1.  Sliding windows only re-histogram rows of these maps: a window's
     interior voxels sample temporal neighbors that stay inside the window.
+
+    Each chunk of frames, with a 2-frame halo, is copied into flat contiguous
+    buffers, and each plane's codes come from shifted views of them.  A
+    plane's first interior voxel is its first coded position, so its interior
+    is a (frames, h, w) reshape of the codes, cut to the interior's extent.
     """
 
     def __init__(self, frames: np.ndarray):
@@ -262,33 +291,52 @@ class _PlaneCodeMaps:
             raise DegenerateWindowError(f"{t} frames cannot support temporal planes")
         if h < 3 or w < 3:
             raise DegenerateWindowError(f"plane of {h}x{w} has no interior pixels")
-        self.xy = np.zeros((t, h - 2, w - 2), np.uint8)
-        self.xt = np.zeros((t - 2, h, w - 2), np.uint8)
-        self.yt = np.zeros((t - 2, h - 2, w), np.uint8)
+        self.xy = np.empty((t, h - 2, w - 2), np.uint8)
+        self.xt = np.empty((t - 2, h, w - 2), np.uint8)
+        self.yt = np.empty((t - 2, h - 2, w), np.uint8)
         self.step = step = max(1, _CHUNK_BYTES // (8 * h * w))
-        chunk = np.empty((step + 2, h, w))  # float64 copy with a 2-frame halo
-        scratch = (np.empty(step * h * w), np.empty(step * h * w), np.empty(step * h * w, bool))
+        frame = h * w
+        size = (step + 2) * frame
+        u8_chunk, f64_chunk = np.empty(size, np.uint8), np.empty(size)
+        products = {weight: np.empty(size) for weight in _DIAGONAL_WEIGHTS}
+        acc = np.empty(size + 8, np.uint8)  # room for whole 8-byte words
+        scratch = (np.empty(size), np.empty(size + 8, bool))
         for t0 in range(0, t, step):
             t1 = min(t0 + step, t)
-            u8 = frames[t0 : min(t1 + 2, t)]
-            f64 = chunk[: len(u8)]
+            n = min(t1 + 2, t) - t0
+            u8, f64 = u8_chunk[: n * frame], f64_chunk[: n * frame]
+            u8.reshape(n, h, w)[...] = frames[t0 : t0 + n]
             f64[...] = u8
-            _plane_codes(self.xy[t0:t1], u8[: t1 - t0], f64[: t1 - t0], 1, 2, scratch)
-            if t0 < t - 2:
-                _plane_codes(self.xt[t0:t1], u8, f64, 0, 2, scratch)
-                _plane_codes(self.yt[t0:t1], u8, f64, 0, 1, scratch)
+            for weight, p in products.items():
+                np.multiply(weight, f64, out=p[: n * frame])
+            m = (t1 - t0) * frame
+            _plane_codes(acc, u8[:m], f64[:m], products, w, 1, scratch)
+            self.xy[t0:t1] = acc[:m].reshape(t1 - t0, h, w)[:, : h - 2, : w - 2]
+            if n < 3:
+                continue
+            interior = acc[: (n - 2) * frame].reshape(n - 2, h, w)
+            _plane_codes(acc, u8, f64, products, frame, 1, scratch)
+            self.xt[t0 : t0 + n - 2] = interior[:, :, : w - 2]
+            _plane_codes(acc, u8, f64, products, frame, w, scratch)
+            self.yt[t0 : t0 + n - 2] = interior[:, : h - 2, :]
 
 
 def _prefix_counts(codes: np.ndarray, block: np.ndarray, n_blocks: int, step: int) -> np.ndarray:
     """Running per-row (block, bin) counts of a code map: rows [lo, hi) count
-    `out[hi] - out[lo]`."""
-    rows, width = codes.shape[0], n_blocks * PLANE_BINS
-    out = np.zeros((rows + 1, width), np.int64)
+    `out[hi] - out[lo]`.  Raw codes are counted per (row, block), then summed
+    into the 59 uniform bins."""
+    rows = codes.shape[0]
+    width = n_blocks * 256
+    base = block * 256 + (np.arange(step) * width)[:, None, None]
+    idx = np.empty_like(base)
+    out = np.zeros((rows + 1, n_blocks, PLANE_BINS), np.int64)
     for r0 in range(0, rows, step):
-        idx = UNIFORM_LUT[codes[r0 : r0 + step]]
-        n = len(idx)
-        idx += block * PLANE_BINS + (np.arange(n) * width)[:, None, None]
-        out[r0 + 1 : r0 + 1 + n] = np.bincount(idx.ravel(), minlength=n * width).reshape(n, width)
+        chunk = codes[r0 : r0 + step]
+        n = len(chunk)
+        np.add(chunk, base[:n], out=idx[:n])
+        raw = np.bincount(idx[:n].ravel(), minlength=n * width).reshape(n, n_blocks, 256)
+        np.add.reduceat(raw[:, :, _CODES_BY_BIN], _BIN_STARTS, axis=2, out=out[r0 + 1 : r0 + 1 + n])
+    out = out.reshape(rows + 1, n_blocks * PLANE_BINS)
     return np.cumsum(out, axis=0, out=out)
 
 
@@ -355,54 +403,43 @@ def pose_gaze_feature(track: PoseGazeTrack, window: slice) -> np.ndarray:
     if window.step is not None or not 0 <= window.start < window.stop <= len(track):
         raise ValueError(f"window {window} is not a range within {len(track)} frames")
     gaze = (track.gaze_left[window] + track.gaze_right[window]) / 2.0
-    return np.concatenate(
-        [
-            track.head_position[window].std(axis=0),
-            track.head_rotation[window].std(axis=0),
-            gaze.std(axis=0),
-        ]
-    )
+    blocks = (track.head_position[window], track.head_rotation[window], gaze)
+    return np.concatenate(blocks, axis=1).std(axis=0)
 
 
 # ---------------------------------------------------------------------------
 # on-disk inputs: PGM frame archives, manifests, pose/gaze CSV
 
 
+# A binary PGM header: magic, width, height and maxval, each after any run of
+# whitespace and of '#' comments that run to a line end.  A token runs to the
+# next whitespace, so it may hold a '#' after its first byte.  The lookaheads
+# leave one way to split a header, so a failed match backtracks in linear time.
+_PGM_HEADER = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]\S*)(?!\S)" * 4)
+
+
 def read_pgm(path) -> np.ndarray:
-    """Binary (P5) PGM reader for 8-bit grayscale frames."""
+    """Binary (P5) PGM reader for 8-bit grayscale frames: a read-only view of
+    the file's bytes."""
     data = read_bytes(path, "PGM frame")
-    tokens = []
-    i = 0
-    while len(tokens) < 4:
-        if i >= len(data):
-            raise ParseError(path, 1, "truncated PGM header")
-        c = data[i : i + 1]
-        if c == b"#":
-            while i < len(data) and data[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j : j + 1].isspace():
-                j += 1
-            tokens.append(data[i:j])
-            i = j
-    if tokens[0] != b"P5":
-        raise ParseError(path, 1, f"not a binary PGM: magic {tokens[0]!r}")
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise ParseError(path, 1, "truncated PGM header")
+    magic, *fields = header.groups()
+    if magic != b"P5":
+        raise ParseError(path, 1, f"not a binary PGM: magic {magic!r}")
     try:
-        width, height, maxval = (int(t) for t in tokens[1:4])
+        width, height, maxval = map(int, fields)
     except ValueError:
         raise ParseError(path, 1, "non-integer PGM header fields") from None
     if maxval > 255 or maxval < 1:
         raise ParseError(path, 1, f"unsupported maxval {maxval}")
     if width < 1 or height < 1:
         raise ParseError(path, 1, f"bad PGM size {width}x{height}")
-    i += 1  # single whitespace byte after maxval
-    raster = data[i : i + width * height]
-    if len(raster) != width * height:
+    start = header.end() + 1  # single whitespace byte after maxval
+    if len(data) - start < width * height:
         raise ParseError(path, 1, "truncated PGM raster")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    return np.frombuffer(data, np.uint8, width * height, start).reshape(height, width)
 
 
 def write_pgm(path, image: np.ndarray) -> None:
@@ -433,25 +470,52 @@ def load_manifest(directory, frames: bool) -> dict:
     return manifest
 
 
+_DIGIT_RUN = re.compile(r"([0-9]+)")
+
+
+def _natural_key(name: str) -> tuple:
+    """Sort key of a file name whose digit runs compare as numbers, so that
+    2.pgm comes before 10.pgm."""
+    parts = _DIGIT_RUN.split(name)
+    parts[1::2] = map(int, parts[1::2])
+    return tuple(parts)
+
+
+def _frame_names(folder) -> list[str]:
+    """The .pgm file names in `folder` in frame order: natural order, digit
+    runs comparing as numbers.  Two names of one frame number (7.pgm and
+    007.pgm) are a DataError; a missing folder holds no frames."""
+    try:
+        names = [n for n in os.listdir(folder) if n.endswith(".pgm")]
+    except OSError:  # missing, or not a directory: no frames
+        return []
+    keyed = sorted((_natural_key(n), n) for n in names)
+    for (key, first), (next_key, second) in zip(keyed, keyed[1:]):
+        if key == next_key:
+            raise DataError(f"{folder}: frames {first} and {second} have the same frame number")
+    return [n for _, n in keyed]
+
+
 def load_frame_archive(directory) -> FrameSequence:
-    """Read one video's manifest + numbered PGM frames."""
+    """Read one video's manifest + numbered PGM frames, in frame order."""
     directory = Path(directory)
     manifest = load_manifest(directory, frames=True)
     folder = str(directory / "frames")
-    try:
-        names = sorted(n for n in os.listdir(folder) if n.endswith(".pgm"))
-    except OSError:  # missing, or not a directory: no frames
-        names = []
-    paths = [os.path.join(folder, n) for n in names]
+    paths = [os.path.join(folder, n) for n in _frame_names(folder)]
     if len(paths) != manifest["frame_count"]:
         message = f"manifest says {manifest['frame_count']} frames, found {len(paths)}"
         raise ParseError(directory / "manifest.json", 1, message)
-    frames = [read_pgm(p) for p in paths]
-    for path, frame in zip(paths, frames):
-        if frame.shape != (manifest["height"], manifest["width"]):
+    shape = (manifest["height"], manifest["width"])
+    frames = None
+    for i, path in enumerate(paths):
+        frame = read_pgm(path)
+        if frame.shape != shape:
             raise ParseError(path, 1, "frame size disagrees with manifest")
+        if frames is None:  # sized once a frame has shown the manifest's size
+            frames = np.empty((len(paths), *shape), np.uint8)
+        frames[i] = frame
     return FrameSequence(
-        frames=np.stack(frames),
+        frames=frames,
         fps=float(manifest["fps"]),
         subject_id=manifest["subject_id"],
         video_id=manifest["video_id"],

@@ -29,22 +29,43 @@ JSON_NUMBER = (int, float)
 # A video id names its feature file and fills one CSV cell: a plain file name
 _VIDEO_ID = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
 
+# O_BINARY keeps Windows from translating line ends
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+
 # str.splitlines also breaks at these; open(newline=""), and so csv, does not
 _OTHER_LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def read_bytes(path, what: str) -> bytes:
-    """The bytes of input file `path`.  Plain open() rather than pathlib:
-    extract reads thousands of frames, and pathlib costs more per call."""
+    """The bytes of input file `path`.  Read through a bare descriptor rather
+    than open(): extract reads thousands of frames, and a file object costs
+    more per call."""
     trail = os.environ.get(AUDIT_ENV)
     if trail:
         with open(trail, "a") as fh:
             fh.write(os.path.realpath(path) + "\n")
     try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
+        fd = os.open(path, _READ_FLAGS)
+        try:
+            return _read_all(fd)
+        finally:
+            os.close(fd)
+    except OSError as exc:  # a directory fails at the read, with EISDIR
         raise ParseError(path, 1, exc.strerror or str(exc), what) from None
+
+
+def _read_all(fd: int) -> bytes:
+    """Every byte of descriptor `fd`: one read when it yields the size fstat
+    gives, further reads to end of file otherwise (a pipe; a file that has
+    shrunk or reports no size)."""
+    size = os.fstat(fd).st_size
+    data = os.read(fd, size) if size else b""
+    if size and len(data) == size:
+        return data
+    parts = [data]
+    while part := os.read(fd, 1 << 16):
+        parts.append(part)
+    return b"".join(parts)
 
 
 def _decode(path, data: bytes, what: str) -> str:

@@ -692,3 +692,51 @@ def reference_save_pose_gaze_csv(track, path) -> None:
                 + [repr(float(v)) for v in track.gaze_left[i]]
                 + [repr(float(v)) for v in track.gaze_right[i]]
             )
+
+
+# --- PGM frames, parsed one byte at a time ----------------------------------
+
+
+def reference_pgm_header(data: bytes) -> tuple[list[bytes], int]:
+    """The four header tokens of PGM bytes `data` and where the raster
+    starts, scanned one byte at a time: whitespace is skipped, a '#' that
+    starts a token position skips to the next CR or LF, and a token runs to
+    the next whitespace.  Fewer than four tokens are refused at line 1."""
+    tokens = []
+    i = 0
+    while len(tokens) < 4:
+        if i >= len(data):
+            raise RefusedAt(1, "truncated PGM header")
+        c = data[i : i + 1]
+        if c == b"#":
+            while i < len(data) and data[i : i + 1] not in (b"\n", b"\r"):
+                i += 1
+        elif c.isspace():
+            i += 1
+        else:
+            j = i
+            while j < len(data) and not data[j : j + 1].isspace():
+                j += 1
+            tokens.append(data[i:j])
+            i = j
+    return tokens, i + 1  # single whitespace byte after maxval
+
+
+def reference_read_pgm(data: bytes) -> np.ndarray:
+    """The (height, width) raster of binary PGM bytes `data`, or a RefusedAt
+    naming the first fault, checked in the order the reader checks."""
+    tokens, start = reference_pgm_header(data)
+    if tokens[0] != b"P5":
+        raise RefusedAt(1, f"not a binary PGM: magic {tokens[0]!r}")
+    try:
+        width, height, maxval = (int(t) for t in tokens[1:4])
+    except ValueError:
+        raise RefusedAt(1, "non-integer PGM header fields") from None
+    if maxval > 255 or maxval < 1:
+        raise RefusedAt(1, f"unsupported maxval {maxval}")
+    if width < 1 or height < 1:
+        raise RefusedAt(1, f"bad PGM size {width}x{height}")
+    raster = data[start : start + width * height]
+    if len(raster) != width * height:
+        raise RefusedAt(1, "truncated PGM raster")
+    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width)

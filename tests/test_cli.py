@@ -3,6 +3,7 @@ byte-level determinism, and the audit guarantee that training never
 touches test features."""
 
 import functools
+import hashlib
 import inspect
 import json
 import re
@@ -421,6 +422,24 @@ class TestSynth:
 # extract
 
 
+# (feature, window) -> SHA-256 of features/v0.bin and index.json, written by
+# test_extract_writes_its_pinned_bytes
+PINNED_EXTRACT = {
+    ("lbptop", 8): [
+        "cabb248b394c34d56b64d946561a3386a80106af290404d67d0fd92f3883fcc9",
+        "e8b2f7167567de624f8b60b7ab149d38973efd639c9cd9a9b08c0874bf1f2175",
+    ],
+    ("lbptop", 5): [
+        "7458de77c2f7cc19843ab9dcf3620d46b7924c34bf0a23e4e566a50320c3cf38",
+        "e8b2f7167567de624f8b60b7ab149d38973efd639c9cd9a9b08c0874bf1f2175",
+    ],
+    ("posegaze", 4): [
+        "e442ffc1cff6583313cdb8839066627788eb198545dac02d021258a2c498802f",
+        "acf04e217ca7b99fa15ef1825002bbf6d1686dd607f7cd45eb3315bf1fe4e8d6",
+    ],
+}
+
+
 class TestExtract:
     def test_pose_gaze_pipeline_shape(self, pose_tree, tmp_path, capsys):
         config = write_config(
@@ -503,6 +522,93 @@ class TestExtract:
         assert code == 2
         assert "Traceback" not in err and "an lbptop window must be at least 3 frames" in err
         assert trail.read_text().splitlines() == [os.path.realpath(config)]
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("feature,keys", [
+        ("lbptop", {"window": 8, "stride": 3}),
+        ("lbptop", {"window": 5, "stride": 2, "grid": [2, 3], "xy_frames": "center"}),
+        ("posegaze", {"window": 4, "stride": 2}),
+    ])
+    def test_extract_writes_its_pinned_bytes(self, tmp_path, feature, keys):
+        """The SHA-256 of the feature file and index of a seeded 40-frame
+        archive (48x64 at 12 fps, so 20 frames in two code-map chunks) and of
+        a 200-row pose/gaze track at 30 fps; a rewrite of the feature kernels
+        or readers that moves one bit shows here."""
+        rng = np.random.default_rng(2020)
+        video = tmp_path / "raw" / "v0"
+        if feature == "lbptop":
+            frames = rng.integers(0, 256, (40, 48, 64)).astype(np.uint8)
+            save_frame_archive(FrameSequence(frames, 12.0, "s0", "v0"), video)
+        else:
+            video.mkdir(parents=True)
+            blocks = [rng.normal(0, scale, (200, 3)) for scale in (10, 0.2, 1, 1)]
+            save_pose_gaze_csv(PoseGazeTrack(*blocks), video / "pose.csv")
+            (video / "manifest.json").write_text(
+                json.dumps({"video_id": "v0", "subject_id": "s0", "fps": 30.0})
+            )
+        (video.parent / "labels.csv").write_text("video_id,label\nv0,2\n")
+        config = write_config(
+            tmp_path / "c.json",
+            feature=feature,
+            m=4,
+            input=str(video.parent),
+            labels=str(video.parent / "labels.csv"),
+            **keys,
+        )
+        out = tmp_path / "ds"
+        assert run_cli("extract", "--config", str(config), "--out", str(out)) == 0
+        digests = [
+            hashlib.sha256((out / rel).read_bytes()).hexdigest()
+            for rel in ("features/v0.bin", "index.json")
+        ]
+        assert digests == PINNED_EXTRACT[feature, keys["window"]]
+
+    def test_two_frame_names_of_one_number_exit_3(self, frame_tree, tmp_path, capsys):
+        """7.pgm and 007.pgm would both be frame 7: a data error naming the folder."""
+        video = tmp_path / "raw" / "fvid0"
+        shutil.copytree(frame_tree / "fvid0", video)
+        (video / "frames" / "000007.pgm").rename(video / "frames" / "7.pgm")
+        (video / "frames" / "000008.pgm").rename(video / "frames" / "007.pgm")
+        (video.parent / "labels.csv").write_text("video_id,label\nfvid0,1\n")
+        config = write_config(
+            tmp_path / "c.json",
+            feature="lbptop",
+            input=str(video.parent),
+            labels=str(video.parent / "labels.csv"),
+        )
+        code = run_cli("extract", "--config", str(config), "--out", str(tmp_path / "ds"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{video / 'frames'}: frames 007.pgm and 7.pgm have the same frame number" in err
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("scale", [1e40, 1e200])
+    def test_pose_deviation_past_float32_exits_3(self, tmp_path, capsys, scale):
+        """Finite but huge head positions give deviations that a float32
+        feature file cannot hold (at 1e200 the float64 std overflows too): a
+        data error naming pose.csv, with no warning and nothing written."""
+        video = tmp_path / "raw" / "v0"
+        video.mkdir(parents=True)
+        rng = np.random.default_rng(5)
+        blocks = [rng.normal(0, 1, (60, 3)) for _ in range(4)]
+        blocks[0] *= scale
+        save_pose_gaze_csv(PoseGazeTrack(*blocks), video / "pose.csv")
+        (video / "manifest.json").write_text(
+            json.dumps({"video_id": "v0", "subject_id": "s0", "fps": 6.0})
+        )
+        (video.parent / "labels.csv").write_text("video_id,label\nv0,1\n")
+        config = write_config(
+            tmp_path / "c.json",
+            feature="posegaze",
+            window=4,
+            stride=2,
+            input=str(video.parent),
+            labels=str(video.parent / "labels.csv"),
+        )
+        code = run_cli("extract", "--config", str(config), "--out", str(tmp_path / "ds"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{video / 'pose.csv'}: a pose/gaze deviation exceeds the float32 range" in err
         assert not (tmp_path / "ds").exists()
 
     def test_parallel_extraction_is_byte_identical(self, pose_tree, tmp_path):
@@ -1512,6 +1618,28 @@ class TestProcess:
         assert f"error: {key} {keys.get(key, out)} is a feature file of the {dataset}" in err
         assert {p: p.read_bytes() for p in work.rglob("*") if p.is_file()} == before
         assert not (work / "m.bin").exists()
+
+    def test_an_output_linked_to_a_feature_file_exits_2(
+        self, split_root, trained, tmp_path, capsys
+    ):
+        """The output check resolves a symlink that exists: an `out` linked to
+        a feature file exits 2, and the file is unchanged."""
+        work = shutil.copytree(split_root, tmp_path / "work")
+        shutil.copy(trained / "model.json", work / "model.bin")
+        target = sorted((work / "test" / "features").iterdir())[0]
+        before = target.read_bytes()
+        link = tmp_path / "out.csv"
+        link.symlink_to(target)
+        config = write_config(
+            tmp_path / "c.json",
+            model="ridge",
+            dataset=str(work / "test"),
+            model_path=str(work / "model.bin"),
+        )
+        code = run_cli("predict", "--config", str(config), "--out", str(link))
+        assert code == 2
+        assert f"error: out {link} is a feature file of the dataset" in capsys.readouterr().err
+        assert target.read_bytes() == before
 
     @pytest.mark.parametrize("command", ["predict", "localize"])
     def test_non_finite_output_exits_4(self, split_root, tmp_path, capsys, command):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from engage_mil import cli, features
 from engage_mil.errors import (
+    DataError,
     DegenerateWindowError,
     ParseError,
     TooShortVideoError,
@@ -37,8 +38,10 @@ from oracles import (
     lbp_code,
     naive_bin,
     naive_lbp_top,
+    reference_pgm_header,
     reference_plane_codes,
     reference_pose_gaze_csv,
+    reference_read_pgm,
     reference_save_pose_gaze_csv,
 )
 
@@ -326,6 +329,29 @@ def test_segment_window_validation():
     assert not pose_gaze_feature(track, slice(0, 1)).any()  # length-1 windows are read
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_prefix_counts_match_the_lookup_table_gather(data):
+    """Counting raw codes and summing them into bins gives, bit for bit, the
+    running counts of codes gathered through UNIFORM_LUT."""
+    gy, gx = grid = data.draw(st.sampled_from([(1, 1), (2, 3)]), label="grid")
+    rows = data.draw(st.integers(1, 12), label="rows")
+    h, w = data.draw(st.integers(gy, 7), label="h"), data.draw(st.integers(gx, 9), label="w")
+    step = data.draw(st.integers(1, 5), label="step")
+    top = data.draw(st.sampled_from([0, 3, 255]), label="top")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    codes = rng.integers(0, top + 1, size=(rows, h, w), dtype=np.uint8)
+    n_blocks = gy * gx
+    block = (np.arange(h) * gy // h)[:, None] * gx + np.arange(w) * gx // w
+    idx = UNIFORM_LUT[codes] + block * PLANE_BINS
+    want = np.zeros((rows + 1, n_blocks * PLANE_BINS), np.int64)
+    for r in range(rows):
+        want[r + 1] = want[r] + np.bincount(idx[r].ravel(), minlength=n_blocks * PLANE_BINS)
+    got = features._prefix_counts(codes, block, n_blocks, step)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), grid
+
+
 # --- pose / gaze descriptor -------------------------------------------------
 
 
@@ -336,6 +362,30 @@ def _track(position, rotation, gaze_left, gaze_right):
         gaze_left=np.asarray(gaze_left, dtype=np.float64),
         gaze_right=np.asarray(gaze_right, dtype=np.float64),
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_pose_gaze_feature_matches_the_three_block_form(data):
+    """One std over the (k, 9) blocks equals, bit for bit, a std per block,
+    on tracks laid out as the CSV reader and subsampling leave them."""
+    n = data.draw(st.integers(1, 40), label="n")
+    step = data.draw(st.integers(1, 3), label="step")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    values = rng.normal(0, 1, (n * step, 12)) * rng.choice([1e-3, 0.2, 10, 1e4], 12)
+    track = _track(values[:, 0:3], values[:, 3:6], values[:, 6:9], values[:, 9:12]).every(step)
+    start = data.draw(st.integers(0, n - 1), label="start")
+    length = data.draw(st.sampled_from([1, 2]) | st.integers(1, n - start), label="length")
+    window = slice(start, min(start + length, n))
+    gaze = (track.gaze_left[window] + track.gaze_right[window]) / 2.0
+    want = np.concatenate(
+        [
+            track.head_position[window].std(axis=0),
+            track.head_rotation[window].std(axis=0),
+            gaze.std(axis=0),
+        ]
+    )
+    assert pose_gaze_feature(track, window).tobytes() == want.tobytes()
 
 
 def test_pose_gaze_feature_constant_track_is_zero():
@@ -458,6 +508,74 @@ def test_pgm_reader_rejects_non_positive_size(tmp_path, size):
     path.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(25))
     with pytest.raises(ParseError, match="bad PGM size"):
         read_pgm(path)
+
+
+# gaps between header tokens, and tokens, valid and not: CR line ends, tabs
+# and vertical tabs, comments that run to CR or LF, '#' inside a token
+_PGM_GAPS = [
+    *(b" ", b"\t", b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c"),
+    *(b"# note\n", b"#\r", b"#a#b\r\n", b"##\n"),
+]
+_PGM_MAGICS = [b"P5", b"P5", b"P5", b"P2", b"P5#", b"5"]
+_PGM_FIELDS = [b"1", b"2", b"3", b"3", b"255", b"0", b"-1", b"+2", b"2#", b"1_0", b"256", b"x"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pgm_reader_agrees_with_the_byte_loop(tmp_path_factory, data):
+    """read_pgm reads the header tokens the byte loop reads, and returns the
+    same raster or the same ParseError line and message, for the header and
+    raster cut at every byte."""
+    gaps = st.lists(st.sampled_from(_PGM_GAPS), min_size=1, max_size=3).map(b"".join)
+    lead = data.draw(st.lists(st.sampled_from(_PGM_GAPS), max_size=2).map(b"".join), label="lead")
+    tokens = [data.draw(st.sampled_from(_PGM_MAGICS), label="magic")]
+    tokens += [data.draw(st.sampled_from(_PGM_FIELDS), label="field") for _ in range(3)]
+    raw = lead + b"".join(t + data.draw(gaps, label="gap") for t in tokens[:3]) + tokens[3]
+    raw += data.draw(st.sampled_from([b"\n", b" ", b"\r", b"\t"]), label="separator")
+    raw += data.draw(st.binary(max_size=12), label="raster")
+    path = tmp_path_factory.getbasetemp() / "fuzz.pgm"
+    for cut in range(len(raw) + 1):
+        head = raw[:cut]
+        path.write_bytes(head)
+        try:
+            want_tokens, start = reference_pgm_header(head)
+        except RefusedAt:
+            assert features._PGM_HEADER.match(head) is None
+        else:
+            match = features._PGM_HEADER.match(head)
+            assert (list(match.groups()), match.end() + 1) == (want_tokens, start)
+        try:
+            want = reference_read_pgm(head)
+        except RefusedAt as refusal:
+            with pytest.raises(ParseError) as caught:
+                read_pgm(path)
+            assert (caught.value.line, caught.value.message) == (refusal.line, refusal.message)
+        else:
+            got = read_pgm(path)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_frame_archive_reads_frames_in_frame_order(tmp_path):
+    """Frame names without zero padding are read in number order (0, 1, ...,
+    9, 10, 11), not string order (0, 1, 10, 11, 2, ...)."""
+    seq = _random_seq(np.random.default_rng(23), 12, 4, 5)
+    video = tmp_path / "v"
+    save_frame_archive(seq, video)
+    for i in range(12):
+        (video / "frames" / f"{i:06d}.pgm").rename(video / "frames" / f"{i}.pgm")
+    np.testing.assert_array_equal(load_frame_archive(video).frames, seq.frames)
+
+
+def test_frame_archive_refuses_two_names_of_one_frame_number(tmp_path):
+    seq = _random_seq(np.random.default_rng(24), 9, 4, 5)
+    video = tmp_path / "v"
+    save_frame_archive(seq, video)
+    (video / "frames" / "000007.pgm").rename(video / "frames" / "7.pgm")
+    (video / "frames" / "000008.pgm").rename(video / "frames" / "007.pgm")
+    with pytest.raises(DataError) as caught:
+        load_frame_archive(video)
+    folder = str(video / "frames")
+    assert str(caught.value) == f"{folder}: frames 007.pgm and 7.pgm have the same frame number"
 
 
 def test_frame_archive_round_trip(tmp_path):

@@ -8,6 +8,7 @@ import ast
 import contextlib
 import io
 import json
+import os
 import pickle
 import shutil
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engage_mil
-from engage_mil import cli
+from engage_mil import cli, textio
 from engage_mil.bags import (
     SyntheticSpec,
     load_dataset,
@@ -330,6 +331,8 @@ def _reads(call: ast.Call) -> bool:
     if isinstance(func, ast.Attribute):
         if func.attr in ("read_bytes", "read_text"):
             return True
+        if func.attr == "open" and isinstance(func.value, ast.Name) and func.value.id == "os":
+            return True
         if func.attr == "load" and isinstance(func.value, ast.Name) and func.value.id == "json":
             return True
     if not (isinstance(func, ast.Name) and func.id == "open"):
@@ -351,3 +354,32 @@ def test_only_textio_opens_input_files():
         if isinstance(node, ast.Call) and _reads(node)
     ]
     assert not found, f"input files opened outside textio: {found}"
+
+
+def test_read_bytes_closes_every_descriptor_it_opens(tmp_path, monkeypatch):
+    """A file, an empty file, a directory and a missing file: each descriptor
+    opened is closed, and the faults are ParseErrors with the OS's reason."""
+    opened, closed = [], []
+    real_open, real_close = os.open, os.close
+    monkeypatch.setattr(os, "open", lambda *args: opened.append(real_open(*args)) or opened[-1])
+    monkeypatch.setattr(os, "close", lambda fd: closed.append(fd) or real_close(fd))
+    (tmp_path / "full").write_bytes(b"P5\n1 1\n255\n\x07")
+    (tmp_path / "empty").write_bytes(b"")
+    assert textio.read_bytes(tmp_path / "full", "frame") == b"P5\n1 1\n255\n\x07"
+    assert textio.read_bytes(tmp_path / "empty", "frame") == b""
+    for name, reason in (("missing", "No such file or directory"), ("", "Is a directory")):
+        with pytest.raises(ParseError) as caught:
+            textio.read_bytes(tmp_path / name, "frame")
+        assert (caught.value.line, caught.value.message) == (1, reason)
+    assert opened == closed and len(opened) == 3
+
+
+def test_read_bytes_reads_to_end_of_file_without_a_size():
+    """A descriptor that fstat gives no size for (a pipe) is read to its end."""
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, b"x" * 40_000)
+        os.close(write_end)
+        assert textio._read_all(read_end) == b"x" * 40_000
+    finally:
+        os.close(read_end)
