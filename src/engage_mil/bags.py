@@ -8,7 +8,6 @@ synthetic generator exists to probe.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -25,6 +24,7 @@ from .errors import (
     ParseError,
 )
 from .textio import FINITE, JSON_NUMBER, check_fields, parse_json, read_bytes, read_csv, read_json
+from .textio import write_bytes, write_csv, write_json
 
 LABELS = (0, 1, 2, 3)
 RELABELINGS = ("noisy", "kmeans-mode", "kmeans-mean")
@@ -468,23 +468,13 @@ _MODEL_HEADER = {"kind": str, "fields": dict, "meta": dict, "shapes": list}
 
 def write_model(path, kind: str, fields: dict, arrays, meta: dict | None = None) -> None:
     """Write one model file: magic | version | header length | JSON header
-    {kind, fields, meta, shapes} | each array as little-endian float64.
-
-    The bytes go to a temporary file beside `path` that then replaces it,
-    so a reader never sees a partly written model."""
+    {kind, fields, meta, shapes} | each array as little-endian float64."""
     arrays = [np.ascontiguousarray(a, dtype="<f8") for a in arrays]
     header = {"kind": kind, "fields": fields, "meta": meta or {}}
     header["shapes"] = [list(a.shape) for a in arrays]
     blob = json.dumps(header, sort_keys=True, allow_nan=False).encode("utf-8")
-    tmp = Path(f"{path}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_MODEL_PREFIX.pack(MODEL_MAGIC, MODEL_VERSION, len(blob)))
-            fh.write(blob)
-            fh.writelines(a.tobytes() for a in arrays)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    prefix = _MODEL_PREFIX.pack(MODEL_MAGIC, MODEL_VERSION, len(blob))
+    write_bytes(path, b"".join([prefix, blob, *(a.tobytes() for a in arrays)]))
 
 
 def _model_header(path, data: bytes) -> tuple[dict, int]:
@@ -550,9 +540,7 @@ def write_feature_file(path, instances: np.ndarray) -> None:
     arr = np.ascontiguousarray(np.asarray(instances), dtype="<f4")
     if arr.ndim != 2:
         raise ValueError("instances must be 2-D")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, arr.shape[0], arr.shape[1]))
-        fh.write(arr.tobytes())
+    write_bytes(path, _HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, *arr.shape) + arr.tobytes())
 
 
 def read_feature_file(path) -> np.ndarray:
@@ -596,7 +584,7 @@ def save_dataset(dataset: Dataset, directory) -> Path:
             }
         )
     index_path = directory / "index.json"
-    index_path.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
+    write_json(index_path, index)
     return index_path
 
 
@@ -656,12 +644,9 @@ def save_planted_csv(dataset: Dataset, planted: np.ndarray, path) -> None:
         raise ValueError(
             f"planted truth shape {planted.shape} does not match dataset"
         )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["video_id", "instance_index", "planted_intensity"])
-        for bag, row in zip(dataset.bags, planted):
-            for j, value in enumerate(row):
-                writer.writerow([bag.video_id, j, repr(float(value))])
+    pairs = zip(dataset.bags, planted)
+    rows = ([bag.video_id, j, repr(float(v))] for bag, row in pairs for j, v in enumerate(row))
+    write_csv(path, ["video_id", "instance_index", "planted_intensity"], rows)
 
 
 def load_planted_csv(path) -> dict[str, np.ndarray]:

@@ -11,6 +11,7 @@ import argparse
 import inspect
 import logging
 import os
+import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -64,7 +65,7 @@ from .networks import (
     save_net,
     train,
 )
-from .textio import FINITE, read_json, read_text
+from .textio import FINITE, read_json, read_text, write_csv
 
 LOGGER = logging.getLogger("engage_mil")
 LOG_ENV = "ENGAGE_MIL_LOG"
@@ -210,14 +211,7 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# small shared writers/readers
-
-
-def _write_rows(path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+# small shared formatters/readers
 
 
 def _fmt(value: float) -> str:
@@ -349,22 +343,45 @@ _PATHS = {
     "eval": (("dataset", "model_path"), ("train_dataset",), ("out",)),
 }
 
+# What extract and synth write inside `out`; a name ending in / is a directory
+_OUT_ENTRIES = {
+    "extract": ("features/", "index.json"),
+    "synth": ("features/", "index.json", "planted.csv"),
+}
+
+
+def _check_output(key: str, path, directory: bool = False) -> None:
+    """Refuse an output path the OS cannot look up (a name too long) and one
+    that is a directory where a file goes, or a file where a directory goes."""
+    try:
+        is_dir = stat.S_ISDIR(os.stat(path).st_mode)
+    except FileNotFoundError:
+        return
+    except OSError as exc:
+        raise ConfigError(f"{key} {path}: {exc.strerror}") from None
+    if is_dir != directory:
+        raise ConfigError(f"{key} {path} is {'not ' if directory else ''}a directory")
+
 
 def _check_paths(config: RunConfig, command: str) -> None:
     """Before any input is read, refuse a missing path; an output directory
-    that is, or lies below, something other than a directory; and an output
-    file that is a directory, whose directory does not exist, or that is
-    another path the command reads or writes (a dataset directory meaning
-    its index.json)."""
+    that is, or lies below, something other than a directory, or holds an
+    entry of _OUT_ENTRIES of the wrong type; an output file that is a
+    directory, whose directory does not exist, or that is another path the
+    command reads or writes (a dataset directory meaning its index.json);
+    and an output path the OS cannot look up (a name too long)."""
     reads, optional, writes = _PATHS[command]
     for key in (*reads, *writes):
         if not getattr(config, key):
             raise ConfigError(f"{command} needs a '{key}' path")
-    if command in ("extract", "synth"):
+    if command in _OUT_ENTRIES:
         path = Path(config.out)
         found = next(p for p in (path, *path.parents) if os.path.lexists(p))
         if not found.is_dir():
             raise ConfigError(f"out {path}: {found} is not a directory")
+        _check_output("out", path, directory=True)
+        for entry in _OUT_ENTRIES[command]:
+            _check_output("out", path / entry, directory=entry.endswith("/"))
         return
 
     def real(key):
@@ -377,8 +394,7 @@ def _check_paths(config: RunConfig, command: str) -> None:
         path = Path(getattr(config, key))
         if not path.parent.is_dir():
             raise ConfigError(f"{key} {path}: directory {path.parent} not found")
-        if path.is_dir():
-            raise ConfigError(f"{key} {path} is a directory")
+        _check_output(key, path)
         for other in (*reads, *optional, *writes):
             if other != key and getattr(config, other) and real(other) == real(key):
                 raise ConfigError(f"{key} {path} is also the command's {other}")
@@ -448,7 +464,7 @@ def cmd_train(config: RunConfig) -> None:
         trained, trace = train(net, dataset, config.train_config)
         save_net(trained, config.model_path, meta=meta)
 
-    _write_rows(config.out, header, ([str(i), _fmt(v)] for i, v in enumerate(trace)))
+    write_csv(config.out, header, ([str(i), _fmt(v)] for i, v in enumerate(trace)), "\n")
     LOGGER.info("train: %s model written to %s", config.model, config.model_path)
 
 
@@ -504,13 +520,14 @@ def cmd_predict(config: RunConfig) -> None:
     dataset, model, _ = _open_served(config, "predict")
     predictions = _finite(dataset, model.predict_bags(dataset))
     order = np.argsort([bag.video_id for bag in dataset.bags])
-    _write_rows(
+    write_csv(
         config.out,
         ["video_id", "label", "prediction"],
         (
             [dataset.bags[i].video_id, str(dataset.bags[i].label), _fmt(predictions[i])]
             for i in order
         ),
+        "\n",
     )
     LOGGER.info("predict: wrote %d rows to %s", len(dataset), config.out)
 
@@ -531,7 +548,7 @@ def cmd_localize(config: RunConfig) -> None:
     header = ["video_id", "segment_index", "intensity"]
     if planted is not None:
         header.append("planted_intensity")
-    _write_rows(config.out, header, rows)
+    write_csv(config.out, header, rows, "\n")
     LOGGER.info("localize: wrote %d rows to %s", len(rows), config.out)
 
 

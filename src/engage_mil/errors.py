@@ -15,6 +15,10 @@ class ConfigError(EngageMilError):
     exit_code = 2
 
 
+class OutputError(ConfigError, OSError):
+    """An output file the OS would not write; an OSError too, for callers that catch those."""
+
+
 class DataError(EngageMilError):
     exit_code = 3
 

@@ -10,7 +10,6 @@ standard deviations of head position, head rotation and mean eye gaze).
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 import re
@@ -27,6 +26,7 @@ from .errors import (
     TooShortVideoError,
 )
 from .textio import JSON_NUMBER, check_fields, csv_records, read_bytes, read_json, text_lines
+from .textio import write_bytes, write_csv, write_json
 
 # Circular neighborhood: radius 1, 8 samples, ordered counter-clockwise
 # starting from the positive horizontal axis.  Axis -2 of a plane array is
@@ -447,9 +447,7 @@ def write_pgm(path, image: np.ndarray) -> None:
     if image.ndim != 2:
         raise ValueError("image must be 2-D")
     h, w = image.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(image.tobytes())
+    write_bytes(path, f"P5\n{w} {h}\n255\n".encode("ascii") + image.tobytes())
 
 
 def load_manifest(directory, frames: bool) -> dict:
@@ -533,9 +531,7 @@ def save_frame_archive(seq: FrameSequence, directory) -> None:
         "height": seq.height,
         "frame_count": len(seq),
     }
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(directory / "manifest.json", manifest)
     digits = max(6, len(str(len(seq))))
     for i, frame in enumerate(seq.frames):
         write_pgm(directory / "frames" / f"{i:0{digits}d}.pgm", frame)
@@ -611,8 +607,5 @@ def save_pose_gaze_csv(track: PoseGazeTrack, path) -> None:
     values = np.hstack(
         [track.head_position, track.head_rotation, track.gaze_left, track.gaze_right]
     ).tolist()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(POSE_GAZE_COLUMNS)
-        # csv writes a float as str(), which is its shortest round-trip repr
-        writer.writerows([i, *row] for i, row in enumerate(values))
+    # csv writes a float as str(), which is its shortest round-trip repr
+    write_csv(path, POSE_GAZE_COLUMNS, ([i, *row] for i, row in enumerate(values)))

@@ -9,11 +9,8 @@ correlation.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -24,7 +21,7 @@ from .errors import (
     ParseError,
     UndefinedCorrelationError,
 )
-from .textio import JSON_NUMBER, check_fields, read_csv, read_json
+from .textio import JSON_NUMBER, check_fields, read_csv, read_json, write_csv, write_json
 
 NUM_LEVELS = 4
 RELIABILITY_THRESHOLD = 0.4
@@ -78,7 +75,7 @@ class MetricsReport:
         }
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "MetricsReport":
@@ -314,9 +311,6 @@ def load_annotation_csv(path) -> AnnotationMatrix:
 
 
 def save_annotation_csv(annotations: AnnotationMatrix, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["video_id"] + list(annotations.rater_ids))
-        for vid, row in zip(annotations.video_ids, annotations.labels):
-            cells = ["" if math.isnan(v) else str(int(v)) for v in row]
-            writer.writerow([vid] + cells)
+    cells = [["" if math.isnan(v) else str(int(v)) for v in row] for row in annotations.labels]
+    rows = ([vid, *row] for vid, row in zip(annotations.video_ids, cells))
+    write_csv(path, ["video_id", *annotations.rater_ids], rows)

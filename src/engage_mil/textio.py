@@ -1,15 +1,16 @@
-"""The one input boundary: every input file the package reads is opened here.
+"""The one file boundary: every file the package reads or writes is opened here.
 
 read_bytes records each read in the ENGAGE_MIL_AUDIT trail and reports a
 file it cannot open (missing, a directory, unreadable) as a ParseError.  The
 decoders on top of it (read_text, read_json, text_lines, read_csv) read
 strict UTF-8 and report a fault as a ParseError at the line it sits in.
 `what` names the kind of file in these messages.  check_fields checks the
-records a JSON file holds.
+records a JSON file holds.  write_bytes writes an output file whole.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -17,7 +18,7 @@ import math
 import os
 import re
 
-from .errors import ParseError
+from .errors import OutputError, ParseError
 
 # When this environment variable names a file, the absolute path of every
 # input file read is appended to it, one per line.  Tests use the trail to
@@ -31,6 +32,7 @@ _VIDEO_ID = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
 
 # O_BINARY keeps Windows from translating line ends
 _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
 
 # str.splitlines also breaks at these; open(newline=""), and so csv, does not
 _OTHER_LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
@@ -170,3 +172,35 @@ def read_csv(path, what: str):
     """csv_records of a file that must be UTF-8 (see text_lines)."""
     lines, clean = text_lines(path, what)
     return csv_records(path, csv.reader(iter(lines)), clean, what)
+
+
+def write_bytes(path, data: bytes) -> None:
+    """Write output file `path` whole, through `<path>.tmp` and a rename."""
+    tmp = f"{path}.tmp"
+    try:
+        fd = os.open(tmp, _WRITE_FLAGS, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data) :]
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):  # never made, or a directory
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise
+
+
+def write_json(path, value) -> None:
+    write_bytes(path, (json.dumps(value, indent=2, sort_keys=True) + "\n").encode())
+
+
+def write_csv(path, header, rows, line_end: str = "\r\n") -> None:
+    """`header` then `rows` as UTF-8 CSV, each line ended by `line_end`."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=line_end)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_bytes(path, buffer.getvalue().encode())

@@ -1571,6 +1571,56 @@ class TestProcess:
         assert afile.read_text() == "keep\n"
 
     @pytest.mark.parametrize(
+        "command,case",
+        [
+            ("synth", "long"),
+            ("train", "long"),
+            ("predict", "long"),
+            ("synth", "features"),
+            ("extract", "features"),
+            ("synth", "index.json"),
+            ("extract", "index.json"),
+            ("synth", "planted.csv"),
+            ("synth", "features/video00.bin"),
+        ],
+    )
+    def test_an_output_that_cannot_be_written_exits_2(
+        self, synth_dir, pose_tree, artifacts, tmp_path, capsys, monkeypatch, command, case
+    ):
+        """An output name too long for the OS, and an `out` holding a file
+        where extract or synth makes a directory or a directory where it
+        writes a file, exit 2 naming the path before any input is read.  A
+        fault the check does not foresee (a feature file that is a directory)
+        exits 2 the same way, from the write.  Nothing is written."""
+        work = tmp_path / "work"
+        out = work / "out"
+        (out / "features").mkdir(parents=True)
+        target = work / ("x" * 300) if case == "long" else out / case
+        if case == "features":
+            target.rmdir()
+            target.write_text("keep\n")
+        elif case != "long":
+            target.mkdir()
+        keys = {
+            "synth": {"synth": {"videos": 24, "subjects": 6, "m": 10, "dim": 5}},
+            "extract": {"input": str(pose_tree), "labels": str(pose_tree / "labels.csv")},
+        }.get(command, {"dataset": str(synth_dir / "data"), "model": "ridge"})
+        flags = ["--out", str(target if case == "long" else out)]
+        if command == "train":
+            flags = ["--model", str(target), "--out", str(work / "t.csv")]
+        elif command == "predict":
+            keys["model_path"] = str(artifacts / "model.bin")
+        config = write_config(tmp_path / "c.json", **keys)
+        before = {p: p.is_file() and p.read_bytes() for p in work.rglob("*")}
+        trail = tmp_path / "reads.log"
+        monkeypatch.setenv("ENGAGE_MIL_AUDIT", str(trail))
+        code = run_cli(command, "--config", str(config), *flags)
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err and str(target) in err
+        assert trail.read_text().splitlines() == [os.path.realpath(config)]
+        assert {p: p.is_file() and p.read_bytes() for p in work.rglob("*")} == before
+
+    @pytest.mark.parametrize(
         "command,key",
         [("extract", "input"), ("extract", "labels"), ("extract", "out"), ("synth", "out")],
     )

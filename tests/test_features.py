@@ -579,9 +579,11 @@ def test_frame_archive_refuses_two_names_of_one_frame_number(tmp_path):
 
 
 def test_frame_archive_round_trip(tmp_path):
+    """A frame file a killed write left behind (`.pgm.tmp`) is not a frame."""
     rng = np.random.default_rng(20)
     seq = _random_seq(rng, 9, 5, 6, fps=30.0, vid="vid7", subj="subj3")
     save_frame_archive(seq, tmp_path / "vid7")
+    (tmp_path / "vid7" / "frames" / "000009.pgm.tmp").write_bytes(b"P5\n5 6\n")
     loaded = load_frame_archive(tmp_path / "vid7")
     np.testing.assert_array_equal(loaded.frames, seq.frames)
     assert loaded.fps == 30.0

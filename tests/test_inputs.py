@@ -5,8 +5,12 @@ fault is a ConfigError) or read, and the command exits with the reader's
 code and no traceback.  Only textio opens input files."""
 
 import ast
+import builtins
 import contextlib
+import errno
+import functools
 import io
+import itertools
 import json
 import os
 import pickle
@@ -22,6 +26,8 @@ from hypothesis import strategies as st
 import engage_mil
 from engage_mil import cli, textio
 from engage_mil.bags import (
+    Bag,
+    Dataset,
     SyntheticSpec,
     load_dataset,
     load_planted_csv,
@@ -29,6 +35,8 @@ from engage_mil.bags import (
     save_dataset,
     save_planted_csv,
     synth_generate,
+    write_feature_file,
+    write_model,
 )
 from engage_mil.baselines import (
     LinearModel,
@@ -50,6 +58,7 @@ from engage_mil.features import (
     read_pgm,
     save_frame_archive,
     save_pose_gaze_csv,
+    write_pgm,
 )
 from engage_mil.metrics import (
     AnnotationMatrix,
@@ -354,6 +363,197 @@ def test_only_textio_opens_input_files():
         if isinstance(node, ast.Call) and _reads(node)
     ]
     assert not found, f"input files opened outside textio: {found}"
+
+
+# --- only textio writes output files, and it writes each one whole -------------
+
+# the os.open flags that open a file for writing
+_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether `call` opens a file for writing, writes one, or renames one."""
+    func = call.func
+    owner = getattr(func, "value", None)
+    owner = owner.id if isinstance(owner, ast.Name) else None
+    if isinstance(func, ast.Attribute):
+        if owner == "os" and func.attr in ("replace", "rename"):
+            return True
+        if owner == "os" and func.attr == "open":
+            flags = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg == "flags"]
+            names = {getattr(n, "attr", getattr(n, "id", None)) for f in flags for n in ast.walk(f)}
+            return bool(names & _WRITE_FLAGS)
+        if func.attr in ("write_text", "write_bytes"):
+            return owner != "textio"
+    if isinstance(func, ast.Name) and func.id == "open":
+        modes = call.args[1:2]
+    elif isinstance(func, ast.Attribute) and func.attr == "open":  # Path.open
+        modes = call.args[:1]
+    else:
+        return False
+    modes += [kw.value for kw in call.keywords if kw.arg == "mode"]
+    return any(not isinstance(m, ast.Constant) or set("wax+") & set(m.value) for m in modes)
+
+
+def test_only_textio_opens_output_files():
+    seen = [
+        'open(p, "w")',
+        'open(p, mode="ab")',
+        "open(p, mode)",
+        'Path(p).open("x")',
+        'p.write_text("")',
+        "Path(p).write_bytes(b'')",
+        "os.open(p, os.O_WRONLY | os.O_CREAT)",
+        "os.replace(a, b)",
+        "os.rename(a, b)",
+    ]
+    unseen = ["open(p)", 'open(p, "rb")', "os.open(p, os.O_RDONLY)", "textio.write_bytes(p, b'')"]
+    flagged = [_writes(ast.parse(code).body[0].value) for code in seen + unseen]
+    assert flagged == [True] * len(seen) + [False] * len(unseen)
+    package = Path(engage_mil.__file__).parent
+    found = [
+        f"{source.name}:{node.lineno}"
+        for source in sorted(package.glob("*.py"))
+        if source.name != "textio.py"
+        for node in ast.walk(ast.parse(source.read_text()))
+        if isinstance(node, ast.Call) and _writes(node)
+    ]
+    assert not found, f"output files written outside textio: {found}"
+
+
+def _dataset(v: int) -> Dataset:
+    return Dataset([Bag(f"v{i}", "s", np.full((2, 2), v + i), v) for i in range(3)], "synthetic", 2)
+
+
+# Every writer of the package, writing version `v` of its files under a
+# directory; versions 1 and 2 differ in every file
+WRITERS = {
+    "write_model": lambda d, v: write_model(d / "m.bin", "linear", {"bias": v}, [np.full(3, v)]),
+    "write_feature_file": lambda d, v: write_feature_file(d / "f.bin", np.full((4, 3), v)),
+    "save_dataset": lambda d, v: save_dataset(_dataset(v), d),
+    "save_planted_csv": lambda d, v: save_planted_csv(_dataset(v), np.full((3, 2), v), d / "p.csv"),
+    "write_csv": lambda d, v: textio.write_csv(d / "r.csv", ["a", "b"], [[str(v), "x"]] * 3, "\n"),
+    "write_pgm": lambda d, v: write_pgm(d / "f.pgm", np.full((3, 4), v, np.uint8)),
+    "save_frame_archive": lambda d, v: save_frame_archive(
+        FrameSequence(np.full((3, 4, 5), v, np.uint8), 30.0 * v, "s", "vid"), d
+    ),
+    "save_pose_gaze_csv": lambda d, v: save_pose_gaze_csv(
+        PoseGazeTrack(*np.full((4, 5, 3), float(v))), d / "pose.csv"
+    ),
+    "MetricsReport.save": lambda d, v: MetricsReport(v, {0: v}, 0.5, {0: 1}).save(d / "r.json"),
+    "save_annotation_csv": lambda d, v: save_annotation_csv(
+        AnnotationMatrix(np.full((2, 2), v), ["a", "b"], ["r1", "r2"]), d / "a.csv"
+    ),
+}
+
+
+class _Interrupted(Exception):
+    """A write stopped part way, as by a kill."""
+
+
+class _CountedFile:
+    """A file open() made for writing, whose writes first call `tick`."""
+
+    def __init__(self, fh, tick):
+        self._fh, self._tick = fh, tick
+
+    def write(self, data):
+        self._tick()
+        return self._fh.write(data)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+@contextlib.contextmanager
+def _fault_at(k: int, fault):
+    """Raise fault() at the k-th write or rename made in the block, however it
+    is made: os.write, os.replace, os.rename, or a write to a file that open()
+    made for writing.  Yields the list of calls made so far."""
+    calls = []
+
+    def tick():
+        calls.append(k)
+        if len(calls) == k:
+            raise fault()
+
+    def counted(real):
+        return lambda *args, **kwargs: tick() or real(*args, **kwargs)
+
+    def opener(file, mode="r", *args, real=open, **kwargs):
+        fh = real(file, mode, *args, **kwargs)
+        return _CountedFile(fh, tick) if set("wax+") & set(mode) else fh
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("write", "replace", "rename"):
+            patch.setattr(os, name, counted(getattr(os, name)))
+        patch.setattr(builtins, "open", opener)
+        patch.setattr(io, "open", opener)
+        yield calls
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [_Interrupted, functools.partial(OSError, errno.ENOSPC, "No space left on device")],
+    ids=["interrupted", "disk-full"],
+)
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_an_interrupted_writer_leaves_every_file_whole(tmp_path, writer, fault):
+    """For every k, a writer whose k-th write or rename fails leaves each of
+    its files whole, old or new, at least one of them old, and no temporary
+    file.  A disk fault is an error that exits 2 and names the file."""
+    write = WRITERS[writer]
+    new_dir, work = tmp_path / "new", tmp_path / "work"
+    new_dir.mkdir()
+    work.mkdir()
+    write(new_dir, 2)
+    new = _files(new_dir)
+    for k in itertools.count(1):
+        write(work, 1)
+        old = _files(work)
+        with _fault_at(k, fault) as calls:
+            try:
+                write(work, 2)
+            except (_Interrupted, OSError) as exc:
+                if isinstance(exc, OSError):
+                    assert exc.exit_code == 2 and str(work) in str(exc)
+            else:
+                break
+        after = _files(work)
+        assert after.keys() == old.keys(), f"fault at call {k}"
+        assert all(after[name] in (old[name], new[name]) for name in after), f"fault at call {k}"
+        assert after != new, f"fault at call {k}"
+    assert k > 1 and len(calls) == k - 1 and _files(work) == new
+
+
+def test_write_bytes_finishes_short_writes_and_replaces_a_symlink(tmp_path, monkeypatch):
+    """An os.write that takes only part of the buffer is called again for the
+    rest; an output that is a symlink becomes a file, its target untouched."""
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:3]))
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_bytes(b"keep")
+    link.symlink_to(target)
+    textio.write_bytes(link, b"0123456789")
+    assert (link.is_symlink(), link.read_bytes(), target.read_bytes()) == (
+        False,
+        b"0123456789",
+        b"keep",
+    )
 
 
 def test_read_bytes_closes_every_descriptor_it_opens(tmp_path, monkeypatch):
