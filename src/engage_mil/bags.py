@@ -16,6 +16,14 @@ import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
+try:  # CPython's own SHA-256, as random.py takes its SHA-512: hashlib loads
+    from _sha2 import sha256  # OpenSSL, which adds 3.7 MB to a run's peak RSS
+except ImportError:  # before Python 3.12
+    try:
+        from _sha256 import sha256
+    except ImportError:  # a build without the built-in hashes
+        from hashlib import sha256
+
 import numpy as np
 
 from .errors import (
@@ -466,9 +474,11 @@ _MODEL_PREFIX = struct.Struct("<4sII")  # magic, version, header length
 _MODEL_HEADER = {"kind": str, "fields": dict, "meta": dict, "shapes": list}
 
 
-def write_model(path, kind: str, fields: dict, arrays, meta: dict | None = None) -> None:
-    """Write one model file: magic | version | header length | JSON header
-    {kind, fields, meta, shapes} | each array as little-endian float64."""
+def write_model(path, model, meta: dict | None = None) -> None:
+    """Write model.to_file()'s kind, fields and arrays as one model file: magic |
+    version | header length | JSON header {kind, fields, meta, shapes} | each
+    array as little-endian float64."""
+    kind, fields, arrays = model.to_file()
     arrays = [np.ascontiguousarray(a, dtype="<f8") for a in arrays]
     header = {"kind": kind, "fields": fields, "meta": meta or {}}
     header["shapes"] = [list(a.shape) for a in arrays]
@@ -506,19 +516,20 @@ def model_kind(path) -> str:
     return _model_header(path, read_bytes(path, "model"))[0]["kind"]
 
 
-def read_model(path, kinds: dict, build):
+def read_model(path, classes):
     """Load a model file written by write_model as (model, meta).
 
-    `kinds` maps each kind the caller accepts to the types of its fields
-    (see check_fields); `build(kind, fields, arrays)` makes the model, and
-    what its constructors refuse becomes ParseError.  The payload size is
-    checked against the header's shapes before any array is allocated."""
+    Its kind must be the KIND of one of `classes`, whose FIELDS type its fields
+    (see check_fields) and whose from_file(fields, arrays) makes the model; what
+    that refuses becomes ParseError.  The payload size is checked against the
+    header's shapes before any array is allocated."""
     data = read_bytes(path, "model")
     header, offset = _model_header(path, data)
     kind, fields = header["kind"], header["fields"]
-    if kind not in kinds:
-        raise ParseError(path, 1, f"not a {'/'.join(kinds)} model file: kind {kind!r}")
-    check_fields(path, fields, kinds[kind], f"{kind} model fields")
+    by_kind = {cls.KIND: cls for cls in classes}
+    if kind not in by_kind:
+        raise ParseError(path, 1, f"not a {'/'.join(by_kind)} model file: kind {kind!r}")
+    check_fields(path, fields, by_kind[kind].FIELDS, f"{kind} model fields")
     counts = [math.prod(shape) for shape in header["shapes"]]
     size = 8 * sum(counts)
     if len(data) - offset != size:
@@ -531,21 +542,28 @@ def read_model(path, kinds: dict, build):
     if not all(np.isfinite(a).all() for a in arrays):
         raise ParseError(path, 1, "model arrays must be finite")
     try:
-        return build(kind, fields, arrays), header["meta"]
+        return by_kind[kind].from_file(fields, arrays), header["meta"]
     except (ValueError, OverflowError) as exc:  # bad sizes or values; huge ints
         raise ParseError(path, 1, str(exc)) from None
 
 
-def write_feature_file(path, instances: np.ndarray) -> None:
+def write_feature_file(path, instances: np.ndarray) -> str:
+    """Write one feature file; returns the SHA-256 of its bytes."""
     arr = np.ascontiguousarray(np.asarray(instances), dtype="<f4")
     if arr.ndim != 2:
         raise ValueError("instances must be 2-D")
-    write_bytes(path, _HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, *arr.shape) + arr.tobytes())
+    data = _HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, *arr.shape) + arr.tobytes()
+    write_bytes(path, data)
+    return sha256(data).hexdigest()
 
 
 def read_feature_file(path) -> np.ndarray:
-    """An (m, dim) instance matrix; empty or non-finite ones are refused."""
-    data = read_bytes(path, "feature file")
+    return _feature_matrix(path, read_bytes(path, "feature file"))
+
+
+def _feature_matrix(path, data: bytes) -> np.ndarray:
+    """The (m, dim) instance matrix of feature file `path`, whose bytes are
+    `data`; empty or non-finite ones are refused."""
     if len(data) < _HEADER.size:
         raise ParseError(path, 1, "truncated feature file header")
     magic, version, m, dim = _HEADER.unpack_from(data)
@@ -567,13 +585,13 @@ def read_feature_file(path) -> np.ndarray:
 
 
 def save_dataset(dataset: Dataset, directory) -> Path:
-    """Write one feature file per video plus an index; returns the index path."""
+    """Write one feature file per video, then an index whose records carry
+    each file's SHA-256; returns the index path."""
     directory = Path(directory)
     (directory / "features").mkdir(parents=True, exist_ok=True)
     index = []
     for bag in dataset.bags:
         rel = f"features/{bag.video_id}.bin"
-        write_feature_file(directory / rel, bag.instances)
         index.append(
             {
                 "video_id": bag.video_id,
@@ -581,6 +599,7 @@ def save_dataset(dataset: Dataset, directory) -> Path:
                 "label": bag.label,
                 "feature_kind": dataset.feature_kind,
                 "path": rel,
+                "sha256": write_feature_file(directory / rel, bag.instances),
             }
         )
     index_path = directory / "index.json"
@@ -598,6 +617,10 @@ _INDEX_RECORD = {
 
 
 def load_dataset(index_path) -> Dataset:
+    """The dataset an index lists.  Each feature file is read once; its
+    SHA-256 must be the one its record carries, so a dataset whose files come
+    from two writes never loads.  The digests are checked last: a feature
+    file that is damaged or does not fit keeps its own message."""
     index_path = Path(index_path)
     if index_path.is_dir():
         index_path = index_path / "index.json"
@@ -605,6 +628,7 @@ def load_dataset(index_path) -> Dataset:
     if not isinstance(index, list) or not index:
         raise ParseError(index_path, 1, "index must be a nonempty array")
     bags, kinds, ids, files = [], set(), set(), []
+    stale = None  # the first record whose file is not the one it describes
     folder = os.path.dirname(str(index_path))  # "" for a bare name, not Path's "."
     for number, record in enumerate(index, start=1):
         check_fields(index_path, record, _INDEX_RECORD, "index record")
@@ -620,7 +644,12 @@ def load_dataset(index_path) -> Dataset:
         feature_path = os.path.join(folder, record["path"])
         if not os.path.isfile(feature_path):  # the index's fault; a damaged file is its own
             raise ParseError(index_path, 1, f"record {number} lists {feature_path}, not a file")
-        instances = read_feature_file(feature_path)
+        data = read_bytes(feature_path, "feature file")
+        instances = _feature_matrix(feature_path, data)
+        digest = record.get("sha256")
+        if stale is None and digest != sha256(data).hexdigest():
+            fault = "has no sha256 of" if digest is None else "has a sha256 that does not match"
+            stale = f"record {number} {fault} {feature_path}"
         files.append(feature_path)
         bags.append(
             Bag(
@@ -633,9 +662,12 @@ def load_dataset(index_path) -> Dataset:
     if len(kinds) != 1:
         raise ParseError(index_path, 1, f"mixed feature kinds {sorted(kinds)}")
     try:
-        return Dataset(bags, kinds.pop(), bags[0].m, files)
+        dataset = Dataset(bags, kinds.pop(), bags[0].m, files)
     except ValueError as exc:  # bags of different sizes or dimensions
         raise ParseError(index_path, 1, str(exc)) from None
+    if stale:
+        raise ParseError(index_path, 1, f"{stale}; re-run extract or synth to rewrite the dataset")
+    return dataset
 
 
 def save_planted_csv(dataset: Dataset, planted: np.ndarray, path) -> None:
@@ -658,9 +690,11 @@ def load_planted_csv(path) -> dict[str, np.ndarray]:
     for lineno, row in records:
         if not row:
             continue
+        if len(row) != 3:
+            raise ParseError(path, lineno, f"expected 3 cells, found {len(row)}")
         try:
             index, value = int(row[1]), float(row[2])
-        except (ValueError, IndexError):
+        except ValueError:
             raise ParseError(path, lineno, "malformed row") from None
         if not math.isfinite(value):
             raise ParseError(path, lineno, "non-finite planted intensity")

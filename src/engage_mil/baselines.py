@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bags import Dataset, read_model, write_model
+from .bags import Dataset, read_model
 from .errors import ConvergenceError, TrainingDivergedError
 from .textio import JSON_NUMBER
 
@@ -61,6 +61,21 @@ class SvrModel(_InstanceServing):
     config: SvrConfig
     objective_trace: list[float] = field(default_factory=list, repr=False)
 
+    KIND = "svr"
+    FIELDS = dict.fromkeys(("bias", "c", "epsilon", "sigma", "tol"), JSON_NUMBER)
+
+    def to_file(self):
+        fields = {"bias": self.bias, **vars(self.config)}
+        return self.KIND, fields, [self.support_vectors, self.coef]
+
+    @classmethod
+    def from_file(cls, fields, arrays):
+        support_vectors, coef = arrays
+        if support_vectors.ndim != 2 or coef.shape != (len(support_vectors),):
+            raise ValueError("support vectors must be (n_sv, dim) with one coefficient each")
+        config = SvrConfig(*(float(fields[key]) for key in ("c", "epsilon", "sigma", "tol")))
+        return cls(support_vectors, coef, float(fields["bias"]), config)
+
     @property
     def in_dim(self):
         return self.support_vectors.shape[1]
@@ -73,6 +88,17 @@ class SvrModel(_InstanceServing):
 class LinearModel(_InstanceServing):
     weights: np.ndarray
     bias: float
+
+    KIND = "linear"
+    FIELDS = {"bias": JSON_NUMBER}
+
+    def to_file(self):
+        return self.KIND, {"bias": self.bias}, [self.weights]
+
+    @classmethod
+    def from_file(cls, fields, arrays):
+        (weights,) = arrays
+        return cls(weights, float(fields["bias"]))
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -96,6 +122,17 @@ class RidgePosterior(_InstanceServing):
     alpha: float  # weight precision
     beta: float  # noise precision
     intercept: float = 0.0
+
+    KIND = "ridge"
+    FIELDS = dict.fromkeys(("alpha", "beta", "intercept"), JSON_NUMBER)
+
+    def to_file(self):
+        return self.KIND, {key: getattr(self, key) for key in self.FIELDS}, [self.mean]
+
+    @classmethod
+    def from_file(cls, fields, arrays):
+        (mean,) = arrays
+        return cls(mean, *(float(fields[key]) for key in cls.FIELDS))
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
@@ -515,60 +552,6 @@ def grid_search_svr(
 # persistence
 
 
-def save_svr(model: SvrModel, path, meta: dict | None = None) -> None:
-    config = model.config
-    fields = {
-        "bias": model.bias,
-        "c": config.c,
-        "epsilon": config.epsilon,
-        "sigma": config.sigma,
-        "tol": config.tol,
-    }
-    write_model(path, "svr", fields, [model.support_vectors, model.coef], meta)
-
-
-def _svr_from_file(kind: str, fields: dict, arrays: list) -> SvrModel:
-    support_vectors, coef = arrays
-    if support_vectors.ndim != 2 or coef.shape != (len(support_vectors),):
-        raise ValueError("support vectors must be (n_sv, dim) with one coefficient each")
-    config = SvrConfig(*(float(fields[key]) for key in ("c", "epsilon", "sigma", "tol")))
-    return SvrModel(support_vectors, coef, float(fields["bias"]), config)
-
-
-_SVR_FIELDS = {key: JSON_NUMBER for key in ("bias", "c", "epsilon", "sigma", "tol")}
-
-
+# the name perfbench's tracer times (ROADMAP's name rule)
 def load_svr(path) -> tuple[SvrModel, dict]:
-    return read_model(path, {"svr": _SVR_FIELDS}, _svr_from_file)
-
-
-def save_linear(model: LinearModel, path, meta: dict | None = None) -> None:
-    write_model(path, "linear", {"bias": model.bias}, [model.weights], meta)
-
-
-def _linear_from_file(kind: str, fields: dict, arrays: list) -> LinearModel:
-    (weights,) = arrays
-    return LinearModel(weights, float(fields["bias"]))
-
-
-def load_linear(path) -> tuple[LinearModel, dict]:
-    return read_model(path, {"linear": {"bias": JSON_NUMBER}}, _linear_from_file)
-
-
-def save_ridge(posterior: RidgePosterior, path, meta: dict | None = None) -> None:
-    fields = {"alpha": posterior.alpha, "beta": posterior.beta, "intercept": posterior.intercept}
-    write_model(path, "ridge", fields, [posterior.mean], meta)
-
-
-def _ridge_from_file(kind: str, fields: dict, arrays: list) -> RidgePosterior:
-    (mean,) = arrays
-    return RidgePosterior(
-        mean, float(fields["alpha"]), float(fields["beta"]), float(fields["intercept"])
-    )
-
-
-_RIDGE_FIELDS = {key: JSON_NUMBER for key in ("alpha", "beta", "intercept")}
-
-
-def load_ridge(path) -> tuple[RidgePosterior, dict]:
-    return read_model(path, {"ridge": _RIDGE_FIELDS}, _ridge_from_file)
+    return read_model(path, (SvrModel,))

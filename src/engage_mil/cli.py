@@ -28,20 +28,20 @@ from .bags import (
     load_planted_csv,
     make_bags,
     model_kind,
+    read_model,
     relabel,
     save_dataset,
     save_planted_csv,
     synth_generate,
+    write_model,
 )
 from .baselines import (
+    LinearModel,
+    RidgePosterior,
     SvrConfig,
+    SvrModel,
     bayesian_ridge_train,
-    load_linear,
-    load_ridge,
     load_svr,
-    save_linear,
-    save_ridge,
-    save_svr,
     sgd_linear_train,
     svr_train,
 )
@@ -58,6 +58,8 @@ from .errors import (
 from .metrics import compute_report
 from .networks import (
     POOLINGS,
+    MilNet,
+    SeqNet,
     TrainConfig,
     build_mil_net,
     build_seq_net,
@@ -128,7 +130,10 @@ _SETTINGS = {
 def _coerce(default, value):
     """`value` if it is a JSON value of `default`'s kind, else TypeError.  A
     float setting also takes an integer, a type (`str` for a path) also null,
-    and a tuple takes an array of its first element's kind."""
+    and a tuple takes an array of its first element's kind.  A path holds no
+    NUL, which no OS call takes."""
+    if default is str and isinstance(value, str) and "\0" in value:
+        raise TypeError
     if isinstance(default, type):
         return None if value is None else _coerce(default(), value)
     if isinstance(default, tuple):
@@ -442,14 +447,11 @@ def cmd_train(config: RunConfig) -> None:
                 raise DataError(f"{config.dataset}: svr needs at least 2 instances")
             model = svr_train(x, y, config.svr_config)
             trace, header = model.objective_trace, ["step", "objective"]
-            save_svr(model, config.model_path, meta=meta)
         elif config.model == "sgd":
             model, trace = sgd_linear_train(x, y, seed=config.seed, **config.sgd)
-            save_linear(model, config.model_path, meta=meta)
         else:
-            posterior = bayesian_ridge_train(x, y, **config.ridge)
-            trace = []
-            save_ridge(posterior, config.model_path, meta=meta)
+            model, trace = bayesian_ridge_train(x, y, **config.ridge), []
+        write_model(config.model_path, model, meta)
     else:
         if config.model == "milnet":
             if config.pooling == "topk" and config.pool_k > dataset.m:
@@ -468,20 +470,14 @@ def cmd_train(config: RunConfig) -> None:
     LOGGER.info("train: %s model written to %s", config.model, config.model_path)
 
 
+# Every model class a model file can hold
+_MODELS = (MilNet, SeqNet, SvrModel, LinearModel, RidgePosterior)
+
+
 def _load_model(path):
-    # built per call, so a loader rebound on this module (as perfbench's
-    # tracer does) is the one that runs
-    loaders = {
-        "mil": load_net,
-        "seq": load_net,
-        "svr": load_svr,
-        "linear": load_linear,
-        "ridge": load_ridge,
-    }
-    kind = model_kind(path)
-    if kind not in loaders:
-        raise ParseError(path, 1, f"unrecognized model kind {kind!r}")
-    return loaders[kind](path)
+    # looked up per call: perfbench's tracer rebinds the traced loaders on this module
+    loader = {"mil": load_net, "seq": load_net, "svr": load_svr}.get(model_kind(path))
+    return loader(path) if loader else read_model(path, _MODELS)
 
 
 def _open_served(config: RunConfig, command: str):

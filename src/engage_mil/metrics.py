@@ -281,15 +281,21 @@ def load_annotation_csv(path) -> AnnotationMatrix:
     if not header or len(header) < 3:
         raise ParseError(path, 1, "expected video_id plus at least 2 rater columns")
     rater_ids = [h.strip() for h in header[1:]]
-    video_ids = []
-    rows = []
+    seen = set()
+    for rater_id in rater_ids:
+        if rater_id in seen:
+            raise ParseError(path, 1, f"duplicate rater {rater_id!r}")
+        seen.add(rater_id)
+    rows = {}  # video id -> its ratings
     for lineno, row in records:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(header):
             raise ParseError(path, lineno, f"expected {len(header)} cells")
-        video_ids.append(row[0].strip())
-        values = []
+        video_id = row[0].strip()
+        if video_id in rows:
+            raise ParseError(path, lineno, f"duplicate video {video_id!r}")
+        values = rows[video_id] = []
         for cell in row[1:]:
             cell = cell.strip()
             if not cell:
@@ -302,11 +308,10 @@ def load_annotation_csv(path) -> AnnotationMatrix:
             if not 0 <= label <= NUM_LEVELS - 1:
                 raise ParseError(path, lineno, f"rating {label} out of range")
             values.append(float(label))
-        rows.append(values)
     if not rows:
         raise ParseError(path, 2, "no annotation rows")
     return AnnotationMatrix(
-        labels=np.asarray(rows), video_ids=video_ids, rater_ids=rater_ids
+        labels=np.asarray(list(rows.values())), video_ids=list(rows), rater_ids=rater_ids
     )
 
 

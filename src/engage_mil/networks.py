@@ -285,7 +285,9 @@ def _seq_intensities(net: SeqNet, hs: np.ndarray) -> np.ndarray:
 
 
 class _NetServing:
-    """A net's forward pass, and its predict_bags/localize_bags (see cli)."""
+    """A net's forward pass, and its predict_bags/localize_bags (see cli).  A
+    net's file form (see bags.write_model) is its parameters() in order, with
+    its dense layers' activations among the fields; their sizes are the shapes."""
 
     def forward(self, x: np.ndarray, intensities: bool = False):
         """Bag scores (B,) and, if asked, per-segment intensities (B, M) of a
@@ -347,8 +349,18 @@ class MilNet(_NetServing):
             out.extend((layer.weights, layer.bias))
         return out
 
-    def layout(self):
-        return "mil", self.layers, {"pooling": self.pooling, "k": self.k}
+    KIND = "mil"
+    FIELDS = {"activations": list, "label_scaling": bool, "pooling": str, "k": int}
+
+    def to_file(self):
+        fields = {"label_scaling": self.label_scaling, "pooling": self.pooling, "k": self.k}
+        fields["activations"] = [layer.activation for layer in self.layers]
+        return self.KIND, fields, self.parameters()
+
+    @classmethod
+    def from_file(cls, fields, arrays):
+        layers = _dense_from_file(fields["activations"], arrays, 0)
+        return cls(layers, fields["pooling"], fields["k"], fields["label_scaling"])
 
     def _pass(self, x, intensities):
         b, m, d = x.shape
@@ -421,8 +433,18 @@ class SeqNet(_NetServing):
             out.extend((layer.weights, layer.bias))
         return out
 
-    def layout(self):
-        return "seq", self.dense, {"m": self.m}
+    KIND = "seq"
+    FIELDS = {"activations": list, "label_scaling": bool, "m": int}
+
+    def to_file(self):
+        activations = [layer.activation for layer in self.dense]
+        fields = {"activations": activations, "label_scaling": self.label_scaling, "m": self.m}
+        return self.KIND, fields, self.parameters()
+
+    @classmethod
+    def from_file(cls, fields, arrays):
+        head = _dense_from_file(fields["activations"], arrays, 2)
+        return cls(LstmLayer(*arrays[:2]), head, fields["m"], fields["label_scaling"])
 
     def _pass(self, x, intensities):
         scores, hs, _, _ = _seq_forward(self, x)
@@ -524,35 +546,19 @@ def train(net, dataset: Dataset, config: TrainConfig):
 # persistence
 
 
-_NET_FIELDS = {
-    "mil": {"activations": list, "label_scaling": bool, "pooling": str, "k": int},
-    "seq": {"activations": list, "label_scaling": bool, "m": int},
-}
-
-
-def save_net(net, path, meta: dict | None = None) -> None:
-    """One model file holding net.parameters() in order, of the kind, dense
-    layers and kind fields net.layout() gives; layer sizes are their shapes."""
-    kind, layers, fields = net.layout()
-    fields["activations"] = [layer.activation for layer in layers]
-    fields["label_scaling"] = net.label_scaling
-    write_model(path, kind, fields, net.parameters(), meta)
-
-
-def _net_from_file(kind: str, fields: dict, arrays: list):
-    n_lstm = 2 if kind == "seq" else 0
-    activations = fields["activations"]
-    if len(arrays) != n_lstm + 2 * len(activations):
-        lstm = "a stacked (4H, D+H) LSTM weight and (4H,) bias, then " if n_lstm else ""
+def _dense_from_file(activations, arrays, lead: int):
+    """The dense layers of a net file whose arrays are `lead` LSTM arrays,
+    then a (weights, bias) pair per activation."""
+    if len(arrays) != lead + 2 * len(activations):
+        lstm = "a stacked (4H, D+H) LSTM weight and (4H,) bias, then " if lead else ""
         raise ValueError(f"{len(arrays)} arrays do not fit {lstm}{len(activations)} dense layers")
-    layers = [
-        DenseLayer(w, b, activation)
-        for w, b, activation in zip(arrays[n_lstm::2], arrays[n_lstm + 1 :: 2], activations)
-    ]
-    if kind == "mil":
-        return MilNet(layers, fields["pooling"], fields["k"], fields["label_scaling"])
-    return SeqNet(LstmLayer(*arrays[:n_lstm]), layers, fields["m"], fields["label_scaling"])
+    return [DenseLayer(*args) for args in zip(arrays[lead::2], arrays[lead + 1 :: 2], activations)]
+
+
+# the names perfbench's tracer times (ROADMAP's name rule)
+def save_net(net, path, meta: dict | None = None) -> None:
+    write_model(path, net, meta)
 
 
 def load_net(path):
-    return read_model(path, _NET_FIELDS, _net_from_file)
+    return read_model(path, (MilNet, SeqNet))

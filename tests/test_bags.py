@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -551,6 +552,38 @@ def test_load_dataset_rejects_a_bad_index_record(tmp_path, change):
     index_path.write_text(json.dumps([index[0], "not a record"]))
     with pytest.raises(ParseError, match="JSON object"):
         load_dataset(index_path)
+
+
+def test_save_dataset_records_each_feature_file_digest(tmp_path):
+    dataset, _ = synth_generate(SyntheticSpec(subjects=2, videos=4, m=3, dim=2, seed=1))
+    index_path = save_dataset(dataset, tmp_path / "d")
+    for record in json.loads(index_path.read_text()):
+        data = (tmp_path / "d" / record["path"]).read_bytes()
+        assert record["sha256"] == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("fault", ["no-digest", "other-digest", "rewritten-file"])
+def test_load_dataset_refuses_a_feature_file_its_index_does_not_describe(tmp_path, fault):
+    """A record with no sha256 (an index written before records carried one)
+    or another one, and a feature file rewritten after its index: a dataset
+    mixing two writes exits 3 naming the index, the record and the file."""
+    dataset, _ = synth_generate(SyntheticSpec(subjects=2, videos=4, m=3, dim=2, seed=1))
+    index_path = save_dataset(dataset, tmp_path / "d")
+    index = json.loads(index_path.read_text())
+    feature = tmp_path / "d" / index[1]["path"]
+    if fault == "rewritten-file":
+        write_feature_file(feature, dataset.bags[1].instances + 1.0)
+    else:
+        index[1]["sha256"] = index[2]["sha256"]
+        if fault == "no-digest":
+            del index[1]["sha256"]
+        index_path.write_text(json.dumps(index))
+    with pytest.raises(ParseError) as caught:
+        load_dataset(index_path)
+    message = str(caught.value)
+    assert caught.value.exit_code == 3 and str(index_path) in message
+    assert f"record 2 has {'no' if fault == 'no-digest' else 'a'} sha256" in message
+    assert str(feature) in message and "re-run extract or synth" in message
 
 
 def test_load_dataset_accepts_an_integral_float_label(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engage_mil import baselines
-from engage_mil.bags import Bag, Dataset
+from engage_mil.bags import Bag, Dataset, read_model, write_model
 from engage_mil.baselines import (
     GridSearchResult,
     LinearModel,
@@ -16,12 +16,7 @@ from engage_mil.baselines import (
     bayesian_ridge_train,
     gaussian_kernel,
     grid_search_svr,
-    load_linear,
-    load_ridge,
     load_svr,
-    save_linear,
-    save_ridge,
-    save_svr,
     sgd_linear_train,
     svr_predict_many,
     svr_train,
@@ -265,7 +260,7 @@ def test_svr_round_trip_preserves_predictions(tmp_path):
     x, y = _random_problem(21, n=14, dim=3)
     model = svr_train(x, y, SvrConfig(c=1.5, epsilon=0.05, sigma=1.3))
     path = tmp_path / "model.svr"
-    save_svr(model, path, meta={"feature_kind": "synthetic", "dim": 3})
+    write_model(path, model, meta={"feature_kind": "synthetic", "dim": 3})
     loaded, meta = load_svr(path)
     assert meta == {"feature_kind": "synthetic", "dim": 3}
     assert loaded.config == model.config and loaded.bias == model.bias
@@ -456,22 +451,22 @@ def test_ridge_posterior_validation():
 
 def test_linear_and_ridge_round_trips(tmp_path):
     model = LinearModel(weights=np.array([0.25, -1.5]), bias=3.0)
-    save_linear(model, tmp_path / "lin.bin", meta={"feature_kind": "lbp-top"})
-    loaded, meta = load_linear(tmp_path / "lin.bin")
+    write_model(tmp_path / "lin.bin", model, meta={"feature_kind": "lbp-top"})
+    loaded, meta = read_model(tmp_path / "lin.bin", (LinearModel,))
     assert np.array_equal(loaded.weights, model.weights)
     assert loaded.bias == model.bias and meta == {"feature_kind": "lbp-top"}
 
     posterior = RidgePosterior(mean=np.array([1.0, 2.0]), alpha=0.5, beta=9.0, intercept=-1.0)
-    save_ridge(posterior, tmp_path / "ridge.bin")
-    back, meta = load_ridge(tmp_path / "ridge.bin")
+    write_model(tmp_path / "ridge.bin", posterior)
+    back, meta = read_model(tmp_path / "ridge.bin", (RidgePosterior,))
     assert np.array_equal(back.mean, posterior.mean)
     assert (back.alpha, back.beta, back.intercept) == (0.5, 9.0, -1.0)
     assert meta == {}
 
     with pytest.raises(ParseError, match="not a ridge model file"):
-        load_ridge(tmp_path / "lin.bin")
+        read_model(tmp_path / "lin.bin", (RidgePosterior,))
     with pytest.raises(ParseError, match="not a linear model file"):
-        load_linear(tmp_path / "ridge.bin")
+        read_model(tmp_path / "ridge.bin", (LinearModel,))
 
 
 _LINEAR = {"kind": "linear", "fields": {"bias": 3.0}, "meta": {}, "shapes": [[2]]}
@@ -484,31 +479,32 @@ _RIDGE = {
 
 
 @pytest.mark.parametrize(
-    "loader,base,change",
+    "model_class,base,change",
     [
-        (load_linear, _LINEAR, "not-an-object"),
-        (load_linear, _LINEAR, ({"shapes": [], "payload": b""}, "expected 1, got 0")),
-        (load_linear, _LINEAR, ({"fields.bias": None}, "missing 'bias'")),
-        (load_linear, _LINEAR, ({"shapes": [["2"]]}, "bad shape")),
-        (load_linear, _LINEAR, ({"shapes": [[1, 2]]}, "weights must be a vector")),
-        (load_linear, _LINEAR, ({"fields.bias": True}, "bad 'bias'")),
-        (load_linear, _LINEAR, ({"fields.bias": "3"}, "bad 'bias'")),
-        (load_linear, _LINEAR, ({"fields.bias": float("nan")}, "non-finite number NaN")),
-        (load_linear, _LINEAR, ({"meta": [1]}, "bad 'meta'")),
-        (load_ridge, _RIDGE, "not-an-object"),
-        (load_ridge, _RIDGE, ({"fields.alpha": None}, "missing 'alpha'")),
-        (load_ridge, _RIDGE, ({"fields.alpha": 0.0}, "alpha and beta must be positive")),
-        (load_ridge, _RIDGE, ({"shapes": [[]]}, "posterior mean must be a vector")),
-        (load_ridge, _RIDGE, ({"payload": np.array([np.inf]).tobytes()}, "must be finite")),
-        (load_ridge, _RIDGE, ({"kind": "linear"}, "not a ridge model file")),
+        (LinearModel, _LINEAR, "not-an-object"),
+        (LinearModel, _LINEAR, ({"shapes": [], "payload": b""}, "expected 1, got 0")),
+        (LinearModel, _LINEAR, ({"fields.bias": None}, "missing 'bias'")),
+        (LinearModel, _LINEAR, ({"shapes": [["2"]]}, "bad shape")),
+        (LinearModel, _LINEAR, ({"shapes": [[1, 2]]}, "weights must be a vector")),
+        (LinearModel, _LINEAR, ({"fields.bias": True}, "bad 'bias'")),
+        (LinearModel, _LINEAR, ({"fields.bias": "3"}, "bad 'bias'")),
+        (LinearModel, _LINEAR, ({"fields.bias": float("nan")}, "non-finite number NaN")),
+        (LinearModel, _LINEAR, ({"meta": [1]}, "bad 'meta'")),
+        (RidgePosterior, _RIDGE, "not-an-object"),
+        (RidgePosterior, _RIDGE, ({"fields.alpha": None}, "missing 'alpha'")),
+        (RidgePosterior, _RIDGE, ({"fields.alpha": 0.0}, "alpha and beta must be positive")),
+        (RidgePosterior, _RIDGE, ({"shapes": [[]]}, "posterior mean must be a vector")),
+        (RidgePosterior, _RIDGE, ({"payload": np.array([np.inf]).tobytes()}, "must be finite")),
+        (RidgePosterior, _RIDGE, ({"kind": "linear"}, "not a ridge model file")),
     ],
+    ids=lambda value: f"load_{value.KIND}" if isinstance(value, type) else None,
 )
-def test_json_model_load_rejects_bad_fields(tmp_path, loader, base, change):
+def test_json_model_load_rejects_bad_fields(tmp_path, model_class, base, change):
     """Linear and ridge models (once JSON files) refuse each bad header entry."""
     change, match = (change, "must be a JSON object") if isinstance(change, str) else change
     path = _model_file(tmp_path / "model.bin", base, change)
     with pytest.raises(ParseError, match=match):
-        loader(path)
+        read_model(path, (model_class,))
 
 
 # ---------------------------------------------------------------------------

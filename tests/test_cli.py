@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from engage_mil import bags, baselines, cli, features, networks
-from engage_mil.bags import load_dataset, save_dataset, split_subject_independent
-from engage_mil.baselines import LinearModel, SvrConfig, save_linear, save_svr, svr_train
+from engage_mil.bags import load_dataset, save_dataset, split_subject_independent, write_model
+from engage_mil.baselines import LinearModel, SvrConfig, svr_train
 from engage_mil.cli import (
     RunConfig,
     load_labels_csv,
@@ -427,15 +427,15 @@ class TestSynth:
 PINNED_EXTRACT = {
     ("lbptop", 8): [
         "cabb248b394c34d56b64d946561a3386a80106af290404d67d0fd92f3883fcc9",
-        "e8b2f7167567de624f8b60b7ab149d38973efd639c9cd9a9b08c0874bf1f2175",
+        "8f381b4ec6746d592eff2d66edc7c4024cecae7b3e7914ee8a55612bf7c2aad9",
     ],
     ("lbptop", 5): [
         "7458de77c2f7cc19843ab9dcf3620d46b7924c34bf0a23e4e566a50320c3cf38",
-        "e8b2f7167567de624f8b60b7ab149d38973efd639c9cd9a9b08c0874bf1f2175",
+        "11fdbb96f8903de5ae91bae5da254145ce1f7b204553c981e2f4c28509c7423f",
     ],
     ("posegaze", 4): [
         "e442ffc1cff6583313cdb8839066627788eb198545dac02d021258a2c498802f",
-        "acf04e217ca7b99fa15ef1825002bbf6d1686dd607f7cd45eb3315bf1fe4e8d6",
+        "19425e002960c4aa6a00585eb5fdcf4362f13ad7cbd95c7a501b71f0025bfc30",
     ],
 }
 
@@ -1275,7 +1275,11 @@ class TestProcess:
             w, b = net.lstm.weights, net.lstm.bias
             gates = [part for k in range(0, 8, 2) for part in (w[k : k + 2], b[k : k + 2])]
             fields = {"activations": ["sigmoid"] * 3, "label_scaling": True, "m": 6}
-            bags.write_model(model, "seq", fields, gates + net.parameters()[2:])
+            arrays = gates + net.parameters()[2:]
+            shapes = [a.shape for a in arrays]
+            header = {"kind": "seq", "fields": fields, "meta": {}, "shapes": shapes}
+            payload = b"".join(a.astype("<f8").tobytes() for a in arrays)
+            model.write_bytes(model_file_bytes(header, payload))
         else:
             save_net(build_mil_net(5, hidden=(4,), seed=0), model)
             header, payload = split_model_file(model.read_bytes())
@@ -1320,8 +1324,12 @@ class TestProcess:
         [
             (lambda raw: b"\xff" + raw, "planted.csv:1: not UTF-8"),
             (lambda raw: raw + b"v," + b"9" * 200_000 + b",0\n", "field larger than field limit"),
+            (
+                lambda raw: re.sub(rb"\n([^\r\n]*)", rb"\n\1,junk", raw, count=1),
+                "planted.csv:2: expected 3 cells, found 4",
+            ),
         ],
-        ids=["not-utf8", "overlong-field"],
+        ids=["not-utf8", "overlong-field", "fourth-cell"],
     )
     def test_unreadable_planted_truth_exits_3(
         self, artifacts, synth_dir, tmp_path, capsys, edit, message
@@ -1622,6 +1630,31 @@ class TestProcess:
 
     @pytest.mark.parametrize(
         "command,key",
+        [(command, key) for command, paths in cli._PATHS.items() for key in sum(paths, ())]
+        + [("synth", "--out"), ("train", "--model")],
+    )
+    def test_a_path_holding_a_nul_exits_2(self, tmp_path, capsys, monkeypatch, command, key):
+        """A NUL byte, which no OS call takes, in any path setting or in the
+        --out and --model overrides exits 2 when the config loads: no
+        traceback, nothing read but the config, nothing written."""
+        work = tmp_path / "work"
+        work.mkdir()
+        keys = {name: str(work / name) for paths in cli._PATHS[command] for name in paths}
+        flags = [key, str(work / "a\0b")] if key.startswith("--") else []
+        if not flags:
+            keys[key] = str(work / "a\0b")
+        config = write_config(tmp_path / "c.json", **keys)
+        trail = tmp_path / "reads.log"
+        monkeypatch.setenv("ENGAGE_MIL_AUDIT", str(trail))
+        code = run_cli(command, "--config", str(config), *flags)
+        err = capsys.readouterr().err
+        name = {"--out": "out", "--model": "model_path"}.get(key, key)
+        assert code == 2 and "Traceback" not in err and f"config {name} has a bad value" in err
+        assert trail.read_text().splitlines() == [os.path.realpath(config)]
+        assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command,key",
         [("extract", "input"), ("extract", "labels"), ("extract", "out"), ("synth", "out")],
     )
     def test_extract_and_synth_name_a_missing_path(self, tmp_path, capsys, command, key):
@@ -1694,7 +1727,7 @@ class TestProcess:
     @pytest.mark.parametrize("command", ["predict", "localize"])
     def test_non_finite_output_exits_4(self, split_root, tmp_path, capsys, command):
         model = tmp_path / "model.bin"
-        save_linear(LinearModel(np.full(5, 1e308), 0.0), model)
+        write_model(model, LinearModel(np.full(5, 1e308), 0.0))
         config = write_config(
             tmp_path / "c.json", dataset=str(split_root / "test"), model_path=str(model)
         )
@@ -1785,7 +1818,7 @@ class TestProcess:
         )
         assert run_cli("synth", "--config", str(config), "--out", str(tmp_path / "data")) == 0
         if command == "eval":  # a model with no training subjects, so none overlap
-            save_linear(LinearModel(np.ones(2), 0.0), tmp_path / "m.bin")
+            write_model(tmp_path / "m.bin", LinearModel(np.ones(2), 0.0))
         capsys.readouterr()
         assert run_cli(command, "--config", str(config), "--out", str(tmp_path / "out")) == code
         err = capsys.readouterr().err
@@ -1844,7 +1877,7 @@ class TestBenchmarkNames:
     def test_serving_goes_through_the_traced_functions(self, split_root, tmp_path, monkeypatch):
         test_ds = load_dataset(split_root / "test")
         y = np.repeat(test_ds.labels(), test_ds.m).astype(float)
-        save_svr(svr_train(test_ds.instance_matrix(), y, SvrConfig()), tmp_path / "svr.bin")
+        write_model(tmp_path / "svr.bin", svr_train(test_ds.instance_matrix(), y, SvrConfig()))
         save_net(build_mil_net(5, hidden=(4,), pooling="topk", k=3, seed=0), tmp_path / "mil.bin")
         predicted = self._counting(monkeypatch, baselines, "svr_predict_many")
         svr_loads = self._counting(monkeypatch, cli, "load_svr")

@@ -43,9 +43,6 @@ from engage_mil.baselines import (
     RidgePosterior,
     SvrConfig,
     SvrModel,
-    save_linear,
-    save_ridge,
-    save_svr,
     svr_train,
 )
 from engage_mil.errors import ConfigError, ParseError
@@ -89,10 +86,10 @@ def corpus(tmp_path_factory):
     save_net(build_mil_net(DIM, hidden=(2,), k=2, seed=0), root / "models" / "mil.bin", meta)
     seq = build_seq_net(DIM, m=M, hidden=2, dense=(3, 2), seed=0)
     save_net(seq, root / "models" / "seq.bin", meta)
-    save_svr(svr_train(x, rng.uniform(0, 3, 12), SvrConfig()), root / "models" / "svr.bin", meta)
-    save_linear(LinearModel(rng.normal(size=DIM), 0.5), root / "models" / "linear.bin", meta)
+    write_model(root / "models" / "svr.bin", svr_train(x, rng.uniform(0, 3, 12), SvrConfig()), meta)
+    write_model(root / "models" / "linear.bin", LinearModel(rng.normal(size=DIM), 0.5), meta)
     ridge = RidgePosterior(rng.normal(size=DIM), 2.0, 3.0, 0.1)
-    save_ridge(ridge, root / "models" / "ridge.bin", meta)
+    write_model(root / "models" / "ridge.bin", ridge, meta)
     shutil.copy(root / "models" / "linear.bin", root / "linear.bin")
 
     frames = rng.integers(0, 256, size=(6, 5, 7), dtype=np.uint8)
@@ -428,7 +425,7 @@ def _dataset(v: int) -> Dataset:
 # Every writer of the package, writing version `v` of its files under a
 # directory; versions 1 and 2 differ in every file
 WRITERS = {
-    "write_model": lambda d, v: write_model(d / "m.bin", "linear", {"bias": v}, [np.full(3, v)]),
+    "write_model": lambda d, v: write_model(d / "m.bin", LinearModel(np.full(3, v), v)),
     "write_feature_file": lambda d, v: write_feature_file(d / "f.bin", np.full((4, 3), v)),
     "save_dataset": lambda d, v: save_dataset(_dataset(v), d),
     "save_planted_csv": lambda d, v: save_planted_csv(_dataset(v), np.full((3, 2), v), d / "p.csv"),
@@ -506,6 +503,14 @@ def _files(root: Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
+def _loaded(root: Path):
+    """Each bag load_dataset reads under root, or the exit code of its refusal."""
+    try:
+        return [(b.video_id, b.label, b.instances.tobytes()) for b in load_dataset(root).bags]
+    except ParseError as exc:
+        return exc.exit_code
+
+
 @pytest.mark.parametrize(
     "fault",
     [_Interrupted, functools.partial(OSError, errno.ENOSPC, "No space left on device")],
@@ -515,7 +520,8 @@ def _files(root: Path) -> dict[str, bytes]:
 def test_an_interrupted_writer_leaves_every_file_whole(tmp_path, writer, fault):
     """For every k, a writer whose k-th write or rename fails leaves each of
     its files whole, old or new, at least one of them old, and no temporary
-    file.  A disk fault is an error that exits 2 and names the file."""
+    file.  A disk fault is an error that exits 2 and names the file.  A
+    dataset loads as the old one, or, mixing two writes, exits 3."""
     write = WRITERS[writer]
     new_dir, work = tmp_path / "new", tmp_path / "work"
     new_dir.mkdir()
@@ -525,6 +531,7 @@ def test_an_interrupted_writer_leaves_every_file_whole(tmp_path, writer, fault):
     for k in itertools.count(1):
         write(work, 1)
         old = _files(work)
+        old_dataset = _loaded(work) if writer == "save_dataset" else None
         with _fault_at(k, fault) as calls:
             try:
                 write(work, 2)
@@ -537,6 +544,8 @@ def test_an_interrupted_writer_leaves_every_file_whole(tmp_path, writer, fault):
         assert after.keys() == old.keys(), f"fault at call {k}"
         assert all(after[name] in (old[name], new[name]) for name in after), f"fault at call {k}"
         assert after != new, f"fault at call {k}"
+        if writer == "save_dataset":
+            assert _loaded(work) in (old_dataset, 3), f"fault at call {k}"
     assert k > 1 and len(calls) == k - 1 and _files(work) == new
 
 

@@ -352,8 +352,10 @@ def test_annotation_csv_rejects_non_integer(tmp_path):
         (b"\xffvideo_id,r0,r1\nv0,1,2\n", 1, "not UTF-8"),
         (b"video_id,r0,r1\nv0,1,2\nv1,\xff1,0\n", 3, "not UTF-8"),
         (b"video_id,r0,r1\nv0,1,2\nv1," + b"1" * 200_000 + b",0\n", 3, "field larger than"),
+        (b"video_id,r0,r1\nv0,1,2\nv1,0,0\nv0,3,3\n", 4, "duplicate video 'v0'"),
+        (b"video_id,r0,r1,r0\nv0,1,2,2\n", 1, "duplicate rater 'r0'"),
     ],
-    ids=["header-not-utf8", "row-not-utf8", "overlong-field"],
+    ids=["header-not-utf8", "row-not-utf8", "overlong-field", "repeated-video", "repeated-rater"],
 )
 def test_annotation_csv_unreadable_record_is_a_parse_error_at_its_line(
     tmp_path, raw, line, message

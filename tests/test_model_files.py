@@ -13,12 +13,6 @@ from engage_mil.baselines import (
     RidgePosterior,
     SvrConfig,
     SvrModel,
-    load_linear,
-    load_ridge,
-    load_svr,
-    save_linear,
-    save_ridge,
-    save_svr,
     svr_train,
 )
 from engage_mil.errors import ParseError
@@ -29,8 +23,6 @@ from engage_mil.networks import (
     SeqNet,
     build_mil_net,
     build_seq_net,
-    load_net,
-    save_net,
 )
 
 from oracles import model_file_bytes, split_model_file
@@ -43,21 +35,21 @@ def _models():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(12, DIM))
     return {
-        "mil": (save_net, load_net, build_mil_net(DIM, hidden=(2,), k=2, seed=0)),
-        "seq": (save_net, load_net, build_seq_net(DIM, m=M, hidden=2, dense=(3, 2), seed=0)),
-        "svr": (save_svr, load_svr, svr_train(x, rng.uniform(0, 3, 12), SvrConfig())),
-        "linear": (save_linear, load_linear, LinearModel(rng.normal(size=DIM), 0.5)),
-        "ridge": (save_ridge, load_ridge, RidgePosterior(rng.normal(size=DIM), 2.0, 3.0, 0.1)),
+        "mil": build_mil_net(DIM, hidden=(2,), k=2, seed=0),
+        "seq": build_seq_net(DIM, m=M, hidden=2, dense=(3, 2), seed=0),
+        "svr": svr_train(x, rng.uniform(0, 3, 12), SvrConfig()),
+        "linear": LinearModel(rng.normal(size=DIM), 0.5),
+        "ridge": RidgePosterior(rng.normal(size=DIM), 2.0, 3.0, 0.1),
     }
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_every_kind_round_trips_into_one_file(tmp_path, kind):
-    save, load, model = _models()[kind]
+    model = _models()[kind]
     path = tmp_path / "model.bin"
-    save(model, path, meta={"train_subjects": ["s1"]})
+    bags.write_model(path, model, meta={"train_subjects": ["s1"]})
     assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
-    loaded, meta = load(path)
+    loaded, meta = bags.read_model(path, (type(model),))
     assert meta == {"train_subjects": ["s1"]}
     assert _same(loaded, model)
 
@@ -89,11 +81,11 @@ def _pinned_models():
     config = SvrConfig(c=2.0, epsilon=0.125, sigma=1.5, tol=1e-3)
     svr = SvrModel(_fixed(2, 3), _fixed(2), 0.25, config)
     return {
-        "mil": (save_net, mil, mil.parameters()),
-        "seq": (save_net, seq, seq.parameters()),
-        "svr": (save_svr, svr, [svr.support_vectors, svr.coef]),
-        "linear": (save_linear, LinearModel(_fixed(3), 0.5), [_fixed(3)]),
-        "ridge": (save_ridge, RidgePosterior(_fixed(3), 2.0, 3.0, 0.1), [_fixed(3)]),
+        "mil": (mil, mil.parameters()),
+        "seq": (seq, seq.parameters()),
+        "svr": (svr, [svr.support_vectors, svr.coef]),
+        "linear": (LinearModel(_fixed(3), 0.5), [_fixed(3)]),
+        "ridge": (RidgePosterior(_fixed(3), 2.0, 3.0, 0.1), [_fixed(3)]),
     }
 
 
@@ -130,9 +122,9 @@ def test_every_kind_writes_its_pinned_bytes(tmp_path, kind):
     """The EMMF prefix (magic, version 1, header length, little-endian), the
     JSON header byte for byte, then each array as little-endian float64;
     a round trip alone cannot see a renamed field."""
-    save, model, arrays = _pinned_models()[kind]
+    model, arrays = _pinned_models()[kind]
     path = tmp_path / "model.bin"
-    save(model, path, meta={"train_subjects": ["s1"], "feature_kind": "synthetic"})
+    bags.write_model(path, model, meta={"train_subjects": ["s1"], "feature_kind": "synthetic"})
     header = PINNED_HEADERS[kind].encode("ascii")
     prefix = b"EMMF" + (1).to_bytes(4, "little") + len(header).to_bytes(4, "little")
     payload = b"".join(a.astype("<f8").tobytes() for a in arrays)
@@ -142,18 +134,18 @@ def test_every_kind_writes_its_pinned_bytes(tmp_path, kind):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("meta", [[1], "{bad"])
 def test_meta_that_is_not_an_object_is_refused(tmp_path, kind, meta):
-    save, load, model = _models()[kind]
+    model = _models()[kind]
     path = tmp_path / "model.bin"
-    save(model, path)
+    bags.write_model(path, model)
     header, payload = split_model_file(path.read_bytes())
     path.write_bytes(model_file_bytes({**header, "meta": meta}, payload))
     with pytest.raises(ParseError, match="model header has a bad 'meta'"):
-        load(path)
+        bags.read_model(path, (type(model),))
 
 
 def test_a_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monkeypatch):
     path = tmp_path / "model.bin"
-    save_linear(LinearModel(np.ones(DIM), 0.0), path)
+    bags.write_model(path, LinearModel(np.ones(DIM), 0.0))
     before = path.read_bytes()
 
     def fail(*args):
@@ -161,6 +153,6 @@ def test_a_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, mon
 
     monkeypatch.setattr(bags.os, "replace", fail)
     with pytest.raises(OSError, match="disk full"):
-        save_linear(LinearModel(np.zeros(DIM), 1.0), path)
+        bags.write_model(path, LinearModel(np.zeros(DIM), 1.0))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
