@@ -155,10 +155,10 @@ class SyntheticSpec:
             raise ValueError("need at least one video per subject")
         if self.m < 1 or self.dim < 1:
             raise ValueError("m and dim must be positive")
-        if len(self.class_distribution) != 4 or any(
+        if len(self.class_distribution) != len(LABELS) or any(
             p < 0 for p in self.class_distribution
         ):
-            raise ValueError("class_distribution needs 4 nonnegative weights")
+            raise ValueError(f"class_distribution needs {len(LABELS)} nonnegative weights")
         if not math.isclose(sum(self.class_distribution), 1.0, abs_tol=1e-9):
             raise ValueError("class_distribution must sum to 1")
         if not 0 < self.rho <= 1:
@@ -416,7 +416,7 @@ def class_counts_from_distribution(distribution, videos: int) -> list[int]:
     counts = [int(math.floor(e + 1e-9)) for e in exact]
     remainders = [max(e - c, 0.0) for e, c in zip(exact, counts)]
     short = videos - sum(counts)
-    for cls in sorted(range(4), key=lambda i: (-remainders[i], i))[:short]:
+    for cls in sorted(LABELS, key=lambda i: (-remainders[i], i))[:short]:
         counts[cls] += 1
     return counts
 
@@ -431,15 +431,16 @@ def synth_generate(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
     """
     rng = np.random.default_rng(spec.seed)
 
-    raw = rng.normal(size=(4, spec.dim))
-    if spec.dim >= 4:  # orthonormal class directions when there is room
+    levels = len(LABELS)
+    raw = rng.normal(size=(levels, spec.dim))
+    if spec.dim >= levels:  # orthonormal class directions when there is room
         q, _ = np.linalg.qr(raw.T)
-        directions = np.ascontiguousarray(q[:, :4].T)
+        directions = np.ascontiguousarray(q[:, :levels].T)
     else:
         directions = raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
     counts = class_counts_from_distribution(spec.class_distribution, spec.videos)
-    labels = np.repeat(np.arange(4), counts)
+    labels = np.repeat(LABELS, counts)
     labels = labels[rng.permutation(spec.videos)]
 
     n_signal = max(1, int(math.floor(spec.rho * spec.m + 0.5)))
@@ -682,27 +683,28 @@ def save_planted_csv(dataset: Dataset, planted: np.ndarray, path) -> None:
 
 
 def load_planted_csv(path) -> dict[str, np.ndarray]:
-    per_video: dict[str, list[tuple[int, float]]] = {}
-    records = read_csv(path, "planted truth")
-    _, header = next(records, (1, None))
-    if header != ["video_id", "instance_index", "planted_intensity"]:
-        raise ParseError(path, 1, "unexpected planted-truth header")
-    for lineno, row in records:
-        if not row:
-            continue
+    """Each video's planted intensities in instance order.  An instance index
+    that repeats, leaves a gap or is negative is refused at its row."""
+    header = ["video_id", "instance_index", "planted_intensity"]
+    _, records = read_csv(path, "planted truth", header)
+    per_video: dict[str, list[tuple[int, int, float]]] = {}
+    for line, row in records:
         if len(row) != 3:
-            raise ParseError(path, lineno, f"expected 3 cells, found {len(row)}")
+            raise ParseError(path, line, f"expected 3 cells, found {len(row)}")
         try:
             index, value = int(row[1]), float(row[2])
         except ValueError:
-            raise ParseError(path, lineno, "malformed row") from None
+            raise ParseError(path, line, "malformed row") from None
         if not math.isfinite(value):
-            raise ParseError(path, lineno, "non-finite planted intensity")
-        per_video.setdefault(row[0], []).append((index, value))
+            raise ParseError(path, line, "non-finite planted intensity")
+        per_video.setdefault(row[0], []).append((index, line, value))
     out = {}
-    for video_id, pairs in per_video.items():
-        pairs.sort()
-        if [i for i, _ in pairs] != list(range(len(pairs))):
-            raise ParseError(path, 1, f"{video_id}: instance indices not 0..m-1")
-        out[video_id] = np.array([v for _, v in pairs])
+    for video_id, rows in per_video.items():
+        rows.sort()
+        indices = [index for index, _, _ in rows]
+        if indices != list(range(len(rows))):
+            k = next(k for k, index in enumerate(indices) if index != k)
+            message = f"{video_id}: instance index {indices[k]} where {k} belongs (indices run 0..m-1)"
+            raise ParseError(path, rows[k][1], message)
+        out[video_id] = np.array([value for _, _, value in rows])
     return out

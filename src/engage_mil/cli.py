@@ -20,6 +20,7 @@ import numpy as np
 
 from . import features as feats
 from .bags import (
+    LABELS,
     RELABELINGS,
     Dataset,
     SyntheticSpec,
@@ -67,7 +68,7 @@ from .networks import (
     save_net,
     train,
 )
-from .textio import FINITE, read_json, read_text, write_csv
+from .textio import FINITE, read_csv, read_json, write_csv
 
 LOGGER = logging.getLogger("engage_mil")
 LOG_ENV = "ENGAGE_MIL_LOG"
@@ -224,26 +225,21 @@ def _fmt(value: float) -> str:
 
 
 def load_labels_csv(path) -> dict[str, int]:
-    """Two-column video_id,label file mapping each video to its 0-3 level."""
-    lines = read_text(path, "labels").splitlines()
-    if not lines or lines[0].strip() != "video_id,label":
-        raise ParseError(path, 1, "expected header 'video_id,label'")
+    """Two-column video_id,label file mapping each video to its level in LABELS."""
+    _, records = read_csv(path, "labels", ["video_id", "label"])
     labels: dict[str, int] = {}
-    for number, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(path, number, f"expected 2 fields, found {len(parts)}")
-        video_id, value = parts[0].strip(), parts[1].strip()
+    for line, cells in records:
+        if len(cells) != 2:
+            raise ParseError(path, line, f"expected 2 fields, found {len(cells)}")
+        video_id, value = (cell.strip() for cell in cells)
         try:
             label = int(value)
         except ValueError:
-            raise ParseError(path, number, f"label {value!r} is not an integer") from None
-        if not 0 <= label <= 3:
-            raise ParseError(path, number, f"label {label} outside 0..3")
+            raise ParseError(path, line, f"label {value!r} is not an integer") from None
+        if label not in LABELS:
+            raise ParseError(path, line, f"label {label} outside {LABELS[0]}..{LABELS[-1]}")
         if video_id in labels:
-            raise ParseError(path, number, f"duplicate video {video_id!r}")
+            raise ParseError(path, line, f"duplicate video {video_id!r}")
         labels[video_id] = label
     return labels
 
@@ -567,8 +563,7 @@ def cmd_eval(config: RunConfig) -> None:
     if len(dataset) < 2:
         raise UndefinedCorrelationError(f"{config.dataset}: one video has no correlation to report")
     predictions = _finite(dataset, model.predict_bags(dataset))
-    labels = np.array([bag.label for bag in dataset.bags], dtype=np.float64)
-    report = compute_report(predictions, labels)
+    report = compute_report(predictions, dataset.labels())
     report.save(config.out)
     print(f"mse={report.mse} pcc={report.pcc}")
     LOGGER.info("eval: report written to %s", config.out)

@@ -585,12 +585,10 @@ def load_pose_gaze_csv(path) -> PoseGazeTrack:
 
 
 def _pose_rows(path, records, cols) -> list[list[float]]:
-    """The row loop: the values of each non-blank record, or a ParseError at
-    the first record with a missing, malformed or non-finite cell."""
+    """The row loop: the values of each record, or a ParseError at the first
+    record with a missing, malformed or non-finite cell."""
     rows = []
     for line, cells in records:
-        if all(not cell.strip() for cell in cells):
-            continue
         try:
             values = [float(cells[i]) for i in cols]
         except (ValueError, IndexError):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bags import LABELS
 from .errors import (
     DegenerateMarginalsError,
     NoReliableRatersError,
@@ -23,7 +24,6 @@ from .errors import (
 )
 from .textio import JSON_NUMBER, check_fields, read_csv, read_json, write_csv, write_json
 
-NUM_LEVELS = 4
 RELIABILITY_THRESHOLD = 0.4
 
 
@@ -31,7 +31,7 @@ RELIABILITY_THRESHOLD = 0.4
 class AnnotationMatrix:
     """Per-video labels from several raters; NaN marks a missing rating."""
 
-    labels: np.ndarray  # (n_videos, n_raters) float64, entries in {0..3} or NaN
+    labels: np.ndarray  # (n_videos, n_raters) float64, entries in LABELS or NaN
     video_ids: list[str]
     rater_ids: list[str]
 
@@ -41,12 +41,8 @@ class AnnotationMatrix:
         if v != len(self.video_ids) or r != len(self.rater_ids):
             raise ValueError("labels grid does not match id lists")
         present = self.labels[~np.isnan(self.labels)]
-        if present.size and (
-            (present != np.round(present)).any()
-            or present.min() < 0
-            or present.max() > NUM_LEVELS - 1
-        ):
-            raise ValueError(f"ratings must be integers in [0, {NUM_LEVELS - 1}]")
+        if present.size and not np.isin(present, LABELS).all():
+            raise ValueError(f"ratings must be integers in [{LABELS[0]}, {LABELS[-1]}]")
 
     @property
     def n_videos(self):
@@ -94,33 +90,31 @@ class MetricsReport:
 # agreement
 
 
-def _as_label_vector(values, num_levels):
+def _as_label_vector(values):
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("labels must form a nonempty vector")
-    if (arr != np.round(arr)).any() or arr.min() < 0 or arr.max() > num_levels - 1:
-        raise ValueError(f"labels must be integers in [0, {num_levels - 1}]")
+    if not np.isin(arr, LABELS).all():
+        raise ValueError(f"labels must be integers in [{LABELS[0]}, {LABELS[-1]}]")
     return arr.astype(np.int64)
 
 
-def quadratic_weighted_kappa(a, b, num_levels: int = NUM_LEVELS) -> float:
+def quadratic_weighted_kappa(a, b) -> float:
     """Chance-corrected agreement with (i-j)^2 disagreement weights.
 
     kappa = 1 - sum(w * O) / sum(w * E) with O the observed joint counts and
     E the outer product of the marginals (same total count).  Two raters who
     are constant and identical agree perfectly by convention.
     """
-    if num_levels < 2:
-        raise ValueError("need at least 2 levels")
-    a = _as_label_vector(a, num_levels)
-    b = _as_label_vector(b, num_levels)
+    a = _as_label_vector(a)
+    b = _as_label_vector(b)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
 
-    observed = np.zeros((num_levels, num_levels))
+    observed = np.zeros((len(LABELS), len(LABELS)))
     np.add.at(observed, (a, b), 1.0)
-    grid = np.arange(num_levels, dtype=np.float64)
-    weights = (grid[:, None] - grid[None, :]) ** 2 / (num_levels - 1) ** 2
+    grid = np.asarray(LABELS, dtype=np.float64)
+    weights = (grid[:, None] - grid[None, :]) ** 2 / (LABELS[-1] - LABELS[0]) ** 2
     expected = np.outer(observed.sum(axis=1), observed.sum(axis=0)) / a.size
 
     denominator = float((weights * expected).sum())
@@ -135,9 +129,7 @@ def quadratic_weighted_kappa(a, b, num_levels: int = NUM_LEVELS) -> float:
     return float(1.0 - numerator / denominator)
 
 
-def rater_reliability(
-    annotations: AnnotationMatrix, num_levels: int = NUM_LEVELS
-) -> np.ndarray:
+def rater_reliability(annotations: AnnotationMatrix) -> np.ndarray:
     """Mean pairwise kappa of each rater against every other rater.
 
     Pairs are scored over their jointly rated videos; a rater sharing no
@@ -156,11 +148,7 @@ def rater_reliability(
             joint = present[:, i] & present[:, j]
             if not joint.any():
                 continue
-            kappas.append(
-                quadratic_weighted_kappa(
-                    labels[joint, i], labels[joint, j], num_levels
-                )
-            )
+            kappas.append(quadratic_weighted_kappa(labels[joint, i], labels[joint, j]))
         out[i] = float(np.mean(kappas)) if kappas else 0.0
     return out
 
@@ -223,13 +211,11 @@ def mse(pred, truth) -> float:
     return float(np.mean((pred - truth) ** 2))
 
 
-def classwise_mse(
-    pred, truth, num_levels: int = NUM_LEVELS
-) -> dict[int, float | None]:
+def classwise_mse(pred, truth) -> dict[int, float | None]:
     """MSE over the samples of each truth level; absent levels map to None."""
     pred, truth = _paired(pred, truth)
     out: dict[int, float | None] = {}
-    for level in range(num_levels):
+    for level in LABELS:
         mask = truth == level
         out[level] = float(np.mean((pred[mask] - level) ** 2)) if mask.any() else None
     return out
@@ -258,14 +244,12 @@ def pcc(pred, truth) -> float:
     return r
 
 
-def compute_report(pred, truth, num_levels: int = NUM_LEVELS) -> MetricsReport:
+def compute_report(pred, truth) -> MetricsReport:
     pred, truth = _paired(pred, truth)
-    counts = {
-        level: int((truth == level).sum()) for level in range(num_levels)
-    }
+    counts = {level: int((truth == level).sum()) for level in LABELS}
     return MetricsReport(
         mse=mse(pred, truth),
-        classwise_mse=classwise_mse(pred, truth, num_levels),
+        classwise_mse=classwise_mse(pred, truth),
         pcc=pcc(pred, truth),
         class_counts=counts,
     )
@@ -276,11 +260,10 @@ def compute_report(pred, truth, num_levels: int = NUM_LEVELS) -> MetricsReport:
 
 
 def load_annotation_csv(path) -> AnnotationMatrix:
-    records = read_csv(path, "annotations")
-    _, header = next(records, (1, None))
+    header, records = read_csv(path, "annotations")
     if not header or len(header) < 3:
         raise ParseError(path, 1, "expected video_id plus at least 2 rater columns")
-    rater_ids = [h.strip() for h in header[1:]]
+    rater_ids = header[1:]
     seen = set()
     for rater_id in rater_ids:
         if rater_id in seen:
@@ -288,8 +271,6 @@ def load_annotation_csv(path) -> AnnotationMatrix:
         seen.add(rater_id)
     rows = {}  # video id -> its ratings
     for lineno, row in records:
-        if not row or all(not cell.strip() for cell in row):
-            continue
         if len(row) != len(header):
             raise ParseError(path, lineno, f"expected {len(header)} cells")
         video_id = row[0].strip()
@@ -305,7 +286,7 @@ def load_annotation_csv(path) -> AnnotationMatrix:
                 label = int(cell)
             except ValueError:
                 raise ParseError(path, lineno, f"non-integer rating {cell!r}") from None
-            if not 0 <= label <= NUM_LEVELS - 1:
+            if label not in LABELS:
                 raise ParseError(path, lineno, f"rating {label} out of range")
             values.append(float(label))
     if not rows:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bags import Dataset, read_model, write_model
+from .bags import LABELS, Dataset, read_model, write_model
 from .errors import IncompatibleArtifactsError, TrainingDivergedError
 
 _ACTIVATIONS = ("relu", "sigmoid", "linear")
@@ -300,7 +300,7 @@ class _NetServing:
     def predict_bags(self, dataset: Dataset) -> np.ndarray:
         """Every bag's score in the 0-3 label range, from one batched pass."""
         scores, _ = self.forward(dataset.tensor())
-        return scores * (3.0 if self.label_scaling else 1.0)
+        return scores * (LABELS[-1] if self.label_scaling else 1)
 
     def localize_bags(self, dataset: Dataset) -> np.ndarray:
         """(n_bags, M) per-segment intensities in the 0-3 label range.
@@ -310,7 +310,7 @@ class _NetServing:
         with every other segment's activations zeroed.
         """
         _, r = self.forward(dataset.tensor(), intensities=True)
-        return r * (3.0 if self.label_scaling else 1.0)
+        return r * (LABELS[-1] if self.label_scaling else 1)
 
 
 @dataclass
@@ -514,9 +514,9 @@ def train(net, dataset: Dataset, config: TrainConfig):
     if config.scale_labels is not None:
         net.label_scaling = config.scale_labels
     x_all = dataset.tensor()
-    y_all = np.array([float(bag.label) for bag in dataset.bags])
+    y_all = dataset.labels().astype(np.float64)
     if net.label_scaling:
-        y_all = y_all / 3.0
+        y_all = y_all / LABELS[-1]
     params = net.parameters()
     rng = np.random.default_rng(config.seed)
     trace: list[float] = []

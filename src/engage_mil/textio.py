@@ -2,8 +2,9 @@
 
 read_bytes records each read in the ENGAGE_MIL_AUDIT trail and reports a
 file it cannot open (missing, a directory, unreadable) as a ParseError.  The
-decoders on top of it (read_text, read_json, text_lines, read_csv) read
-strict UTF-8 and report a fault as a ParseError at the line it sits in.
+decoders on top of it (read_json, text_lines, read_csv) read strict UTF-8 and
+report a fault as a ParseError at the line it sits in.  read_csv is the one
+reader of CSV tables: it checks the header row and skips blank records.
 `what` names the kind of file in these messages.  check_fields checks the
 records a JSON file holds.  write_bytes writes an output file whole.
 """
@@ -70,23 +71,13 @@ def _read_all(fd: int) -> bytes:
     return b"".join(parts)
 
 
-def _decode(path, data: bytes, what: str) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1, "not UTF-8", what) from None
-
-
-def read_text(path, what: str) -> str:
-    return _decode(path, read_bytes(path, what), what)
-
-
 def parse_json(path, data: bytes, what: str, **hooks):
     """`data`, read from input file `path`, as UTF-8 JSON; `hooks` go to
     json.loads, and a ValueError one raises is a ParseError at line 1."""
-    text = _decode(path, data, what)
     try:
-        return json.loads(text, **hooks)
+        return json.loads(data.decode("utf-8"), **hooks)
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1, "not UTF-8", what) from None
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, f"not valid JSON: {exc.msg}", what) from None
     except RecursionError:
@@ -145,15 +136,16 @@ def text_lines(path, what: str) -> tuple[list[str], bool]:
 
 
 def csv_records(path, reader, clean: bool, what: str):
-    """(line, cells) for each record of `reader`, the header being line 1.
+    """(line, cells) for the header, which is line 1, and for each later
+    record of `reader` that holds a non-blank cell; `line` is the line the
+    record starts on (a quoted cell may hold line breaks).
 
     A record the csv module refuses, or one holding a byte that was not
     UTF-8 (decoded with surrogateescape when `clean` is false), is a
     ParseError at its line.
     """
-    line = 0
     while True:
-        line += 1
+        line = reader.line_num + 1
         try:
             cells = next(reader)
         except StopIteration:
@@ -165,13 +157,21 @@ def csv_records(path, reader, clean: bool, what: str):
                 ",".join(cells).encode("utf-8")
             except UnicodeEncodeError:
                 raise ParseError(path, line, "not UTF-8", what) from None
-        yield line, cells
+        if line == 1 or "".join(cells).strip():
+            yield line, cells
 
 
-def read_csv(path, what: str):
-    """csv_records of a file that must be UTF-8 (see text_lines)."""
+def read_csv(path, what: str, header=None):
+    """The header cells of a CSV file that must be UTF-8, stripped (None for
+    an empty file), and csv_records for the records after it.  A header
+    other than the list `header`, when given, is a ParseError at line 1."""
     lines, clean = text_lines(path, what)
-    return csv_records(path, csv.reader(iter(lines)), clean, what)
+    records = csv_records(path, csv.reader(iter(lines)), clean, what)
+    first = next(records, None)
+    found = None if first is None else [cell.strip() for cell in first[1]]
+    if header is not None and found != header:
+        raise ParseError(path, 1, f"expected header {','.join(header)!r}", what)
+    return found, records
 
 
 def write_bytes(path, data: bytes) -> None:

@@ -613,3 +613,20 @@ def test_planted_csv_rejects_bad_header(tmp_path):
     path.write_text("video,idx,value\n")
     with pytest.raises(ParseError):
         load_planted_csv(path)
+
+
+@pytest.mark.parametrize(
+    "rows,line",
+    [
+        (["v1,0,0.0", "v1,1,2.0", "v1,1,2.0"], 4),
+        (["v1,0,0.0", "v1,2,2.0", "v2,0,1.0"], 3),
+        (["v1,0,0.0", "v1,-1,2.0", "v1,1,1.0"], 3),
+    ],
+    ids=["repeated", "skipped", "negative"],
+)
+def test_planted_csv_refuses_a_bad_instance_index_at_its_row(tmp_path, rows, line):
+    path = tmp_path / "pl.csv"
+    path.write_text("\n".join(["video_id,instance_index,planted_intensity", *rows]) + "\n")
+    with pytest.raises(ParseError, match="v1: instance") as caught:
+        load_planted_csv(path)
+    assert caught.value.line == line

@@ -328,6 +328,56 @@ def test_a_parse_error_survives_pickling():
     )
 
 
+# --- one CSV dialect -------------------------------------------------------------
+
+
+def _plain(table):
+    """A table reader's result as lists and dicts."""
+    if isinstance(table, AnnotationMatrix):
+        return table.video_ids, table.rater_ids, table.labels.tolist()
+    return {key: np.asarray(value).tolist() for key, value in table.items()}
+
+
+@pytest.mark.parametrize(
+    "read,header,quoted,expected,bad",
+    [
+        pytest.param(cli.load_labels_csv, "video_id,label", '"vid00","2"', {"vid00": 2}, "vid01,x", id="labels"),
+        pytest.param(
+            load_planted_csv,
+            "video_id,instance_index,planted_intensity",
+            '"vid00","0","2.0"',
+            {"vid00": [2.0]},
+            "vid00,1,x",
+            id="planted",
+        ),
+        pytest.param(
+            load_annotation_csv,
+            "video_id,r0,r1",
+            '"vid00","2","1"',
+            (["vid00"], ["r0", "r1"], [[2.0, 1.0]]),
+            "vid01,1,x",
+            id="annotations",
+        ),
+    ],
+)
+def test_every_table_reader_reads_one_csv_dialect(tmp_path, read, header, quoted, expected, bad):
+    """A quoted cell reads as its value, whitespace-only and all-blank rows
+    are skipped, and a bad row is refused at its own line, which a quoted
+    line break before it does not shift."""
+    path = tmp_path / "table.csv"
+    path.write_text(f"{header}\n{quoted}\n \n,\n , \n")
+    assert _plain(read(path)) == expected
+    path.write_text(f"{header}\n{quoted}\n \n,\n{bad}\n")
+    with pytest.raises(ParseError) as caught:
+        read(path)
+    assert caught.value.line == 5
+    broken = quoted.replace("vid00", "vid\n00")
+    path.write_text(f"{header}\n{broken}\n \n,\n{bad}\n")
+    with pytest.raises(ParseError) as caught:
+        read(path)
+    assert caught.value.line == 6
+
+
 # --- only textio opens input files ---------------------------------------------
 
 
