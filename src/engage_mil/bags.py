@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (
     CannotSplitError,
+    DataError,
     EmptyVideoError,
     ParseError,
 )
@@ -35,6 +36,7 @@ from .textio import FINITE, JSON_NUMBER, check_fields, parse_json, read_bytes, r
 from .textio import write_bytes, write_csv, write_json
 
 LABELS = (0, 1, 2, 3)
+_LEVEL_CELLS = {str(level): level for level in LABELS}
 RELABELINGS = ("noisy", "kmeans-mode", "kmeans-mean")
 
 FEATURE_MAGIC = b"EMIL"
@@ -176,6 +178,15 @@ class KMeansResult:
     inertia_trace: list[float] = field(default_factory=list)
 
 
+def parse_level(cell: str) -> int:
+    """The level in LABELS that a table cell spells: one ASCII digit, blanks
+    around it aside.  ValueError for any other text (`+2`, `02`, `٢`, `0_1`)."""
+    text = cell.strip()
+    if text not in _LEVEL_CELLS:
+        raise ValueError(f"{text!r} is not a level {LABELS[0]}..{LABELS[-1]}")
+    return _LEVEL_CELLS[text]
+
+
 # ---------------------------------------------------------------------------
 # bag construction
 
@@ -293,12 +304,10 @@ def augment(train: Dataset) -> Dataset:
 # clustering and instance relabeling
 
 
-def _pairwise_sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = (
-        (points**2).sum(axis=1)[:, None]
-        + (centroids**2).sum(axis=1)[None, :]
-        - 2.0 * points @ centroids.T
-    )
+def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distance of every row of `a` to every row of `b`, by the
+    expansion |a|^2 + |b|^2 - 2 a.b, clipped at 0 against rounding."""
+    d2 = (a**2).sum(axis=1)[:, None] + (b**2).sum(axis=1)[None, :] - 2.0 * a @ b.T
     return np.maximum(d2, 0.0)
 
 
@@ -587,11 +596,19 @@ def _feature_matrix(path, data: bytes) -> np.ndarray:
 
 def save_dataset(dataset: Dataset, directory) -> Path:
     """Write one feature file per video, then an index whose records carry
-    each file's SHA-256; returns the index path."""
+    each file's SHA-256; returns the index path.  Every bag is narrowed to
+    a feature file's float32 first: one with a value that is not finite
+    there (past float32's range, or inf or NaN already) is a DataError, and
+    nothing is written."""
+    with np.errstate(over="ignore"):  # what overflows is refused just below
+        narrowed = [bag.instances.astype("<f4") for bag in dataset.bags]
+    for bag, values in zip(dataset.bags, narrowed):
+        if not np.isfinite(values).all():
+            raise DataError(f"{bag.video_id}: a feature value is not finite as float32")
     directory = Path(directory)
     (directory / "features").mkdir(parents=True, exist_ok=True)
     index = []
-    for bag in dataset.bags:
+    for bag, values in zip(dataset.bags, narrowed):
         rel = f"features/{bag.video_id}.bin"
         index.append(
             {
@@ -600,7 +617,7 @@ def save_dataset(dataset: Dataset, directory) -> Path:
                 "label": bag.label,
                 "feature_kind": dataset.feature_kind,
                 "path": rel,
-                "sha256": write_feature_file(directory / rel, bag.instances),
+                "sha256": write_feature_file(directory / rel, values),
             }
         )
     index_path = directory / "index.json"

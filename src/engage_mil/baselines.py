@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bags import Dataset, read_model
+from .bags import Dataset, _pairwise_sq_dists, read_model
 from .errors import ConvergenceError, TrainingDivergedError
 from .textio import JSON_NUMBER
 
@@ -168,12 +168,7 @@ class GridSearchResult:
 def gaussian_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    d2 = (
-        (a**2).sum(axis=1)[:, None]
-        + (b**2).sum(axis=1)[None, :]
-        - 2.0 * a @ b.T
-    )
-    return np.exp(-np.maximum(d2, 0.0) / (2.0 * sigma**2))
+    return np.exp(-_pairwise_sq_dists(a, b) / (2.0 * sigma**2))
 
 
 class _KernelRows:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bags import LABELS
+from .bags import LABELS, parse_level
 from .errors import (
     DegenerateMarginalsError,
     NoReliableRatersError,
@@ -80,9 +80,9 @@ class MetricsReport:
         spec = {"mse": JSON_NUMBER, "pcc": JSON_NUMBER, **dict.fromkeys(levels, dict)}
         check_fields(path, raw, spec, "metrics report")
         try:
-            by_level = {key: {int(k): v for k, v in raw[key].items()} for key in levels}
-        except ValueError:
-            raise ParseError(path, 1, "metrics report has a level that is not an integer") from None
+            by_level = {key: {parse_level(k): v for k, v in raw[key].items()} for key in levels}
+        except ValueError as exc:
+            raise ParseError(path, 1, f"metrics report key {exc}") from None
         return cls(mse=raw["mse"], pcc=raw["pcc"], **by_level)
 
 
@@ -153,12 +153,6 @@ def rater_reliability(annotations: AnnotationMatrix) -> np.ndarray:
     return out
 
 
-def _round_half_away(x: float) -> int:
-    if x >= 0:
-        return int(math.floor(x + 0.5))
-    return -int(math.floor(-x + 0.5))
-
-
 def fuse_labels(
     annotations: AnnotationMatrix,
     reliability_threshold: float = RELIABILITY_THRESHOLD,
@@ -166,8 +160,8 @@ def fuse_labels(
     """Per-video consensus labels plus the raters that were discarded.
 
     Raters with mean pairwise kappa below the threshold are dropped; each
-    video's label is the round-half-away-from-zero mean of the remaining
-    raters' present ratings.
+    video's label is the mean of the remaining raters' present ratings,
+    rounded half up (a mean of levels is never negative).
     """
     reliability = rater_reliability(annotations)
     keep = reliability >= reliability_threshold
@@ -184,7 +178,7 @@ def fuse_labels(
             raise NoReliableRatersError(
                 f"video {annotations.video_ids[v]}: no reliable ratings present"
             )
-        fused[v] = _round_half_away(float(row.mean()))
+        fused[v] = math.floor(row.mean() + 0.5)
     return fused, dropped
 
 
@@ -283,12 +277,9 @@ def load_annotation_csv(path) -> AnnotationMatrix:
                 values.append(np.nan)
                 continue
             try:
-                label = int(cell)
-            except ValueError:
-                raise ParseError(path, lineno, f"non-integer rating {cell!r}") from None
-            if label not in LABELS:
-                raise ParseError(path, lineno, f"rating {label} out of range")
-            values.append(float(label))
+                values.append(float(parse_level(cell)))
+            except ValueError as exc:
+                raise ParseError(path, lineno, f"rating {exc}") from None
     if not rows:
         raise ParseError(path, 2, "no annotation rows")
     return AnnotationMatrix(

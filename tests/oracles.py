@@ -639,16 +639,16 @@ def reference_pose_gaze_csv(path) -> np.ndarray:
 
     The reader's row loop before it parsed through NumPy, plus two rules: a
     record holding a byte that is not UTF-8, and a used cell that is not
-    finite, are refused at that record.  A line is the record's number, the
-    header being 1; blank records count but yield no row.
+    finite, are refused at that record.  A line is the line the record
+    starts on, the header being 1, so a quoted line break shifts the lines
+    after it; blank records yield no row.
     """
     rows = []
     index = None
-    line = 0
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         while True:
-            line += 1
+            line = reader.line_num + 1
             try:
                 record = next(reader)
             except StopIteration:

@@ -322,6 +322,18 @@ class TestLabelsCsv:
         with pytest.raises(ParseError):
             load_labels_csv(path)
 
+    @pytest.mark.parametrize("cell", ["\u0662", "\uff13", "0_1", "+2", "02"])
+    def test_a_label_spelled_other_than_one_digit_is_refused_at_its_line(self, tmp_path, cell):
+        """' 2 ' reads as 2; an Arabic-Indic or full-width digit, an
+        underscore, a sign or a leading zero does not spell a level."""
+        path = tmp_path / "labels.csv"
+        path.write_text("video_id,label\na, 2 \n", encoding="utf-8")
+        assert load_labels_csv(path) == {"a": 2}
+        path.write_text(f"video_id,label\na, 2 \nb,{cell}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"label '{cell}' is not a level 0..3")) as caught:
+            load_labels_csv(path)
+        assert caught.value.line == 3
+
     def test_duplicate_video(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("video_id,label\na,1\na,2\n")
@@ -394,6 +406,17 @@ class TestSynth:
         dataset = load_dataset(out)
         assert dataset.class_counts() == {0: 9, 1: 53, 2: 82, 3: 50}
         assert len(set(b.subject_id for b in dataset.bags)) == REFERENCE_SUBJECTS
+
+    def test_noise_past_float32_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        """Noise of scale 1e39 overflows a feature file's float32: a data
+        error naming the first video, with no warning and no file written."""
+        synth = {"videos": 4, "subjects": 2, "m": 5, "noise_scale": 1e39}
+        config = write_config(tmp_path / "c.json", synth=synth)
+        code = run_cli("synth", "--config", str(config), "--out", str(tmp_path / "ds"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Warning" not in err and "video0: a feature value is not finite as float32" in err
+        assert not (tmp_path / "ds").exists()
 
     def test_noiseless_full_signal_plants_the_bag_label(self, tmp_path):
         from engage_mil.bags import load_planted_csv
@@ -586,7 +609,7 @@ class TestExtract:
     def test_pose_deviation_past_float32_exits_3(self, tmp_path, capsys, scale):
         """Finite but huge head positions give deviations that a float32
         feature file cannot hold (at 1e200 the float64 std overflows too): a
-        data error naming pose.csv, with no warning and nothing written."""
+        data error naming the video, with no warning and nothing written."""
         video = tmp_path / "raw" / "v0"
         video.mkdir(parents=True)
         rng = np.random.default_rng(5)
@@ -608,7 +631,7 @@ class TestExtract:
         code = run_cli("extract", "--config", str(config), "--out", str(tmp_path / "ds"))
         err = capsys.readouterr().err
         assert code == 3
-        assert f"{video / 'pose.csv'}: a pose/gaze deviation exceeds the float32 range" in err
+        assert "v0: a feature value is not finite as float32" in err
         assert not (tmp_path / "ds").exists()
 
     def test_parallel_extraction_is_byte_identical(self, pose_tree, tmp_path):

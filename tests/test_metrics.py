@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -301,6 +304,15 @@ def test_compute_report_round_trips_through_json(tmp_path):
     assert loaded == report
 
 
+@pytest.mark.parametrize("key", ["+2", "02", "\u0662", "7"])
+def test_metrics_report_refuses_a_key_that_is_not_a_level(tmp_path, key):
+    path = tmp_path / "report.json"
+    compute_report(np.array([0.0, 1.5]), np.array([0.0, 2.0])).save(path)
+    path.write_text(path.read_text().replace('"2"', json.dumps(key)))
+    with pytest.raises(ParseError, match=re.escape(f"metrics report key '{key}' is not a level 0..3")):
+        MetricsReport.load(path)
+
+
 def test_compute_report_absent_class_serializes_as_null(tmp_path):
     truth = np.array([1.0, 2.0, 1.0])
     pred = np.array([1.0, 2.0, 1.5])
@@ -349,8 +361,24 @@ def test_annotation_csv_rejects_non_integer(tmp_path):
         (b"video_id,r0,r1\nv0,1,2\nv1," + b"1" * 200_000 + b",0\n", 3, "field larger than"),
         (b"video_id,r0,r1\nv0,1,2\nv1,0,0\nv0,3,3\n", 4, "duplicate video 'v0'"),
         (b"video_id,r0,r1,r0\nv0,1,2,2\n", 1, "duplicate rater 'r0'"),
+        # ' 2 ' reads as 2, so each refusal falls at line 3
+        *(
+            (f"video_id,r0,r1\nv0, 2 ,1\nv1,{cell},0\n".encode(), 3, re.escape(f"rating '{cell}' is not a level 0..3"))
+            for cell in ("\u0662", "\uff13", "0_1", "+2", "02")
+        ),
     ],
-    ids=["header-not-utf8", "row-not-utf8", "overlong-field", "repeated-video", "repeated-rater"],
+    ids=[
+        "header-not-utf8",
+        "row-not-utf8",
+        "overlong-field",
+        "repeated-video",
+        "repeated-rater",
+        "level-arabic-indic",
+        "level-full-width",
+        "level-underscore",
+        "level-plus",
+        "level-leading-zero",
+    ],
 )
 def test_annotation_csv_unreadable_record_is_a_parse_error_at_its_line(
     tmp_path, raw, line, message
