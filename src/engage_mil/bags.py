@@ -33,7 +33,7 @@ from .errors import (
     ParseError,
 )
 from .textio import FINITE, JSON_NUMBER, check_fields, parse_json, read_bytes, read_csv, read_json
-from .textio import write_bytes, write_csv, write_json
+from .textio import video_id_fault, write_bytes, write_csv, write_json
 
 LABELS = (0, 1, 2, 3)
 _LEVEL_CELLS = {str(level): level for level in LABELS}
@@ -596,10 +596,15 @@ def _feature_matrix(path, data: bytes) -> np.ndarray:
 
 def save_dataset(dataset: Dataset, directory) -> Path:
     """Write one feature file per video, then an index whose records carry
-    each file's SHA-256; returns the index path.  Every bag is narrowed to
-    a feature file's float32 first: one with a value that is not finite
-    there (past float32's range, or inf or NaN already) is a DataError, and
-    nothing is written."""
+    each file's SHA-256; returns the index path.  A video id that is not a
+    plain file name, which `load_dataset` refuses, is a DataError.  Every
+    bag is narrowed to a feature file's float32 first: one with a value that
+    is not finite there (past float32's range, or inf or NaN already) is a
+    DataError.  Nothing is written before these checks pass."""
+    for bag in dataset.bags:
+        fault = video_id_fault(bag.video_id)
+        if fault:
+            raise DataError(f"cannot save a dataset with a {fault}")
     with np.errstate(over="ignore"):  # what overflows is refused just below
         narrowed = [bag.instances.astype("<f4") for bag in dataset.bags]
     for bag, values in zip(dataset.bags, narrowed):
@@ -689,11 +694,18 @@ def load_dataset(index_path) -> Dataset:
 
 
 def save_planted_csv(dataset: Dataset, planted: np.ndarray, path) -> None:
+    """Write each video's planted intensities, one row per instance.  A
+    non-finite intensity, which `load_planted_csv` refuses, is a DataError,
+    and nothing is written."""
     planted = np.asarray(planted)
     if planted.shape != (len(dataset), dataset.m):
         raise ValueError(
             f"planted truth shape {planted.shape} does not match dataset"
         )
+    if not np.isfinite(planted).all():
+        bag, j = np.argwhere(~np.isfinite(planted))[0]
+        video_id = dataset.bags[bag].video_id
+        raise DataError(f"{video_id}: planted intensity {planted[bag, j]} of instance {j} is not finite")
     pairs = zip(dataset.bags, planted)
     rows = ([bag.video_id, j, repr(float(v))] for bag, row in pairs for j, v in enumerate(row))
     write_csv(path, ["video_id", "instance_index", "planted_intensity"], rows)

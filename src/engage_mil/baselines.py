@@ -32,8 +32,9 @@ class SvrConfig:
             raise ValueError("C must be positive")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        # the kernel divides by 2 sigma^2, which must neither overflow nor vanish
+        if not (self.sigma > 0 and 0.0 < 2.0 * self.sigma * self.sigma < math.inf):
+            raise ValueError(f"sigma must be positive, with 2 sigma^2 finite and nonzero: {self.sigma!r}")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
 

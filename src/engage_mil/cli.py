@@ -255,22 +255,23 @@ def _check_rate(folder: Path, fps: float, target_fps: float) -> None:
 
 
 def _extract_one(folder: Path, config: RunConfig):
-    if config.feature == "lbptop":
-        seq = feats.load_frame_archive(folder)
-        _check_rate(folder, seq.fps, config.target_fps)
-        sub = feats.subsample(seq, config.target_fps)
-        windows = feats.segment(len(sub), config.window, config.stride)
-        vectors = feats.lbp_top_many(sub, windows, xy_frames=config.xy_frames, grid=config.grid)
-        return seq.video_id, seq.subject_id, vectors
-    manifest = feats.load_manifest(folder, frames=False)
-    _check_rate(folder, float(manifest["fps"]), config.target_fps)
-    track = feats.load_pose_gaze_csv(folder / "pose.csv")
-    step = feats.sample_step(float(manifest["fps"]), config.target_fps)
-    sub = track.every(step)
-    windows = feats.segment(len(sub), config.window, config.stride)
-    # huge but finite track values overflow here; save_dataset refuses the result
-    with np.errstate(over="ignore", invalid="ignore"):
-        vectors = np.stack([feats.pose_gaze_feature(sub, w) for w in windows])
+    """One video's feature vectors.  The manifest is read once, and its rate
+    checked before any frame or pose row is read."""
+    lbptop = config.feature == "lbptop"
+    manifest = feats.load_manifest(folder, frames=lbptop)
+    fps = float(manifest["fps"])
+    _check_rate(folder, fps, config.target_fps)
+    step = feats.sample_step(fps, config.target_fps)
+    if lbptop:
+        seq = feats.load_frame_archive(folder, step, manifest)
+        windows = feats.segment(len(seq), config.window, config.stride)
+        vectors = feats.lbp_top_many(seq, windows, xy_frames=config.xy_frames, grid=config.grid)
+    else:
+        track = feats.load_pose_gaze_csv(folder / "pose.csv").every(step)
+        windows = feats.segment(len(track), config.window, config.stride)
+        # huge but finite track values overflow here; save_dataset refuses the result
+        with np.errstate(over="ignore", invalid="ignore"):
+            vectors = np.stack([feats.pose_gaze_feature(track, w) for w in windows])
     return manifest["video_id"], manifest["subject_id"], vectors
 
 

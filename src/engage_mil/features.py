@@ -10,6 +10,7 @@ standard deviations of head position, head rotation and mean eye gaze).
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import re
@@ -135,7 +136,7 @@ class PoseGazeTrack:
 
 
 # ---------------------------------------------------------------------------
-# temporal subsampling and windowing
+# temporal sampling and windowing
 
 
 def sample_step(src_fps: float, target_fps: float) -> int:
@@ -151,12 +152,6 @@ def sample_step(src_fps: float, target_fps: float) -> int:
             f"target rate {target_fps} exceeds source rate {src_fps}"
         )
     return int(math.floor(src_fps / target_fps + 0.5))
-
-
-def subsample(seq: FrameSequence, target_fps: float) -> FrameSequence:
-    """Keep every step-th frame starting at the first."""
-    step = sample_step(seq.fps, target_fps)
-    return FrameSequence(seq.frames[::step], seq.fps / step, seq.subject_id, seq.video_id)
 
 
 def segment(n: int, length: int, stride: int) -> list[slice]:
@@ -271,18 +266,23 @@ def _plane_codes(acc, u8, f64, products, sy, sx, scratch) -> None:
 
 
 class _PlaneCodeMaps:
-    """Per-voxel uint8 pattern codes of a (t, h, w) uint8 volume, all three slice sets.
+    """Per-voxel uint8 pattern codes of a (t, h, w) uint8 volume, all three
+    slice sets, coded one chunk of `step` frames at a time.
 
-    Layouts: `xy` (t, h-2, w-2) has one row per frame; row i of `xt`
-    (t-2, h, w-2) and `yt` (t-2, h-2, w) holds the time-by-x codes of every
-    image row and the time-by-y codes of every image column, centered on frame
-    i + 1.  Sliding windows only re-histogram rows of these maps: a window's
-    interior voxels sample temporal neighbors that stay inside the window.
+    Iterating yields `(t0, (xy, xt, yt))` for each chunk: the map rows from
+    t0 on that the chunk codes, as views into buffers that the next chunk
+    overwrites, so no map is ever held whole.  Layouts: `xy` (t, h-2, w-2)
+    has one row per frame; row i of `xt` (t-2, h, w-2) and `yt` (t-2, h-2, w)
+    holds the time-by-x codes of every image row and the time-by-y codes of
+    every image column, centered on frame i + 1.  Sliding windows only
+    re-histogram rows of these maps: a window's interior voxels sample
+    temporal neighbors that stay inside the window.
 
-    Each chunk of frames, with a 2-frame halo, is copied into flat contiguous
-    buffers, and each plane's codes come from shifted views of them.  A
-    plane's first interior voxel is its first coded position, so its interior
-    is a (frames, h, w) reshape of the codes, cut to the interior's extent.
+    Each chunk, with a 2-frame halo, is copied into flat contiguous buffers,
+    and each plane's codes come from shifted views of them.  A plane's first
+    interior voxel is its first coded position, so its interior is a
+    (frames, h, w) reshape of the codes, cut to the interior's extent.  The
+    last chunk may give XT and YT no rows.
     """
 
     def __init__(self, frames: np.ndarray):
@@ -291,15 +291,18 @@ class _PlaneCodeMaps:
             raise DegenerateWindowError(f"{t} frames cannot support temporal planes")
         if h < 3 or w < 3:
             raise DegenerateWindowError(f"plane of {h}x{w} has no interior pixels")
-        self.xy = np.empty((t, h - 2, w - 2), np.uint8)
-        self.xt = np.empty((t - 2, h, w - 2), np.uint8)
-        self.yt = np.empty((t - 2, h - 2, w), np.uint8)
-        self.step = step = max(1, _CHUNK_BYTES // (8 * h * w))
+        self.frames = frames
+        self.step = max(1, _CHUNK_BYTES // (8 * h * w))
+
+    def __iter__(self):
+        frames, step = self.frames, self.step
+        t, h, w = frames.shape
         frame = h * w
         size = (step + 2) * frame
         u8_chunk, f64_chunk = np.empty(size, np.uint8), np.empty(size)
         products = {weight: np.empty(size) for weight in _DIAGONAL_WEIGHTS}
-        acc = np.empty(size + 8, np.uint8)  # room for whole 8-byte words
+        # one code buffer per plane, with room for whole 8-byte words
+        xy_acc, xt_acc, yt_acc = (np.empty(size + 8, np.uint8) for _ in range(N_PLANES))
         scratch = (np.empty(size), np.empty(size + 8, bool))
         for t0 in range(0, t, step):
             t1 = min(t0 + step, t)
@@ -310,34 +313,47 @@ class _PlaneCodeMaps:
             for weight, p in products.items():
                 np.multiply(weight, f64, out=p[: n * frame])
             m = (t1 - t0) * frame
-            _plane_codes(acc, u8[:m], f64[:m], products, w, 1, scratch)
-            self.xy[t0:t1] = acc[:m].reshape(t1 - t0, h, w)[:, : h - 2, : w - 2]
-            if n < 3:
-                continue
-            interior = acc[: (n - 2) * frame].reshape(n - 2, h, w)
-            _plane_codes(acc, u8, f64, products, frame, 1, scratch)
-            self.xt[t0 : t0 + n - 2] = interior[:, :, : w - 2]
-            _plane_codes(acc, u8, f64, products, frame, w, scratch)
-            self.yt[t0 : t0 + n - 2] = interior[:, : h - 2, :]
+            _plane_codes(xy_acc, u8[:m], f64[:m], products, w, 1, scratch)
+            rows = max(n - 2, 0)  # XT and YT rows centered inside the chunk
+            if rows:
+                _plane_codes(xt_acc, u8, f64, products, frame, 1, scratch)
+                _plane_codes(yt_acc, u8, f64, products, frame, w, scratch)
+            xy = xy_acc[:m].reshape(t1 - t0, h, w)[:, : h - 2, : w - 2]
+            xt = xt_acc[: rows * frame].reshape(rows, h, w)[:, :, : w - 2]
+            yt = yt_acc[: rows * frame].reshape(rows, h, w)[:, : h - 2, :]
+            yield t0, (xy, xt, yt)
 
 
-def _prefix_counts(codes: np.ndarray, block: np.ndarray, n_blocks: int, step: int) -> np.ndarray:
-    """Running per-row (block, bin) counts of a code map: rows [lo, hi) count
-    `out[hi] - out[lo]`.  Raw codes are counted per (row, block), then summed
-    into the 59 uniform bins."""
-    rows = codes.shape[0]
-    width = n_blocks * 256
-    base = block * 256 + (np.arange(step) * width)[:, None, None]
-    idx = np.empty_like(base)
-    out = np.zeros((rows + 1, n_blocks, PLANE_BINS), np.int64)
-    for r0 in range(0, rows, step):
-        chunk = codes[r0 : r0 + step]
-        n = len(chunk)
-        np.add(chunk, base[:n], out=idx[:n])
-        raw = np.bincount(idx[:n].ravel(), minlength=n * width).reshape(n, n_blocks, 256)
-        np.add.reduceat(raw[:, :, _CODES_BY_BIN], _BIN_STARTS, axis=2, out=out[r0 + 1 : r0 + 1 + n])
-    out = out.reshape(rows + 1, n_blocks * PLANE_BINS)
-    return np.cumsum(out, axis=0, out=out)
+class _RowCounts:
+    """Running per-row (block, bin) counts of one plane's code map, whose
+    rows are added a chunk of at most `step` at a time: rows [lo, hi) count
+    `prefix()[hi] - prefix()[lo]`.  `block` gives the grid block of every
+    voxel of a row.  Raw codes are counted per (row, block), then summed
+    into the 59 uniform bins.  `idx` is int64 scratch for `step` rows of
+    voxels; the three planes share one, so that the counts add little to
+    the cache footprint of the code chunk they interleave with (one per
+    plane ran the pass 10-20% slower on a 2-core x86 host)."""
+
+    def __init__(self, rows: int, block: np.ndarray, n_blocks: int, step: int, idx: np.ndarray):
+        self.width = n_blocks * 256
+        self.base = block * 256 + (np.arange(step) * self.width)[:, None, None]
+        self.idx = idx
+        self.counts = np.zeros((rows + 1, n_blocks, PLANE_BINS), np.int64)
+
+    def add(self, r0: int, codes: np.ndarray) -> None:
+        """Count `codes`, rows r0, r0+1, ... of the map."""
+        n = len(codes)
+        if not n:
+            return
+        idx = self.idx[: codes.size].reshape(codes.shape)
+        np.add(codes, self.base[:n], out=idx)
+        raw = np.bincount(idx.ravel(), minlength=n * self.width).reshape(n, -1, 256)
+        out = self.counts[r0 + 1 : r0 + 1 + n]
+        np.add.reduceat(raw[:, :, _CODES_BY_BIN], _BIN_STARTS, axis=2, out=out)
+
+    def prefix(self) -> np.ndarray:
+        out = self.counts.reshape(len(self.counts), -1)
+        return np.cumsum(out, axis=0, out=out)
 
 
 def _normalize_counts(counts: np.ndarray) -> np.ndarray:
@@ -368,11 +384,16 @@ def lbp_top_many(
     n_blocks = gy * gx
     ys = (np.arange(h) * gy // h)[:, None] * gx  # block of each pixel, row-major
     xs = np.arange(w) * gx // w
-    prefix = (
-        _prefix_counts(maps.xy, ys[1:-1] + xs[1:-1], n_blocks, maps.step),
-        _prefix_counts(maps.xt, ys + xs[1:-1], n_blocks, maps.step),
-        _prefix_counts(maps.yt, ys[1:-1] + xs, n_blocks, maps.step),
-    )
+    blocks = (ys[1:-1] + xs[1:-1], ys + xs[1:-1], ys[1:-1] + xs)  # XY, XT, YT
+    idx = np.empty(maps.step * h * w, np.int64)
+    row_counts = [
+        _RowCounts(rows, block, n_blocks, maps.step, idx)
+        for rows, block in zip((t, t - 2, t - 2), blocks)
+    ]
+    for t0, planes in maps:  # each chunk's codes are counted, then dropped
+        for plane, codes in zip(row_counts, planes):
+            plane.add(t0, codes)
+    prefix = [plane.prefix() for plane in row_counts]
     out = np.empty((len(windows), n_blocks * LBP_TOP_DIM))
     for i, window in enumerate(windows):
         if window.step is not None or not 0 <= window.start < window.stop <= t:
@@ -494,10 +515,15 @@ def _frame_names(folder) -> list[str]:
     return [n for _, n in keyed]
 
 
-def load_frame_archive(directory) -> FrameSequence:
-    """Read one video's manifest + numbered PGM frames, in frame order."""
+def load_frame_archive(directory, step: int = 1, manifest=None) -> FrameSequence:
+    """Read one video's manifest + numbered PGM frames, in frame order, and
+    keep frames 0, step, 2*step, ...: the sequence's rate is the manifest's
+    `fps` / `step`.  Every frame is read and checked, kept or not; only the
+    kept ones are held.  `manifest` is the directory's manifest when the
+    caller has read it (`load_manifest(directory, frames=True)`)."""
     directory = Path(directory)
-    manifest = load_manifest(directory, frames=True)
+    if manifest is None:
+        manifest = load_manifest(directory, frames=True)
     folder = str(directory / "frames")
     paths = [os.path.join(folder, n) for n in _frame_names(folder)]
     if len(paths) != manifest["frame_count"]:
@@ -510,11 +536,12 @@ def load_frame_archive(directory) -> FrameSequence:
         if frame.shape != shape:
             raise ParseError(path, 1, "frame size disagrees with manifest")
         if frames is None:  # sized once a frame has shown the manifest's size
-            frames = np.empty((len(paths), *shape), np.uint8)
-        frames[i] = frame
+            frames = np.empty((-(-len(paths) // step), *shape), np.uint8)
+        if i % step == 0:
+            frames[i // step] = frame
     return FrameSequence(
         frames=frames,
-        fps=float(manifest["fps"]),
+        fps=float(manifest["fps"]) / step,
         subject_id=manifest["subject_id"],
         video_id=manifest["video_id"],
     )
@@ -542,40 +569,14 @@ def load_pose_gaze_csv(path) -> PoseGazeTrack:
 
     Columns are found by header name; extra columns are ignored and blank
     rows skipped.  Every used cell must be a finite number.  NumPy's C
-    reader parses the data rows.  The row loop decides wherever that parse
-    could read the file differently, refuses it, finds no rows or finds a
+    reader parses the data rows from a stream over the file's bytes.  The
+    row loop, which reads the file again, decides wherever that parse could
+    read the file differently, refuses it, finds no rows or finds a
     non-finite value, so a fault is reported at its line.
     """
-    lines, clean = text_lines(path, "pose/gaze file")
-    reader = csv.reader(iter(lines))
-    records = csv_records(path, reader, clean, "pose/gaze file")
-    _, header = next(records, (1, None))
-    if header is None:
-        raise ParseError(path, 1, "empty pose/gaze file")
-    header = [h.strip() for h in header]
-    missing = [c for c in POSE_GAZE_COLUMNS if c not in header]
-    if missing:
-        raise ParseError(path, 1, f"missing columns: {', '.join(missing)}")
-    cols = [header.index(c) for c in POSE_GAZE_COLUMNS[1:]]
-    body = lines[reader.line_num :]
-    arr = None
-    # The C parse is taken only where it cannot disagree with the loop:
-    # UTF-8 text, no csv quoting, no line past the csv field limit, and at
-    # least one non-blank line (loadtxt warns on none).
-    if (
-        clean
-        and not any('"' in line for line in body)
-        and max(map(len, body), default=0) <= csv.field_size_limit()
-        and any(map(str.strip, body))
-    ):
-        try:
-            arr = np.loadtxt(
-                body, delimiter=",", usecols=cols, comments=None, quotechar=None, ndmin=2
-            )
-        except ValueError:
-            pass
+    arr = _c_parse(path, read_bytes(path, "pose/gaze file"))
     if arr is None or not len(arr) or not np.isfinite(arr).all():
-        arr = np.asarray(_pose_rows(path, records, cols), dtype=np.float64)
+        arr = _row_loop(path)
     return PoseGazeTrack(
         head_position=arr[:, 0:3],
         head_rotation=arr[:, 3:6],
@@ -584,9 +585,71 @@ def load_pose_gaze_csv(path) -> PoseGazeTrack:
     )
 
 
-def _pose_rows(path, records, cols) -> list[list[float]]:
-    """The row loop: the values of each record, or a ParseError at the first
-    record with a missing, malformed or non-finite cell."""
+_LINE_BREAK = re.compile(rb"[\r\n]")
+_NOT_LINE_BREAK = re.compile(rb"[^\r\n]")
+
+
+def _c_parse(path, data: bytes):
+    """The (n, 12) values that np.loadtxt parses from the data rows of
+    pose/gaze file `path`, whose bytes are `data`, or None where that parse
+    could disagree with the row loop or refuses.  It is taken only for a
+    file with no csv quoting, no line past the csv field limit, a header
+    naming every column, at least one non-empty line after it (loadtxt warns
+    on none), and strict UTF-8 throughout (a bad byte stops the stream's
+    decoder).  Nothing the size of the file is made besides the result."""
+    if b'"' in data or not _lines_within(data, csv.field_size_limit()):
+        return None
+    end = _LINE_BREAK.search(data)
+    if end is None or _NOT_LINE_BREAK.search(data, end.start()) is None:
+        return None
+    try:
+        cols = _pose_columns(path, next(csv.reader([data[: end.start()].decode("utf-8")])))
+    except (UnicodeDecodeError, ParseError):
+        return None
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None) as stream:
+        try:
+            stream.readline()  # the header
+            return np.loadtxt(
+                stream, delimiter=",", usecols=cols, comments=None, quotechar=None, ndmin=2
+            )
+        except ValueError:  # a UnicodeDecodeError too
+            return None
+
+
+def _lines_within(data: bytes, limit: int) -> bool:
+    """Whether every line of `data`, its end aside, is shorter than `limit`
+    bytes; true when each whole block of `limit // 2` bytes holds a line
+    break, so a line near the limit may read as too long.  Each block is
+    searched from its start, so a file of short lines is not read whole."""
+    size = limit // 2
+    if size < 1:
+        return False
+    for lo in range(0, len(data) - size + 1, size):
+        if data.find(b"\n", lo, lo + size) < 0 and data.find(b"\r", lo, lo + size) < 0:
+            return False
+    return True
+
+
+def _pose_columns(path, cells) -> list[int]:
+    """The index of each used column in header `cells`; a missing one is a
+    ParseError at line 1."""
+    header = [h.strip() for h in cells]
+    missing = [c for c in POSE_GAZE_COLUMNS if c not in header]
+    if missing:
+        raise ParseError(path, 1, f"missing columns: {', '.join(missing)}")
+    return [header.index(c) for c in POSE_GAZE_COLUMNS[1:]]
+
+
+def _row_loop(path) -> np.ndarray:
+    """The file read one csv record at a time: the values of each record, or
+    a ParseError at the first record with a missing, malformed or non-finite
+    cell."""
+    lines, clean = text_lines(path, "pose/gaze file")
+    records = csv_records(path, csv.reader(iter(lines)), clean, "pose/gaze file")
+    _, header = next(records, (1, None))
+    if header is None:
+        raise ParseError(path, 1, "empty pose/gaze file")
+    cols = _pose_columns(path, header)
     rows = []
     for line, cells in records:
         try:
@@ -598,7 +661,7 @@ def _pose_rows(path, records, cols) -> list[list[float]]:
         rows.append(values)
     if not rows:
         raise ParseError(path, 2, "no data rows")
-    return rows
+    return np.asarray(rows, dtype=np.float64)
 
 
 def save_pose_gaze_csv(track: PoseGazeTrack, path) -> None:

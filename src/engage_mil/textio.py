@@ -6,7 +6,8 @@ decoders on top of it (read_json, text_lines, read_csv) read strict UTF-8 and
 report a fault as a ParseError at the line it sits in.  read_csv is the one
 reader of CSV tables: it checks the header row and skips blank records.
 `what` names the kind of file in these messages.  check_fields checks the
-records a JSON file holds.  write_bytes writes an output file whole.
+records a JSON file holds, and video_id_fault the one rule for a video id,
+which writers apply too.  write_bytes writes an output file whole.
 """
 
 from __future__ import annotations
@@ -114,9 +115,18 @@ def check_fields(path, record, spec: dict, what: str) -> None:
         value = record[key]
         if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
             raise ParseError(path, 1, f"{what} has a bad {key!r}: {value!r}")
-    if "video_id" in spec and not _VIDEO_ID.fullmatch(record["video_id"]):
-        rule = "letters, digits, '.', '_' and '-', not starting with '.'"
-        raise ParseError(path, 1, f"{what} has a bad 'video_id': {record['video_id']!r} ({rule})")
+    fault = "video_id" in spec and video_id_fault(record["video_id"])
+    if fault:
+        raise ParseError(path, 1, f"{what} has a {fault}")
+
+
+def video_id_fault(video_id: str) -> str | None:
+    """What makes `video_id` other than a plain file name (see _VIDEO_ID), or
+    None when it is one."""
+    if _VIDEO_ID.fullmatch(video_id):
+        return None
+    rule = "letters, digits, '.', '_' and '-', not starting with '.'"
+    return f"bad 'video_id': {video_id!r} ({rule})"
 
 
 def text_lines(path, what: str) -> tuple[list[str], bool]:

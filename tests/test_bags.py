@@ -30,7 +30,7 @@ from engage_mil.bags import (
     synth_generate,
     write_feature_file,
 )
-from engage_mil.errors import CannotSplitError, EmptyVideoError, ParseError
+from engage_mil.errors import CannotSplitError, DataError, EmptyVideoError, ParseError
 
 # the published per-class counts (9/53/82/50) sum to 194, one short of the
 # published 195-video total; the exact counts need a 194-video dataset, and
@@ -606,6 +606,31 @@ def test_planted_csv_round_trip(tmp_path):
     assert set(loaded) == {bag.video_id for bag in dataset.bags}
     for bag, row in zip(dataset.bags, planted):
         np.testing.assert_array_equal(loaded[bag.video_id], row)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_save_planted_csv_refuses_a_non_finite_intensity_before_writing(tmp_path, value):
+    """load_planted_csv refuses a non-finite intensity, so its writer does,
+    as a data fault, before it writes anything."""
+    dataset, planted = synth_generate(SyntheticSpec(subjects=2, videos=5, m=6, dim=3, seed=3))
+    planted = planted.copy()
+    planted[2, 4] = value
+    video_id = dataset.bags[2].video_id
+    with pytest.raises(DataError, match=f"^{video_id}: planted intensity .* of instance 4 is not finite"):
+        save_planted_csv(dataset, planted, tmp_path / "truth.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("video_id", ["a,b", "a/b", ".v", "", "v\n"])
+def test_save_dataset_refuses_a_video_id_that_load_dataset_refuses(tmp_path, video_id):
+    """An id that is not a plain file name is a data fault (exit 3), not an
+    output fault, and nothing is written."""
+    dataset, _ = synth_generate(SyntheticSpec(subjects=2, videos=5, m=6, dim=3, seed=3))
+    dataset.bags[3].video_id = video_id
+    with pytest.raises(DataError, match="bad 'video_id'") as caught:
+        save_dataset(dataset, tmp_path / "d")
+    assert caught.value.exit_code == 3
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_planted_csv_rejects_bad_header(tmp_path):

@@ -146,6 +146,11 @@ def test_svr_config_validation():
         SvrConfig(epsilon=-0.1)
     with pytest.raises(ValueError):
         SvrConfig(sigma=0.0)
+    # the kernel divides by 2 sigma^2, which must neither overflow nor vanish
+    for sigma in (-1.0, 2.0**512, 1e300, float("inf"), float("nan"), 2.0**-540, 5e-324):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            SvrConfig(sigma=sigma)
+    SvrConfig(sigma=2.0**511)
     SvrConfig(epsilon=0.0)  # a zero-width tube is legal
 
 

@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import io
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,7 +32,6 @@ from engage_mil.features import (
     save_frame_archive,
     save_pose_gaze_csv,
     segment,
-    subsample,
     write_pgm,
 )
 from oracles import (
@@ -210,9 +211,10 @@ def test_lbp_top_histograms_are_distributions(seed):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_chunked_code_maps_and_histograms_match_the_references(data):
-    """With chunks of 1-3 frames, the uint8 code maps equal the whole-volume
-    float64 reference, and every window's histogram equals the triple loop,
-    from one `lbp_top_many` call and from each window computed alone."""
+    """With chunks of 1-3 frames, the uint8 code rows that the chunks yield,
+    laid end to end from each chunk's first row, equal the whole-volume
+    float64 reference maps, and every window's histogram equals the triple
+    loop, from one `lbp_top_many` call and from each window computed alone."""
     grid = data.draw(st.sampled_from([(1, 1), (2, 3)]), label="grid")
     t = data.draw(st.integers(3, 8), label="t")
     h = data.draw(st.integers(3 if grid == (1, 1) else 4, 8), label="h")
@@ -231,11 +233,15 @@ def test_chunked_code_maps_and_histograms_match_the_references(data):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(features, "_CHUNK_BYTES", chunk * 8 * h * w)
-        maps = features._PlaneCodeMaps(frames)
+        chunks = [(t0, [c.copy() for c in planes]) for t0, planes in features._PlaneCodeMaps(frames)]
         many = lbp_top_many(seq, windows, xy_frames=mode, grid=grid)
         single = [_alone(seq, win, xy_frames=mode, grid=grid) for win in windows]
-    for got, want in zip((maps.xy, maps.xt, maps.yt), reference_plane_codes(frames)):
-        assert got.dtype == np.uint8
+    for k, want in enumerate(reference_plane_codes(frames)):
+        got = np.zeros((0, *want.shape[1:]), np.uint8)
+        for t0, planes in chunks:
+            assert planes[k].dtype == np.uint8
+            assert t0 == len(got) or len(planes[k]) == 0
+            got = np.concatenate([got, planes[k]])
         np.testing.assert_array_equal(got, want)
     for window, a, b in zip(windows, many, single):
         want = naive_lbp_top(frames[window], xy_frames=mode, grid=grid)
@@ -261,16 +267,6 @@ def test_sample_step_identity_and_errors():
         sample_step(6.0, 30.0)
     with pytest.raises(ValueError):
         sample_step(0.0, 6.0)
-
-
-def test_subsample_keeps_every_step_th_frame():
-    rng = np.random.default_rng(17)
-    seq = _random_seq(rng, 31, 4, 4, fps=30.0)
-    out = subsample(seq, 6.0)
-    assert len(out) == 7  # frames 0, 5, ..., 30
-    assert out.fps == 6.0
-    np.testing.assert_array_equal(out.frames, seq.frames[::5])
-    assert (out.subject_id, out.video_id) == (seq.subject_id, seq.video_id)
 
 
 def test_segment_window_count_and_starts():
@@ -347,7 +343,10 @@ def test_prefix_counts_match_the_lookup_table_gather(data):
     want = np.zeros((rows + 1, n_blocks * PLANE_BINS), np.int64)
     for r in range(rows):
         want[r + 1] = want[r] + np.bincount(idx[r].ravel(), minlength=n_blocks * PLANE_BINS)
-    got = features._prefix_counts(codes, block, n_blocks, step)
+    counts = features._RowCounts(rows, block, n_blocks, step, np.empty(step * h * w, np.int64))
+    for r0 in range(0, rows, step):
+        counts.add(r0, codes[r0 : r0 + step])
+    got = counts.prefix()
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes(), grid
 
@@ -588,6 +587,22 @@ def test_frame_archive_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.frames, seq.frames)
     assert loaded.fps == 30.0
     assert loaded.video_id == "vid7" and loaded.subject_id == "subj3"
+
+
+def test_frame_archive_keeps_every_step_th_frame_and_checks_every_frame(tmp_path):
+    """At step 5, frames 0, 5, ..., 30 of 31 are kept at a fifth of the rate;
+    a frame that is not kept is still read and checked."""
+    rng = np.random.default_rng(17)
+    seq = _random_seq(rng, 31, 4, 4, fps=30.0)
+    save_frame_archive(seq, tmp_path / "v")
+    out = load_frame_archive(tmp_path / "v", 5)
+    assert len(out) == 7
+    assert out.fps == 6.0
+    np.testing.assert_array_equal(out.frames, seq.frames[::5])
+    assert (out.subject_id, out.video_id) == (seq.subject_id, seq.video_id)
+    write_pgm(tmp_path / "v" / "frames" / "000003.pgm", np.zeros((4, 5), np.uint8))
+    with pytest.raises(ParseError, match="frame size disagrees"):
+        load_frame_archive(tmp_path / "v", 5)
 
 
 def test_frame_archive_detects_frame_count_mismatch(tmp_path):
@@ -884,6 +899,137 @@ def test_an_edited_pose_csv_reads_as_the_row_loop_does(pose_archive, data):
             code = cli.main(["extract", "--config", str(config), "--out", str(root / "out")])
     assert code in (0, 3)
     assert "Traceback" not in err.getvalue()
+
+
+# cells that both readers take: numbers, padded with spaces or zeros
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.tuples(st.sampled_from([" ", "0" * 9, "0" * 40]), st.sampled_from(["1.5", "2 ", "3e-3"])).map("".join),
+).map(str.encode)
+
+# cells that replace a number: non-finite, empty or malformed; and quoted
+_FAULTS = st.sampled_from(["nan", "-NaN", "inf", "-inf", "1e999", "-1E999", "", " ", "x"]).map(str.encode)
+_QUOTED = st.sampled_from(['"1', '"1,2"', '"1"', '""', '"3""4"']).map(str.encode)
+
+# put inside a cell: breaks that csv does not split at, a quote, and bytes
+# that are not UTF-8
+_CELL_INSERTS = st.sampled_from(["\x0c", "\x85", "\u2028", '"']).map(str.encode) | st.sampled_from(
+    [b"\xff", b"\xc3", b"\xed\xa0\x80"]
+)
+
+# whole lines with no value: empty, blank, or breaks that csv does not split at
+_BLANK_LINES = st.sampled_from(["", " ", "\t", "\x0c", "\x85", "\u2028", " \u2028 "]).map(str.encode)
+
+
+@st.composite
+def _pose_csv(draw):
+    """A pose/gaze CSV's bytes: a header naming the columns (shuffled, maybe
+    one missing, maybe an extra one) and rows of numbers (or only blank
+    lines, or none), then up to two edits: a short row, a blank line, a cell
+    replaced by a fault or a quoted one, or bytes put inside a cell; quotes
+    and bytes go most often into a column the reader skips.  Lines end in
+    CR, LF or CRLF."""
+    names = list(features.POSE_GAZE_COLUMNS) + draw(st.sampled_from([[], ["note"]]))
+    names = draw(st.permutations(names))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        names.pop(draw(st.integers(0, len(names) - 1)))
+    unused = [j for j, name in enumerate(names) if name in ("frame", "note")]
+    rows = [[draw(_NUMBERS) for _ in names] for _ in range(draw(st.integers(1, 5)))]
+    if draw(st.sampled_from([False] * 5 + [True])):  # a body of blank lines, or none
+        rows = [[draw(_BLANK_LINES)] for _ in range(draw(st.integers(0, 3)))]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2])) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        how = draw(st.sampled_from(["short", "blank", "fault", "fault", "quote", "quote", "insert", "insert"]))
+        if how == "blank":
+            rows.insert(i, [draw(_BLANK_LINES)])
+            continue
+        cells = rows[i]
+        if how == "short":
+            del cells[draw(st.integers(1, len(cells))) :]
+            continue
+        anywhere = st.integers(0, len(cells) - 1)
+        skipped = st.sampled_from(unused) | anywhere if unused and how != "fault" else anywhere
+        k = min(draw(skipped), len(cells) - 1)
+        if how in ("fault", "quote"):
+            cells[k] = draw(_FAULTS if how == "fault" else _QUOTED)
+        else:
+            at = draw(st.integers(0, len(cells[k])))
+            cells[k] = cells[k][:at] + draw(_CELL_INSERTS) + cells[k][at:]
+    lines = [",".join(names).encode(), *(b",".join(cells) for cells in rows)]
+    ends = [draw(st.sampled_from([b"\n", b"\r\n", b"\r"])) for _ in lines]
+    ends[-1] = draw(st.sampled_from([b"", ends[-1]]))
+    return b"".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw=_pose_csv(), limit=st.sampled_from([None, None, None, 24, 120]))
+def test_pose_reader_matches_the_row_loop_on_generated_files(tmp_path_factory, raw, limit):
+    """Over generated CSVs, the reader returns the reference row loop's
+    float64 bytes, or refuses at its line for its reason, with no warning.
+    `limit`, when set, lowers the csv field limit, so that some lines and
+    cells run past it."""
+    path = tmp_path_factory.mktemp("pose_gen") / "pose.csv"
+    path.write_bytes(raw)
+    old = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        _assert_reads_as_the_row_loop(path)
+    finally:
+        csv.field_size_limit(old)
+
+
+# --- memory held, measured by tracemalloc -----------------------------------
+
+
+def _traced(call):
+    """The result of `call()` and the peak of memory it allocated, in bytes,
+    counting what it returns."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_lbp_top_many_holds_no_more_at_1800_frames_than_at_60():
+    """Past its prefix counts and its output, lbp_top_many holds a few code
+    chunks whatever the video's length: at 64x64, 30x the frames may add at
+    most 256 KB (whole-video code maps would add about 22 MB)."""
+    rng = np.random.default_rng(31)
+    extra = []
+    for t in (60, 1800):
+        seq = _random_seq(rng, t, 64, 64)
+        windows = segment(t, 20, 10)
+        out, peak = _traced(lambda: lbp_top_many(seq, windows))
+        prefix = (t + 1 + 2 * (t - 1)) * PLANE_BINS * 8  # XY, XT, YT counts
+        extra.append(peak - prefix - out.nbytes)
+    assert extra[1] - extra[0] < 256 * 1024, extra
+
+
+def test_frame_archive_at_step_5_holds_about_the_kept_frames(tmp_path):
+    """1,800 frames of 64x64 read at step 5: the peak stays within 1.5x the
+    360 kept frames' 1.47 MB (all frames would be 7.4 MB)."""
+    seq = _random_seq(np.random.default_rng(32), 1800, 64, 64, fps=30.0)
+    save_frame_archive(seq, tmp_path / "v")
+    kept, peak = _traced(lambda: load_frame_archive(tmp_path / "v", 5))
+    np.testing.assert_array_equal(kept.frames, seq.frames[::5])
+    assert peak < 1.5 * kept.frames.nbytes, (peak, kept.frames.nbytes)
+
+
+def test_pose_csv_of_9000_rows_peaks_below_1_6_times_its_size(tmp_path):
+    """The C parse reads a stream over the file's bytes: no decoded copy of
+    the text, and no list of its lines, is held beside them."""
+    rng = np.random.default_rng(33)
+    track = _track(*[rng.normal(size=(9000, 3)) for _ in range(4)])
+    path = tmp_path / "pose.csv"
+    save_pose_gaze_csv(track, path)
+    loaded, peak = _traced(lambda: load_pose_gaze_csv(path))
+    assert loaded.gaze_right.tobytes() == track.gaze_right.tobytes()
+    assert peak < 1.6 * path.stat().st_size, (peak, path.stat().st_size)
 
 
 # --- record validation ------------------------------------------------------

@@ -1,5 +1,6 @@
 """The suite's own warning settings (pyproject.toml): a failing property test
-reports its counterexample, and a DeprecationWarning still fails a test."""
+reports its counterexample, and a DeprecationWarning or a UserWarning still
+fails a test."""
 
 import subprocess
 import sys
@@ -20,6 +21,10 @@ def test_a_property_that_fails(x):
 
 def test_a_deprecated_call():
     warnings.warn("`row_stack` alias is deprecated. Use `np.vstack` directly.", DeprecationWarning)
+
+
+def test_a_user_warning():
+    warnings.warn('loadtxt: input contained no data: "<stream>"', UserWarning)
 '''
 
 
@@ -39,4 +44,5 @@ def test_a_failing_property_test_reports_its_counterexample(tmp_path):
     assert "INTERNALERROR" not in out
     assert "Falsifying example: test_a_property_that_fails(" in out and "x=5," in out
     assert "FAILED test_failing.py::test_a_deprecated_call - DeprecationWarning" in out
-    assert "2 failed" in out
+    assert "FAILED test_failing.py::test_a_user_warning - UserWarning" in out
+    assert "3 failed" in out
