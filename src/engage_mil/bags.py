@@ -13,6 +13,7 @@ import json
 import math
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .errors import (
     EmptyVideoError,
     ParseError,
 )
-from .textio import FINITE, JSON_NUMBER, check_fields, parse_json, read_bytes, read_csv, read_json
+from .textio import JSON_NUMBER, check_fields, parse_json, read_bytes, read_csv, read_json
 from .textio import video_id_fault, write_bytes, write_csv, write_json
 
 LABELS = (0, 1, 2, 3)
@@ -226,13 +227,6 @@ def make_bags(
 # splitting and augmentation
 
 
-def _subject_video_counts(dataset: Dataset) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for bag in dataset.bags:
-        counts[bag.subject_id] = counts.get(bag.subject_id, 0) + 1
-    return counts
-
-
 def split_subject_independent(
     dataset: Dataset, test_fraction: float, seed: int
 ) -> tuple[Dataset, Dataset]:
@@ -245,7 +239,7 @@ def split_subject_independent(
     """
     if not 0 < test_fraction < 1:
         raise ValueError("test_fraction must be in (0, 1)")
-    counts = _subject_video_counts(dataset)
+    counts = Counter(bag.subject_id for bag in dataset.bags)  # videos per subject
     if len(counts) < 2:
         raise CannotSplitError(
             f"{len(counts)} subject(s) cannot be partitioned into two sides"
@@ -490,6 +484,8 @@ def write_model(path, model, meta: dict | None = None) -> None:
     array as little-endian float64."""
     kind, fields, arrays = model.to_file()
     arrays = [np.ascontiguousarray(a, dtype="<f8") for a in arrays]
+    if not all(np.isfinite(a).all() for a in arrays):  # read_model's rule
+        raise ValueError(f"cannot write {path}: model arrays must be finite")
     header = {"kind": kind, "fields": fields, "meta": meta or {}}
     header["shapes"] = [list(a.shape) for a in arrays]
     blob = json.dumps(header, sort_keys=True, allow_nan=False).encode("utf-8")
@@ -509,7 +505,7 @@ def _model_header(path, data: bytes) -> tuple[dict, int]:
     offset = _MODEL_PREFIX.size + size
     if len(data) < offset:
         raise ParseError(path, 1, "truncated model header")
-    header = parse_json(path, data[_MODEL_PREFIX.size : offset], "model", **FINITE)
+    header = parse_json(path, data[_MODEL_PREFIX.size : offset], "model")
     check_fields(path, header, _MODEL_HEADER, "model header")
     for shape in header["shapes"]:
         if not (
@@ -557,11 +553,27 @@ def read_model(path, classes):
         raise ParseError(path, 1, str(exc)) from None
 
 
+def _feature_fault(instances) -> str | None:
+    """What keeps `instances`, narrowed to float32, from being a feature
+    file's matrix, which is 2-D, nonempty and finite; None when nothing does."""
+    with np.errstate(over="ignore"):  # past float32's range: inf, refused below
+        values = np.asarray(instances, dtype=np.float32)
+    if values.ndim != 2:
+        return f"a feature matrix is 2-D, not {values.ndim}-D"
+    if not values.size:
+        return "empty {} x {} feature matrix".format(*values.shape)
+    if not np.isfinite(values).all():
+        return "non-finite feature values in float32"
+    return None
+
+
 def write_feature_file(path, instances: np.ndarray) -> str:
-    """Write one feature file; returns the SHA-256 of its bytes."""
-    arr = np.ascontiguousarray(np.asarray(instances), dtype="<f4")
-    if arr.ndim != 2:
-        raise ValueError("instances must be 2-D")
+    """Write one feature file; returns the SHA-256 of its bytes.  A matrix
+    that _feature_fault refuses is a DataError, and nothing is written."""
+    fault = _feature_fault(instances)
+    if fault:
+        raise DataError(f"cannot write {path}: {fault}")
+    arr = np.ascontiguousarray(instances, dtype="<f4")
     data = _HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, *arr.shape) + arr.tobytes()
     write_bytes(path, data)
     return sha256(data).hexdigest()
@@ -573,7 +585,7 @@ def read_feature_file(path) -> np.ndarray:
 
 def _feature_matrix(path, data: bytes) -> np.ndarray:
     """The (m, dim) instance matrix of feature file `path`, whose bytes are
-    `data`; empty or non-finite ones are refused."""
+    `data`; one that _feature_fault refuses is a ParseError."""
     if len(data) < _HEADER.size:
         raise ParseError(path, 1, "truncated feature file header")
     magic, version, m, dim = _HEADER.unpack_from(data)
@@ -586,34 +598,31 @@ def _feature_matrix(path, data: bytes) -> np.ndarray:
         raise ParseError(
             path, 1, f"expected {m * dim * 4} payload bytes, found {len(payload)}"
         )
-    if m * dim == 0:
-        raise ParseError(path, 1, f"empty {m} x {dim} feature matrix")
-    instances = np.frombuffer(payload, dtype="<f4")
-    if not np.isfinite(instances).all():
-        raise ParseError(path, 1, "non-finite feature values")
-    return instances.reshape(m, dim).astype(np.float64)
+    instances = np.frombuffer(payload, dtype="<f4").reshape(m, dim)
+    fault = _feature_fault(instances)
+    if fault:
+        raise ParseError(path, 1, fault)
+    return instances.astype(np.float64)
 
 
 def save_dataset(dataset: Dataset, directory) -> Path:
     """Write one feature file per video, then an index whose records carry
-    each file's SHA-256; returns the index path.  A video id that is not a
-    plain file name, which `load_dataset` refuses, is a DataError.  Every
-    bag is narrowed to a feature file's float32 first: one with a value that
-    is not finite there (past float32's range, or inf or NaN already) is a
-    DataError.  Nothing is written before these checks pass."""
+    each file's SHA-256; returns the index path.  What `load_dataset`
+    refuses is a DataError, and nothing is written: a video id that is not a
+    plain file name or that repeats, and a bag that is not a feature file's
+    matrix once narrowed to float32 (see _feature_fault)."""
+    ids = set()
     for bag in dataset.bags:
-        fault = video_id_fault(bag.video_id)
+        fault = video_id_fault(bag.video_id) or _feature_fault(bag.instances)
+        if bag.video_id in ids:
+            fault = "the video id repeats"
         if fault:
-            raise DataError(f"cannot save a dataset with a {fault}")
-    with np.errstate(over="ignore"):  # what overflows is refused just below
-        narrowed = [bag.instances.astype("<f4") for bag in dataset.bags]
-    for bag, values in zip(dataset.bags, narrowed):
-        if not np.isfinite(values).all():
-            raise DataError(f"{bag.video_id}: a feature value is not finite as float32")
+            raise DataError(f"cannot save video {bag.video_id!r}: {fault}")
+        ids.add(bag.video_id)
     directory = Path(directory)
     (directory / "features").mkdir(parents=True, exist_ok=True)
     index = []
-    for bag, values in zip(dataset.bags, narrowed):
+    for bag in dataset.bags:
         rel = f"features/{bag.video_id}.bin"
         index.append(
             {
@@ -622,7 +631,7 @@ def save_dataset(dataset: Dataset, directory) -> Path:
                 "label": bag.label,
                 "feature_kind": dataset.feature_kind,
                 "path": rel,
-                "sha256": write_feature_file(directory / rel, values),
+                "sha256": write_feature_file(directory / rel, bag.instances),
             }
         )
     index_path = directory / "index.json"
@@ -695,13 +704,15 @@ def load_dataset(index_path) -> Dataset:
 
 def save_planted_csv(dataset: Dataset, planted: np.ndarray, path) -> None:
     """Write each video's planted intensities, one row per instance.  A
-    non-finite intensity, which `load_planted_csv` refuses, is a DataError,
-    and nothing is written."""
+    non-finite intensity or a repeated video id, which `load_planted_csv`
+    refuses, is a DataError, and nothing is written."""
     planted = np.asarray(planted)
     if planted.shape != (len(dataset), dataset.m):
         raise ValueError(
             f"planted truth shape {planted.shape} does not match dataset"
         )
+    if len({bag.video_id for bag in dataset.bags}) < len(dataset):
+        raise DataError("cannot save planted truth for a repeated video id")
     if not np.isfinite(planted).all():
         bag, j = np.argwhere(~np.isfinite(planted))[0]
         video_id = dataset.bags[bag].video_id

@@ -65,6 +65,10 @@ class SvrModel(_InstanceServing):
     KIND = "svr"
     FIELDS = dict.fromkeys(("bias", "c", "epsilon", "sigma", "tol"), JSON_NUMBER)
 
+    def __post_init__(self):
+        if self.support_vectors.ndim != 2 or self.coef.shape != (len(self.support_vectors),):
+            raise ValueError("support vectors must be (n_sv, dim) with one coefficient each")
+
     def to_file(self):
         fields = {"bias": self.bias, **vars(self.config)}
         return self.KIND, fields, [self.support_vectors, self.coef]
@@ -72,8 +76,6 @@ class SvrModel(_InstanceServing):
     @classmethod
     def from_file(cls, fields, arrays):
         support_vectors, coef = arrays
-        if support_vectors.ndim != 2 or coef.shape != (len(support_vectors),):
-            raise ValueError("support vectors must be (n_sv, dim) with one coefficient each")
         config = SvrConfig(*(float(fields[key]) for key in ("c", "epsilon", "sigma", "tol")))
         return cls(support_vectors, coef, float(fields["bias"]), config)
 

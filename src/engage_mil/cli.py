@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import logging
 import os
 import stat
 import sys
@@ -68,11 +67,7 @@ from .networks import (
     save_net,
     train,
 )
-from .textio import FINITE, read_csv, read_json, write_csv
-
-LOGGER = logging.getLogger("engage_mil")
-LOG_ENV = "ENGAGE_MIL_LOG"
-_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+from .textio import read_csv, read_json, write_csv
 
 # The values each string setting may take
 _CHOICES = {
@@ -208,7 +203,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
         try:
-            raw = read_json(path, "config", **FINITE)
+            raw = read_json(path, "config")
         except ParseError as exc:  # the one input whose read faults are config faults
             raise ConfigError(f"config {path} {exc.message}") from None
         if isinstance(raw, dict):
@@ -246,22 +241,15 @@ def load_labels_csv(path) -> dict[str, int]:
 # extract
 
 
-def _check_rate(folder: Path, fps: float, target_fps: float) -> None:
-    """A video recorded below the target rate is a fault of its manifest."""
-    if fps < target_fps:
-        raise ParseError(
-            folder / "manifest.json", 1, f"fps {fps} is below the target rate {target_fps}"
-        )
-
-
 def _extract_one(folder: Path, config: RunConfig):
     """One video's feature vectors.  The manifest is read once, and its rate
     checked before any frame or pose row is read."""
     lbptop = config.feature == "lbptop"
     manifest = feats.load_manifest(folder, frames=lbptop)
-    fps = float(manifest["fps"])
-    _check_rate(folder, fps, config.target_fps)
-    step = feats.sample_step(fps, config.target_fps)
+    fps, target = float(manifest["fps"]), config.target_fps
+    if fps < target:  # a video recorded below the target rate: its manifest's fault
+        raise ParseError(folder / "manifest.json", 1, f"fps {fps} is below the target rate {target}")
+    step = feats.sample_step(fps, target)
     if lbptop:
         seq = feats.load_frame_archive(folder, step, manifest)
         windows = feats.segment(len(seq), config.window, config.stride)
@@ -305,8 +293,7 @@ def cmd_extract(config: RunConfig) -> None:
         ids = {"video_id": video_id, "subject_id": subject_id, "label": labels[video_id]}
         bags.append(make_bags(vectors, config.m, **ids))
     dataset = Dataset(bags, config.feature, config.m)
-    index = save_dataset(dataset, config.out)
-    LOGGER.info("extract: wrote %d bags to %s", len(bags), index)
+    save_dataset(dataset, config.out)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +303,10 @@ def cmd_extract(config: RunConfig) -> None:
 def cmd_synth(config: RunConfig) -> None:
     _check_paths(config, "synth")
     dataset, planted = synth_generate(config.synth_spec)
-    index = save_dataset(dataset, config.out)
+    save_dataset(dataset, config.out)
     save_planted_csv(dataset, planted, Path(config.out) / "planted.csv")
     for level, count in sorted(dataset.class_counts().items()):
         print(f"level {level}: {count} videos")
-    LOGGER.info("synth: wrote %d bags to %s", len(dataset), index)
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +395,10 @@ def _load_checked(config: RunConfig, command: str, key: str = "dataset") -> Data
     return dataset
 
 
-def _train_meta(config: RunConfig, dataset: Dataset) -> dict:
-    return {
+def cmd_train(config: RunConfig) -> None:
+    _check_paths(config, "train")
+    dataset = _load_checked(config, "train")
+    meta = {
         "dim": dataset.dim,
         "feature_kind": dataset.feature_kind,
         "m": dataset.m,
@@ -418,12 +406,6 @@ def _train_meta(config: RunConfig, dataset: Dataset) -> dict:
         "relabel": config.relabel,
         "train_subjects": sorted(dataset.subjects()),
     }
-
-
-def cmd_train(config: RunConfig) -> None:
-    _check_paths(config, "train")
-    dataset = _load_checked(config, "train")
-    meta = _train_meta(config, dataset)
 
     header = ["epoch", "loss"]
     if config.model in ("svr", "sgd", "ridge"):
@@ -458,7 +440,6 @@ def cmd_train(config: RunConfig) -> None:
         save_net(trained, config.model_path, meta=meta)
 
     write_csv(config.out, header, ([str(i), _fmt(v)] for i, v in enumerate(trace)), "\n")
-    LOGGER.info("train: %s model written to %s", config.model, config.model_path)
 
 
 # Every model class a model file can hold
@@ -516,7 +497,6 @@ def cmd_predict(config: RunConfig) -> None:
         ),
         "\n",
     )
-    LOGGER.info("predict: wrote %d rows to %s", len(dataset), config.out)
 
 
 def cmd_localize(config: RunConfig) -> None:
@@ -536,7 +516,6 @@ def cmd_localize(config: RunConfig) -> None:
     if planted is not None:
         header.append("planted_intensity")
     write_csv(config.out, header, rows, "\n")
-    LOGGER.info("localize: wrote %d rows to %s", len(rows), config.out)
 
 
 def cmd_eval(config: RunConfig) -> None:
@@ -561,7 +540,6 @@ def cmd_eval(config: RunConfig) -> None:
     report = compute_report(predictions, dataset.labels())
     report.save(config.out)
     print(f"mse={report.mse} pcc={report.pcc}")
-    LOGGER.info("eval: report written to %s", config.out)
 
 
 # ---------------------------------------------------------------------------
@@ -594,24 +572,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setup_logging() -> None:
-    level_name = os.environ.get(LOG_ENV, "error")
-    if level_name not in _LOG_LEVELS:
-        raise ConfigError(
-            f"{LOG_ENV} must be one of {sorted(_LOG_LEVELS)}, got {level_name!r}"
-        )
-    LOGGER.handlers.clear()
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    LOGGER.addHandler(handler)
-    LOGGER.setLevel(_LOG_LEVELS[level_name])
-    LOGGER.propagate = False
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _setup_logging()
         config = RunConfig.from_file(
             args.config,
             overrides={

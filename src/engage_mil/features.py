@@ -27,7 +27,7 @@ from .errors import (
     TooShortVideoError,
 )
 from .textio import JSON_NUMBER, check_fields, csv_records, read_bytes, read_json, text_lines
-from .textio import write_bytes, write_csv, write_json
+from .textio import video_id_fault, write_bytes, write_csv, write_json
 
 # Circular neighborhood: radius 1, 8 samples, ordered counter-clockwise
 # starting from the positive horizontal axis.  Axis -2 of a plane array is
@@ -82,23 +82,15 @@ class FrameSequence:
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames)
-        if self.frames.ndim != 3 or self.frames.shape[0] < 1:
+        if self.frames.ndim != 3 or not self.frames.size:
             raise ValueError("frames must be a nonempty (n, h, w) array")
         if self.frames.dtype != np.uint8:
             raise ValueError("frames must be 8-bit grayscale (uint8)")
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
+        if not 0 < self.fps <= sys.float_info.max:  # load_manifest's rule
+            raise ValueError(f"fps must be positive and finite, not {self.fps!r}")
 
     def __len__(self):
         return self.frames.shape[0]
-
-    @property
-    def height(self):
-        return self.frames.shape[1]
-
-    @property
-    def width(self):
-        return self.frames.shape[2]
 
 
 @dataclass
@@ -356,13 +348,6 @@ class _RowCounts:
         return np.cumsum(out, axis=0, out=out)
 
 
-def _normalize_counts(counts: np.ndarray) -> np.ndarray:
-    totals = counts.sum(axis=2, dtype=np.float64)
-    if (totals == 0).any():
-        raise DegenerateWindowError("a plane block collected no pixels")
-    return (counts / totals[:, :, None]).reshape(-1)
-
-
 def lbp_top_many(
     seq: FrameSequence,
     windows,
@@ -406,7 +391,10 @@ def lbp_top_many(
         spans = (xy, (s, s + k - 2), (s, s + k - 2))
         counts = np.stack([p[hi] - p[lo] for p, (lo, hi) in zip(prefix, spans)])
         counts = counts.reshape(N_PLANES, n_blocks, PLANE_BINS).transpose(1, 0, 2)
-        out[i] = _normalize_counts(counts)
+        totals = counts.sum(axis=2, dtype=np.float64)
+        if (totals == 0).any():
+            raise DegenerateWindowError("a plane block collected no pixels")
+        out[i] = (counts / totals[:, :, None]).reshape(-1)
     return out
 
 
@@ -464,9 +452,14 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_pgm(path, image: np.ndarray) -> None:
-    image = np.asarray(image, dtype=np.uint8)
-    if image.ndim != 2:
-        raise ValueError("image must be 2-D")
+    """Write `image`, a nonempty 2-D array of integers 0..255, as a binary PGM."""
+    values = np.asarray(image)
+    with np.errstate(invalid="ignore"):  # NaN or a value past uint8: refused below
+        image = values.astype(np.uint8, copy=False)
+    if image.ndim != 2 or not image.size:
+        raise ValueError(f"image must be a nonempty 2-D array, not of shape {image.shape}")
+    if image is not values and not np.array_equal(image, values):
+        raise ValueError("image values must be integers 0..255")
     h, w = image.shape
     write_bytes(path, f"P5\n{w} {h}\n255\n".encode("ascii") + image.tobytes())
 
@@ -548,18 +541,24 @@ def load_frame_archive(directory, step: int = 1, manifest=None) -> FrameSequence
 
 
 def save_frame_archive(seq: FrameSequence, directory) -> None:
+    """Write `seq` as a manifest and numbered PGM frames.  A video id that
+    load_manifest refuses is a DataError, and nothing is written."""
+    fault = video_id_fault(seq.video_id)
+    if fault:
+        raise DataError(f"cannot save a frame archive with a {fault}")
     directory = Path(directory)
     (directory / "frames").mkdir(parents=True, exist_ok=True)
+    frame_count, height, width = seq.frames.shape
     manifest = {
         "video_id": seq.video_id,
         "subject_id": seq.subject_id,
         "fps": seq.fps,
-        "width": seq.width,
-        "height": seq.height,
-        "frame_count": len(seq),
+        "width": width,
+        "height": height,
+        "frame_count": frame_count,
     }
     write_json(directory / "manifest.json", manifest)
-    digits = max(6, len(str(len(seq))))
+    digits = max(6, len(str(frame_count)))
     for i, frame in enumerate(seq.frames):
         write_pgm(directory / "frames" / f"{i:0{digits}d}.pgm", frame)
 
@@ -587,17 +586,19 @@ def load_pose_gaze_csv(path) -> PoseGazeTrack:
 
 _LINE_BREAK = re.compile(rb"[\r\n]")
 _NOT_LINE_BREAK = re.compile(rb"[^\r\n]")
+# a csv quote, and the separators that loadtxt strips around a number but float() does not
+_NOT_C_PARSED = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _c_parse(path, data: bytes):
     """The (n, 12) values that np.loadtxt parses from the data rows of
     pose/gaze file `path`, whose bytes are `data`, or None where that parse
     could disagree with the row loop or refuses.  It is taken only for a
-    file with no csv quoting, no line past the csv field limit, a header
-    naming every column, at least one non-empty line after it (loadtxt warns
-    on none), and strict UTF-8 throughout (a bad byte stops the stream's
+    file with no byte of _NOT_C_PARSED, no line past the csv field limit, a
+    header naming every column, a non-empty line after it (loadtxt warns on
+    none), and strict UTF-8 throughout (a bad byte stops the stream's
     decoder).  Nothing the size of the file is made besides the result."""
-    if b'"' in data or not _lines_within(data, csv.field_size_limit()):
+    if any(c in data for c in _NOT_C_PARSED) or not _lines_within(data, csv.field_size_limit()):
         return None
     end = _LINE_BREAK.search(data)
     if end is None or _NOT_LINE_BREAK.search(data, end.start()) is None:
@@ -665,6 +666,8 @@ def _row_loop(path) -> np.ndarray:
 
 
 def save_pose_gaze_csv(track: PoseGazeTrack, path) -> None:
+    if not len(track):  # a file of no rows, which load_pose_gaze_csv refuses
+        raise ValueError("a pose/gaze file needs at least one row")
     values = np.hstack(
         [track.head_position, track.head_rotation, track.gaze_left, track.gaze_right]
     ).tolist()

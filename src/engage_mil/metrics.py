@@ -29,7 +29,8 @@ RELIABILITY_THRESHOLD = 0.4
 
 @dataclass
 class AnnotationMatrix:
-    """Per-video labels from several raters; NaN marks a missing rating."""
+    """Per-video labels from at least 2 raters; NaN marks a missing rating.
+    Ids are unique and nonempty with no blanks around them."""
 
     labels: np.ndarray  # (n_videos, n_raters) float64, entries in LABELS or NaN
     video_ids: list[str]
@@ -40,17 +41,17 @@ class AnnotationMatrix:
         v, r = self.labels.shape
         if v != len(self.video_ids) or r != len(self.rater_ids):
             raise ValueError("labels grid does not match id lists")
+        if v < 1 or r < 2:
+            raise ValueError(f"annotations need a video and 2 raters, not {v} and {r}")
+        for ids in (self.video_ids, self.rater_ids):
+            if len(set(ids)) != len(ids):
+                raise ValueError(f"repeated id in {ids!r}")
+            bad = [i for i in ids if not i or i != i.strip()]
+            if bad:
+                raise ValueError(f"an id is nonempty with no blanks around it, not {bad[0]!r}")
         present = self.labels[~np.isnan(self.labels)]
         if present.size and not np.isin(present, LABELS).all():
             raise ValueError(f"ratings must be integers in [{LABELS[0]}, {LABELS[-1]}]")
-
-    @property
-    def n_videos(self):
-        return self.labels.shape[0]
-
-    @property
-    def n_raters(self):
-        return self.labels.shape[1]
 
 
 @dataclass
@@ -61,6 +62,11 @@ class MetricsReport:
     classwise_mse: dict[int, float | None]
     pcc: float
     class_counts: dict[int, int]
+
+    def __post_init__(self):
+        for by_level in (self.classwise_mse, self.class_counts):
+            if not set(by_level) <= set(LABELS):
+                raise ValueError(f"a report's levels are {LABELS}, not {list(by_level)}")
 
     def to_dict(self) -> dict:
         return {
@@ -136,13 +142,11 @@ def rater_reliability(annotations: AnnotationMatrix) -> np.ndarray:
     videos with anyone gets reliability 0.
     """
     labels = annotations.labels
-    if annotations.n_raters < 2:
-        raise ValueError("reliability needs at least 2 raters")
     present = ~np.isnan(labels)
-    out = np.zeros(annotations.n_raters)
-    for i in range(annotations.n_raters):
+    out = np.zeros(labels.shape[1])
+    for i in range(labels.shape[1]):
         kappas = []
-        for j in range(annotations.n_raters):
+        for j in range(labels.shape[1]):
             if j == i:
                 continue
             joint = present[:, i] & present[:, j]
@@ -168,12 +172,12 @@ def fuse_labels(
     dropped = [annotations.rater_ids[i] for i in np.flatnonzero(~keep)]
     if not keep.any():
         raise NoReliableRatersError(
-            f"all {annotations.n_raters} raters fell below {reliability_threshold}"
+            f"all {len(keep)} raters fell below {reliability_threshold}"
         )
     kept = annotations.labels[:, keep]
-    fused = np.empty(annotations.n_videos, dtype=np.int64)
-    for v in range(annotations.n_videos):
-        row = kept[v][~np.isnan(kept[v])]
+    fused = np.empty(len(kept), dtype=np.int64)
+    for v, ratings in enumerate(kept):
+        row = ratings[~np.isnan(ratings)]
         if row.size == 0:
             raise NoReliableRatersError(
                 f"video {annotations.video_ids[v]}: no reliable ratings present"
@@ -239,13 +243,16 @@ def pcc(pred, truth) -> float:
 
 
 def compute_report(pred, truth) -> MetricsReport:
+    """The report of predictions `pred` against labels `truth`; a mean squared
+    error that overflows is a NumericError, as a report holds finite numbers."""
     pred, truth = _paired(pred, truth)
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        overall, by_level = mse(pred, truth), classwise_mse(pred, truth)
+    if not all(math.isfinite(v) for v in (overall, *by_level.values()) if v is not None):
+        raise NumericError("the mean squared error of the predictions overflows float64")
     counts = {level: int((truth == level).sum()) for level in LABELS}
     return MetricsReport(
-        mse=mse(pred, truth),
-        classwise_mse=classwise_mse(pred, truth),
-        pcc=pcc(pred, truth),
-        class_counts=counts,
+        mse=overall, classwise_mse=by_level, pcc=pcc(pred, truth), class_counts=counts
     )
 
 
@@ -258,11 +265,9 @@ def load_annotation_csv(path) -> AnnotationMatrix:
     if not header or len(header) < 3:
         raise ParseError(path, 1, "expected video_id plus at least 2 rater columns")
     rater_ids = header[1:]
-    seen = set()
-    for rater_id in rater_ids:
-        if rater_id in seen:
-            raise ParseError(path, 1, f"duplicate rater {rater_id!r}")
-        seen.add(rater_id)
+    repeated = [rater_id for k, rater_id in enumerate(rater_ids) if rater_id in rater_ids[:k]]
+    if repeated:
+        raise ParseError(path, 1, f"duplicate rater {repeated[0]!r}")
     rows = {}  # video id -> its ratings
     for lineno, row in records:
         if len(row) != len(header):

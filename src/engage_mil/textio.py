@@ -3,11 +3,13 @@
 read_bytes records each read in the ENGAGE_MIL_AUDIT trail and reports a
 file it cannot open (missing, a directory, unreadable) as a ParseError.  The
 decoders on top of it (read_json, text_lines, read_csv) read strict UTF-8 and
-report a fault as a ParseError at the line it sits in.  read_csv is the one
-reader of CSV tables: it checks the header row and skips blank records.
-`what` names the kind of file in these messages.  check_fields checks the
-records a JSON file holds, and video_id_fault the one rule for a video id,
-which writers apply too.  write_bytes writes an output file whole.
+report a fault as a ParseError at the line it sits in.  JSON holds finite
+numbers only: parse_json refuses NaN, Infinity and a number past float64's
+range, and write_json will not write one.  read_csv is the one reader of CSV
+tables: it checks the header row and skips blank records.  `what` names the
+kind of file in these messages.  check_fields checks the records a JSON file
+holds, and video_id_fault the one rule for a video id, which writers apply
+too.  write_bytes writes an output file whole.
 """
 
 from __future__ import annotations
@@ -72,25 +74,6 @@ def _read_all(fd: int) -> bytes:
     return b"".join(parts)
 
 
-def parse_json(path, data: bytes, what: str, **hooks):
-    """`data`, read from input file `path`, as UTF-8 JSON; `hooks` go to
-    json.loads, and a ValueError one raises is a ParseError at line 1."""
-    try:
-        return json.loads(data.decode("utf-8"), **hooks)
-    except UnicodeDecodeError as exc:
-        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1, "not UTF-8", what) from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.lineno, f"not valid JSON: {exc.msg}", what) from None
-    except RecursionError:
-        raise ParseError(path, 1, "nests too deeply", what) from None
-    except ValueError as exc:  # an integer past the digit limit; a hook's refusal
-        raise ParseError(path, 1, str(exc), what) from None
-
-
-def read_json(path, what: str, **hooks):
-    return parse_json(path, read_bytes(path, what), what, **hooks)
-
-
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -98,8 +81,25 @@ def _finite_float(text: str) -> float:
     return value
 
 
-# hooks refusing NaN and Infinity, which json.loads takes but JSON does not
-FINITE = {"parse_float": _finite_float, "parse_constant": _finite_float}
+def parse_json(path, data: bytes, what: str):
+    """`data`, read from input file `path`, as UTF-8 JSON of finite numbers; a
+    non-finite one, which json.loads takes but JSON does not, is a ParseError."""
+    try:
+        return json.loads(
+            data.decode("utf-8"), parse_float=_finite_float, parse_constant=_finite_float
+        )
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1, "not UTF-8", what) from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno, f"not valid JSON: {exc.msg}", what) from None
+    except RecursionError:
+        raise ParseError(path, 1, "nests too deeply", what) from None
+    except ValueError as exc:  # a non-finite number; an integer past the digit limit
+        raise ParseError(path, 1, str(exc), what) from None
+
+
+def read_json(path, what: str):
+    return parse_json(path, read_bytes(path, what), what)
 
 
 def check_fields(path, record, spec: dict, what: str) -> None:
@@ -204,13 +204,28 @@ def write_bytes(path, data: bytes) -> None:
 
 
 def write_json(path, value) -> None:
-    write_bytes(path, (json.dumps(value, indent=2, sort_keys=True) + "\n").encode())
+    text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+    write_bytes(path, (text + "\n").encode())
 
 
 def write_csv(path, header, rows, line_end: str = "\r\n") -> None:
-    """`header` then `rows` as UTF-8 CSV, each line ended by `line_end`."""
+    """`header` then `rows` as UTF-8 CSV, each line ended by `line_end`.  What
+    read_csv reads otherwise is a ValueError: a header cell with blanks around
+    it, a row of blank cells, and a carriage return in a cell when lines end
+    in a line feed alone (the csv module then leaves it unquoted)."""
+    if any(cell != cell.strip() for cell in header):
+        raise ValueError(f"a header cell has blanks around it: {header!r}")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator=line_end)
     writer.writerow(header)
-    writer.writerows(rows)
-    write_bytes(path, buffer.getvalue().encode())
+    writer.writerows(map(_filled, rows))
+    text = buffer.getvalue()
+    if "\r" in text and "\r" not in line_end:
+        raise ValueError("a carriage return in a cell, where a line ends in a line feed alone")
+    write_bytes(path, text.encode())
+
+
+def _filled(row):
+    if not any(str(cell).strip() for cell in row):
+        raise ValueError(f"a row of blank cells: {row!r}")
+    return row

@@ -13,15 +13,19 @@ import io
 import itertools
 import json
 import os
+import math
 import pickle
+import re
 import shutil
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import engage_mil
 from engage_mil import cli, textio
@@ -32,6 +36,7 @@ from engage_mil.bags import (
     load_dataset,
     load_planted_csv,
     read_feature_file,
+    read_model,
     save_dataset,
     save_planted_csv,
     synth_generate,
@@ -45,7 +50,7 @@ from engage_mil.baselines import (
     SvrModel,
     svr_train,
 )
-from engage_mil.errors import ConfigError, ParseError
+from engage_mil.errors import ConfigError, DataError, ParseError
 from engage_mil.features import (
     FrameSequence,
     PoseGazeTrack,
@@ -315,6 +320,29 @@ def test_an_input_that_cannot_be_opened_is_refused(corpus, tmp_path, row, how):
         if how == "directory":
             path.rmdir()
         shutil.move(kept, path)
+
+
+_JSON_ROWS = [row for row in TABLE if row.files.endswith(".json")]
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("row", _JSON_ROWS, ids=[row.name for row in _JSON_ROWS])
+def test_a_non_finite_json_number_is_refused(corpus, row, number):
+    """json.loads takes these, but JSON has no such number: each JSON format
+    refuses one in place of its first number, and its command exits with the
+    reader's code."""
+    path = sorted(corpus.glob(row.files))[0]
+    original = path.read_bytes()
+    edited = re.sub(rb"(?<=: )[0-9.]+", number.encode(), original, count=1)
+    assert edited != original
+    path.write_bytes(edited)
+    try:
+        refusal = _refusal(row, path)
+        assert refusal is not None and "non-finite number" in str(refusal)
+        if row.command is not None:
+            assert _run(row, corpus, path)[0] == row.code
+    finally:
+        path.write_bytes(original)
 
 
 def test_a_parse_error_survives_pickling():
@@ -597,6 +625,229 @@ def test_an_interrupted_writer_leaves_every_file_whole(tmp_path, writer, fault):
         if writer == "save_dataset":
             assert _loaded(work) in (old_dataset, 3), f"fault at call {k}"
     assert k > 1 and len(calls) == k - 1 and _files(work) == new
+
+
+# --- every writer refuses what its reader refuses ----------------------------------
+
+# any float, and as often one that a file format may not hold: not finite,
+# finite in float64 alone, subnormal, or negative zero
+_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 1e39, 5e-324, -0.0])
+# text, and as often text that breaks a plain file name, a CSV cell or a stripped cell
+_TEXT = st.sampled_from(["", " v", "a,b", "a\rb", "\r", '"']) | st.text(
+    st.sampled_from('ab_.-, /\n\r\t"\x00\x1dé'), max_size=3
+)
+_ID = st.sampled_from(["v0", "v1"]) | _TEXT  # an id: two plain ones half the time
+
+
+def _floats(shape):
+    return hnp.arrays(np.float64, shape, elements=_FLOATS)
+
+
+@st.composite
+def _models(draw):
+    """A model to build, a linear one or an SVR, and the meta to write with it."""
+    n, dim, bias = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(_FLOATS)
+    meta = draw(st.dictionaries(_ID, _FLOATS, max_size=2))
+    if draw(st.booleans()):
+        return functools.partial(LinearModel, draw(_floats(dim)), bias), meta
+    shapes = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3)
+    arrays = draw(_floats((n, dim)) | _floats(shapes)), draw(_floats(n) | _floats(shapes))
+    return functools.partial(SvrModel, *arrays, bias, SvrConfig()), meta
+
+
+@st.composite
+def _datasets(draw):
+    """A feature kind, a bag size m and bags (video id, subject id, instances, label)."""
+    m, dim = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    bag = st.tuples(_ID, _ID, _floats((m, dim)), st.integers(-1, 4))
+    return draw(_ID), m, draw(st.lists(bag, min_size=1, max_size=3))
+
+
+@st.composite
+def _annotations(draw):
+    """A rating grid, which holds NaN for a missing rating, and its ids."""
+    videos, raters = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    ratings = st.sampled_from([0.0, 1.0, 2.0, 3.0, math.nan, 0.5])
+    grid = draw(hnp.arrays(np.float64, (videos, raters), elements=ratings))
+    ids = [draw(st.lists(_ID, min_size=size, max_size=size)) for size in (videos, raters)]
+    return grid, *ids
+
+
+def _planted_dataset(video_ids) -> Dataset:
+    return Dataset([Bag(v, "s", np.zeros((2, 1)), 0) for v in video_ids], "synthetic", 2)
+
+
+def _narrowed(instances):
+    return instances.astype(np.float32).astype(np.float64)
+
+
+@dataclass(frozen=True)
+class RoundTrip:
+    values: object  # a strategy for what the writer is given
+    write: object  # (directory, value): writes its file(s) under the directory
+    read: object  # directory: what the reader returns, in the value's terms
+    kept: object = None  # value: what the file keeps of it (the format's precision)
+    examples: tuple = ()  # values always tried, each one the writer must refuse
+
+
+def _model_read(d):
+    model, meta = read_model(d / "m.bin", MODELS)
+    return model.to_file(), meta
+
+
+def _frames_read(d):
+    seq = load_frame_archive(d)
+    return seq.frames, seq.fps, seq.subject_id, seq.video_id
+
+
+def _track_read(d):
+    track = load_pose_gaze_csv(d / "pose.csv")
+    return track.head_position, track.head_rotation, track.gaze_left, track.gaze_right
+
+
+def _dataset_read(d):
+    dataset = load_dataset(d)
+    bags = [(b.video_id, b.subject_id, b.instances, b.label) for b in dataset.bags]
+    return dataset.feature_kind, dataset.m, bags
+
+
+def _csv_read(d):
+    header, records = textio.read_csv(d / "r.csv", "table")
+    return header, [cells for _, cells in records]
+
+
+def _report_read(d):
+    report = MetricsReport.load(d / "r.json")
+    return report.mse, report.classwise_mse, report.pcc, report.class_counts
+
+
+def _annotations_read(d):
+    annotations = load_annotation_csv(d / "a.csv")
+    return annotations.labels, annotations.video_ids, annotations.rater_ids
+
+
+# Each writer of WRITERS given arbitrary values, and its reader
+ROUND_TRIPS = {
+    "write_model": RoundTrip(
+        _models(),
+        lambda d, v: write_model(d / "m.bin", v[0](), v[1]),
+        _model_read,
+        lambda v: (v[0]().to_file(), v[1]),
+        (
+            (functools.partial(SvrModel, np.ones((1, 1)), np.array([np.nan]), 0.0, SvrConfig()), {}),
+            (functools.partial(SvrModel, np.ones((2, 1)), np.ones(3), 0.0, SvrConfig()), {}),
+        ),
+    ),
+    "write_feature_file": RoundTrip(
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=3), elements=_FLOATS),
+        lambda d, v: write_feature_file(d / "f.bin", v),
+        lambda d: read_feature_file(d / "f.bin"),
+        _narrowed,
+        (np.full((2, 2), 1e39), np.full((2, 2), np.nan), np.zeros((0, 3))),
+    ),
+    "save_dataset": RoundTrip(
+        _datasets(),
+        lambda d, v: save_dataset(Dataset([Bag(*bag) for bag in v[2]], v[0], v[1]), d),
+        _dataset_read,
+        lambda v: (v[0], v[1], [(i, s, _narrowed(x), y) for i, s, x, y in v[2]]),
+        (("synthetic", 1, [("v0", "s", np.ones((1, 1)), 1)] * 2),),
+    ),
+    "save_planted_csv": RoundTrip(
+        st.lists(_ID, min_size=1, max_size=3).flatmap(lambda ids: st.tuples(st.just(ids), _floats((len(ids), 2)))),
+        lambda d, v: save_planted_csv(_planted_dataset(v[0]), v[1], d / "p.csv"),
+        lambda d: load_planted_csv(d / "p.csv"),
+        lambda v: dict(zip(*v)),
+        ((["v0"], np.array([[np.nan, 1.0]])), (["v0", "v0"], np.ones((2, 2)))),
+    ),
+    "write_csv": RoundTrip(
+        st.tuples(st.lists(_TEXT, max_size=3), st.lists(st.lists(_TEXT, max_size=3), max_size=3), st.sampled_from(["\n", "\r\n"])),
+        lambda d, v: textio.write_csv(d / "r.csv", *v),
+        _csv_read,
+        lambda v: v[:2],
+        (([" a"], [], "\n"), (["a"], [[""]], "\n"), (["a"], [["x", "\r"]], "\n")),
+    ),
+    "write_pgm": RoundTrip(
+        hnp.arrays(
+            st.sampled_from([np.uint8, np.int64, np.float64]),
+            hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=3),
+        ),
+        lambda d, v: write_pgm(d / "f.pgm", v),
+        lambda d: read_pgm(d / "f.pgm"),
+        examples=(np.zeros((5, 0)), np.array([[300]])),
+    ),
+    "save_frame_archive": RoundTrip(
+        st.tuples(hnp.arrays(np.uint8, st.sampled_from([(2, 1, 2), (1, 0, 1), (0, 1, 1)])), _FLOATS, _ID, _ID),
+        lambda d, v: save_frame_archive(FrameSequence(*v), d),
+        _frames_read,
+        examples=(
+            (np.ones((1, 1, 1), np.uint8), np.nan, "s", "v"),
+            (np.ones((1, 1, 1), np.uint8), np.inf, "s", "v"),
+            (np.ones((1, 0, 1), np.uint8), 6.0, "s", "v"),
+        ),
+    ),
+    "save_pose_gaze_csv": RoundTrip(
+        st.integers(0, 3).flatmap(lambda n: st.tuples(*[_floats((n, 3))] * 4)),
+        lambda d, v: save_pose_gaze_csv(PoseGazeTrack(*v), d / "pose.csv"),
+        _track_read,
+        examples=((np.zeros((0, 3)),) * 4,),
+    ),
+    "MetricsReport.save": RoundTrip(
+        st.tuples(
+            _FLOATS,
+            st.dictionaries(st.integers(-1, 4), st.none() | _FLOATS),
+            _FLOATS,
+            st.dictionaries(st.integers(-1, 4), st.integers()),
+        ),
+        lambda d, v: MetricsReport(*v).save(d / "r.json"),
+        _report_read,
+        examples=((np.nan, {}, 0.5, {}),),
+    ),
+    "save_annotation_csv": RoundTrip(
+        _annotations(),
+        lambda d, v: save_annotation_csv(AnnotationMatrix(*v), d / "a.csv"),
+        _annotations_read,
+        examples=(
+            (np.ones((2, 2)), ["a", "a"], ["r0", "r1"]),
+            (np.ones((1, 2)), ["a"], ["r", "r"]),
+            (np.ones((1, 1)), ["a"], ["r"]),
+            (np.ones((0, 2)), [], ["r0", "r1"]),
+            (np.ones((1, 2)), [" a"], ["r0", "r1"]),
+        ),
+    ),
+}
+
+
+def _comparable(value):
+    """`value` with arrays and tuples as lists and NaN as None, so == compares it."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_comparable(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _comparable(v) for key, v in value.items()}
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_a_writer_refuses_what_its_reader_refuses(tmp_path, writer):
+    """Given any value, a writer either refuses it (a ValueError or a
+    DataError) and writes nothing, or its reader returns that value, to the
+    format's precision: float32 for features, repr for CSV numbers."""
+    trip = ROUND_TRIPS[writer]
+
+    def round_trip(value):
+        directory = Path(tempfile.mkdtemp(dir=tmp_path))
+        try:
+            trip.write(directory, value)
+        except (ValueError, DataError):
+            assert not any(directory.iterdir())
+            return
+        kept = value if trip.kept is None else trip.kept(value)
+        assert _comparable(trip.read(directory)) == _comparable(kept)
+
+    for value in trip.examples:
+        round_trip = example(value=value)(round_trip)
+    settings(max_examples=200, deadline=None)(given(value=trip.values)(round_trip))()
 
 
 def test_write_bytes_finishes_short_writes_and_replaces_a_symlink(tmp_path, monkeypatch):
