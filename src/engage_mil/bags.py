@@ -27,12 +27,7 @@ except ImportError:  # before Python 3.12
 
 import numpy as np
 
-from .errors import (
-    CannotSplitError,
-    DataError,
-    EmptyVideoError,
-    ParseError,
-)
+from .errors import DataError, ParseError
 from .textio import JSON_NUMBER, check_fields, parse_json, read_bytes, read_csv, read_json
 from .textio import video_id_fault, write_bytes, write_csv, write_json
 
@@ -218,7 +213,7 @@ def make_bags(
     """One video's (n, dim) segment feature matrix, resampled to exactly m
     instances."""
     if len(vectors) == 0:
-        raise EmptyVideoError(f"{video_id}: no segment features")
+        raise DataError(f"{video_id}: no segment features")
     instances = np.asarray(vectors, dtype=np.float64)[resample_indices(len(vectors), m)]
     return Bag(video_id=video_id, subject_id=subject_id, instances=instances, label=label)
 
@@ -241,9 +236,7 @@ def split_subject_independent(
         raise ValueError("test_fraction must be in (0, 1)")
     counts = Counter(bag.subject_id for bag in dataset.bags)  # videos per subject
     if len(counts) < 2:
-        raise CannotSplitError(
-            f"{len(counts)} subject(s) cannot be partitioned into two sides"
-        )
+        raise DataError(f"{len(counts)} subject(s) cannot be partitioned into two sides")
     n = len(dataset)
     target = int(math.floor(test_fraction * n + 0.5))
     target = min(max(target, 1), n - 1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bags import Dataset, _pairwise_sq_dists, read_model
-from .errors import ConvergenceError, TrainingDivergedError
+from .errors import NumericError
 from .textio import JSON_NUMBER
 
 
@@ -348,9 +348,7 @@ def svr_train(
             low_v[k] = v if can_fall else np.inf
         trace.append(-f)  # the dual (maximization) objective
     else:
-        raise ConvergenceError(
-            f"KKT violation {m_val - big_m:.3e} after {max_iter} steps"
-        )
+        raise NumericError(f"KKT violation {m_val - big_m:.3e} after {max_iter} steps")
 
     path.dual, path.c = a, c
     theta = a[:l] - a[l:]
@@ -412,10 +410,9 @@ def sgd_linear_train(
         residuals = x @ w + b - y
         loss = float(residuals @ residuals / n + penalty * (w @ w))
         if not math.isfinite(loss):
-            raise TrainingDivergedError(
+            raise NumericError(
                 f"sgd loss became non-finite after {len(trace) + 1} epochs "
-                "(step size too large for this feature scale?)",
-                trace=trace,
+                "(step size too large for this feature scale?)"
             )
         trace.append(loss)
     return LinearModel(weights=w, bias=b), trace

@@ -45,16 +45,7 @@ from .baselines import (
     sgd_linear_train,
     svr_train,
 )
-from .errors import (
-    ConfigError,
-    DataError,
-    EngageMilError,
-    IncompatibleArtifactsError,
-    InvalidSplitError,
-    NumericError,
-    ParseError,
-    UndefinedCorrelationError,
-)
+from .errors import ConfigError, DataError, EngageMilError, NumericError, ParseError
 from .metrics import compute_report
 from .networks import (
     POOLINGS,
@@ -112,7 +103,7 @@ _SETTINGS = {
     "seq_dense": _keyword_defaults(build_seq_net)["dense"],
     "relabel": "noisy",
     "kmeans_k": 4,
-    "train": {**_keyword_defaults(TrainConfig, "seed"), "scale_labels": bool},
+    "train": _keyword_defaults(TrainConfig, "seed"),
     "svr": _keyword_defaults(SvrConfig),
     "sgd": _keyword_defaults(sgd_linear_train, "seed"),
     "ridge": _keyword_defaults(bayesian_ridge_train),
@@ -461,14 +452,12 @@ def _open_served(config: RunConfig, command: str):
     model, meta = _load_model(config.model_path)
     feature_kind = meta.get("feature_kind")
     if feature_kind is not None and feature_kind != dataset.feature_kind:
-        raise IncompatibleArtifactsError(
+        raise DataError(
             f"model was trained on {feature_kind!r} features, "
             f"dataset holds {dataset.feature_kind!r}"
         )
     if model.in_dim != dataset.dim:
-        raise IncompatibleArtifactsError(
-            f"model expects dimension {model.in_dim}, dataset has {dataset.dim}"
-        )
+        raise DataError(f"model expects dimension {model.in_dim}, dataset has {dataset.dim}")
     model.check(dataset)
     return dataset, model, meta
 
@@ -530,12 +519,10 @@ def cmd_eval(config: RunConfig) -> None:
         train_subjects |= set(_load_checked(config, "eval", "train_dataset").subjects())
     overlap = sorted(test_subjects & train_subjects)
     if overlap:
-        raise InvalidSplitError(
-            f"train and test share subjects: {', '.join(overlap[:5])}"
-        )
+        raise DataError(f"train and test share subjects: {', '.join(overlap[:5])}")
 
     if len(dataset) < 2:
-        raise UndefinedCorrelationError(f"{config.dataset}: one video has no correlation to report")
+        raise DataError(f"{config.dataset}: one video has no correlation to report")
     predictions = _finite(dataset, model.predict_bags(dataset))
     report = compute_report(predictions, dataset.labels())
     report.save(config.out)

@@ -1,9 +1,11 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto process exit codes: ConfigError -> 2,
-DataError -> 3, NumericError -> 4.  A plain ValueError is a precondition
-violation on an in-process call: the CLI validates its inputs before they
-reach one.
+Every refusal is one of five classes, and the CLI maps each onto its
+process exit code: ConfigError or OutputError -> 2, DataError or
+ParseError -> 3, NumericError -> 4.  The message says what went wrong; no
+caller tells two refusals of one class apart.  A plain ValueError is a
+precondition violation on an in-process call: the CLI validates its inputs
+before they reach one.
 """
 
 
@@ -24,6 +26,8 @@ class DataError(EngageMilError):
 
 
 class NumericError(EngageMilError):
+    """A computation that left the finite numbers or hit an iteration cap."""
+
     exit_code = 4
 
 
@@ -38,50 +42,3 @@ class ParseError(DataError):
 
     def __reduce__(self):  # rebuilt from its arguments, so it crosses a process pool
         return type(self), (self.path, self.line, self.message, self.what)
-
-
-class TooShortVideoError(DataError):
-    """Fewer sampled frames than one window length."""
-
-
-class EmptyVideoError(DataError):
-    """A video contributed no segments at all."""
-
-
-class DegenerateWindowError(DataError):
-    """Window too small for any interior texture pixel."""
-
-
-class CannotSplitError(DataError):
-    """Subject-independent split impossible (single subject)."""
-
-
-class NoReliableRatersError(DataError):
-    """Every rater fell below the reliability threshold."""
-
-
-class DegenerateMarginalsError(DataError):
-    """Expected disagreement is zero but observed disagreement is not."""
-
-
-class UndefinedCorrelationError(DataError):
-    """Pearson correlation requested for a constant input, or one whose
-    correlation still comes out non-finite."""
-
-
-class IncompatibleArtifactsError(DataError):
-    """Model and dataset disagree on feature kind, dimension or bag size."""
-
-
-class InvalidSplitError(DataError):
-    """Train and evaluation data share at least one subject."""
-
-
-class TrainingDivergedError(NumericError):
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = list(trace) if trace is not None else []
-
-
-class ConvergenceError(NumericError):
-    """An iterative solver hit its iteration cap before its tolerance."""

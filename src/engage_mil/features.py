@@ -20,13 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DegenerateWindowError,
-    ParseError,
-    TooShortVideoError,
-)
-from .textio import JSON_NUMBER, check_fields, csv_records, read_bytes, read_json, text_lines
+from .errors import DataError, ParseError
+from .textio import JSON_NUMBER, check_fields, read_bytes, read_csv, read_json
 from .textio import video_id_fault, write_bytes, write_csv, write_json
 
 # Circular neighborhood: radius 1, 8 samples, ordered counter-clockwise
@@ -157,9 +152,7 @@ def segment(n: int, length: int, stride: int) -> list[slice]:
     if stride < 1:
         raise ValueError("stride must be at least 1")
     if n < length:
-        raise TooShortVideoError(
-            f"{n} frames cannot fit one window of length {length}"
-        )
+        raise DataError(f"{n} frames cannot fit one window of length {length}")
     return [slice(start, start + length) for start in range(0, n - length + 1, stride)]
 
 
@@ -280,9 +273,9 @@ class _PlaneCodeMaps:
     def __init__(self, frames: np.ndarray):
         t, h, w = frames.shape
         if t < 3:
-            raise DegenerateWindowError(f"{t} frames cannot support temporal planes")
+            raise DataError(f"{t} frames cannot support temporal planes")
         if h < 3 or w < 3:
-            raise DegenerateWindowError(f"plane of {h}x{w} has no interior pixels")
+            raise DataError(f"plane of {h}x{w} has no interior pixels")
         self.frames = frames
         self.step = max(1, _CHUNK_BYTES // (8 * h * w))
 
@@ -385,7 +378,7 @@ def lbp_top_many(
             raise ValueError(f"window {window} is not a range within {t} frames")
         s, k = window.start, window.stop - window.start
         if k < 3:
-            raise DegenerateWindowError("window shorter than 3 frames")
+            raise DataError("window shorter than 3 frames")
         # the window's interior voxels occupy rows [s, s+k-2) of XT and YT
         xy = (s + k // 2, s + k // 2 + 1) if xy_frames == "center" else (s, s + k)
         spans = (xy, (s, s + k - 2), (s, s + k - 2))
@@ -393,7 +386,7 @@ def lbp_top_many(
         counts = counts.reshape(N_PLANES, n_blocks, PLANE_BINS).transpose(1, 0, 2)
         totals = counts.sum(axis=2, dtype=np.float64)
         if (totals == 0).any():
-            raise DegenerateWindowError("a plane block collected no pixels")
+            raise DataError("a plane block collected no pixels")
         out[i] = (counts / totals[:, :, None]).reshape(-1)
     return out
 
@@ -645,9 +638,7 @@ def _row_loop(path) -> np.ndarray:
     """The file read one csv record at a time: the values of each record, or
     a ParseError at the first record with a missing, malformed or non-finite
     cell."""
-    lines, clean = text_lines(path, "pose/gaze file")
-    records = csv_records(path, csv.reader(iter(lines)), clean, "pose/gaze file")
-    _, header = next(records, (1, None))
+    header, records = read_csv(path, "pose/gaze file")
     if header is None:
         raise ParseError(path, 1, "empty pose/gaze file")
     cols = _pose_columns(path, header)

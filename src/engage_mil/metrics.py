@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bags import LABELS, parse_level
-from .errors import (
-    DegenerateMarginalsError,
-    NoReliableRatersError,
-    NumericError,
-    ParseError,
-    UndefinedCorrelationError,
-)
+from .errors import DataError, NumericError, ParseError
 from .textio import JSON_NUMBER, check_fields, read_csv, read_json, write_csv, write_json
 
 RELIABILITY_THRESHOLD = 0.4
@@ -67,6 +61,13 @@ class MetricsReport:
         for by_level in (self.classwise_mse, self.class_counts):
             if not set(by_level) <= set(LABELS):
                 raise ValueError(f"a report's levels are {LABELS}, not {list(by_level)}")
+        for v in self.classwise_mse.values():
+            finite = isinstance(v, JSON_NUMBER) and not isinstance(v, bool) and math.isfinite(v)
+            if not (v is None or finite):
+                raise ValueError(f"a per-level MSE is a finite number or null, not {v!r}")
+        for n in self.class_counts.values():
+            if type(n) is not int or n < 0:  # a bool is never a count
+                raise ValueError(f"a class count is a nonnegative integer, not {n!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -89,7 +90,10 @@ class MetricsReport:
             by_level = {key: {parse_level(k): v for k, v in raw[key].items()} for key in levels}
         except ValueError as exc:
             raise ParseError(path, 1, f"metrics report key {exc}") from None
-        return cls(mse=raw["mse"], pcc=raw["pcc"], **by_level)
+        try:
+            return cls(mse=raw["mse"], pcc=raw["pcc"], **by_level)
+        except ValueError as exc:
+            raise ParseError(path, 1, str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +133,7 @@ def quadratic_weighted_kappa(a, b) -> float:
         # both raters constant on the same level: no room for disagreement
         if numerator == 0.0:
             return 1.0
-        raise DegenerateMarginalsError(
-            "expected disagreement is zero but observed disagreement is not"
-        )
+        raise DataError("expected disagreement is zero but observed disagreement is not")
     return float(1.0 - numerator / denominator)
 
 
@@ -171,17 +173,13 @@ def fuse_labels(
     keep = reliability >= reliability_threshold
     dropped = [annotations.rater_ids[i] for i in np.flatnonzero(~keep)]
     if not keep.any():
-        raise NoReliableRatersError(
-            f"all {len(keep)} raters fell below {reliability_threshold}"
-        )
+        raise DataError(f"all {len(keep)} raters fell below {reliability_threshold}")
     kept = annotations.labels[:, keep]
     fused = np.empty(len(kept), dtype=np.int64)
     for v, ratings in enumerate(kept):
         row = ratings[~np.isnan(ratings)]
         if row.size == 0:
-            raise NoReliableRatersError(
-                f"video {annotations.video_ids[v]}: no reliable ratings present"
-            )
+            raise DataError(f"video {annotations.video_ids[v]}: no reliable ratings present")
         fused[v] = math.floor(row.mean() + 0.5)
     return fused, dropped
 
@@ -235,10 +233,10 @@ def pcc(pred, truth) -> float:
     if pred.size < 2:
         raise ValueError("correlation needs at least 2 samples")
     if (pred == pred[0]).all() or (truth == truth[0]).all():
-        raise UndefinedCorrelationError("constant input has no defined correlation")
+        raise DataError("constant input has no defined correlation")
     r = float(np.corrcoef(_unit_scaled(pred), _unit_scaled(truth))[0, 1])
     if not math.isfinite(r):
-        raise UndefinedCorrelationError("non-finite input has no defined correlation")
+        raise DataError("non-finite input has no defined correlation")
     return r
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bags import LABELS, Dataset, read_model, write_model
-from .errors import IncompatibleArtifactsError, TrainingDivergedError
+from .errors import DataError, NumericError
 
 _ACTIVATIONS = ("relu", "sigmoid", "linear")
 POOLINGS = ("topk", "mean")
@@ -114,7 +114,6 @@ class TrainConfig:
     epochs: int = 300
     batch_size: int = 16
     seed: int = 0
-    scale_labels: bool | None = None  # None: keep the net's own setting
     clip_norm: float = 5.0
 
     def __post_init__(self):
@@ -126,8 +125,6 @@ class TrainConfig:
             raise ValueError("batch size must be at least 1")
         if self.clip_norm <= 0:
             raise ValueError("clip norm must be positive")
-        if not (self.scale_labels is None or isinstance(self.scale_labels, bool)):
-            raise ValueError(f"scale_labels must be true, false or null, not {self.scale_labels!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +284,19 @@ def _seq_intensities(net: SeqNet, hs: np.ndarray) -> np.ndarray:
 class _NetServing:
     """A net's forward pass, and its predict_bags/localize_bags (see cli).  A
     net's file form (see bags.write_model) is its parameters() in order, with
-    its dense layers' activations among the fields; their sizes are the shapes."""
+    its dense layers' activations among the fields; their sizes are the shapes.
+
+    A net trains on the labels divided by its class's LABEL_SCALE and serves
+    its outputs multiplied by it."""
+
+    @classmethod
+    def _scaling_field(cls, fields=None) -> bool:
+        """The label_scaling field of the class's files: whether LABEL_SCALE
+        is not 1.  A file's `fields` that say otherwise are refused."""
+        scaling = cls.LABEL_SCALE != 1
+        if fields is not None and fields["label_scaling"] is not scaling:
+            raise ValueError(f"a {cls.KIND} model's label_scaling is {str(scaling).lower()}")
+        return scaling
 
     def forward(self, x: np.ndarray, intensities: bool = False):
         """Bag scores (B,) and, if asked, per-segment intensities (B, M) of a
@@ -300,7 +309,7 @@ class _NetServing:
     def predict_bags(self, dataset: Dataset) -> np.ndarray:
         """Every bag's score in the 0-3 label range, from one batched pass."""
         scores, _ = self.forward(dataset.tensor())
-        return scores * (LABELS[-1] if self.label_scaling else 1)
+        return scores * self.LABEL_SCALE
 
     def localize_bags(self, dataset: Dataset) -> np.ndarray:
         """(n_bags, M) per-segment intensities in the 0-3 label range.
@@ -310,7 +319,7 @@ class _NetServing:
         with every other segment's activations zeroed.
         """
         _, r = self.forward(dataset.tensor(), intensities=True)
-        return r * (LABELS[-1] if self.label_scaling else 1)
+        return r * self.LABEL_SCALE
 
 
 @dataclass
@@ -320,7 +329,8 @@ class MilNet(_NetServing):
     layers: list[DenseLayer]
     pooling: str
     k: int
-    label_scaling: bool = False
+
+    LABEL_SCALE = 1  # the linear ranking layer outputs on the labels' own scale
 
     def __post_init__(self):
         if not self.layers or self.layers[-1].out_dim != 1:
@@ -339,9 +349,7 @@ class MilNet(_NetServing):
 
     def check(self, dataset: Dataset) -> None:
         if self.pooling == "topk" and self.k > dataset.m:
-            raise IncompatibleArtifactsError(
-                f"model pools the top {self.k} segments, dataset bags have {dataset.m}"
-            )
+            raise DataError(f"model pools the top {self.k} segments, dataset bags have {dataset.m}")
 
     def parameters(self) -> list[np.ndarray]:
         out = []
@@ -353,14 +361,15 @@ class MilNet(_NetServing):
     FIELDS = {"activations": list, "label_scaling": bool, "pooling": str, "k": int}
 
     def to_file(self):
-        fields = {"label_scaling": self.label_scaling, "pooling": self.pooling, "k": self.k}
+        fields = {"label_scaling": self._scaling_field(), "pooling": self.pooling, "k": self.k}
         fields["activations"] = [layer.activation for layer in self.layers]
         return self.KIND, fields, self.parameters()
 
     @classmethod
     def from_file(cls, fields, arrays):
+        cls._scaling_field(fields)
         layers = _dense_from_file(fields["activations"], arrays, 0)
-        return cls(layers, fields["pooling"], fields["k"], fields["label_scaling"])
+        return cls(layers, fields["pooling"], fields["k"])
 
     def _pass(self, x, intensities):
         b, m, d = x.shape
@@ -402,7 +411,8 @@ class SeqNet(_NetServing):
     lstm: LstmLayer
     dense: list[DenseLayer]
     m: int
-    label_scaling: bool = True
+
+    LABEL_SCALE = LABELS[-1]  # the all-sigmoid head outputs in (0, 1)
 
     def __post_init__(self):
         if len(self.dense) != 3:
@@ -423,9 +433,7 @@ class SeqNet(_NetServing):
 
     def check(self, dataset: Dataset) -> None:
         if self.m != dataset.m:
-            raise IncompatibleArtifactsError(
-                f"model expects {self.m} segments per bag, dataset has {dataset.m}"
-            )
+            raise DataError(f"model expects {self.m} segments per bag, dataset has {dataset.m}")
 
     def parameters(self) -> list[np.ndarray]:
         out = [self.lstm.weights, self.lstm.bias]
@@ -438,13 +446,14 @@ class SeqNet(_NetServing):
 
     def to_file(self):
         activations = [layer.activation for layer in self.dense]
-        fields = {"activations": activations, "label_scaling": self.label_scaling, "m": self.m}
+        fields = {"activations": activations, "label_scaling": self._scaling_field(), "m": self.m}
         return self.KIND, fields, self.parameters()
 
     @classmethod
     def from_file(cls, fields, arrays):
+        cls._scaling_field(fields)
         head = _dense_from_file(fields["activations"], arrays, 2)
-        return cls(LstmLayer(*arrays[:2]), head, fields["m"], fields["label_scaling"])
+        return cls(LstmLayer(*arrays[:2]), head, fields["m"])
 
     def _pass(self, x, intensities):
         scores, hs, _, _ = _seq_forward(self, x)
@@ -506,17 +515,13 @@ def train(net, dataset: Dataset, config: TrainConfig):
 
     Per-epoch shuffling, mini-batches of config.batch_size bags, global
     gradient-norm clipping.  The trace holds each epoch's mean batch loss in
-    the (possibly rescaled) label space being optimized.
+    the label space being optimized: the labels divided by net.LABEL_SCALE.
     """
     if len(dataset) == 0:
         raise ValueError("dataset must be nonempty")
     net = copy.deepcopy(net)
-    if config.scale_labels is not None:
-        net.label_scaling = config.scale_labels
     x_all = dataset.tensor()
-    y_all = dataset.labels().astype(np.float64)
-    if net.label_scaling:
-        y_all = y_all / LABELS[-1]
+    y_all = dataset.labels().astype(np.float64) / net.LABEL_SCALE
     params = net.parameters()
     rng = np.random.default_rng(config.seed)
     trace: list[float] = []
@@ -528,9 +533,7 @@ def train(net, dataset: Dataset, config: TrainConfig):
             rows = order[start : start + config.batch_size]
             loss, grads, _ = net.batch_grads(x_all[rows], y_all[rows])
             if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {len(trace)}", trace=trace
-                )
+                raise NumericError(f"non-finite loss at epoch {len(trace)}")
             total = np.sqrt(sum(float((g**2).sum()) for g in grads))
             if total > config.clip_norm:
                 scale = config.clip_norm / total

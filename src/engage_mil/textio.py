@@ -2,10 +2,10 @@
 
 read_bytes records each read in the ENGAGE_MIL_AUDIT trail and reports a
 file it cannot open (missing, a directory, unreadable) as a ParseError.  The
-decoders on top of it (read_json, text_lines, read_csv) read strict UTF-8 and
-report a fault as a ParseError at the line it sits in.  JSON holds finite
-numbers only: parse_json refuses NaN, Infinity and a number past float64's
-range, and write_json will not write one.  read_csv is the one reader of CSV
+decoders on top of it (read_json, read_csv) read strict UTF-8 and report a
+fault as a ParseError at the line it sits in.  JSON holds finite numbers
+only: parse_json refuses NaN, Infinity and a number past float64's range,
+and write_json will not write one.  read_csv is the one reader of CSV
 tables: it checks the header row and skips blank records.  `what` names the
 kind of file in these messages.  check_fields checks the records a JSON file
 holds, and video_id_fault the one rule for a video id, which writers apply
@@ -129,7 +129,7 @@ def video_id_fault(video_id: str) -> str | None:
     return f"bad 'video_id': {video_id!r} ({rule})"
 
 
-def text_lines(path, what: str) -> tuple[list[str], bool]:
+def _text_lines(path, what: str) -> tuple[list[str], bool]:
     """The file's lines, ends kept, split where open(newline="") splits them,
     and whether the file is UTF-8.  A file that is not is decoded with
     surrogateescape.  The bytes are dropped before the text is split, which
@@ -145,7 +145,7 @@ def text_lines(path, what: str) -> tuple[list[str], bool]:
     return text.splitlines(keepends=True), clean
 
 
-def csv_records(path, reader, clean: bool, what: str):
+def _csv_records(path, reader, clean: bool, what: str):
     """(line, cells) for the header, which is line 1, and for each later
     record of `reader` that holds a non-blank cell; `line` is the line the
     record starts on (a quoted cell may hold line breaks).
@@ -173,10 +173,10 @@ def csv_records(path, reader, clean: bool, what: str):
 
 def read_csv(path, what: str, header=None):
     """The header cells of a CSV file that must be UTF-8, stripped (None for
-    an empty file), and csv_records for the records after it.  A header
+    an empty file), and _csv_records for the records after it.  A header
     other than the list `header`, when given, is a ParseError at line 1."""
-    lines, clean = text_lines(path, what)
-    records = csv_records(path, csv.reader(iter(lines)), clean, what)
+    lines, clean = _text_lines(path, what)
+    records = _csv_records(path, csv.reader(iter(lines)), clean, what)
     first = next(records, None)
     found = None if first is None else [cell.strip() for cell in first[1]]
     if header is not None and found != header:

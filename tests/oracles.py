@@ -531,9 +531,9 @@ def reference_bag_scores(net, instances):
     MilNet: each instance through the dense stack on its own, then the mean
     of the k largest by a full sort (or the mean).  SeqNet: the per-gate
     forward, and each segment's head response to the flattened state vector
-    with every other segment's block zeroed.
+    with every other segment's block zeroed, times 3: the sigmoid head trains
+    on the labels divided by the top level.
     """
-    scale = 3.0 if net.label_scaling else 1.0
     if hasattr(net, "layers"):
         r = []
         for row in instances:
@@ -544,14 +544,14 @@ def reference_bag_scores(net, instances):
             r.append(h[0])
         r = np.array(r)
         top = np.sort(r)[::-1][: net.k] if net.pooling == "topk" else r
-        return float(top.mean()) * scale, r * scale
+        return float(top.mean()), r
     scores, hs, _, _ = reference_seq_forward(net, instances[None])
     m, h_dim = hs.shape[1:]
     isolated = np.zeros((m, m * h_dim))
     for j in range(m):
         isolated[j, j * h_dim : (j + 1) * h_dim] = hs[0, j]
     out, _ = _reference_head(net.dense, isolated)
-    return float(scores[0]) * scale, out.mean(axis=1) * scale
+    return float(scores[0]) * 3.0, out.mean(axis=1) * 3.0
 
 
 # ---------------------------------------------------------------------------

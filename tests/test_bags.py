@@ -30,7 +30,7 @@ from engage_mil.bags import (
     synth_generate,
     write_feature_file,
 )
-from engage_mil.errors import CannotSplitError, DataError, EmptyVideoError, ParseError
+from engage_mil.errors import DataError, ParseError
 
 # the published per-class counts (9/53/82/50) sum to 194, one short of the
 # published 195-video total; the exact counts need a 194-video dataset, and
@@ -97,7 +97,7 @@ def test_make_bags_identity_and_cyclic():
 
 
 def test_make_bags_empty_video():
-    with pytest.raises(EmptyVideoError):
+    with pytest.raises(DataError, match="v: no segment features"):
         make_bags(np.empty((0, 3)), 100, video_id="v", subject_id="s", label=1)
 
 
@@ -157,7 +157,7 @@ def test_split_two_subjects():
 
 def test_split_single_subject_fails():
     dataset = _toy_dataset({"only": [1, 2, 3]})
-    with pytest.raises(CannotSplitError):
+    with pytest.raises(DataError, match="1 subject\\(s\\) cannot be partitioned"):
         split_subject_independent(dataset, 0.5, seed=0)
 
 

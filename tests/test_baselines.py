@@ -21,7 +21,7 @@ from engage_mil.baselines import (
     svr_predict_many,
     svr_train,
 )
-from engage_mil.errors import ConvergenceError, ParseError
+from engage_mil.errors import NumericError, ParseError
 
 from oracles import (
     _box_hyperplane_root,
@@ -257,7 +257,7 @@ def test_svr_raises_convergence_error_at_its_step_cap():
     x, y = _random_problem(3, n=30, dim=2)
     config = SvrConfig(tol=1e-6)
     assert len(svr_train(x, y, config).objective_trace) > 5
-    with pytest.raises(ConvergenceError, match="after 5 steps"):
+    with pytest.raises(NumericError, match="after 5 steps"):
         svr_train(x, y, config, max_iter=5)
 
 

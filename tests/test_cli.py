@@ -240,7 +240,7 @@ class TestRunConfig:
             target_fps=6,
             hidden=[4, 2],
             dataset=None,
-            train={"scale_labels": None},
+            train=None,
             svr={"sigma": 2},
             ridge={"fit_intercept": False},
             synth={"class_distribution": [1, 0, 0, 0]},
@@ -248,7 +248,7 @@ class TestRunConfig:
         config = RunConfig.from_file(path)
         assert (config.target_fps, config.hidden, config.dataset) == (6.0, (4, 2), None)
         assert type(config.target_fps) is float and type(config.svr["sigma"]) is float
-        assert config.train["scale_labels"] is None and config.ridge["fit_intercept"] is False
+        assert config.train == cli._SETTINGS["train"] and config.ridge["fit_intercept"] is False
         assert config.synth["class_distribution"] == (1.0, 0.0, 0.0, 0.0)
 
     def test_readme_names_every_config_key(self):
@@ -1258,14 +1258,31 @@ class TestProcess:
         assert "Traceback" not in err and str(model) in err and match in err
 
     @pytest.mark.parametrize(
-        "case", ["json-list", "linear-no-weights", "bad-meta", "huge-net", "eight-gate-seq"]
+        "case",
+        [
+            "json-list",
+            "linear-no-weights",
+            "bad-meta",
+            "huge-net",
+            "eight-gate-seq",
+            "wider-net",
+            "topk-past-bag",
+            "seq-bag-size",
+        ],
     )
     def test_malformed_model_file_exits_3(self, split_root, tmp_path, capsys, case):
         """Files in the retired JSON format, seq files in the retired layout
-        of eight per-gate LSTM arrays, and container files whose meta is not
-        an object or whose shapes outgrow the payload."""
+        of eight per-gate LSTM arrays, container files whose meta is not an
+        object or whose shapes outgrow the payload, and well-formed nets that
+        do not fit the dataset's 5-dimensional bags of 10 segments."""
         model = tmp_path / "model.bin"
-        if case == "json-list":
+        if case == "wider-net":
+            save_net(build_mil_net(8, hidden=(4,), seed=0), model)
+        elif case == "topk-past-bag":
+            save_net(build_mil_net(5, hidden=(4,), k=12, seed=0), model)
+        elif case == "seq-bag-size":
+            save_net(build_seq_net(5, m=6, hidden=2, dense=(4, 3)), model)
+        elif case == "json-list":
             model.write_text("[1, 2]")
         elif case == "linear-no-weights":
             model.write_text('{"kind": "linear"}')
@@ -1293,13 +1310,16 @@ class TestProcess:
         code = run_cli("predict", "--config", str(config), "--out", str(tmp_path / "p.csv"))
         assert code == 3
         err = capsys.readouterr().err
-        assert "Traceback" not in err and "model.bin" in err
+        assert "Traceback" not in err
         want = {
-            "bad-meta": "bad 'meta'",
-            "huge-net": "payload size mismatch",
-            "eight-gate-seq": "14 arrays do not fit a stacked (4H, D+H) LSTM weight",
+            "bad-meta": "model.bin:1: model header has a bad 'meta'",
+            "huge-net": "model.bin:1: payload size mismatch",
+            "eight-gate-seq": "model.bin:1: 14 arrays do not fit a stacked (4H, D+H) LSTM weight",
+            "wider-net": "error: model expects dimension 8, dataset has 5\n",
+            "topk-past-bag": "error: model pools the top 12 segments, dataset bags have 10\n",
+            "seq-bag-size": "error: model expects 6 segments per bag, dataset has 10\n",
         }
-        assert want.get(case, "not a supported model file") in err
+        assert want.get(case, "model.bin:1: not a supported model file") in err
 
     def test_planted_truth_shorter_than_the_bags_exits_3(
         self, artifacts, synth_dir, tmp_path, capsys
@@ -1450,10 +1470,12 @@ class TestProcess:
         assert code == 3
         assert "Traceback" not in err and str(index) in err
 
-    @pytest.mark.parametrize("value", ["no", 1, 0.0, [True]])
+    @pytest.mark.parametrize("value", ["no", 1, 0.0, [True], True, False, None])
     def test_bad_scale_labels_exits_2_before_writing_a_model(
         self, split_root, tmp_path, capsys, value
     ):
+        """train.scale_labels is retired: each net's class fixes its label
+        scale, so the key is unknown whatever its value."""
         model = tmp_path / "m.bin"
         config = write_config(
             tmp_path / "c.json",
@@ -1465,7 +1487,7 @@ class TestProcess:
         code = run_cli("train", "--config", str(config), "--out", str(tmp_path / "t.csv"))
         assert code == 2
         err = capsys.readouterr().err
-        assert "Traceback" not in err and "config train.scale_labels has a bad value" in err
+        assert err == "error: unknown train config keys: scale_labels\n"
         assert not model.exists()
 
     @pytest.mark.parametrize(

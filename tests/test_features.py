@@ -11,12 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engage_mil import cli, features
-from engage_mil.errors import (
-    DataError,
-    DegenerateWindowError,
-    ParseError,
-    TooShortVideoError,
-)
+from engage_mil.errors import DataError, ParseError
 from engage_mil.features import (
     LBP_TOP_DIM,
     PLANE_BINS,
@@ -173,11 +168,11 @@ def test_lbp_top_many_center_mode_matches_standalone():
 
 def test_lbp_top_rejects_short_windows_and_thin_frames():
     rng = np.random.default_rng(14)
-    with pytest.raises(DegenerateWindowError):
+    with pytest.raises(DataError, match="2 frames cannot support temporal planes"):
         lbp_top_many(_random_seq(rng, 2, 8, 8), [slice(0, 2)])
-    with pytest.raises(DegenerateWindowError):
+    with pytest.raises(DataError, match="plane of 2x8 has no interior pixels"):
         lbp_top_many(_random_seq(rng, 8, 2, 8), [slice(0, 8)])
-    with pytest.raises(DegenerateWindowError):
+    with pytest.raises(DataError, match="plane of 8x2 has no interior pixels"):
         lbp_top_many(_random_seq(rng, 8, 8, 2), [slice(0, 8)])
 
 
@@ -191,7 +186,7 @@ def test_lbp_top_rejects_window_past_end():
 def test_lbp_top_empty_grid_block_is_an_error():
     rng = np.random.default_rng(16)
     seq = _random_seq(rng, 5, 4, 8)  # 4 rows cannot feed 4 interior row-bands
-    with pytest.raises(DegenerateWindowError):
+    with pytest.raises(DataError, match="a plane block collected no pixels"):
         lbp_top_many(seq, [slice(0, 5)], grid=(4, 1))
 
 
@@ -282,7 +277,7 @@ def test_segment_exact_fit_yields_single_window():
 
 
 def test_segment_too_short_video():
-    with pytest.raises(TooShortVideoError):
+    with pytest.raises(DataError, match="19 frames cannot fit one window of length 20"):
         segment(19, length=20, stride=10)
 
 
@@ -300,7 +295,7 @@ def test_segment_rejects_bad_parameters():
 )
 def test_segment_count_formula_and_coverage(n, length, stride):
     if n < length:
-        with pytest.raises(TooShortVideoError):
+        with pytest.raises(DataError, match="frames cannot fit one window"):
             segment(n, length=length, stride=stride)
         return
     windows = segment(n, length=length, stride=stride)

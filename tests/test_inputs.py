@@ -294,7 +294,10 @@ def test_a_damaged_input_is_refused_or_read(corpus, row):
                 return
             code, err = _run(row, corpus, path)
             if refusal is None:
-                assert code in (0, row.code)
+                # a flip may leave finite weights whose output overflows, and
+                # predict refuses that output with its documented exit 4
+                overflow = row.name == "model" and "the model's output is not finite" in err
+                assert code in (0, row.code) or (overflow and code == 4)
             else:
                 assert code == row.code
                 assert isinstance(refusal, ConfigError) or str(path) in err
@@ -800,7 +803,14 @@ ROUND_TRIPS = {
         ),
         lambda d, v: MetricsReport(*v).save(d / "r.json"),
         _report_read,
-        examples=((np.nan, {}, 0.5, {}),),
+        examples=(
+            (np.nan, {}, 0.5, {}),
+            (0.5, {0: "x", 1: True}, 0.5, {}),
+            (0.5, {0: math.inf}, 0.5, {}),
+            (0.5, {}, 0.5, {0: -5}),
+            (0.5, {}, 0.5, {0: 1.5}),
+            (0.5, {}, 0.5, {0: True}),
+        ),
     ),
     "save_annotation_csv": RoundTrip(
         _annotations(),
@@ -835,19 +845,21 @@ def test_a_writer_refuses_what_its_reader_refuses(tmp_path, writer):
     format's precision: float32 for features, repr for CSV numbers."""
     trip = ROUND_TRIPS[writer]
 
-    def round_trip(value):
+    def round_trip(value, refused):
         directory = Path(tempfile.mkdtemp(dir=tmp_path))
         try:
             trip.write(directory, value)
         except (ValueError, DataError):
             assert not any(directory.iterdir())
             return
+        assert not refused, "the writer took a value it must refuse"
         kept = value if trip.kept is None else trip.kept(value)
         assert _comparable(trip.read(directory)) == _comparable(kept)
 
     for value in trip.examples:
-        round_trip = example(value=value)(round_trip)
-    settings(max_examples=200, deadline=None)(given(value=trip.values)(round_trip))()
+        round_trip = example(value=value, refused=True)(round_trip)
+    values = given(value=trip.values, refused=st.just(False))
+    settings(max_examples=200, deadline=None)(values(round_trip))()
 
 
 def test_write_bytes_finishes_short_writes_and_replaces_a_symlink(tmp_path, monkeypatch):

@@ -6,12 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from engage_mil.errors import (
-    NoReliableRatersError,
-    NumericError,
-    ParseError,
-    UndefinedCorrelationError,
-)
+from engage_mil.errors import DataError, NumericError, ParseError
 from engage_mil.metrics import (
     AnnotationMatrix,
     MetricsReport,
@@ -168,7 +163,7 @@ def test_fusion_ignores_missing_entries():
 def test_all_raters_dropped():
     # two raters perfectly anti-correlated: each has reliability -1
     grid = np.array([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [3.0, 0.0]])
-    with pytest.raises(NoReliableRatersError):
+    with pytest.raises(DataError, match="all 2 raters fell below 0.4"):
         fuse_labels(_matrix(grid))
 
 
@@ -198,7 +193,8 @@ def test_fused_labels_always_in_range(n_raters, n_videos, seed):
     grid = rng.integers(0, 4, size=(n_videos, n_raters)).astype(float)
     try:
         fused, _ = fuse_labels(_matrix(grid))
-    except NoReliableRatersError:
+    except DataError as exc:
+        assert "raters fell below" in str(exc)
         return
     assert ((fused >= 0) & (fused <= 3)).all()
 
@@ -261,9 +257,9 @@ def test_pcc_matches_two_pass_oracle():
 
 
 def test_pcc_constant_input_raises():
-    with pytest.raises(UndefinedCorrelationError):
+    with pytest.raises(DataError, match="constant input has no defined correlation"):
         pcc([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
-    with pytest.raises(UndefinedCorrelationError):
+    with pytest.raises(DataError, match="constant input has no defined correlation"):
         pcc([0.0, 1.0, 2.0], [5.0, 5.0, 5.0])
 
 

@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from engage_mil.bags import Bag, Dataset, SyntheticSpec, synth_generate
-from engage_mil.errors import ParseError, TrainingDivergedError
+from engage_mil.errors import NumericError, ParseError
 from engage_mil.networks import (
     DenseLayer,
     LstmLayer,
@@ -424,9 +423,9 @@ def _serving_dataset(rng, m, dim, bags=9):
     [
         lambda: build_mil_net(5, hidden=(7, 4), pooling="topk", k=3, seed=1),
         lambda: build_mil_net(5, hidden=(6,), pooling="topk", k=8, seed=2),
-        lambda: replace(build_mil_net(5, hidden=(6,), pooling="mean", seed=3), label_scaling=True),
+        lambda: build_mil_net(5, hidden=(6,), pooling="mean", seed=3),
         lambda: build_seq_net(5, m=8, hidden=3, dense=(6, 5), seed=4),
-        lambda: replace(build_seq_net(5, m=8, hidden=1, dense=(4, 3), seed=5), label_scaling=False),
+        lambda: build_seq_net(5, m=8, hidden=1, dense=(4, 3), seed=5),
     ],
 )
 def test_batched_serving_matches_per_bag_reference(make):
@@ -513,27 +512,15 @@ def test_train_learns_noiseless_planted_data():
     assert trace[-1] < trace[0]
 
 
-def test_train_divergence_raises_with_partial_trace():
+def test_train_divergence_raises_a_numeric_error_naming_the_epoch():
     dataset, _ = _tiny_dataset(seed=2)
     net = build_mil_net(5, hidden=(8, 6), pooling="mean", seed=0)
     config = TrainConfig(
         step_size=1e20, epochs=50, batch_size=4, clip_norm=float("inf")
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainingDivergedError) as err:
+        with pytest.raises(NumericError, match=r"^non-finite loss at epoch \d+$"):
             train(net, dataset, config)
-    assert isinstance(err.value.trace, list)
-
-
-def test_train_scale_labels_override_is_stamped_on_the_copy():
-    dataset, _ = _tiny_dataset(seed=4)
-    net = build_seq_net(5, m=8, hidden=4, dense=(6, 5), seed=0)
-    trained, _ = train(net, dataset, TrainConfig(epochs=1, scale_labels=True))
-    assert trained.label_scaling is True
-    assert net.label_scaling is True  # SeqNet default, original untouched
-    trained2, _ = train(net, dataset, TrainConfig(epochs=1, scale_labels=False))
-    assert trained2.label_scaling is False
-    assert net.label_scaling is True
 
 
 def test_predict_score_rescales_when_label_scaling_is_active():
@@ -542,7 +529,7 @@ def test_predict_score_rescales_when_label_scaling_is_active():
     raw, _ = _seq_score(net, bag)
     assert net.predict_bags(_one_bag(bag))[0] == pytest.approx(3.0 * raw, abs=1e-12)
     net_mil = build_mil_net(3, hidden=(4,), k=3, seed=1)
-    assert net.label_scaling and not net_mil.label_scaling  # the class defaults
+    assert (SeqNet.LABEL_SCALE, MilNet.LABEL_SCALE) == (3, 1)
     mil_bag = np.random.default_rng(11).normal(size=(6, 3))
     assert net_mil.predict_bags(_one_bag(mil_bag))[0] == _mil_forward(net_mil, mil_bag)[0]
 
@@ -560,13 +547,10 @@ def test_localize_milnet_returns_the_ranking_outputs():
     assert np.array_equal(located, intensities)
     assert len(located) == 9
 
-    scaled = replace(net, label_scaling=True)
-    assert np.allclose(scaled.localize_bags(_one_bag(bag))[0], 3.0 * intensities)
-
 
 def test_localize_seqnet_matches_manual_zeroed_attribution():
     rng = np.random.default_rng(13)
-    net = replace(build_seq_net(3, m=5, hidden=4, dense=(6, 5), seed=3), label_scaling=False)
+    net = build_seq_net(3, m=5, hidden=4, dense=(6, 5), seed=3)
     bag = rng.normal(size=(5, 3))
     _, hs = _seq_score(net, bag)
     located = net.localize_bags(_one_bag(bag))[0]
@@ -577,15 +561,15 @@ def test_localize_seqnet_matches_manual_zeroed_attribution():
         h = flat
         for layer in net.dense:
             h = 1.0 / (1.0 + np.exp(-(layer.weights @ h + layer.bias)))
-        assert located[j] == pytest.approx(float(h.mean()), abs=1e-12)
+        assert located[j] == pytest.approx(3.0 * float(h.mean()), abs=1e-12)
 
 
 def test_localize_seqnet_rescales_with_label_scaling():
     rng = np.random.default_rng(14)
     net = build_seq_net(3, m=4, hidden=3, dense=(5, 4), seed=6)
     bag = _one_bag(rng.normal(size=(4, 3)))
-    plain = replace(net, label_scaling=False)
-    assert np.allclose(net.localize_bags(bag), 3.0 * plain.localize_bags(bag))
+    _, plain = net.forward(bag.tensor(), intensities=True)
+    assert np.array_equal(net.localize_bags(bag), 3.0 * plain)
 
 
 # ---------------------------------------------------------------------------
@@ -594,12 +578,12 @@ def test_localize_seqnet_rescales_with_label_scaling():
 
 def test_mil_net_round_trip(tmp_path):
     rng = np.random.default_rng(15)
-    net = replace(build_mil_net(5, hidden=(8, 6), pooling="topk", k=4, seed=8), label_scaling=True)
+    net = build_mil_net(5, hidden=(8, 6), pooling="topk", k=4, seed=8)
     save_net(net, tmp_path / "net.emnn", meta={"feature_kind": "synthetic"})
     loaded, meta = load_net(tmp_path / "net.emnn")
     assert meta == {"feature_kind": "synthetic"}
     assert isinstance(loaded, MilNet)
-    assert (loaded.pooling, loaded.k, loaded.label_scaling) == ("topk", 4, True)
+    assert (loaded.pooling, loaded.k) == ("topk", 4)
     for a, b in zip(net.parameters(), loaded.parameters()):
         assert np.array_equal(a, b)
     bag = rng.normal(size=(7, 5))
@@ -680,6 +664,25 @@ def _set(key, value, match):
                 r"\(4H, D\+H\) gate weight .* not \(2, 4\) and \(4,\)",
             ),
             id="seq-gate-shape",
+        ),
+        # nets trained under the retired train.scale_labels override: a
+        # scaled mil net, and the same 21 values as a well-formed seq net of
+        # that size, unscaled
+        pytest.param(
+            _set("fields.label_scaling", True, "a mil model's label_scaling is false"),
+            id="mil-scaled",
+        ),
+        pytest.param(
+            lambda header: (
+                {
+                    "kind": "seq",
+                    "fields": {"activations": ["sigmoid"] * 3, "label_scaling": False, "m": 1},
+                    "meta": {},
+                    "shapes": [[4, 2], [4], [2, 1], [2], [1, 2], [1], [1, 1], [1]],
+                },
+                "a seq model's label_scaling is true",
+            ),
+            id="seq-unscaled",
         ),
     ],
 )
