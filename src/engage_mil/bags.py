@@ -27,13 +27,14 @@ except ImportError:  # before Python 3.12
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import DataError, NumericError, ParseError
 from .textio import JSON_NUMBER, check_fields, parse_json, read_bytes, read_csv, read_json
 from .textio import video_id_fault, write_bytes, write_csv, write_json
 
 LABELS = (0, 1, 2, 3)
 _LEVEL_CELLS = {str(level): level for level in LABELS}
 RELABELINGS = ("noisy", "kmeans-mode", "kmeans-mean")
+SERVE_ROWS = 640  # instances per serving block (see Serving)
 
 FEATURE_MAGIC = b"EMIL"
 FEATURE_VERSION = 1
@@ -125,9 +126,52 @@ class Dataset:
         """All instances stacked, bag-major: shape (len(self) * m, dim)."""
         return np.concatenate([bag.instances for bag in self.bags], axis=0)
 
-    def tensor(self) -> np.ndarray:
-        """Instances as one (n_bags, m, dim) array."""
-        return np.stack([bag.instances for bag in self.bags])
+
+def block_bags(m: int) -> int:
+    """Bags per serving block at m segments a bag: about SERVE_ROWS rows, in
+    groups of 8 bags, so no bag, wherever it sits, falls in a BLAS edge tile."""
+    return 8 * max(1, SERVE_ROWS // (8 * m))
+
+
+class Serving:
+    """predict_bags/localize_bags (see cli), one loop for every model kind.
+
+    Bags are copied into (block_bags(m), m, dim) blocks, the last padded with
+    zero bags, and each block goes through the kind's score_block.  BLAS picks
+    its path by shape, so a bag's output depends only on the model and the
+    bag, and serving holds one block's temporaries.  An output that is not
+    finite is a NumericError naming the first such video."""
+
+    def check(self, dataset: Dataset) -> None:
+        """Refuse a dataset the model cannot serve; any bag size fits by default."""
+
+    def score_block(self, x: np.ndarray, intensities: bool) -> np.ndarray:
+        """A (b, m, dim) block's (b,) bag scores or (b, m) intensities in the
+        label range; by default the mean of a per-instance model's scores."""
+        b, m, dim = x.shape
+        r = self.instance_scores(x.reshape(b * m, dim)).reshape(b, m)
+        return r if intensities else r.mean(axis=1)
+
+    def _serve(self, dataset: Dataset, intensities: bool) -> np.ndarray:
+        n, m = len(dataset), dataset.m
+        block = np.zeros((block_bags(m), m, dataset.dim))
+        out = np.empty((n, m) if intensities else n)
+        for start in range(0, n, len(block)):
+            bags = dataset.bags[start : start + len(block)]
+            np.stack([bag.instances for bag in bags], out=block[: len(bags)])
+            block[len(bags) :] = 0.0
+            out[start : start + len(bags)] = self.score_block(block, intensities)[: len(bags)]
+        finite = np.isfinite(out).reshape(n, -1).all(axis=1)
+        if not finite.all():
+            video_id = dataset.bags[int(finite.argmin())].video_id
+            raise NumericError(f"{video_id}: the model's output is not finite")
+        return out
+
+    def predict_bags(self, dataset: Dataset) -> np.ndarray:
+        return self._serve(dataset, intensities=False)
+
+    def localize_bags(self, dataset: Dataset) -> np.ndarray:
+        return self._serve(dataset, intensities=True)
 
 
 @dataclass

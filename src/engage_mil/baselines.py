@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bags import Dataset, _pairwise_sq_dists, read_model
+from .bags import Dataset, Serving, _pairwise_sq_dists, read_model
 from .errors import NumericError
 from .textio import JSON_NUMBER
 
@@ -39,23 +39,8 @@ class SvrConfig:
             raise ValueError("tol must be positive")
 
 
-class _InstanceServing:
-    """predict_bags/localize_bags of the model serving surface (see cli) for
-    the per-instance regressors.  Bags are scored one at a time: a single
-    call over every instance can change the last bits through BLAS."""
-
-    def check(self, dataset: Dataset) -> None:
-        """Any bag size fits a per-instance model."""
-
-    def localize_bags(self, dataset: Dataset) -> np.ndarray:
-        return np.array([self.instance_scores(bag.instances) for bag in dataset.bags])
-
-    def predict_bags(self, dataset: Dataset) -> np.ndarray:
-        return self.localize_bags(dataset).mean(axis=1)
-
-
 @dataclass
-class SvrModel(_InstanceServing):
+class SvrModel(Serving):
     support_vectors: np.ndarray  # (n_sv, dim)
     coef: np.ndarray  # (n_sv,) alpha - alpha*
     bias: float
@@ -88,7 +73,7 @@ class SvrModel(_InstanceServing):
 
 
 @dataclass
-class LinearModel(_InstanceServing):
+class LinearModel(Serving):
     weights: np.ndarray
     bias: float
 
@@ -120,7 +105,7 @@ class LinearModel(_InstanceServing):
 
 
 @dataclass
-class RidgePosterior(_InstanceServing):
+class RidgePosterior(Serving):
     mean: np.ndarray  # posterior mean weights
     alpha: float  # weight precision
     beta: float  # noise precision

@@ -45,7 +45,7 @@ from .baselines import (
     sgd_linear_train,
     svr_train,
 )
-from .errors import ConfigError, DataError, EngageMilError, NumericError, ParseError
+from .errors import ConfigError, DataError, EngageMilError, ParseError
 from .metrics import compute_report
 from .networks import (
     POOLINGS,
@@ -462,43 +462,25 @@ def _open_served(config: RunConfig, command: str):
     return dataset, model, meta
 
 
-def _finite(dataset: Dataset, values: np.ndarray) -> np.ndarray:
-    """A model's output for every bag (a score each, or a row of per-segment
-    intensities), refused with NumericError naming the first video that
-    has a non-finite value, before any output file is written."""
-    finite = np.isfinite(values).reshape(len(dataset), -1).all(axis=1)
-    if not finite.all():
-        video_id = dataset.bags[int(finite.argmin())].video_id
-        raise NumericError(f"{video_id}: the model's output is not finite")
-    return values
-
-
 def cmd_predict(config: RunConfig) -> None:
     dataset, model, _ = _open_served(config, "predict")
-    predictions = _finite(dataset, model.predict_bags(dataset))
-    order = np.argsort([bag.video_id for bag in dataset.bags])
-    write_csv(
-        config.out,
-        ["video_id", "label", "prediction"],
-        (
-            [dataset.bags[i].video_id, str(dataset.bags[i].label), _fmt(predictions[i])]
-            for i in order
-        ),
-        "\n",
-    )
+    pairs = zip(dataset.bags, model.predict_bags(dataset))
+    rows = sorted([bag.video_id, str(bag.label), _fmt(score)] for bag, score in pairs)
+    write_csv(config.out, ["video_id", "label", "prediction"], rows, "\n")
 
 
 def cmd_localize(config: RunConfig) -> None:
     dataset, model, _ = _open_served(config, "localize")
     planted = load_planted_csv(config.planted) if config.planted else None
-
-    intensities = _finite(dataset, model.localize_bags(dataset))
+    ids = sorted(bag.video_id for bag in dataset.bags)
+    if planted is not None:  # refused before any bag is scored
+        for video_id in ids:
+            if len(planted.get(video_id, ())) != dataset.m:
+                raise DataError(f"{video_id}: no {dataset.m} segments in the planted-truth file")
+    served = dict(zip([bag.video_id for bag in dataset.bags], model.localize_bags(dataset)))
     rows = []
-    for i in sorted(range(len(dataset)), key=lambda i: dataset.bags[i].video_id):
-        video_id = dataset.bags[i].video_id
-        if planted is not None and len(planted.get(video_id, ())) != dataset.m:
-            raise DataError(f"{video_id}: no {dataset.m} segments in the planted-truth file")
-        for j, value in enumerate(intensities[i]):
+    for video_id in ids:
+        for j, value in enumerate(served[video_id]):
             row = [video_id, str(j), _fmt(value)]
             rows.append(row if planted is None else row + [_fmt(planted[video_id][j])])
     header = ["video_id", "segment_index", "intensity"]
@@ -523,8 +505,7 @@ def cmd_eval(config: RunConfig) -> None:
 
     if len(dataset) < 2:
         raise DataError(f"{config.dataset}: one video has no correlation to report")
-    predictions = _finite(dataset, model.predict_bags(dataset))
-    report = compute_report(predictions, dataset.labels())
+    report = compute_report(model.predict_bags(dataset), dataset.labels())
     report.save(config.out)
     print(f"mse={report.mse} pcc={report.pcc}")
 

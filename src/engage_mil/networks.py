@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bags import LABELS, Dataset, read_model, write_model
+from .bags import LABELS, Dataset, Serving, read_model, write_model
 from .errors import DataError, NumericError
 
 _ACTIVATIONS = ("relu", "sigmoid", "linear")
@@ -281,10 +281,10 @@ def _seq_intensities(net: SeqNet, hs: np.ndarray) -> np.ndarray:
     return out.mean(axis=1).reshape(m, b).T
 
 
-class _NetServing:
-    """A net's forward pass, and its predict_bags/localize_bags (see cli).  A
-    net's file form (see bags.write_model) is its parameters() in order, with
-    its dense layers' activations among the fields; their sizes are the shapes.
+class _NetServing(Serving):
+    """A net's forward pass, and its block scorer for Serving.  A net's file
+    form (see bags.write_model) is its parameters() in order, with its dense
+    layers' activations among the fields; their sizes are the shapes.
 
     A net trains on the labels divided by its class's LABEL_SCALE and serves
     its outputs multiplied by it."""
@@ -306,20 +306,10 @@ class _NetServing:
             raise ValueError(f"expected {self.in_dim}-dimensional instances, got {d}")
         return self._pass(x, intensities)
 
-    def predict_bags(self, dataset: Dataset) -> np.ndarray:
-        """Every bag's score in the 0-3 label range, from one batched pass."""
-        scores, _ = self.forward(dataset.tensor())
-        return scores * self.LABEL_SCALE
-
-    def localize_bags(self, dataset: Dataset) -> np.ndarray:
-        """(n_bags, M) per-segment intensities in the 0-3 label range.
-
-        MilNet exposes its ranking-layer outputs directly.  For SeqNet each
-        segment is attributed the head's response to the flattened state vector
-        with every other segment's activations zeroed.
-        """
-        _, r = self.forward(dataset.tensor(), intensities=True)
-        return r * self.LABEL_SCALE
+    def score_block(self, x: np.ndarray, intensities: bool) -> np.ndarray:
+        """forward's bag scores or intensities, times LABEL_SCALE."""
+        scores, r = self.forward(x, intensities)
+        return (r if intensities else scores) * self.LABEL_SCALE
 
 
 @dataclass
@@ -520,7 +510,7 @@ def train(net, dataset: Dataset, config: TrainConfig):
     if len(dataset) == 0:
         raise ValueError("dataset must be nonempty")
     net = copy.deepcopy(net)
-    x_all = dataset.tensor()
+    x_all = np.stack([bag.instances for bag in dataset.bags])
     y_all = dataset.labels().astype(np.float64) / net.LABEL_SCALE
     params = net.parameters()
     rng = np.random.default_rng(config.seed)

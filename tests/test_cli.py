@@ -1338,6 +1338,28 @@ class TestProcess:
         assert code == 3
         assert "no 10 segments in the planted-truth file" in capsys.readouterr().err
 
+    def test_planted_truth_is_refused_before_any_bag_is_scored(
+        self, artifacts, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        """A planted-truth file that lacks a video exits 3 with its message
+        before localize_bags runs, and writes nothing."""
+        served = []
+        monkeypatch.setattr(bags.Serving, "localize_bags", lambda model, data: served.append(data))
+        planted = tmp_path / "planted.csv"
+        lines = (synth_dir / "data" / "planted.csv").read_text().splitlines()
+        last = lines[-1].split(",")[0]
+        planted.write_text("\n".join(line for line in lines if not line.startswith(last)) + "\n")
+        config = write_config(
+            tmp_path / "c.json",
+            dataset=str(synth_dir / "data"),
+            model_path=str(artifacts / "model.bin"),
+            planted=str(planted),
+        )
+        code = run_cli("localize", "--config", str(config), "--out", str(tmp_path / "l.csv"))
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {last}: no 10 segments in the planted-truth file\n"
+        assert served == [] and not (tmp_path / "l.csv").exists()
+
     @pytest.mark.parametrize(
         "edit,message",
         [
@@ -1935,9 +1957,12 @@ class TestBenchmarkNames:
             )
             code = run_cli("predict", "--config", str(config), "--out", str(tmp_path / "p.csv"))
             assert code == 0
-        assert len(predicted) == len(test_ds)
-        for call, bag in zip(predicted, test_ds.bags):
-            assert np.array_equal(call["xs"], bag.instances)
+        # one call per serving block: its rows, then the padding's zero rows
+        b = bags.block_bags(test_ds.m)
+        assert len(predicted) == -(-len(test_ds) // b)
+        rows = np.concatenate([call["xs"] for call in predicted])
+        n = len(test_ds) * test_ds.m
+        assert np.array_equal(rows[:n], test_ds.instance_matrix()) and not rows[n:].any()
         assert (len(svr_loads), len(net_loads)) == (1, 1)
 
     def test_extract_calls_pose_gaze_feature_once_per_window(

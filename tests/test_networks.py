@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from engage_mil.bags import Bag, Dataset, SyntheticSpec, synth_generate
+from engage_mil.bags import Bag, Dataset, SyntheticSpec, block_bags, synth_generate
+from engage_mil.baselines import LinearModel, RidgePosterior, SvrConfig, svr_train
 from engage_mil.errors import NumericError, ParseError
 from engage_mil.networks import (
     DenseLayer,
@@ -439,8 +441,76 @@ def test_batched_serving_matches_per_bag_reference(make):
         assert abs(score - ref_score) <= 1e-12 * max(1.0, abs(ref_score))
         assert _relative_error(curve, ref_curve) < 1e-12
         alone = _one_bag(bag.instances)
-        assert abs(net.predict_bags(alone)[0] - ref_score) <= 1e-12 * max(1.0, abs(ref_score))
-        assert _relative_error(net.localize_bags(alone)[0], ref_curve) < 1e-12
+        assert net.predict_bags(alone).tobytes() == score.tobytes()
+        assert net.localize_bags(alone).tobytes() == curve.tobytes()
+
+
+def _served_model(kind, m, dim, seed):
+    """A model of `kind` for bags of m segments of dimension dim."""
+    rng = np.random.default_rng(seed)
+    if kind == "milnet":
+        return build_mil_net(dim, hidden=(32, 16), pooling="topk", k=3, seed=seed)
+    if kind == "seqnet":
+        return build_seq_net(dim, m=m, hidden=3, dense=(5, 4), seed=seed)
+    if kind == "svr":
+        return svr_train(rng.normal(size=(40, dim)), rng.uniform(0, 3, size=40), SvrConfig(sigma=2.0))
+    weights = rng.normal(size=dim)
+    return LinearModel(weights, 0.5) if kind == "sgd" else RidgePosterior(weights, 1.0, 1.0, 0.25)
+
+
+KINDS = ("milnet", "seqnet", "svr", "sgd", "ridge")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(
+    m=st.integers(12, 60),
+    dim=st.integers(1, 6),
+    blocks=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)]),
+    seed=st.integers(0, 2**16),
+)
+def test_a_served_row_depends_only_on_the_model_and_its_video(kind, m, dim, blocks, seed):
+    """Every predict_bags/localize_bags row of a one-video dataset is that
+    video's row in the whole dataset, byte for byte, for bag counts around
+    the serving block's b bags: 1, b - 1, b, b + 1 and 2b + 1."""
+    model = _served_model(kind, m, dim, seed)
+    rng = np.random.default_rng(seed + 1)
+    n = blocks[0] * block_bags(m) + blocks[1]
+    dataset = Dataset(
+        [Bag(f"v{i}", "s", rng.normal(size=(m, dim)), i % 4) for i in range(n)], "synthetic", m
+    )
+    scores, curves = model.predict_bags(dataset), model.localize_bags(dataset)
+    assert scores.shape == (n,) and curves.shape == (n, m)
+    for i, bag in enumerate(dataset.bags):
+        alone = Dataset([bag], "synthetic", m)
+        assert model.predict_bags(alone).tobytes() == scores[i : i + 1].tobytes(), i
+        assert model.localize_bags(alone).tobytes() == curves[i : i + 1].tobytes(), i
+
+
+@pytest.mark.parametrize("kind", ["seqnet", "svr"])
+def test_serving_holds_one_block_whatever_the_dataset_size(kind):
+    """From 2 to 20 serving blocks, the peak that tracemalloc sees inside
+    localize_bags grows by less than the size of the output array: only the
+    output grows, not the temporaries (the stacked dataset alone would add
+    8x the output)."""
+    m, dim = 20, 8
+    model = _served_model(kind, m, dim, seed=5)
+    rng = np.random.default_rng(6)
+    grown = []
+    for blocks in (2, 20):
+        n = blocks * block_bags(m)
+        dataset = Dataset(
+            [Bag(f"v{i}", "s", rng.normal(size=(m, dim)), 0) for i in range(n)], "synthetic", m
+        )
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = model.localize_bags(dataset)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        grown.append((peak, out.nbytes))
+    (small, _), (large, out_bytes) = grown
+    assert large - small <= out_bytes, grown
 
 
 def test_sigmoid_is_bit_identical_to_the_masked_form():
@@ -568,7 +638,7 @@ def test_localize_seqnet_rescales_with_label_scaling():
     rng = np.random.default_rng(14)
     net = build_seq_net(3, m=4, hidden=3, dense=(5, 4), seed=6)
     bag = _one_bag(rng.normal(size=(4, 3)))
-    _, plain = net.forward(bag.tensor(), intensities=True)
+    _, plain = net.forward(bag.bags[0].instances[None], intensities=True)
     assert np.array_equal(net.localize_bags(bag), 3.0 * plain)
 
 
