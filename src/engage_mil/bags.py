@@ -134,13 +134,19 @@ def block_bags(m: int) -> int:
 
 
 class Serving:
-    """predict_bags/localize_bags (see cli), one loop for every model kind.
+    """predict_bags/localize_bags (see cli), one loop for every model kind, and
+    save, which train calls on the model that the kind's fit returns.
 
     Bags are copied into (block_bags(m), m, dim) blocks, the last padded with
     zero bags, and each block goes through the kind's score_block.  BLAS picks
     its path by shape, so a bag's output depends only on the model and the
     bag, and serving holds one block's temporaries.  An output that is not
     finite is a NumericError naming the first such video."""
+
+    TRACE_HEADER = ("epoch", "loss")  # of the trace CSV that train writes
+
+    def save(self, path, meta: dict) -> None:
+        write_model(path, self, meta)
 
     def check(self, dataset: Dataset) -> None:
         """Refuse a dataset the model cannot serve; any bag size fits by default."""

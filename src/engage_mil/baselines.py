@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bags import Dataset, Serving, _pairwise_sq_dists, read_model
-from .errors import NumericError
+from . import bags
+from .bags import Dataset, Serving, read_model
+from .errors import ConfigError, DataError, NumericError
 from .textio import JSON_NUMBER
 
 
@@ -49,10 +50,21 @@ class SvrModel(Serving):
 
     KIND = "svr"
     FIELDS = dict.fromkeys(("bias", "c", "epsilon", "sigma", "tol"), JSON_NUMBER)
+    TRACE_HEADER = ("step", "objective")
 
     def __post_init__(self):
         if self.support_vectors.ndim != 2 or self.coef.shape != (len(self.support_vectors),):
             raise ValueError("support vectors must be (n_sv, dim) with one coefficient each")
+        self._kernel = np.empty((2, 0, 0))  # svr_predict_many's buffers: one call at a time
+
+    @classmethod
+    def fit(cls, dataset: Dataset, config):
+        """(model, dual objective trace) of an SMO solve on the relabeled instances."""
+        x, y = _instance_data(dataset, config)
+        if len(x) < 2:
+            raise DataError(f"{config.dataset}: svr needs at least 2 instances")
+        model = svr_train(x, y, config.svr_config)
+        return model, model.objective_trace
 
     def to_file(self):
         fields = {"bias": self.bias, **vars(self.config)}
@@ -77,8 +89,13 @@ class LinearModel(Serving):
     weights: np.ndarray
     bias: float
 
-    KIND = "linear"
+    KIND = "sgd"
     FIELDS = {"bias": JSON_NUMBER}
+
+    @classmethod
+    def fit(cls, dataset: Dataset, config):
+        """(model, epoch loss trace) of SGD on the relabeled instances."""
+        return sgd_linear_train(*_instance_data(dataset, config), seed=config.seed, **config.sgd)
 
     def to_file(self):
         return self.KIND, {"bias": self.bias}, [self.weights]
@@ -114,6 +131,11 @@ class RidgePosterior(Serving):
     KIND = "ridge"
     FIELDS = dict.fromkeys(("alpha", "beta", "intercept"), JSON_NUMBER)
 
+    @classmethod
+    def fit(cls, dataset: Dataset, config):
+        """(posterior, empty trace) of evidence maximization on the relabeled instances."""
+        return bayesian_ridge_train(*_instance_data(dataset, config), **config.ridge), []
+
     def to_file(self):
         return self.KIND, {key: getattr(self, key) for key in self.FIELDS}, [self.mean]
 
@@ -140,6 +162,17 @@ class RidgePosterior(Serving):
         return xs @ self.mean + self.intercept
 
 
+def _instance_data(dataset: Dataset, config):
+    """The dataset's instances and their labels under the config's relabeling."""
+    x, assignments = dataset.instance_matrix(), None
+    if config.relabel != "noisy":
+        if config.kmeans_k > len(x):
+            raise ConfigError(f"kmeans_k {config.kmeans_k} exceeds the instance count {len(x)}")
+        # called through the module: perfbench's tracer rebinds them there
+        assignments = bags.kmeans(x, config.kmeans_k, seed=config.seed).assignments
+    return x, bags.relabel(dataset, config.relabel, assignments).reshape(-1)
+
+
 @dataclass
 class GridSearchResult:
     c: float
@@ -151,12 +184,6 @@ class GridSearchResult:
 
 # ---------------------------------------------------------------------------
 # kernel machinery
-
-
-def gaussian_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    return np.exp(-_pairwise_sq_dists(a, b) / (2.0 * sigma**2))
 
 
 class _KernelRows:
@@ -351,10 +378,22 @@ def svr_train(
 
 
 def svr_predict_many(model: SvrModel, xs) -> np.ndarray:
+    """sum_j coef_j exp(-max(|x|^2 + |sv_j|^2 - 2 x.sv_j, 0) / 2 sigma^2) + bias
+    per row x, the kernel built in two (n, n_sv) buffers kept while n repeats,
+    as in serving's blocks: fresh temporaries cost page faults at each block."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != model.in_dim:
         raise ValueError(f"expected (n, {model.in_dim}) inputs, got {xs.shape}")
-    k = gaussian_kernel(xs, model.support_vectors, model.config.sigma)
+    sv = model.support_vectors
+    if model._kernel.shape[1:] != (len(xs), len(sv)):
+        model._kernel = np.empty((2, len(xs), len(sv)))
+    k, cross = model._kernel
+    np.add((xs**2).sum(axis=1)[:, None], (sv**2).sum(axis=1)[None, :], out=k)
+    np.matmul(2.0 * xs, sv.T, out=cross)
+    k -= cross
+    np.maximum(k, 0.0, out=k)
+    k /= -(2.0 * model.config.sigma**2)  # (-d2) / den is d2 / (-den), bit for bit
+    np.exp(k, out=k)
     return k @ model.coef + model.bias
 
 

@@ -22,18 +22,15 @@ from .bags import (
     RELABELINGS,
     Dataset,
     SyntheticSpec,
-    kmeans,
     load_dataset,
     load_planted_csv,
     make_bags,
     model_kind,
     parse_level,
     read_model,
-    relabel,
     save_dataset,
     save_planted_csv,
     synth_generate,
-    write_model,
 )
 from .baselines import (
     LinearModel,
@@ -43,27 +40,18 @@ from .baselines import (
     bayesian_ridge_train,
     load_svr,
     sgd_linear_train,
-    svr_train,
 )
 from .errors import ConfigError, DataError, EngageMilError, ParseError
 from .metrics import compute_report
-from .networks import (
-    POOLINGS,
-    MilNet,
-    SeqNet,
-    TrainConfig,
-    build_mil_net,
-    build_seq_net,
-    load_net,
-    save_net,
-    train,
-)
+from .networks import POOLINGS, MilNet, SeqNet, TrainConfig, build_mil_net, build_seq_net, load_net
 from .textio import read_csv, read_json, write_csv
 
+# Every model kind by its config name, which is also the kind its files hold
+_MODELS = {cls.KIND: cls for cls in (SvrModel, LinearModel, RidgePosterior, MilNet, SeqNet)}
 # The values each string setting may take
 _CHOICES = {
     "feature": ("lbptop", "posegaze"),
-    "model": ("svr", "sgd", "ridge", "milnet", "seqnet"),
+    "model": tuple(_MODELS),
     "relabel": RELABELINGS,
     "pooling": POOLINGS,
     "xy_frames": feats.XY_FRAMES,
@@ -389,58 +377,25 @@ def _load_checked(config: RunConfig, command: str, key: str = "dataset") -> Data
 def cmd_train(config: RunConfig) -> None:
     _check_paths(config, "train")
     dataset = _load_checked(config, "train")
+    kind = _MODELS[config.model]
+    model, trace = kind.fit(dataset, config)
     meta = {
         "dim": dataset.dim,
         "feature_kind": dataset.feature_kind,
         "m": dataset.m,
-        "model": config.model,
         "relabel": config.relabel,
         "train_subjects": sorted(dataset.subjects()),
     }
-
-    header = ["epoch", "loss"]
-    if config.model in ("svr", "sgd", "ridge"):
-        x, assignments = dataset.instance_matrix(), None
-        if config.relabel != "noisy":
-            if config.kmeans_k > len(x):
-                raise ConfigError(f"kmeans_k {config.kmeans_k} exceeds the instance count {len(x)}")
-            assignments = kmeans(x, config.kmeans_k, seed=config.seed).assignments
-        y = relabel(dataset, config.relabel, assignments).reshape(-1)
-        if config.model == "svr":
-            if len(x) < 2:
-                raise DataError(f"{config.dataset}: svr needs at least 2 instances")
-            model = svr_train(x, y, config.svr_config)
-            trace, header = model.objective_trace, ["step", "objective"]
-        elif config.model == "sgd":
-            model, trace = sgd_linear_train(x, y, seed=config.seed, **config.sgd)
-        else:
-            model, trace = bayesian_ridge_train(x, y, **config.ridge), []
-        write_model(config.model_path, model, meta)
-    else:
-        if config.model == "milnet":
-            if config.pooling == "topk" and config.pool_k > dataset.m:
-                raise ConfigError(f"pool_k {config.pool_k} exceeds the bag size {dataset.m}")
-            net = build_mil_net(
-                dataset.dim, config.hidden, config.pooling, config.pool_k, seed=config.seed
-            )
-        else:
-            net = build_seq_net(
-                dataset.dim, dataset.m, config.seq_hidden, config.seq_dense, seed=config.seed
-            )
-        trained, trace = train(net, dataset, config.train_config)
-        save_net(trained, config.model_path, meta=meta)
-
-    write_csv(config.out, header, ([str(i), _fmt(v)] for i, v in enumerate(trace)), "\n")
-
-
-# Every model class a model file can hold
-_MODELS = (MilNet, SeqNet, SvrModel, LinearModel, RidgePosterior)
+    model.save(config.model_path, meta)
+    rows = ([str(i), _fmt(v)] for i, v in enumerate(trace))
+    write_csv(config.out, kind.TRACE_HEADER, rows, "\n")
 
 
 def _load_model(path):
     # looked up per call: perfbench's tracer rebinds the traced loaders on this module
-    loader = {"mil": load_net, "seq": load_net, "svr": load_svr}.get(model_kind(path))
-    return loader(path) if loader else read_model(path, _MODELS)
+    loaders = {MilNet: load_net, SeqNet: load_net, SvrModel: load_svr}
+    loader = loaders.get(_MODELS.get(model_kind(path)))
+    return loader(path) if loader else read_model(path, _MODELS.values())
 
 
 def _open_served(config: RunConfig, command: str):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bags import LABELS, Dataset, Serving, read_model, write_model
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 
 _ACTIVATIONS = ("relu", "sigmoid", "linear")
 POOLINGS = ("topk", "mean")
@@ -289,14 +289,8 @@ class _NetServing(Serving):
     A net trains on the labels divided by its class's LABEL_SCALE and serves
     its outputs multiplied by it."""
 
-    @classmethod
-    def _scaling_field(cls, fields=None) -> bool:
-        """The label_scaling field of the class's files: whether LABEL_SCALE
-        is not 1.  A file's `fields` that say otherwise are refused."""
-        scaling = cls.LABEL_SCALE != 1
-        if fields is not None and fields["label_scaling"] is not scaling:
-            raise ValueError(f"a {cls.KIND} model's label_scaling is {str(scaling).lower()}")
-        return scaling
+    def save(self, path, meta: dict) -> None:
+        save_net(self, path, meta)
 
     def forward(self, x: np.ndarray, intensities: bool = False):
         """Bag scores (B,) and, if asked, per-segment intensities (B, M) of a
@@ -347,19 +341,26 @@ class MilNet(_NetServing):
             out.extend((layer.weights, layer.bias))
         return out
 
-    KIND = "mil"
-    FIELDS = {"activations": list, "label_scaling": bool, "pooling": str, "k": int}
+    KIND = "milnet"
+    FIELDS = {"activations": list, "pooling": str, "k": int}
 
     def to_file(self):
-        fields = {"label_scaling": self._scaling_field(), "pooling": self.pooling, "k": self.k}
-        fields["activations"] = [layer.activation for layer in self.layers]
+        activations = [layer.activation for layer in self.layers]
+        fields = {"activations": activations, "pooling": self.pooling, "k": self.k}
         return self.KIND, fields, self.parameters()
 
     @classmethod
     def from_file(cls, fields, arrays):
-        cls._scaling_field(fields)
         layers = _dense_from_file(fields["activations"], arrays, 0)
         return cls(layers, fields["pooling"], fields["k"])
+
+    @classmethod
+    def fit(cls, dataset: Dataset, config):
+        """(net, loss trace): the config's ranking net at its seed, trained on `dataset`."""
+        if config.pooling == "topk" and config.pool_k > dataset.m:
+            raise ConfigError(f"pool_k {config.pool_k} exceeds the bag size {dataset.m}")
+        net = build_mil_net(dataset.dim, config.hidden, config.pooling, config.pool_k, config.seed)
+        return train(net, dataset, config.train_config)
 
     def _pass(self, x, intensities):
         b, m, d = x.shape
@@ -431,19 +432,24 @@ class SeqNet(_NetServing):
             out.extend((layer.weights, layer.bias))
         return out
 
-    KIND = "seq"
-    FIELDS = {"activations": list, "label_scaling": bool, "m": int}
+    KIND = "seqnet"
+    FIELDS = {"activations": list, "m": int}
 
     def to_file(self):
-        activations = [layer.activation for layer in self.dense]
-        fields = {"activations": activations, "label_scaling": self._scaling_field(), "m": self.m}
+        fields = {"activations": [layer.activation for layer in self.dense], "m": self.m}
         return self.KIND, fields, self.parameters()
 
     @classmethod
     def from_file(cls, fields, arrays):
-        cls._scaling_field(fields)
         head = _dense_from_file(fields["activations"], arrays, 2)
         return cls(LstmLayer(*arrays[:2]), head, fields["m"])
+
+    @classmethod
+    def fit(cls, dataset: Dataset, config):
+        """(net, loss trace): the config's sequence net at its seed, trained on `dataset`."""
+        hidden, dense = config.seq_hidden, config.seq_dense
+        net = build_seq_net(dataset.dim, dataset.m, hidden, dense, config.seed)
+        return train(net, dataset, config.train_config)
 
     def _pass(self, x, intensities):
         scores, hs, _, _ = _seq_forward(self, x)

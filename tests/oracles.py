@@ -232,6 +232,14 @@ def _project_box_hyperplane(v, s, c):
     return np.clip(v - _box_hyperplane_root(v, s, c) * s, 0.0, c)
 
 
+def gaussian_kernel(a, b, sigma):
+    """The Gaussian kernel matrix of the rows of `a` against those of `b`, by
+    the expansion |a|^2 + |b|^2 - 2 a.b clipped at 0, with fresh arrays: the
+    operations, in the order, that svr_predict_many runs in place."""
+    d2 = (a**2).sum(axis=1)[:, None] + (b**2).sum(axis=1)[None, :] - 2.0 * a @ b.T
+    return np.exp(-np.maximum(d2, 0.0) / (2.0 * sigma**2))
+
+
 def qp_reference_svr(kernel_matrix, y, c, epsilon, max_iter=400_000):
     """Projected gradient descent on the full dense 2l-variable dual.
 

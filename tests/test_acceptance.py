@@ -27,7 +27,6 @@ from engage_mil.bags import (
 )
 from engage_mil.baselines import (
     SvrConfig,
-    gaussian_kernel,
     svr_predict_many,
     svr_train,
 )
@@ -50,6 +49,7 @@ from engage_mil.networks import _pool_matrix
 
 from oracles import (
     finite_difference_gradients,
+    gaussian_kernel,
     max_relative_gradient_error,
     naive_lbp_top,
     qp_reference_svr,

@@ -14,7 +14,6 @@ from engage_mil.baselines import (
     RidgePosterior,
     SvrConfig,
     bayesian_ridge_train,
-    gaussian_kernel,
     grid_search_svr,
     load_svr,
     sgd_linear_train,
@@ -27,6 +26,7 @@ from oracles import (
     _box_hyperplane_root,
     _project_box_hyperplane,
     closed_form_ridge,
+    gaussian_kernel,
     model_file_bytes,
     qp_reference_svr,
     reference_smo_svr,
@@ -118,6 +118,22 @@ def test_svr_huge_sigma_collapses_to_the_bias():
     model = svr_train(x, y, SvrConfig(c=1.0, epsilon=0.1, sigma=1e6))
     probe = np.random.default_rng(9).normal(size=(6, 3))
     assert np.allclose(svr_predict_many(model, probe), model.bias, atol=1e-4)
+
+
+def test_svr_predict_builds_the_fresh_array_kernel_in_reused_buffers():
+    """Each call gives the bytes of the kernel built from fresh arrays,
+    whichever row counts came before, and a repeated row count reuses the
+    model's buffers."""
+    x, y = _random_problem(5, n=30, dim=4)
+    model = svr_train(x, y, SvrConfig(sigma=1.3))
+    rng = np.random.default_rng(1)
+    for n in (7, 7, 1, 40, 40, 7):
+        xs = rng.normal(size=(n, 4))
+        want = gaussian_kernel(xs, model.support_vectors, 1.3) @ model.coef + model.bias
+        assert svr_predict_many(model, xs).tobytes() == want.tobytes()
+    buffers = model._kernel
+    svr_predict_many(model, rng.normal(size=(7, 4)))
+    assert model._kernel is buffers
 
 
 def test_svr_predict_rejects_wrong_dimension():
@@ -470,11 +486,11 @@ def test_linear_and_ridge_round_trips(tmp_path):
 
     with pytest.raises(ParseError, match="not a ridge model file"):
         read_model(tmp_path / "lin.bin", (RidgePosterior,))
-    with pytest.raises(ParseError, match="not a linear model file"):
+    with pytest.raises(ParseError, match="not a sgd model file"):
         read_model(tmp_path / "ridge.bin", (LinearModel,))
 
 
-_LINEAR = {"kind": "linear", "fields": {"bias": 3.0}, "meta": {}, "shapes": [[2]]}
+_LINEAR = {"kind": "sgd", "fields": {"bias": 3.0}, "meta": {}, "shapes": [[2]]}
 _RIDGE = {
     "kind": "ridge",
     "fields": {"alpha": 0.5, "beta": 9.0, "intercept": 0.0},
@@ -500,9 +516,15 @@ _RIDGE = {
         (RidgePosterior, _RIDGE, ({"fields.alpha": 0.0}, "alpha and beta must be positive")),
         (RidgePosterior, _RIDGE, ({"shapes": [[]]}, "posterior mean must be a vector")),
         (RidgePosterior, _RIDGE, ({"payload": np.array([np.inf]).tobytes()}, "must be finite")),
-        (RidgePosterior, _RIDGE, ({"kind": "linear"}, "not a ridge model file")),
+        (RidgePosterior, _RIDGE, ({"kind": "sgd"}, "not a ridge model file")),
+        # a file of the kind's name before it was the config name
+        (LinearModel, _LINEAR, ({"kind": "linear"}, "not a sgd model file: kind 'linear'")),
     ],
-    ids=lambda value: f"load_{value.KIND}" if isinstance(value, type) else None,
+    ids=lambda value: (
+        {LinearModel: "load_linear", RidgePosterior: "load_ridge"}[value]
+        if isinstance(value, type)
+        else None
+    ),
 )
 def test_json_model_load_rejects_bad_fields(tmp_path, model_class, base, change):
     """Linear and ridge models (once JSON files) refuse each bad header entry."""

@@ -260,6 +260,10 @@ class TestRunConfig:
             assert key in top
             if isinstance(default, dict):
                 assert set(default) <= set(re.findall(r"\w+", nested[key])), key
+        # each string setting's quoted values are its choices, in order
+        for key, choices in cli._CHOICES.items():
+            values = re.search(rf'\b{key} ((?:"[\w-]+"\|?)+)', block)
+            assert values and tuple(re.findall(r'"([\w-]+)"', values[1])) == choices, key
 
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -1213,7 +1217,7 @@ class TestProcess:
         assert code == 4
 
     def test_svr_step_cap_exits_4(self, split_root, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "svr_train", functools.partial(svr_train, max_iter=5))
+        monkeypatch.setattr(baselines, "svr_train", functools.partial(svr_train, max_iter=5))
         config = write_config(
             tmp_path / "c.json",
             seed=0,
@@ -1268,13 +1272,18 @@ class TestProcess:
             "wider-net",
             "topk-past-bag",
             "seq-bag-size",
+            "old-mil",
+            "old-seq",
+            "old-linear",
         ],
     )
     def test_malformed_model_file_exits_3(self, split_root, tmp_path, capsys, case):
         """Files in the retired JSON format, seq files in the retired layout
         of eight per-gate LSTM arrays, container files whose meta is not an
-        object or whose shapes outgrow the payload, and well-formed nets that
-        do not fit the dataset's 5-dimensional bags of 10 segments."""
+        object or whose shapes outgrow the payload, well-formed nets that do
+        not fit the dataset's 5-dimensional bags of 10 segments, and files of
+        the milnet, seqnet and sgd kinds under their names before those were
+        the config names."""
         model = tmp_path / "model.bin"
         if case == "wider-net":
             save_net(build_mil_net(8, hidden=(4,), seed=0), model)
@@ -1290,12 +1299,21 @@ class TestProcess:
             net = build_seq_net(5, m=6, hidden=2, dense=(4, 3))
             w, b = net.lstm.weights, net.lstm.bias
             gates = [part for k in range(0, 8, 2) for part in (w[k : k + 2], b[k : k + 2])]
-            fields = {"activations": ["sigmoid"] * 3, "label_scaling": True, "m": 6}
+            fields = {"activations": ["sigmoid"] * 3, "m": 6}
             arrays = gates + net.parameters()[2:]
             shapes = [a.shape for a in arrays]
-            header = {"kind": "seq", "fields": fields, "meta": {}, "shapes": shapes}
+            header = {"kind": "seqnet", "fields": fields, "meta": {}, "shapes": shapes}
             payload = b"".join(a.astype("<f8").tobytes() for a in arrays)
             model.write_bytes(model_file_bytes(header, payload))
+        elif case.startswith("old-"):
+            written = {
+                "old-mil": build_mil_net(5, hidden=(4,), seed=0),
+                "old-seq": build_seq_net(5, m=10, hidden=2, dense=(4, 3)),
+                "old-linear": LinearModel(np.ones(5), 0.0),
+            }
+            write_model(model, written[case])
+            header, payload = split_model_file(model.read_bytes())
+            model.write_bytes(model_file_bytes({**header, "kind": case[4:]}, payload))
         else:
             save_net(build_mil_net(5, hidden=(4,), seed=0), model)
             header, payload = split_model_file(model.read_bytes())
@@ -1311,6 +1329,7 @@ class TestProcess:
         assert code == 3
         err = capsys.readouterr().err
         assert "Traceback" not in err
+        old = "model.bin:1: not a svr/sgd/ridge/milnet/seqnet model file: kind"
         want = {
             "bad-meta": "model.bin:1: model header has a bad 'meta'",
             "huge-net": "model.bin:1: payload size mismatch",
@@ -1318,6 +1337,7 @@ class TestProcess:
             "wider-net": "error: model expects dimension 8, dataset has 5\n",
             "topk-past-bag": "error: model pools the top 12 segments, dataset bags have 10\n",
             "seq-bag-size": "error: model expects 6 segments per bag, dataset has 10\n",
+            **{f"old-{kind}": f"{old} '{kind}'" for kind in ("mil", "seq", "linear")},
         }
         assert want.get(case, "model.bin:1: not a supported model file") in err
 
@@ -1964,6 +1984,36 @@ class TestBenchmarkNames:
         n = len(test_ds) * test_ds.m
         assert np.array_equal(rows[:n], test_ds.instance_matrix()) and not rows[n:].any()
         assert (len(svr_loads), len(net_loads)) == (1, 1)
+
+    def test_training_goes_through_the_traced_functions(self, split_root, tmp_path, monkeypatch):
+        """train calls each traced training function in its defining module,
+        where the tracer rebinds it, once per command that uses it."""
+        traced = [
+            (networks, "train"),
+            (networks, "save_net"),
+            (baselines, "svr_train"),
+            (bags, "kmeans"),
+            (bags, "relabel"),
+        ]
+        calls = {name: self._counting(monkeypatch, module, name) for module, name in traced}
+        uses = {
+            "milnet": {"train", "save_net"},
+            "seqnet": {"train", "save_net"},
+            "svr": {"svr_train", "kmeans", "relabel"},
+        }
+        for model, names in uses.items():
+            before = {name: len(made) for name, made in calls.items()}
+            config = write_config(
+                tmp_path / f"{model}.json",
+                **{**MODEL_CONFIGS[model], "train": {"epochs": 2}},
+                relabel="kmeans-mean",
+                dataset=str(split_root / "train"),
+                model_path=str(tmp_path / f"{model}.bin"),
+            )
+            code = run_cli("train", "--config", str(config), "--out", str(tmp_path / "t.csv"))
+            assert code == 0
+            made = {name: len(calls[name]) - before[name] for name in calls}
+            assert made == {name: int(name in names) for name in calls}, model
 
     def test_extract_calls_pose_gaze_feature_once_per_window(
         self, pose_tree, tmp_path, monkeypatch, capsys

@@ -28,6 +28,8 @@ from engage_mil.networks import (
 from oracles import model_file_bytes, split_model_file
 
 DIM, M = 3, 4
+# the test ids of MilNet, SeqNet, SvrModel, LinearModel and RidgePosterior,
+# whose file kinds are milnet, seqnet, svr, sgd and ridge
 KINDS = ("mil", "seq", "svr", "linear", "ridge")
 
 
@@ -92,13 +94,13 @@ def _pinned_models():
 # What each model above writes, "meta" given unsorted
 PINNED_HEADERS = {
     "mil": (
-        '{"fields": {"activations": ["relu", "linear"], "k": 2, "label_scaling": false, '
-        '"pooling": "topk"}, "kind": "mil", "meta": {"feature_kind": "synthetic", '
-        '"train_subjects": ["s1"]}, "shapes": [[2, 3], [2], [1, 2], [1]]}'
+        '{"fields": {"activations": ["relu", "linear"], "k": 2, "pooling": "topk"}, '
+        '"kind": "milnet", "meta": {"feature_kind": "synthetic", "train_subjects": ["s1"]}, '
+        '"shapes": [[2, 3], [2], [1, 2], [1]]}'
     ),
     "seq": (
-        '{"fields": {"activations": ["sigmoid", "sigmoid", "sigmoid"], "label_scaling": true, '
-        '"m": 2}, "kind": "seq", "meta": {"feature_kind": "synthetic", "train_subjects": ["s1"]}, '
+        '{"fields": {"activations": ["sigmoid", "sigmoid", "sigmoid"], "m": 2}, "kind": "seqnet", '
+        '"meta": {"feature_kind": "synthetic", "train_subjects": ["s1"]}, '
         '"shapes": [[8, 5], [8], [3, 4], [3], [2, 3], [2], [2, 2], [2]]}'
     ),
     "svr": (
@@ -107,7 +109,7 @@ PINNED_HEADERS = {
         '"shapes": [[2, 3], [2]]}'
     ),
     "linear": (
-        '{"fields": {"bias": 0.5}, "kind": "linear", "meta": {"feature_kind": "synthetic", '
+        '{"fields": {"bias": 0.5}, "kind": "sgd", "meta": {"feature_kind": "synthetic", '
         '"train_subjects": ["s1"]}, "shapes": [[3]]}'
     ),
     "ridge": (

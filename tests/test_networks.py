@@ -712,11 +712,12 @@ def _set(key, value, match):
         lambda header: ([header], "model header must be a JSON object"),
         lambda header: (
             {**header, "fields": {k: v for k, v in header["fields"].items() if k != "pooling"}},
-            "mil model fields missing 'pooling'",
+            "milnet model fields missing 'pooling'",
         ),
-        _set("kind", "gru", "not a mil/seq model file"),
+        _set("kind", "gru", "not a milnet/seqnet model file"),
         _set("fields.k", 2.5, "bad 'k'"),
-        _set("fields.label_scaling", 1, "bad 'label_scaling'"),
+        # a file of the sgd kind under its name before it was the config name
+        _set("kind", "linear", "not a milnet/seqnet model file: kind 'linear'"),
         _set("fields.activations", {"in": 3}, "bad 'activations'"),
         _set("fields.activations", ["relu"], "4 arrays do not fit 1 dense layers"),
         _set("shapes", [[4, -3], [4], [1, 4], [1]], "bad shape"),
@@ -726,8 +727,8 @@ def _set(key, value, match):
         pytest.param(
             lambda header: (
                 {
-                    "kind": "seq",
-                    "fields": {"activations": ["sigmoid"] * 3, "label_scaling": True, "m": 1},
+                    "kind": "seqnet",
+                    "fields": {"activations": ["sigmoid"] * 3, "m": 1},
                     "meta": {},
                     "shapes": [[2, 4], [4], [2, 1], [2], [1, 2], [1], [1, 1], [1]],
                 },
@@ -735,11 +736,15 @@ def _set(key, value, match):
             ),
             id="seq-gate-shape",
         ),
-        # nets trained under the retired train.scale_labels override: a
-        # scaled mil net, and the same 21 values as a well-formed seq net of
-        # that size, unscaled
+        # nets written before the kinds took their config names, here two
+        # trained under the retired train.scale_labels override: a scaled mil
+        # net, and the same 21 values as a well-formed seq net of that size,
+        # unscaled.  Their kinds refuse them, label_scaling field and all
         pytest.param(
-            _set("fields.label_scaling", True, "a mil model's label_scaling is false"),
+            lambda header: (
+                {**header, "kind": "mil", "fields": {**header["fields"], "label_scaling": True}},
+                "not a milnet/seqnet model file: kind 'mil'",
+            ),
             id="mil-scaled",
         ),
         pytest.param(
@@ -750,7 +755,7 @@ def _set(key, value, match):
                     "meta": {},
                     "shapes": [[4, 2], [4], [2, 1], [2], [1, 2], [1], [1, 1], [1]],
                 },
-                "a seq model's label_scaling is true",
+                "not a milnet/seqnet model file: kind 'seq'",
             ),
             id="seq-unscaled",
         ),
@@ -770,8 +775,8 @@ def test_load_net_rejects_a_bad_header(tmp_path, edit):
         _set("shapes", [[10**7, 10**7]], "payload size mismatch"),
         lambda header: (
             {
-                "kind": "seq",
-                "fields": {"activations": [], "label_scaling": True, "m": 1},
+                "kind": "seqnet",
+                "fields": {"activations": [], "m": 1},
                 "meta": {},
                 "shapes": [[4 * 10**7, 2 * 10**7], [4 * 10**7]],
             },
